@@ -293,4 +293,10 @@ awk -F, 'NR > 1 {
 grep -q '"stream_1024_subs_p99_ms"' target/ci-c10k/par/BENCH_repro.json \
   || { echo "BENCH_repro.json lacks the subscriber latency curve"; exit 1; }
 
+echo "==> perfbench self-test: every workload emits every metric and passes its gates"
+# perfbench is its own Cargo package built against the workspace
+# crates' public API (testbed, archive, tsdb, stream, fleet), so this
+# step also catches a change that breaks the benchmark's build.
+CARGO_TARGET_DIR=target/perfbench python3 perfbench/selftest.py
+
 echo "CI green."

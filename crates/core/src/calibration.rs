@@ -7,15 +7,14 @@
 //! device EEPROM, after which no recalibration is needed — the paper's
 //! 50-hour stability experiment bounds the residual drift to ±0.09 W.
 
-use std::time::Duration;
-
 use ps3_firmware::SensorConfig;
 use ps3_sensors::AdcSpec;
-use ps3_units::Volts;
+use ps3_units::{SimDuration, Volts};
 
 use crate::error::PowerSensorError;
 use crate::power_sensor::PowerSensor;
 use crate::state::SENSOR_PAIRS;
+use crate::tools::TOOL_TIMEOUT;
 
 /// Default number of frames averaged per calibration step — the
 /// paper's 128 k samples.
@@ -46,10 +45,12 @@ pub struct CalibrationReport {
 /// * the module carries **zero current** (unloaded), and
 /// * the rail sits at exactly `reference_voltage`.
 ///
-/// Averages `frames` raw frames (start the capture, then advance the
-/// simulated device; `wait_timeout` bounds the real-time wait), derives
-/// the corrected mid-scale reference (current) and gain (voltage), and
-/// writes both to the device.
+/// Averages `frames` raw frames, derives the corrected mid-scale
+/// reference (current) and gain (voltage), and writes both to the
+/// device. `advance` must move the simulated device forward by the
+/// requested duration (e.g. `|d| testbed.advance(d)`). It is called
+/// once, after the capture is registered, for the capture's frames at
+/// 50 µs each plus 10 ms of slack.
 ///
 /// # Errors
 ///
@@ -62,7 +63,7 @@ pub fn calibrate_pair(
     pair: usize,
     reference_voltage: Volts,
     frames: usize,
-    wait_timeout: Duration,
+    advance: impl FnOnce(SimDuration),
 ) -> Result<CalibrationReport, PowerSensorError> {
     if pair >= SENSOR_PAIRS {
         return Err(PowerSensorError::InvalidSensor(pair));
@@ -71,8 +72,11 @@ pub fn calibrate_pair(
     let i_cfg = configs[2 * pair].clone();
     let u_cfg = configs[2 * pair + 1].clone();
 
+    // Register the capture before any frame it needs exists: frames
+    // the device emits ahead of the registration would never count.
     let capture = ps.begin_raw_capture(frames);
-    let means = capture.wait(wait_timeout)?;
+    advance(SimDuration::from_micros(frames as u64 * 50 + 10_000));
+    let means = capture.wait(TOOL_TIMEOUT)?;
     let adc = AdcSpec::POWERSENSOR3;
 
     // Current sensor: at 0 A the output should sit at vref/2. Whatever

@@ -829,11 +829,11 @@ fn finalize_frame(shared: &Shared, inner: &mut Inner) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testharness::{one_pair_eeprom, two_amp_source, Harness};
+    use crate::testharness::{one_pair_eeprom, spawn_device, two_amp_source};
 
     #[test]
     fn connect_reads_configs() {
-        let (h, host_end) = Harness::spawn(two_amp_source(), one_pair_eeprom());
+        let (h, host_end) = spawn_device(two_amp_source(), one_pair_eeprom());
         let ps = PowerSensor::connect(host_end).unwrap();
         let configs = ps.configs();
         assert_eq!(configs[0].name, "I0");
@@ -845,7 +845,7 @@ mod tests {
 
     #[test]
     fn state_tracks_power_and_energy() {
-        let (h, host_end) = Harness::spawn(two_amp_source(), one_pair_eeprom());
+        let (h, host_end) = spawn_device(two_amp_source(), one_pair_eeprom());
         let ps = PowerSensor::connect(host_end).unwrap();
         h.advance(SimDuration::from_millis(100));
         ps.wait_for_frames(2000, Duration::from_secs(10)).unwrap();
@@ -870,7 +870,7 @@ mod tests {
 
     #[test]
     fn interval_mode_between_states() {
-        let (h, host_end) = Harness::spawn(two_amp_source(), one_pair_eeprom());
+        let (h, host_end) = spawn_device(two_amp_source(), one_pair_eeprom());
         let ps = PowerSensor::connect(host_end).unwrap();
         h.advance(SimDuration::from_millis(10));
         ps.wait_for_frames(200, Duration::from_secs(10)).unwrap();
@@ -888,7 +888,7 @@ mod tests {
 
     #[test]
     fn trace_capture_at_20khz() {
-        let (h, host_end) = Harness::spawn(two_amp_source(), one_pair_eeprom());
+        let (h, host_end) = spawn_device(two_amp_source(), one_pair_eeprom());
         let ps = PowerSensor::connect(host_end).unwrap();
         ps.begin_trace();
         h.advance(SimDuration::from_millis(50));
@@ -903,7 +903,7 @@ mod tests {
 
     #[test]
     fn markers_are_labelled_in_order() {
-        let (h, host_end) = Harness::spawn(two_amp_source(), one_pair_eeprom());
+        let (h, host_end) = spawn_device(two_amp_source(), one_pair_eeprom());
         let ps = PowerSensor::connect(host_end).unwrap();
         ps.begin_trace();
         h.advance(SimDuration::from_millis(5));
@@ -924,7 +924,7 @@ mod tests {
 
     #[test]
     fn dump_produces_lines_and_markers() {
-        let (h, host_end) = Harness::spawn(two_amp_source(), one_pair_eeprom());
+        let (h, host_end) = spawn_device(two_amp_source(), one_pair_eeprom());
         let ps = PowerSensor::connect(host_end).unwrap();
         let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
         struct SharedWriter(Arc<Mutex<Vec<u8>>>);
@@ -967,7 +967,7 @@ mod tests {
 
     #[test]
     fn dropping_the_sensor_seals_the_dump() {
-        let (h, host_end) = Harness::spawn(two_amp_source(), one_pair_eeprom());
+        let (h, host_end) = spawn_device(two_amp_source(), one_pair_eeprom());
         let ps = PowerSensor::connect(host_end).unwrap();
         let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
         struct SharedWriter(Arc<Mutex<Vec<u8>>>);
@@ -1002,7 +1002,7 @@ mod tests {
 
     #[test]
     fn raw_capture_averages_codes() {
-        let (h, host_end) = Harness::spawn(two_amp_source(), one_pair_eeprom());
+        let (h, host_end) = spawn_device(two_amp_source(), one_pair_eeprom());
         let ps = PowerSensor::connect(host_end).unwrap();
         let capture = ps.begin_raw_capture(100);
         h.advance(SimDuration::from_millis(10));
@@ -1017,7 +1017,7 @@ mod tests {
 
     #[test]
     fn update_configs_rescales_readings() {
-        let (h, host_end) = Harness::spawn(two_amp_source(), one_pair_eeprom());
+        let (h, host_end) = spawn_device(two_amp_source(), one_pair_eeprom());
         let ps = PowerSensor::connect(host_end).unwrap();
         h.advance(SimDuration::from_millis(5));
         ps.wait_for_frames(100, Duration::from_secs(10)).unwrap();
@@ -1040,7 +1040,7 @@ mod tests {
 
     #[test]
     fn invalid_config_slot_rejected() {
-        let (h, host_end) = Harness::spawn(two_amp_source(), one_pair_eeprom());
+        let (h, host_end) = spawn_device(two_amp_source(), one_pair_eeprom());
         let ps = PowerSensor::connect(host_end).unwrap();
         let err = ps
             .update_configs(&[(9, SensorConfig::unpopulated())])
@@ -1052,7 +1052,7 @@ mod tests {
 
     #[test]
     fn wait_for_frames_times_out_when_idle() {
-        let (h, host_end) = Harness::spawn(two_amp_source(), one_pair_eeprom());
+        let (h, host_end) = spawn_device(two_amp_source(), one_pair_eeprom());
         let ps = PowerSensor::connect(host_end).unwrap();
         let err = ps
             .wait_for_frames(1000, Duration::from_millis(50))
@@ -1064,7 +1064,7 @@ mod tests {
 
     #[test]
     fn frame_sinks_observe_frames_and_deregister() {
-        let (h, host_end) = Harness::spawn(two_amp_source(), one_pair_eeprom());
+        let (h, host_end) = spawn_device(two_amp_source(), one_pair_eeprom());
         let ps = PowerSensor::connect(host_end).unwrap();
         let seen = Arc::new(AtomicU64::new(0));
         let seen2 = Arc::clone(&seen);
@@ -1083,7 +1083,7 @@ mod tests {
 
     #[test]
     fn shared_power_sensor_derefs() {
-        let (h, host_end) = Harness::spawn(two_amp_source(), one_pair_eeprom());
+        let (h, host_end) = spawn_device(two_amp_source(), one_pair_eeprom());
         let shared = SharedPowerSensor::new(PowerSensor::connect(host_end).unwrap());
         let clone = shared.clone();
         h.advance(SimDuration::from_millis(5));
@@ -1097,7 +1097,7 @@ mod tests {
 
     #[test]
     fn device_disconnect_marks_dead() {
-        let (h, host_end) = Harness::spawn(two_amp_source(), one_pair_eeprom());
+        let (h, host_end) = spawn_device(two_amp_source(), one_pair_eeprom());
         let ps = PowerSensor::connect(host_end).unwrap();
         assert!(ps.is_alive());
         assert_eq!(ps.link_error(), None);

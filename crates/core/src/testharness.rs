@@ -1,68 +1,23 @@
-//! Shared in-crate test harness: a minimal device thread driving the
-//! emulated firmware on a virtual clock (the full-featured version
-//! lives in `ps3-testbed`; this one avoids the circular dev-dependency).
+//! Shared in-crate test harness: the firmware's device thread driving
+//! the emulated firmware on a virtual clock (`ps3-testbed` wraps the
+//! same thread around real sensor models; this one avoids the circular
+//! dev-dependency).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use ps3_firmware::{AnalogSource, Device, DeviceThread, Eeprom, SensorConfig};
+use ps3_transport::{SerialEndpoint, VirtualSerial};
+use ps3_units::SimTime;
 
-use ps3_firmware::{Device, Eeprom, SensorConfig};
-use ps3_transport::VirtualSerial;
-use ps3_units::{SimDuration, SimTime};
-
-/// Runs the emulated firmware in a thread, advancing its virtual clock
-/// towards a shared target.
-pub(crate) struct Harness {
-    target_ns: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
-    join: Option<JoinHandle<()>>,
-}
-
-impl Harness {
-    pub(crate) fn spawn<S: ps3_firmware::AnalogSource + 'static>(
-        source: S,
-        eeprom: Eeprom,
-    ) -> (Self, ps3_transport::SerialEndpoint) {
-        let (host_end, dev_end) = VirtualSerial::pair();
-        let target_ns = Arc::new(AtomicU64::new(0));
-        let stop = Arc::new(AtomicBool::new(false));
-        let t = Arc::clone(&target_ns);
-        let s = Arc::clone(&stop);
-        let join = std::thread::spawn(move || {
-            let mut dev = Device::new(source, eeprom);
-            while !s.load(Ordering::SeqCst) {
-                let target = SimTime::from_nanos(t.load(Ordering::SeqCst));
-                if dev.clock() < target {
-                    dev.run_until(&dev_end, target);
-                } else {
-                    dev.process_commands(&dev_end);
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            }
-        });
-        (
-            Self {
-                target_ns,
-                stop,
-                join: Some(join),
-            },
-            host_end,
-        )
-    }
-
-    pub(crate) fn advance(&self, d: SimDuration) {
-        self.target_ns.fetch_add(d.as_nanos(), Ordering::SeqCst);
-    }
-}
-
-impl Drop for Harness {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
-    }
+/// Runs a device over `source` in its own thread; returns the handle
+/// and the host end of the link.
+pub(crate) fn spawn_device<S: AnalogSource + Send + 'static>(
+    source: S,
+    eeprom: Eeprom,
+) -> (DeviceThread, SerialEndpoint) {
+    let (host_end, dev_end) = VirtualSerial::pair();
+    (
+        DeviceThread::spawn(Device::new(source, eeprom), dev_end),
+        host_end,
+    )
 }
 
 /// An EEPROM with a single populated 12 V / 10 A pair.
@@ -74,7 +29,7 @@ pub(crate) fn one_pair_eeprom() -> Eeprom {
 }
 
 /// A source producing exactly 2 A at 12 V on pair 0 (ideal codes).
-pub(crate) fn two_amp_source() -> impl ps3_firmware::AnalogSource {
+pub(crate) fn two_amp_source() -> impl AnalogSource {
     |ch: usize, _t: SimTime| -> f64 {
         match ch {
             0 => 1.65 + 2.0 * 0.12, // 2 A through 120 mV/A

@@ -17,7 +17,7 @@ use crate::power_sensor::PowerSensor;
 use crate::state::{joules, seconds, watts, State, SENSOR_PAIRS};
 
 /// How long tools wait (in real time) for simulated frames to arrive.
-const TOOL_TIMEOUT: Duration = Duration::from_secs(30);
+pub(crate) const TOOL_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// `psinfo`: renders the configuration and latest measurement of every
 /// enabled sensor, plus the total power.
@@ -213,15 +213,13 @@ pub fn autocalibrate(
         if !(configs[2 * pair].enabled && configs[2 * pair + 1].enabled) {
             continue;
         }
-        // Kick the capture off, then advance enough device time to
-        // cover it (frames × 50 µs), then collect.
-        let handle = std::thread::scope(|scope| {
-            let worker =
-                scope.spawn(|| crate::calibrate_pair(ps, pair, reference, frames, TOOL_TIMEOUT));
-            advance(SimDuration::from_micros(frames as u64 * 50 + 1000));
-            worker.join().expect("calibration thread panicked")
-        });
-        reports.push(handle?);
+        reports.push(crate::calibrate_pair(
+            ps,
+            pair,
+            reference,
+            frames,
+            &mut advance,
+        )?);
     }
     Ok(reports)
 }
@@ -242,12 +240,12 @@ pub fn format_state(state: &State) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testharness::{one_pair_eeprom, two_amp_source, Harness};
+    use crate::testharness::{one_pair_eeprom, spawn_device, two_amp_source};
     use ps3_units::SimDuration;
 
     #[test]
     fn info_renders_live_configuration_and_readings() {
-        let (h, host_end) = Harness::spawn(two_amp_source(), one_pair_eeprom());
+        let (h, host_end) = spawn_device(two_amp_source(), one_pair_eeprom());
         let ps = crate::PowerSensor::connect(host_end).unwrap();
         h.advance(SimDuration::from_millis(5));
         ps.wait_for_frames(90, Duration::from_secs(10)).unwrap();
@@ -263,7 +261,7 @@ mod tests {
 
     #[test]
     fn pstest_measures_each_interval() {
-        let (h, host_end) = Harness::spawn(two_amp_source(), one_pair_eeprom());
+        let (h, host_end) = spawn_device(two_amp_source(), one_pair_eeprom());
         let ps = crate::PowerSensor::connect(host_end).unwrap();
         let intervals = [SimDuration::from_millis(5), SimDuration::from_millis(10)];
         let rows = pstest(&ps, &intervals, |d| {
@@ -286,7 +284,7 @@ mod tests {
 
     #[test]
     fn psrun_reports_workload_energy() {
-        let (h, host_end) = Harness::spawn(two_amp_source(), one_pair_eeprom());
+        let (h, host_end) = spawn_device(two_amp_source(), one_pair_eeprom());
         let ps = crate::PowerSensor::connect(host_end).unwrap();
         let report = psrun(&ps, || {
             h.advance(SimDuration::from_millis(20));

@@ -1,7 +1,7 @@
 //! The device state machine: firmware main loop on a virtual clock.
 
 use ps3_transport::{Transport, TransportError};
-use ps3_units::SimTime;
+use ps3_units::{SimDuration, SimTime};
 
 use crate::adc::{AdcSequencer, AnalogSource};
 use crate::display::{Display, PairReadout};
@@ -31,10 +31,11 @@ pub enum DeviceMode {
 ///
 /// Owns the analog source (the testbed's wiring of DUT rails through
 /// sensor models), the virtual EEPROM, the ADC sequencer, the display,
-/// and the streaming state. The device is *synchronous*: callers (the
-/// testbed's device thread) repeatedly invoke [`Device::run_until`] to
-/// advance the firmware clock, and the device reads commands/writes
-/// sensor packets on the supplied transport as it goes.
+/// and the streaming state. The device is *synchronous*: callers
+/// (usually a [`DeviceThread`](crate::DeviceThread)) repeatedly invoke
+/// [`Device::run_until`] to advance the firmware clock, and the device
+/// reads commands/writes sensor packets on the supplied transport as it
+/// goes.
 ///
 /// # Examples
 ///
@@ -106,6 +107,12 @@ impl<S: AnalogSource> Device<S> {
     #[must_use]
     pub fn clock(&self) -> SimTime {
         self.clock
+    }
+
+    /// Virtual time between output frames (50 µs by default).
+    #[must_use]
+    pub fn frame_interval(&self) -> SimDuration {
+        self.sequencer.frame_interval()
     }
 
     /// Whether the device is streaming sensor data.
@@ -398,7 +405,6 @@ mod tests {
     use crate::eeprom::SensorConfig;
     use crate::protocol::StreamDecoder;
     use ps3_transport::VirtualSerial;
-    use ps3_units::SimDuration;
 
     fn populated_eeprom() -> Eeprom {
         let mut e = Eeprom::new();

@@ -19,8 +19,11 @@
 //! * [`Display`] — the ST7735-style status display with pre-rendered
 //!   fonts and DMA transfer accounting (§III-B2).
 //! * [`Device`] — ties everything together into a synchronous state
-//!   machine that the testbed drives (typically from a dedicated
-//!   thread, as the real MCU runs independently of the host).
+//!   machine.
+//! * [`DeviceThread`] — runs a `Device` in a dedicated thread (the real
+//!   MCU runs independently of the host), advancing it toward a
+//!   virtual-time target and parking, without polling, once there. It
+//!   is the one driver every testbed, test harness and simulation uses.
 //!
 //! The [`AnalogSource`] trait is the boundary to the analog world: the
 //! testbed implements it by wiring DUT rail states through the
@@ -31,6 +34,7 @@
 mod adc;
 mod device;
 mod display;
+mod driver;
 mod eeprom;
 pub mod font;
 pub mod protocol;
@@ -38,4 +42,5 @@ pub mod protocol;
 pub use adc::{AdcSequencer, AnalogSource, Frame, FRAME_INTERVAL};
 pub use device::{Device, DeviceMode, COMMAND_POLL_FRAMES, FIRMWARE_VERSION};
 pub use display::{Display, Framebuffer, PairReadout, DISPLAY_H, DISPLAY_W};
+pub use driver::DeviceThread;
 pub use eeprom::{Eeprom, SensorConfig, CONFIG_WIRE_SIZE, NAME_SIZE, SENSOR_SLOTS};

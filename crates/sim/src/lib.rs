@@ -46,4 +46,4 @@ pub use invariant::{Checker, Fingerprint, Violation};
 pub use plan::{FaultEvent, FaultKind, PlanOptions, SimPlan};
 pub use runner::{failure_json, run_one, shrink, sweep, Failure, SweepOutcome};
 pub use scenario::{crash_time_us, default_options, Sabotage, ScenarioReport, SCENARIOS};
-pub use world::{quiesce, sim_eeprom, sim_source, SimDevice};
+pub use world::{quiesce, sim_eeprom, sim_source, spawn_device};

@@ -36,7 +36,7 @@ use ps3_units::{SimDuration, SimTime};
 use crate::inject::{FaultInjector, FaultProxy};
 use crate::invariant::{Checker, Fingerprint, Violation};
 use crate::plan::{splitmix64, FaultKind, PlanOptions, SimPlan};
-use crate::world::{quiesce, sim_eeprom, SimDevice};
+use crate::world::{quiesce, sim_eeprom, spawn_device};
 
 /// Every scenario the harness knows, in sweep order.
 pub const SCENARIOS: [&str; 8] = [
@@ -315,7 +315,7 @@ fn run_pipeline(seed: u64, plan: &SimPlan, sabotage: Sabotage) -> ScenarioReport
     let mut facts: Vec<(String, String)> = Vec::new();
     let archive_path = scratch_path("pipeline", seed);
 
-    let (device, host) = SimDevice::spawn(seed, None);
+    let (device, host) = spawn_device(seed, None);
     let injector = FaultInjector::new(host, plan);
     let tap = injector.clone();
 
@@ -477,7 +477,7 @@ fn run_device_crash(seed: u64, plan: &SimPlan) -> ScenarioReport {
     let archive_path = scratch_path("crash", seed);
     let crash_us = crash_time_us(seed);
 
-    let (device, host) = SimDevice::spawn(seed, Some(SimTime::from_micros(crash_us)));
+    let (device, host) = spawn_device(seed, Some(SimTime::from_micros(crash_us)));
     let injector = FaultInjector::new(host, plan);
     let tap = injector.clone();
 
@@ -577,7 +577,7 @@ fn run_tcp_faults(seed: u64, plan: &SimPlan) -> ScenarioReport {
     let mut checker = Checker::new();
     let mut facts: Vec<(String, String)> = Vec::new();
 
-    let (device, host) = SimDevice::spawn(seed, None);
+    let (device, host) = spawn_device(seed, None);
     // Clean USB: the tap injector carries an empty plan.
     let injector = FaultInjector::new(host, &SimPlan::empty());
     let tap = injector.clone();
@@ -690,7 +690,7 @@ fn run_c10k(seed: u64, plan: &SimPlan) -> ScenarioReport {
     let mut checker = Checker::new();
     let mut facts: Vec<(String, String)> = Vec::new();
 
-    let (device, host) = SimDevice::spawn(seed, None);
+    let (device, host) = spawn_device(seed, None);
     // Clean USB: the tap injector carries an empty plan.
     let injector = FaultInjector::new(host, &SimPlan::empty());
     let tap = injector.clone();

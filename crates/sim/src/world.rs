@@ -1,6 +1,6 @@
 //! The simulated world: an emulated PowerSensor3 device on a virtual
-//! clock, plus the quiesce protocol that makes end-of-run state
-//! deterministic.
+//! clock (the firmware's [`DeviceThread`]), plus the quiesce protocol
+//! that makes end-of-run state deterministic.
 //!
 //! The device thread races nothing: it only advances toward a shared
 //! virtual-time target, and every byte it emits is a pure function of
@@ -8,15 +8,12 @@
 //! bytes move, never *which* bytes move — the property every sim
 //! invariant leans on.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ps3_core::PowerSensor;
-use ps3_firmware::{Device, Eeprom, SensorConfig};
+use ps3_firmware::{Device, DeviceThread, Eeprom, SensorConfig};
 use ps3_transport::{SerialEndpoint, Transport, VirtualSerial};
-use ps3_units::{SimDuration, SimTime};
+use ps3_units::SimTime;
 
 /// Nominal rail voltage of the simulated pair.
 pub const RAIL_VOLTS: f64 = 12.0;
@@ -62,105 +59,20 @@ pub fn sim_source(seed: u64) -> impl ps3_firmware::AnalogSource {
     }
 }
 
-/// The emulated device running in a thread, advancing toward a shared
-/// virtual-time target. The host side talks to it over the returned
-/// [`SerialEndpoint`] (usually through a
-/// [`FaultInjector`](crate::FaultInjector)).
-pub struct SimDevice {
-    target_ns: Arc<AtomicU64>,
-    clock_ns: Arc<AtomicU64>,
-    crashed: Arc<AtomicBool>,
-    stop: Arc<AtomicBool>,
-    join: Option<JoinHandle<()>>,
-}
-
-impl SimDevice {
-    /// Spawns the device thread. `crash_at` schedules a firmware crash
-    /// at that virtual time; when it fires the device thread exits and
-    /// drops its endpoint, so the host observes `Disconnected`.
-    #[must_use]
-    pub fn spawn(seed: u64, crash_at: Option<SimTime>) -> (Self, SerialEndpoint) {
-        let (host_end, dev_end) = VirtualSerial::pair();
-        let target_ns = Arc::new(AtomicU64::new(0));
-        let clock_ns = Arc::new(AtomicU64::new(0));
-        let crashed = Arc::new(AtomicBool::new(false));
-        let stop = Arc::new(AtomicBool::new(false));
-        let join = {
-            let target_ns = Arc::clone(&target_ns);
-            let clock_ns = Arc::clone(&clock_ns);
-            let crashed = Arc::clone(&crashed);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("ps3-sim-device".into())
-                .spawn(move || {
-                    let mut dev = Device::new(sim_source(seed), sim_eeprom());
-                    if let Some(at) = crash_at {
-                        dev.schedule_crash(at);
-                    }
-                    while !stop.load(Ordering::SeqCst) {
-                        if dev.is_crashed() {
-                            // The board died: leave, dropping dev_end,
-                            // so the host's link errors out.
-                            crashed.store(true, Ordering::SeqCst);
-                            return;
-                        }
-                        let target = SimTime::from_nanos(target_ns.load(Ordering::SeqCst));
-                        if dev.clock() < target {
-                            dev.run_until(&dev_end, target);
-                        } else {
-                            dev.process_commands(&dev_end);
-                            std::thread::sleep(Duration::from_micros(200)); // ps3-lint: allow(determinism) reason="harness quiesce: paces real OS reader/device threads; the simulated timeline itself is SimTime-driven"
-                        }
-                        clock_ns.store(dev.clock().as_nanos(), Ordering::SeqCst);
-                    }
-                })
-                .expect("spawn sim device thread")
-        };
-        (
-            Self {
-                target_ns,
-                clock_ns,
-                crashed,
-                stop,
-                join: Some(join),
-            },
-            host_end,
-        )
+/// Spawns the emulated device for `seed` in its own thread. The host
+/// side talks to it over the returned [`SerialEndpoint`] (usually
+/// through a [`FaultInjector`](crate::FaultInjector)). `crash_at`
+/// schedules a firmware crash at that virtual time; when it fires the
+/// device thread exits and drops its endpoint, so the host observes
+/// `Disconnected`.
+#[must_use]
+pub fn spawn_device(seed: u64, crash_at: Option<SimTime>) -> (DeviceThread, SerialEndpoint) {
+    let (host_end, dev_end) = VirtualSerial::pair();
+    let mut dev = Device::new(sim_source(seed), sim_eeprom());
+    if let Some(at) = crash_at {
+        dev.schedule_crash(at);
     }
-
-    /// Moves the virtual-time target forward by `d`.
-    pub fn advance(&self, d: SimDuration) {
-        self.target_ns.fetch_add(d.as_nanos(), Ordering::SeqCst);
-    }
-
-    /// The device's current virtual clock.
-    #[must_use]
-    pub fn clock(&self) -> SimTime {
-        SimTime::from_nanos(self.clock_ns.load(Ordering::SeqCst))
-    }
-
-    /// `true` once the device has caught up with every `advance` so
-    /// far (it emits nothing further until the next `advance`).
-    #[must_use]
-    pub fn parked(&self) -> bool {
-        self.clock_ns.load(Ordering::SeqCst) >= self.target_ns.load(Ordering::SeqCst)
-    }
-
-    /// `true` once a scheduled crash has fired and the device thread
-    /// has exited.
-    #[must_use]
-    pub fn is_crashed(&self) -> bool {
-        self.crashed.load(Ordering::SeqCst)
-    }
-}
-
-impl Drop for SimDevice {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
-    }
+    (DeviceThread::spawn(dev, dev_end), host_end)
 }
 
 /// Drives the world to a deterministic stop: the device is parked (or
@@ -174,7 +86,7 @@ impl Drop for SimDevice {
 #[must_use]
 pub fn quiesce(
     ps: &PowerSensor,
-    device: &SimDevice,
+    device: &DeviceThread,
     tap: &dyn Transport,
     timeout: Duration,
 ) -> bool {
@@ -182,14 +94,18 @@ pub fn quiesce(
     let mut last_frames = ps.frames_received();
     let mut stable_since = Instant::now(); // ps3-lint: allow(determinism) reason="harness quiesce: paces real OS reader/device threads; the simulated timeline itself is SimTime-driven"
 
-    // ps3-lint: allow(determinism) reason="harness quiesce: paces real OS reader/device threads; the simulated timeline itself is SimTime-driven"
-    while Instant::now() < deadline {
-        let settled = device.parked() || device.is_crashed() || !ps.is_alive();
+    loop {
+        let now = Instant::now(); // ps3-lint: allow(determinism) reason="harness quiesce: paces real OS reader/device threads; the simulated timeline itself is SimTime-driven"
+        if now >= deadline {
+            return false;
+        }
+        // A deadline of `now` makes this a non-blocking check.
+        let settled = device.wait_parked(now) || !ps.is_alive();
         let drained = tap.available() == 0 || !ps.is_alive();
         let frames = ps.frames_received();
         if frames != last_frames {
             last_frames = frames;
-            stable_since = Instant::now(); // ps3-lint: allow(determinism) reason="harness quiesce: paces real OS reader/device threads; the simulated timeline itself is SimTime-driven"
+            stable_since = now;
         }
         // Two reader polls (20 ms each) of silence after the pipeline
         // looks empty: the count is final.
@@ -198,72 +114,31 @@ pub fn quiesce(
         }
         std::thread::sleep(Duration::from_millis(5)); // ps3-lint: allow(determinism) reason="harness quiesce: paces real OS reader/device threads; the simulated timeline itself is SimTime-driven"
     }
-    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ps3_units::SimDuration;
 
-    #[test]
-    fn device_stream_is_deterministic_per_seed() {
-        // Same seed, different read chunkings → identical byte stream.
-        let mut streams = Vec::new();
-        for _ in 0..2 {
-            let (dev, host) = SimDevice::spawn(7, None);
-            host.write_all(&ps3_firmware::protocol::Command::StartStreaming.encode())
-                .unwrap();
-            dev.advance(SimDuration::from_millis(5));
-            let mut got = Vec::new();
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while Instant::now() < deadline {
-                let mut buf = [0u8; 97];
-                match host.read(&mut buf, Some(Duration::from_millis(50))) {
-                    Ok(n) => got.extend_from_slice(&buf[..n]),
-                    Err(_) => {
-                        if dev.parked() && host.available() == 0 {
-                            break;
-                        }
-                    }
-                }
-            }
-            streams.push(got);
-        }
-        assert!(!streams[0].is_empty());
-        assert_eq!(streams[0], streams[1]);
-        // A different seed produces a different stream.
-        let (dev, host) = SimDevice::spawn(8, None);
+    /// The bytes `seed`'s device streams over its first 5 ms.
+    fn stream_of(seed: u64) -> Vec<u8> {
+        let (dev, host) = spawn_device(seed, None);
         host.write_all(&ps3_firmware::protocol::Command::StartStreaming.encode())
             .unwrap();
         dev.advance(SimDuration::from_millis(5));
-        std::thread::sleep(Duration::from_millis(50));
-        let mut other = vec![0u8; streams[0].len()];
-        host.read_exact(&mut other).unwrap();
-        assert_ne!(streams[0], other);
+        assert!(dev.wait_parked(Instant::now() + Duration::from_secs(5)));
+        let mut got = vec![0u8; host.available()];
+        host.read_exact(&mut got).unwrap();
+        got
     }
 
     #[test]
-    fn scheduled_crash_stops_the_device_and_kills_the_link() {
-        let (dev, host) = SimDevice::spawn(3, Some(SimTime::from_micros(1000)));
-        host.write_all(&ps3_firmware::protocol::Command::StartStreaming.encode())
-            .unwrap();
-        dev.advance(SimDuration::from_millis(10));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !dev.is_crashed() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(dev.is_crashed());
-        // Drain what was emitted before the crash, then the link dies.
-        let mut buf = [0u8; 4096];
-        let mut total = 0;
-        let err = loop {
-            match host.read(&mut buf, Some(Duration::from_millis(100))) {
-                Ok(n) => total += n,
-                Err(e) => break e,
-            }
-        };
-        assert_eq!(err, ps3_transport::TransportError::Disconnected);
-        // 1000 µs at 50 µs per 6-byte frame → 20 frames → 120 bytes.
-        assert_eq!(total, 120, "exactly the pre-crash frames are emitted");
+    fn device_stream_is_deterministic_per_seed() {
+        let first = stream_of(7);
+        assert!(!first.is_empty());
+        assert_eq!(first, stream_of(7));
+        // A different seed produces a different stream.
+        assert_ne!(first, stream_of(8));
     }
 }

@@ -1,29 +1,18 @@
-//! Testbed construction and the device thread.
+//! Testbed construction around the firmware's device thread.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
 use ps3_core::{PowerSensor, PowerSensorError};
 use ps3_duts::{Dut, RailId};
-use ps3_firmware::{AdcSequencer, Device, Eeprom, SensorConfig, COMMAND_POLL_FRAMES};
+use ps3_firmware::{AdcSequencer, Device, DeviceThread, Eeprom, SensorConfig};
 use ps3_sensors::{ModuleKind, SensorModule};
 use ps3_transport::{SerialEndpoint, VirtualSerial};
 use ps3_units::{SimDuration, SimTime, Watts};
 
 use crate::frontend::AnalogFrontend;
-
-/// How finely the device thread chunks long advances: a few firmware
-/// batches' worth of frames at the testbed's actual output rate, so the
-/// chunk size adapts to the configured averaging depth instead of a
-/// fixed wall of virtual time. Commands and the shared clock are
-/// published between chunks, and the stop flag is honoured promptly.
-fn advance_chunk(frame_interval: SimDuration) -> SimDuration {
-    frame_interval * (4 * COMMAND_POLL_FRAMES) as u64
-}
 
 /// Builder for a [`Testbed`].
 pub struct TestbedBuilder<D> {
@@ -136,45 +125,12 @@ impl<D: Dut + 'static> TestbedBuilder<D> {
         if self.averages != 6 {
             device.set_sequencer(AdcSequencer::with_averages(self.averages));
         }
-        let frame_interval = AdcSequencer::with_averages(self.averages).frame_interval();
-
-        let target_ns = Arc::new(AtomicU64::new(0));
-        let clock_ns = Arc::new(AtomicU64::new(0));
-        let frames = Arc::new(AtomicU64::new(0));
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let target_ns = Arc::clone(&target_ns);
-            let clock_ns = Arc::clone(&clock_ns);
-            let frames = Arc::clone(&frames);
-            let stop = Arc::clone(&stop);
-            let chunk = advance_chunk(frame_interval);
-            std::thread::Builder::new()
-                .name("ps3-device".into())
-                .spawn(move || {
-                    while !stop.load(Ordering::SeqCst) {
-                        let target = SimTime::from_nanos(target_ns.load(Ordering::SeqCst));
-                        if device.clock() < target {
-                            let chunk_end = (device.clock() + chunk).min(target);
-                            device.run_until(&dev_end, chunk_end);
-                            clock_ns.store(device.clock().as_nanos(), Ordering::SeqCst);
-                            frames.store(device.frames_emitted(), Ordering::SeqCst);
-                        } else {
-                            device.process_commands(&dev_end);
-                            std::thread::sleep(Duration::from_micros(200));
-                        }
-                    }
-                })
-                .expect("spawn device thread")
-        };
+        let frame_interval = device.frame_interval();
 
         Testbed {
             dut: self.dut,
             host_end: Some(host_end),
-            target_ns,
-            clock_ns,
-            frames,
-            stop,
-            thread: Some(thread),
+            device: DeviceThread::spawn(device, dev_end),
             frame_interval,
         }
     }
@@ -211,11 +167,7 @@ fn configs_for(module: &SensorModule, calibrated: bool) -> (SensorConfig, Sensor
 pub struct Testbed<D> {
     dut: Arc<Mutex<D>>,
     host_end: Option<SerialEndpoint>,
-    target_ns: Arc<AtomicU64>,
-    clock_ns: Arc<AtomicU64>,
-    frames: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+    device: DeviceThread,
     frame_interval: SimDuration,
 }
 
@@ -253,13 +205,13 @@ impl<D: Dut + 'static> Testbed<D> {
     /// Current device (virtual) time.
     #[must_use]
     pub fn device_time(&self) -> SimTime {
-        SimTime::from_nanos(self.clock_ns.load(Ordering::SeqCst))
+        self.device.clock()
     }
 
     /// Frames the device has emitted so far.
     #[must_use]
     pub fn frames_emitted(&self) -> u64 {
-        self.frames.load(Ordering::SeqCst)
+        self.device.frames_emitted()
     }
 
     /// The device's output frame interval (50 µs by default).
@@ -272,7 +224,7 @@ impl<D: Dut + 'static> Testbed<D> {
     /// the device thread catches up in the background (use
     /// [`Testbed::advance_and_sync`] to wait).
     pub fn advance(&self, d: SimDuration) {
-        self.target_ns.fetch_add(d.as_nanos(), Ordering::SeqCst);
+        self.device.advance(d);
     }
 
     /// Advances by `d` and blocks until the device reached the target
@@ -299,26 +251,15 @@ impl<D: Dut + 'static> Testbed<D> {
     /// [`PowerSensorError::Timeout`] on a stalled pipeline,
     /// [`PowerSensorError::Shutdown`] if the link died.
     pub fn sync(&self, ps: &PowerSensor) -> Result<(), PowerSensorError> {
-        let deadline = Instant::now() + Duration::from_secs(60);
-        let target = self.target_ns.load(Ordering::SeqCst);
         // 1. Device reaches the target time.
-        while self.clock_ns.load(Ordering::SeqCst) < target {
-            if Instant::now() >= deadline {
-                return Err(PowerSensorError::Timeout("device advancing"));
-            }
-            std::thread::sleep(Duration::from_micros(200));
+        if !self
+            .device
+            .wait_parked(Instant::now() + Duration::from_secs(60))
+        {
+            return Err(PowerSensorError::Timeout("device advancing"));
         }
         // 2. Host consumes all emitted frames.
         ps.wait_for_frames(self.frames_emitted(), Duration::from_secs(60))
-    }
-}
-
-impl<D> Drop for Testbed<D> {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
     }
 }
 

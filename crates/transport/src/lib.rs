@@ -40,7 +40,7 @@ use std::time::Duration;
 pub use fault::{FaultPlan, FaultyTransport};
 pub use recording::RecordingTransport;
 pub use replay::ReplayTransport;
-pub use serial::{SerialEndpoint, VirtualSerial};
+pub use serial::{ReadWaker, SerialEndpoint, VirtualSerial};
 
 /// Errors returned by transport operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

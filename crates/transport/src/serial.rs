@@ -25,6 +25,8 @@ struct PipeState {
     data: VecDeque<u8>,
     /// Set when the writing side has been dropped.
     closed: bool,
+    /// Set by a [`ReadWaker`]; consumed by the next `wait_readable`.
+    woken: bool,
 }
 
 impl Pipe {
@@ -33,6 +35,7 @@ impl Pipe {
             buf: Mutex::new(PipeState {
                 data: VecDeque::new(),
                 closed: false,
+                woken: false,
             }),
             readable: Condvar::new(),
             writable: Condvar::new(),
@@ -91,6 +94,19 @@ impl Pipe {
         }
     }
 
+    fn wait_readable(&self) {
+        let mut state = self.buf.lock();
+        while state.data.is_empty() && !state.woken {
+            self.readable.wait(&mut state);
+        }
+        state.woken = false;
+    }
+
+    fn wake(&self) {
+        self.buf.lock().woken = true;
+        self.readable.notify_all();
+    }
+
     fn close(&self) {
         let mut state = self.buf.lock();
         state.closed = true;
@@ -131,6 +147,34 @@ impl Drop for CloseGuard {
         for pipe in &self.pipes {
             pipe.close();
         }
+    }
+}
+
+impl SerialEndpoint {
+    /// Blocks until bytes are waiting to be read, or until a
+    /// [`ReadWaker`] of this endpoint fires. A wakeup that fires while
+    /// nobody waits is kept for the next call, so none is lost.
+    pub fn wait_readable(&self) {
+        self.rx.wait_readable();
+    }
+
+    /// A handle that interrupts [`SerialEndpoint::wait_readable`] from
+    /// another thread. Unlike a clone, it does not keep the link open.
+    #[must_use]
+    pub fn read_waker(&self) -> ReadWaker {
+        ReadWaker(Arc::clone(&self.rx))
+    }
+}
+
+/// Interrupts a blocked [`SerialEndpoint::wait_readable`] (see
+/// [`SerialEndpoint::read_waker`]).
+#[derive(Debug)]
+pub struct ReadWaker(Arc<Pipe>);
+
+impl ReadWaker {
+    /// Wakes the endpoint's current or next `wait_readable`.
+    pub fn wake(&self) {
+        self.0.wake();
     }
 }
 
@@ -298,6 +342,25 @@ mod tests {
         b.read_exact(&mut got).unwrap();
         writer.join().unwrap();
         assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn wait_readable_returns_on_bytes_and_on_wake() {
+        let (a, b) = VirtualSerial::pair();
+        a.write_all(b"x").unwrap();
+        b.wait_readable(); // bytes already waiting
+        let mut buf = [0u8; 1];
+        b.read_exact(&mut buf).unwrap();
+        // Nothing left to read: only the waker can end this wait.
+        let waker = b.read_waker();
+        let blocked = thread::spawn(move || b.wait_readable());
+        waker.wake();
+        blocked.join().unwrap();
+        // The waker alone does not hold the link open.
+        assert_eq!(
+            a.read(&mut buf, None).unwrap_err(),
+            TransportError::Disconnected
+        );
     }
 
     #[test]

@@ -10,12 +10,12 @@
 //! and renders the recovered trace as an ASCII chart.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use powersensor3::analysis::ascii_trace;
 use powersensor3::core::{decode_stream, PowerSensor};
-use powersensor3::duts::{GpuKernel, GpuModel, GpuSpec};
-use powersensor3::firmware::{Device, Eeprom, SensorConfig};
+use powersensor3::duts::{Dut as _, GpuKernel, GpuModel, GpuSpec, RailId};
+use powersensor3::firmware::{Device, DeviceThread, Eeprom, SensorConfig};
 use powersensor3::transport::{RecordingTransport, Transport, TransportError, VirtualSerial};
 use powersensor3::units::{SimDuration, SimTime};
 
@@ -36,44 +36,34 @@ impl Transport for SharedRecorder {
 }
 
 fn main() {
-    // A minimal device thread: GPU on the 12 V external rail only.
+    // A minimal device: GPU on the 12 V external rail only.
     let (host_end, dev_end) = VirtualSerial::pair();
     let mut eeprom = Eeprom::new();
     eeprom.write(0, SensorConfig::new("I-ext", 3.3, 0.06, true));
     eeprom.write(1, SensorConfig::new("U-ext", 3.3, 5.0, true));
-    let device = std::thread::spawn(move || {
-        use powersensor3::duts::{Dut as _, RailId};
-        let mut gpu = GpuModel::new(GpuSpec::rtx4000_ada(), 5);
-        gpu.launch(GpuKernel::synthetic_fma(SimDuration::from_millis(700), 6));
-        let mut dev = Device::new(
-            move |ch: usize, now: SimTime| {
-                let state = gpu.rail_state(RailId::Ext12V, now);
-                match ch {
-                    0 => 1.65 + state.amps.value() * 0.06,
-                    1 => state.volts.value() / 5.0,
-                    _ => 0.0,
-                }
-            },
-            eeprom,
-        );
-        // Wait for the host to connect and start the stream, then
-        // free-run one simulated second and hang up.
-        while !dev.is_streaming() && dev.host_connected() {
-            dev.process_commands(&dev_end);
-            std::thread::sleep(Duration::from_micros(200));
+    let mut gpu = GpuModel::new(GpuSpec::rtx4000_ada(), 5);
+    gpu.launch(GpuKernel::synthetic_fma(SimDuration::from_millis(700), 6));
+    let source = move |ch: usize, now: SimTime| {
+        let state = gpu.rail_state(RailId::Ext12V, now);
+        match ch {
+            0 => 1.65 + state.amps.value() * 0.06,
+            1 => state.volts.value() / 5.0,
+            _ => 0.0,
         }
-        dev.run_until(&dev_end, SimTime::from_micros(1_000_000));
-    });
+    };
+    let device = DeviceThread::spawn(Device::new(source, eeprom), dev_end);
 
-    // Live session through the recorder.
+    // Live session through the recorder: one simulated second, then
+    // the device hangs up.
     let recorder = Arc::new(RecordingTransport::new(host_end));
     let configs;
     {
         let ps = PowerSensor::connect(SharedRecorder(Arc::clone(&recorder))).expect("connect");
         configs = ps.configs();
-        // Drain the whole session (the device stops after 1 s).
-        let _ = ps.wait_for_frames(19_000, Duration::from_secs(30));
-        device.join().expect("device thread");
+        device.advance(SimDuration::from_secs(1));
+        assert!(device.wait_parked(Instant::now() + Duration::from_secs(30)));
+        let _ = ps.wait_for_frames(device.frames_emitted(), Duration::from_secs(30));
+        drop(device);
     } // host disconnects here
 
     // Offline decode of the raw capture.

@@ -47,19 +47,8 @@ fn calibration_reduces_error_by_an_order_of_magnitude() {
     tb.advance_and_sync(&ps, SimDuration::from_millis(5))
         .unwrap();
     let reference = bench.lock().reference(tb.device_time()).volts;
-    let frames = 16 * 1024;
-    let report = std::thread::scope(|scope| {
-        let worker = scope.spawn(|| {
-            calibrate_pair(
-                &ps,
-                0,
-                Volts::new(reference.value()),
-                frames,
-                std::time::Duration::from_secs(60),
-            )
-        });
-        tb.advance(SimDuration::from_micros(frames as u64 * 50 + 10_000));
-        worker.join().unwrap()
+    let report = calibrate_pair(&ps, 0, Volts::new(reference.value()), 16 * 1024, |d| {
+        tb.advance(d);
     })
     .unwrap();
 
@@ -85,19 +74,8 @@ fn calibration_survives_reconnect() {
     tb.advance_and_sync(&ps, SimDuration::from_millis(5))
         .unwrap();
     let reference = bench.lock().reference(tb.device_time()).volts;
-    let frames = 4096;
-    let report = std::thread::scope(|scope| {
-        let worker = scope.spawn(|| {
-            calibrate_pair(
-                &ps,
-                0,
-                Volts::new(reference.value()),
-                frames,
-                std::time::Duration::from_secs(60),
-            )
-        });
-        tb.advance(SimDuration::from_micros(frames as u64 * 50 + 10_000));
-        worker.join().unwrap()
+    let report = calibrate_pair(&ps, 0, Volts::new(reference.value()), 4096, |d| {
+        tb.advance(d);
     })
     .unwrap();
 
@@ -135,14 +113,7 @@ fn autocalibrate_skips_unpopulated_pairs() {
 fn invalid_pair_is_rejected() {
     let mut tb = uncalibrated_bench(9);
     let ps = tb.connect().unwrap();
-    let err = calibrate_pair(
-        &ps,
-        7,
-        Volts::new(12.0),
-        16,
-        std::time::Duration::from_secs(1),
-    )
-    .unwrap_err();
+    let err = calibrate_pair(&ps, 7, Volts::new(12.0), 16, |d| tb.advance(d)).unwrap_err();
     assert!(matches!(
         err,
         powersensor3::core::PowerSensorError::InvalidSensor(7)

@@ -5,53 +5,31 @@
 //! These tests wire the fault injector between a raw device thread and
 //! the host, bypassing the Testbed convenience layer.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use powersensor3::core::PowerSensor;
-use powersensor3::firmware::{Device, Eeprom, SensorConfig};
-use powersensor3::transport::{FaultPlan, FaultyTransport, VirtualSerial};
+use powersensor3::firmware::{Device, DeviceThread, Eeprom, SensorConfig};
+use powersensor3::transport::{FaultPlan, FaultyTransport, SerialEndpoint, VirtualSerial};
 use powersensor3::units::{SimDuration, SimTime};
 
 /// Spawns a device thread producing a 2 A / 12 V signal on pair 0,
-/// returning the host-side endpoint and clock controls.
-fn spawn_device() -> (
-    powersensor3::transport::SerialEndpoint,
-    Arc<AtomicU64>,
-    Arc<AtomicBool>,
-    std::thread::JoinHandle<()>,
-) {
+/// returning the host-side endpoint and the device handle.
+fn spawn_device() -> (SerialEndpoint, DeviceThread) {
     let (host_end, dev_end) = VirtualSerial::pair();
     let mut eeprom = Eeprom::new();
     eeprom.write(0, SensorConfig::new("I0", 3.3, 0.12, true));
     eeprom.write(1, SensorConfig::new("U0", 3.3, 5.0, true));
-    let target = Arc::new(AtomicU64::new(0));
-    let stop = Arc::new(AtomicBool::new(false));
-    let t = Arc::clone(&target);
-    let s = Arc::clone(&stop);
-    let handle = std::thread::spawn(move || {
-        let mut dev = Device::new(
-            |ch: usize, _t: SimTime| -> f64 {
-                match ch {
-                    0 => 1.65 + 2.0 * 0.12,
-                    1 => 12.0 / 5.0,
-                    _ => 0.0,
-                }
-            },
-            eeprom,
-        );
-        while !s.load(Ordering::SeqCst) {
-            let target = SimTime::from_nanos(t.load(Ordering::SeqCst));
-            if dev.clock() < target {
-                dev.run_until(&dev_end, target);
-            } else {
-                dev.process_commands(&dev_end);
-                std::thread::sleep(Duration::from_micros(200));
+    let dev = Device::new(
+        |ch: usize, _t: SimTime| -> f64 {
+            match ch {
+                0 => 1.65 + 2.0 * 0.12,
+                1 => 12.0 / 5.0,
+                _ => 0.0,
             }
-        }
-    });
-    (host_end, target, stop, handle)
+        },
+        eeprom,
+    );
+    (host_end, DeviceThread::spawn(dev, dev_end))
 }
 
 fn wait_frames(ps: &PowerSensor, n: u64) {
@@ -60,11 +38,11 @@ fn wait_frames(ps: &PowerSensor, n: u64) {
 
 #[test]
 fn host_survives_corrupted_stream() {
-    let (host_end, target, stop, handle) = spawn_device();
+    let (host_end, device) = spawn_device();
     // One byte in a thousand gets a flipped bit.
     let faulty = FaultyTransport::new(host_end, FaultPlan::NOISY, 42);
     let ps = PowerSensor::connect(faulty).unwrap();
-    target.fetch_add(SimDuration::from_millis(500).as_nanos(), Ordering::SeqCst);
+    device.advance(SimDuration::from_millis(500));
     wait_frames(&ps, 9_000);
     let state = ps.read();
     // Despite corruption the bulk of the frames decode and the power
@@ -76,18 +54,17 @@ fn host_survives_corrupted_stream() {
         state.total_watts()
     );
     assert!(ps.is_alive());
-    stop.store(true, Ordering::SeqCst);
     drop(ps);
-    handle.join().unwrap();
+    drop(device);
 }
 
 #[test]
 fn host_survives_byte_loss_and_keeps_time_monotonic() {
-    let (host_end, target, stop, handle) = spawn_device();
+    let (host_end, device) = spawn_device();
     let faulty = FaultyTransport::new(host_end, FaultPlan::LOSSY, 43);
     let ps = PowerSensor::connect(faulty).unwrap();
     ps.begin_trace();
-    target.fetch_add(SimDuration::from_millis(500).as_nanos(), Ordering::SeqCst);
+    device.advance(SimDuration::from_millis(500));
     wait_frames(&ps, 9_000);
     let trace = ps.end_trace();
     // Lost bytes drop whole frames but never corrupt time ordering
@@ -95,39 +72,36 @@ fn host_survives_byte_loss_and_keeps_time_monotonic() {
     assert!(trace.len() > 8_000, "got {} frames", trace.len());
     let mean = trace.mean_power().unwrap().value();
     assert!((mean - 24.0).abs() < 2.0, "mean {mean}");
-    stop.store(true, Ordering::SeqCst);
     drop(ps);
-    handle.join().unwrap();
+    drop(device);
 }
 
 #[test]
 fn energy_accounting_tolerates_lossy_link() {
-    let (host_end, target, stop, handle) = spawn_device();
+    let (host_end, device) = spawn_device();
     let faulty = FaultyTransport::new(host_end, FaultPlan::LOSSY, 44);
     let ps = PowerSensor::connect(faulty).unwrap();
     let first = ps.read();
-    target.fetch_add(SimDuration::from_secs(1).as_nanos(), Ordering::SeqCst);
+    device.advance(SimDuration::from_secs(1));
     wait_frames(&ps, 19_000);
     let second = ps.read();
     let energy = powersensor3::core::joules(&first, &second).value();
     // 24 W × 1 s = 24 J; lost frames bridge via longer dt on the next
     // frame, so the integral error stays small.
     assert!((energy - 24.0).abs() < 1.5, "energy {energy}");
-    stop.store(true, Ordering::SeqCst);
     drop(ps);
-    handle.join().unwrap();
+    drop(device);
 }
 
 #[test]
 fn device_vanishing_mid_session_is_detected() {
-    let (host_end, target, stop, handle) = spawn_device();
+    let (host_end, device) = spawn_device();
     let ps = PowerSensor::connect(host_end).unwrap();
-    target.fetch_add(SimDuration::from_millis(10).as_nanos(), Ordering::SeqCst);
+    device.advance(SimDuration::from_millis(10));
     wait_frames(&ps, 150);
     assert!(ps.is_alive());
     // Kill the device.
-    stop.store(true, Ordering::SeqCst);
-    handle.join().unwrap();
+    drop(device);
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while ps.is_alive() && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
@@ -147,17 +121,16 @@ fn device_vanishing_mid_session_is_detected() {
 fn marker_commands_pass_through_fault_injector() {
     // Commands travel the (reliable) host→device direction even when
     // the device→host stream is noisy.
-    let (host_end, target, stop, handle) = spawn_device();
+    let (host_end, device) = spawn_device();
     let faulty = FaultyTransport::new(host_end, FaultPlan::NOISY, 45);
     let ps = PowerSensor::connect(faulty).unwrap();
     ps.begin_trace();
     ps.mark('z').unwrap();
-    target.fetch_add(SimDuration::from_millis(100).as_nanos(), Ordering::SeqCst);
+    device.advance(SimDuration::from_millis(100));
     wait_frames(&ps, 1_900);
     let trace = ps.end_trace();
     assert_eq!(trace.markers().len(), 1);
     assert_eq!(trace.markers()[0].label, 'z');
-    stop.store(true, Ordering::SeqCst);
     drop(ps);
-    handle.join().unwrap();
+    drop(device);
 }

@@ -3,11 +3,10 @@
 //! live host produced.
 
 use powersensor3::core::{decode_stream, PowerSensor};
-use powersensor3::firmware::{Device, Eeprom, SensorConfig};
+use powersensor3::firmware::{Device, DeviceThread, Eeprom, SensorConfig};
 use powersensor3::transport::{RecordingTransport, Transport, TransportError, VirtualSerial};
 use powersensor3::units::{SimDuration, SimTime};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -35,39 +34,27 @@ fn recorded_session_decodes_to_live_results() {
     let mut eeprom = Eeprom::new();
     eeprom.write(0, SensorConfig::new("I0", 3.3, 0.12, true));
     eeprom.write(1, SensorConfig::new("U0", 3.3, 5.0, true));
-    let target = Arc::new(AtomicU64::new(0));
-    let stop = Arc::new(AtomicBool::new(false));
-    let (t, s) = (Arc::clone(&target), Arc::clone(&stop));
-    let device = std::thread::spawn(move || {
-        let mut dev = Device::new(
+    let device = DeviceThread::spawn(
+        Device::new(
             |ch: usize, _t: SimTime| match ch {
                 0 => 1.65 + 2.0 * 0.12,
                 1 => 12.0 / 5.0,
                 _ => 0.0,
             },
             eeprom,
-        );
-        while !s.load(Ordering::SeqCst) {
-            let target = SimTime::from_nanos(t.load(Ordering::SeqCst));
-            if dev.clock() < target {
-                dev.run_until(&dev_end, target);
-            } else {
-                dev.process_commands(&dev_end);
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        }
-    });
+        ),
+        dev_end,
+    );
 
     // Live session through a recorder we keep a handle to.
     let recorder = Arc::new(RecordingTransport::new(host_end));
     let ps = PowerSensor::connect(ArcTransport(Arc::clone(&recorder))).unwrap();
     let configs = ps.configs();
     ps.begin_trace();
-    target.fetch_add(SimDuration::from_millis(100).as_nanos(), Ordering::SeqCst);
+    device.advance(SimDuration::from_millis(100));
     ps.wait_for_frames(1990, Duration::from_secs(30)).unwrap();
     let live_trace = ps.end_trace();
-    stop.store(true, Ordering::SeqCst);
-    device.join().unwrap();
+    drop(device);
     drop(ps);
 
     // Offline decode of the raw byte capture. The recording starts
