@@ -1,4 +1,4 @@
-//! The archive reader and its query engine.
+//! The archive reader: open, exact reads, and verification.
 //!
 //! [`Archive::open`] trusts the `.ps3x` sidecar index only when its
 //! CRC checks out *and* it describes exactly the bytes on disk;
@@ -6,19 +6,13 @@
 //! CRC-valid sealed segment and ignores a torn tail — so a capture
 //! killed mid-write still opens, minus at most its unsealed frames.
 //!
-//! Queries come in two flavours:
-//!
-//! * **Exact reads** — [`Archive::read_range`] re-derives physical
-//!   units from the stored raw codes with the stored sensor
-//!   configuration, using the same operations in the same order as the
-//!   live acquisition path, so the result is byte-identical to the
-//!   live [`Trace`] (markers included).
-//! * **Summary-accelerated** — [`Archive::stats`],
-//!   [`Archive::energy`], and [`Archive::downsample`] consume the
-//!   per-segment summary blocks and only decode the payload of blocks
-//!   the query range cuts through. The fast stats path reproduces the
-//!   writer's per-block accumulation order exactly and therefore
-//!   agrees with a full decode to the last bit.
+//! [`Archive::read_range`] re-derives physical units from the stored
+//! raw codes with the stored sensor configuration, using the same
+//! operations in the same order as the live acquisition path, so the
+//! result is byte-identical to the live [`Trace`] (markers included).
+//! The aggregate queries (`stats`, `energy`, `downsample`, …) live in
+//! the `query` module: one tiered walk over the summary blocks that
+//! decodes only the blocks a range cuts through.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
@@ -28,12 +22,12 @@ use parking_lot::Mutex;
 use ps3_analysis::Trace;
 use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
 use ps3_sensors::AdcSpec;
-use ps3_units::{Joules, SimTime, Watts};
+use ps3_units::SimTime;
 
 use crate::crc::crc32;
 use crate::format::{
     decode_file_header, read_u32, ArchiveError, FILE_HEADER_SIZE, MARKER_WIRE_SIZE, SEAL_MAGIC,
-    SEGMENT_HEADER_SIZE, SEGMENT_TRAILER_SIZE, SUMMARY_FRAMES, SUMMARY_WIRE_SIZE,
+    SEGMENT_HEADER_SIZE, SEGMENT_TRAILER_SIZE, SUMMARY_WIRE_SIZE,
 };
 use crate::index::{index_path_for, ArchiveIndex};
 use crate::segment::{
@@ -61,13 +55,6 @@ impl SegmentMeta {
             + (SEGMENT_HEADER_SIZE
                 + self.header.summary_count as usize * SUMMARY_WIRE_SIZE
                 + self.header.marker_count as usize * MARKER_WIRE_SIZE) as u64
-    }
-
-    /// Frame index range `[lo, hi)` of summary block `bi`.
-    fn block_frames(&self, bi: usize) -> (usize, usize) {
-        let lo = bi * SUMMARY_FRAMES;
-        let hi = (lo + SUMMARY_FRAMES).min(self.header.frame_count as usize);
-        (lo, hi)
     }
 }
 
@@ -100,46 +87,6 @@ impl VerifyReport {
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.errors.is_empty() && self.trailing_bytes == 0
-    }
-}
-
-/// Aggregate statistics over a time range.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RangeStats {
-    /// Samples in the range.
-    pub count: u64,
-    /// Sum of total power over those samples (W).
-    pub sum_w: f64,
-    /// Minimum total power (W).
-    pub min_w: f64,
-    /// Maximum total power (W).
-    pub max_w: f64,
-}
-
-impl RangeStats {
-    fn empty() -> Self {
-        Self {
-            count: 0,
-            sum_w: 0.0,
-            min_w: f64::INFINITY,
-            max_w: f64::NEG_INFINITY,
-        }
-    }
-
-    fn add_block(&mut self, count: u64, sum_w: f64, min_w: f64, max_w: f64) {
-        if count == 0 {
-            return;
-        }
-        self.count += count;
-        self.sum_w += sum_w;
-        self.min_w = self.min_w.min(min_w);
-        self.max_w = self.max_w.max(max_w);
-    }
-
-    /// Mean power over the range, or `None` when it holds no samples.
-    #[must_use]
-    pub fn mean_w(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum_w / self.count as f64)
     }
 }
 
@@ -314,7 +261,12 @@ impl Archive {
         &self,
         meta: &SegmentMeta,
     ) -> Result<Vec<ArchiveFrame>, ArchiveError> {
-        self.decode_segment(meta)
+        let payload = read_at(
+            &mut self.file.lock(),
+            meta.payload_offset(),
+            meta.header.payload_len as usize,
+        )?;
+        decode_payload(&meta.header, &payload, meta.offset)
     }
 
     /// The archive file path.
@@ -377,22 +329,18 @@ impl Archive {
             .map(|s| SimTime::from_micros(s.header.end_us))
     }
 
-    /// Segments whose time span intersects `[start, end)`.
-    fn overlapping(&self, start: SimTime, end: SimTime) -> impl Iterator<Item = &SegmentMeta> {
+    /// Indices of the segments whose time span intersects `[start, end)`.
+    pub(crate) fn overlapping(
+        &self,
+        start: SimTime,
+        end: SimTime,
+    ) -> impl Iterator<Item = usize> + '_ {
         let (start_us, end_us) = (start.as_micros(), end.as_micros().saturating_add(1));
         self.segments
             .iter()
-            .filter(move |s| s.header.start_us < end_us && s.header.end_us >= start_us)
-    }
-
-    /// Decodes one segment's payload into frames.
-    fn decode_segment(&self, meta: &SegmentMeta) -> Result<Vec<ArchiveFrame>, ArchiveError> {
-        let payload = read_at(
-            &mut self.file.lock(),
-            meta.payload_offset(),
-            meta.header.payload_len as usize,
-        )?;
-        decode_payload(&meta.header, &payload, meta.offset)
+            .enumerate()
+            .filter(move |(_, s)| s.header.start_us < end_us && s.header.end_us >= start_us)
+            .map(|(i, _)| i)
     }
 
     /// Reads `[start, end)` as a [`Trace`], byte-identical to what the
@@ -405,7 +353,7 @@ impl Archive {
     pub fn read_range(&self, start: SimTime, end: SimTime) -> Result<Trace, ArchiveError> {
         let capacity: u64 = self
             .overlapping(start, end)
-            .map(|s| u64::from(s.header.frame_count))
+            .map(|i| u64::from(self.segments[i].header.frame_count))
             .sum();
         let mut trace = Trace::with_capacity(capacity as usize);
         self.read_range_into(start, end, &mut trace)?;
@@ -425,8 +373,8 @@ impl Archive {
         out: &mut Trace,
     ) -> Result<(), ArchiveError> {
         out.clear();
-        for meta in self.overlapping(start, end) {
-            for frame in self.decode_segment(meta)? {
+        for i in self.overlapping(start, end) {
+            for frame in self.decode_segment_frames(&self.segments[i])? {
                 if frame.time < start || frame.time >= end {
                     continue;
                 }
@@ -455,126 +403,6 @@ impl Archive {
         }
     }
 
-    /// Statistics over `[start, end)` using the summary fast path:
-    /// blocks fully inside the range are consumed pre-aggregated, and
-    /// only blocks the range cuts through are decoded. Agrees with
-    /// [`Archive::stats_decoded`] to the last bit.
-    ///
-    /// # Errors
-    ///
-    /// I/O or corruption errors from decoding partial blocks.
-    pub fn stats(&self, start: SimTime, end: SimTime) -> Result<RangeStats, ArchiveError> {
-        self.stats_impl(start, end, false)
-    }
-
-    /// Statistics over `[start, end)` by full payload decode — the
-    /// reference the fast path is checked against.
-    ///
-    /// # Errors
-    ///
-    /// I/O or corruption errors from segment decoding.
-    pub fn stats_decoded(&self, start: SimTime, end: SimTime) -> Result<RangeStats, ArchiveError> {
-        self.stats_impl(start, end, true)
-    }
-
-    fn stats_impl(
-        &self,
-        start: SimTime,
-        end: SimTime,
-        force_decode: bool,
-    ) -> Result<RangeStats, ArchiveError> {
-        let (start_us, end_us) = (start.as_micros(), end.as_micros());
-        let mut stats = RangeStats::empty();
-        for meta in self.overlapping(start, end) {
-            let mut decoded: Option<Vec<ArchiveFrame>> = None;
-            for (bi, block) in meta.summaries.iter().enumerate() {
-                if block.last_us < start_us || block.first_us >= end_us {
-                    continue;
-                }
-                let fully = block.first_us >= start_us && block.last_us < end_us;
-                if fully && !force_decode {
-                    stats.add_block(
-                        u64::from(block.count),
-                        block.sum_w,
-                        block.min_w,
-                        block.max_w,
-                    );
-                    continue;
-                }
-                let frames = match &decoded {
-                    Some(f) => f,
-                    None => decoded.insert(self.decode_segment(meta)?),
-                };
-                // Per-block sequential accumulation, mirroring the
-                // writer — this is what makes fast == decoded exactly.
-                let (lo, hi) = meta.block_frames(bi);
-                let (mut count, mut sum) = (0u64, 0.0f64);
-                let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-                for frame in &frames[lo..hi] {
-                    if frame.time < start || frame.time >= end {
-                        continue;
-                    }
-                    let w = frame_total(&self.configs, &self.adc, frame).value();
-                    count += 1;
-                    sum += w;
-                    min = min.min(w);
-                    max = max.max(w);
-                }
-                stats.add_block(count, sum, min, max);
-            }
-        }
-        Ok(stats)
-    }
-
-    /// Trapezoid energy over the samples in `[start, end)`, matching
-    /// [`Trace::energy`] of the corresponding slice. Blocks fully in
-    /// range contribute their stored in-block energy plus a junction
-    /// term; only cut blocks are decoded.
-    ///
-    /// # Errors
-    ///
-    /// I/O or corruption errors from decoding partial blocks.
-    pub fn energy(&self, start: SimTime, end: SimTime) -> Result<Joules, ArchiveError> {
-        let (start_us, end_us) = (start.as_micros(), end.as_micros());
-        let mut energy = 0.0f64;
-        let mut prev: Option<(u64, f64)> = None;
-        let junction = |energy: &mut f64, prev: &Option<(u64, f64)>, t_us: u64, w: f64| {
-            if let Some((pt, pw)) = *prev {
-                let dt = (t_us - pt) as f64 * 1e-6;
-                *energy += (pw + w) / 2.0 * dt;
-            }
-        };
-        for meta in self.overlapping(start, end) {
-            let mut decoded: Option<Vec<ArchiveFrame>> = None;
-            for (bi, block) in meta.summaries.iter().enumerate() {
-                if block.last_us < start_us || block.first_us >= end_us {
-                    continue;
-                }
-                let fully = block.first_us >= start_us && block.last_us < end_us;
-                if fully {
-                    junction(&mut energy, &prev, block.first_us, block.first_w);
-                    energy += block.energy_j;
-                    prev = Some((block.last_us, block.last_w));
-                    continue;
-                }
-                let frames = match &decoded {
-                    Some(f) => f,
-                    None => decoded.insert(self.decode_segment(meta)?),
-                };
-                let (lo, hi) = meta.block_frames(bi);
-                for frame in &frames[lo..hi] {
-                    if frame.time < start || frame.time >= end {
-                        continue;
-                    }
-                    let w = frame_total(&self.configs, &self.adc, frame).value();
-                    junction(&mut energy, &prev, frame.time.as_micros(), w);
-                    prev = Some((frame.time.as_micros(), w));
-                }
-            }
-        }
-        Ok(Joules::new(energy))
-    }
-
     /// Time of the first marker with `label`.
     #[must_use]
     pub fn marker_time(&self, label: char) -> Option<SimTime> {
@@ -582,127 +410,6 @@ impl Archive {
             .iter()
             .find(|&&(_, l)| l == label)
             .map(|&(t, _)| SimTime::from_micros(t))
-    }
-
-    /// Energy between the first marker labelled `start` and the first
-    /// marker labelled `end` at or after it — the archived equivalent
-    /// of `trace.between_markers(start, end).energy()` (half-open,
-    /// like [`Trace::slice`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ArchiveError::MarkerNotFound`] when a label is missing or out
-    /// of order; I/O or corruption errors from decoding.
-    pub fn energy_between(&self, start: char, end: char) -> Result<Joules, ArchiveError> {
-        let t0 = self
-            .marker_time(start)
-            .ok_or(ArchiveError::MarkerNotFound(start))?;
-        let t0_us = t0.as_micros();
-        let t1 = self
-            .markers
-            .iter()
-            .find(|&&(t, l)| l == end && t >= t0_us)
-            .map(|&(t, _)| SimTime::from_micros(t))
-            .ok_or(ArchiveError::MarkerNotFound(end))?;
-        self.energy(t0, t1)
-    }
-
-    /// Downsampled read of `[start, end)`: every `divisor` consecutive
-    /// samples collapse to their mean, stamped at the last sample's
-    /// time (the same convention as the streaming `Downsampler`); a
-    /// partial tail bucket is dropped. Buckets that align with whole
-    /// summary blocks (e.g. a 10 Hz read over 50 ms blocks) are served
-    /// from the summaries without touching the payload. Markers in
-    /// range are carried over at their original times.
-    ///
-    /// # Errors
-    ///
-    /// I/O or corruption errors from decoding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `divisor` is zero.
-    pub fn downsample(
-        &self,
-        start: SimTime,
-        end: SimTime,
-        divisor: u64,
-    ) -> Result<Trace, ArchiveError> {
-        let mut trace = Trace::new();
-        self.downsample_into(start, end, divisor, &mut trace)?;
-        Ok(trace)
-    }
-
-    /// [`Archive::downsample`] into a caller-owned trace, which is
-    /// cleared first. Repeated queries (e.g. the fleet's per-rig joined
-    /// downsampling, which walks many shards) reuse the trace's
-    /// allocations instead of paying a fresh vector per call.
-    ///
-    /// # Errors
-    ///
-    /// I/O or corruption errors from decoding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `divisor` is zero.
-    pub fn downsample_into(
-        &self,
-        start: SimTime,
-        end: SimTime,
-        divisor: u64,
-        out: &mut Trace,
-    ) -> Result<(), ArchiveError> {
-        assert!(divisor > 0, "divisor must be at least 1");
-        if divisor == 1 {
-            return self.read_range_into(start, end, out);
-        }
-        out.clear();
-        let trace = out;
-        let (start_us, end_us) = (start.as_micros(), end.as_micros());
-        let (mut count, mut sum) = (0u64, 0.0f64);
-        for meta in self.overlapping(start, end) {
-            let mut decoded: Option<Vec<ArchiveFrame>> = None;
-            for (bi, block) in meta.summaries.iter().enumerate() {
-                if block.last_us < start_us || block.first_us >= end_us {
-                    continue;
-                }
-                let fully = block.first_us >= start_us && block.last_us < end_us;
-                if fully && u64::from(block.count) <= divisor - count {
-                    count += u64::from(block.count);
-                    sum += block.sum_w;
-                    if count == divisor {
-                        trace.push(
-                            SimTime::from_micros(block.last_us),
-                            Watts::new(sum / divisor as f64),
-                        );
-                        (count, sum) = (0, 0.0);
-                    }
-                    continue;
-                }
-                let frames = match &decoded {
-                    Some(f) => f,
-                    None => decoded.insert(self.decode_segment(meta)?),
-                };
-                let (lo, hi) = meta.block_frames(bi);
-                for frame in &frames[lo..hi] {
-                    if frame.time < start || frame.time >= end {
-                        continue;
-                    }
-                    count += 1;
-                    sum += frame_total(&self.configs, &self.adc, frame).value();
-                    if count == divisor {
-                        trace.push(frame.time, Watts::new(sum / divisor as f64));
-                        (count, sum) = (0, 0.0);
-                    }
-                }
-            }
-        }
-        for &(t_us, label) in &self.markers {
-            if t_us >= start_us && t_us < end_us {
-                trace.mark(SimTime::from_micros(t_us), label);
-            }
-        }
-        Ok(())
     }
 
     /// Full integrity check: re-reads every segment from disk,

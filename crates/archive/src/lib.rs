@@ -21,6 +21,11 @@
 //!   [`Archive::energy`], [`Archive::energy_between`] and coarse
 //!   [`Archive::downsample`] reads run without decompressing covered
 //!   blocks — and still agree with a full decode to the last bit.
+//! * **One range-query walk** — those queries, and `ps3-tsdb`'s, are
+//!   thin wrappers over a single tiered fold: summary blocks are tier
+//!   0, caller-supplied [`TierNode`]s (the tsdb pyramid) tiers `1..n`,
+//!   and [`Tiers::Rebuilt`] is the reference mode that rebuilds every
+//!   tier from decoded frames.
 //!
 //! Reads are *exact*: the archive stores raw ADC codes and re-derives
 //! watts with the stored configuration using the live acquisition
@@ -74,14 +79,16 @@ mod crc;
 pub mod format;
 mod index;
 mod meter;
+mod query;
 mod segment;
 mod writer;
 
-pub use archive::{Archive, RangeStats, RecoveryReport, SegmentMeta, VerifyReport};
+pub use archive::{Archive, RecoveryReport, SegmentMeta, VerifyReport};
 pub use crc::{crc32, Crc32};
 pub use format::ArchiveError;
 pub use index::{index_path_for, ArchiveIndex, IndexSegment};
 pub use meter::ArchiveMeter;
+pub use query::{build_tiers, RangeStats, TierNode, TierStore, Tiers};
 pub use segment::{
     build_segment, build_summaries, frame_total, parse_summaries, summarize_block, ArchiveFrame,
     SegmentHeader, SummaryBlock,

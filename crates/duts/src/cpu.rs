@@ -45,8 +45,7 @@ pub struct CpuSpec {
 }
 
 impl CpuSpec {
-    /// A desktop-class package: 15 W idle, +65 W at full load, 8 cores
-    /// (the same power curve as `ps3-pmt`'s `RaplMeter::desktop`).
+    /// A desktop-class package: 15 W idle, +65 W at full load, 8 cores.
     #[must_use]
     pub const fn desktop() -> Self {
         Self {

@@ -194,21 +194,9 @@ impl FleetQuery {
         let per_shard = rayon::global().par_map(self.shards.iter().collect(), |shard: &Shard| {
             shard.tsdb.stats(start, end)
         });
-        let mut out = RangeStats {
-            count: 0,
-            sum_w: 0.0,
-            min_w: f64::INFINITY,
-            max_w: f64::NEG_INFINITY,
-        };
+        let mut out = RangeStats::empty();
         for stats in per_shard {
-            let stats = stats?;
-            if stats.count == 0 {
-                continue;
-            }
-            out.count += stats.count;
-            out.sum_w += stats.sum_w;
-            out.min_w = out.min_w.min(stats.min_w);
-            out.max_w = out.max_w.max(stats.max_w);
+            out.merge(&stats?);
         }
         if out.count == 0 {
             out = RangeStats {

@@ -11,9 +11,6 @@
 //! * [`OnboardMeter`] — adapts any
 //!   [`ps3_duts::OnboardSensor`] (NVML at 10 Hz, AMD
 //!   SMI at 1 kHz, the Jetson module sensor).
-//! * [`RaplMeter`] — a RAPL-style CPU energy *counter* with the real
-//!   interface quirk: a 32-bit microjoule register that wraps, which
-//!   the meter unwraps on read.
 //! * [`Monitor`] — polls any meter on a fixed grid and produces a
 //!   [`ps3_analysis::Trace`], the common format all figure
 //!   harnesses consume.
@@ -29,10 +26,8 @@
 
 mod meter;
 pub mod probe;
-mod rapl;
 
 pub use meter::{Monitor, OnboardMeter, PowerMeter, Ps3Meter};
 pub use probe::{
     build as build_probe, unwrap_delta, EnergySession, Probe, ProbeKind, ProbeSpec, SharedCpu,
 };
-pub use rapl::RaplMeter;

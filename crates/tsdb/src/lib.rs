@@ -10,12 +10,15 @@
 //!   Persisted in a CRC-guarded `.ps3p` sidecar; rebuilt by scan when
 //!   stale or corrupt.
 //! * **[`query`]** — [`Tsdb`], which answers `stats`, `energy`,
-//!   `energy_between`, and `downsample` by greedy tier decomposition:
-//!   whole tier nodes for the covered core of a range, raw decode only
-//!   at its edges. Counts and extremes are bit-identical to the flat
-//!   [`ps3_archive::Archive`] paths; sums and energies are
-//!   bit-identical to the in-crate `*_ref` reference paths and agree
-//!   with the flat paths to float-regrouping precision.
+//!   `energy_between`, and `downsample` through `ps3-archive`'s one
+//!   range-query walk, handing it the pyramid as tiers 1 and 2 above
+//!   the summary blocks (tier 0): whole nodes for the covered core of
+//!   a range, raw decode only at its edges. The `*_ref` methods run
+//!   the same walk in its one reference mode, with every tier rebuilt
+//!   from decoded frames, and are bit-identical to the served answers.
+//!   Counts and extremes are bit-identical to the plain
+//!   [`ps3_archive::Archive`] queries; sums and energies agree with
+//!   them to float-regrouping precision.
 //! * **[`compactor`] / [`writer`]** — seal-time maintenance:
 //!   incremental pyramid upkeep, background compaction of small
 //!   segments into large ones (write-new-then-atomic-rename, so a
@@ -34,8 +37,6 @@ pub use compactor::{
     compact_archive, compact_tmp_path_for, retain_archive, retained_prefix_drop, stage_compacted,
     stage_retained, CompactOptions, CompactReport, Retention, DEFAULT_COMPACT_TARGET_FRAMES,
 };
-pub use pyramid::{
-    pyramid_path_for, Pyramid, PyramidConfig, PyramidCounts, PyramidNode, SegmentPyramid,
-};
+pub use pyramid::{pyramid_path_for, Pyramid, PyramidConfig, PyramidCounts, SegmentPyramid};
 pub use query::Tsdb;
 pub use writer::{TsdbWriter, TsdbWriterOptions};

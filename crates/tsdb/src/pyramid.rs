@@ -9,13 +9,11 @@
 //! * **tier 2** — one node per [`PyramidConfig::tier2_nodes`] tier-1
 //!   nodes (10 M frames at the default fan-out).
 //!
-//! A [`PyramidNode`] folds count/sum/min/max exactly (integer adds and
-//! associative min/max) and carries first/last sample endpoints so the
-//! trapezoid energy of a junction between adjacent nodes can be
-//! reconstructed with the same arithmetic the flat query path uses.
-//! Folding is strictly sequential in block order, so a node's `sum_w`
-//! and `energy_j` are bit-reproducible from its children — the query
-//! engine's `*_ref` reference paths rely on exactly that.
+//! The nodes are `ps3-archive`'s [`TierNode`]s, folded by its
+//! [`build_tiers`] strictly left to right, so a node's `sum_w` and
+//! `energy_j` are bit-reproducible from its children — the reference
+//! mode of the range-query walk relies on exactly that. The pyramid is
+//! handed to the walk as a [`TierStore`].
 //!
 //! The pyramid is pure derived data, persisted in a CRC'd `.ps3p`
 //! sidecar keyed to the archive's sealed length. Like the `.ps3x`
@@ -32,7 +30,8 @@ use ps3_archive::format::{
     read_f64, read_u32, read_u64, FILE_HEADER_SIZE, SEGMENT_HEADER_SIZE, SUMMARY_WIRE_SIZE,
 };
 use ps3_archive::{
-    crc32, parse_summaries, Archive, ArchiveError, IndexSegment, SegmentHeader, SummaryBlock,
+    build_tiers, crc32, parse_summaries, Archive, ArchiveError, IndexSegment, SegmentHeader,
+    SummaryBlock, TierNode, TierStore,
 };
 
 /// Sidecar magic, first 8 bytes of every `.ps3p` file.
@@ -78,112 +77,41 @@ impl Default for PyramidConfig {
 }
 
 impl PyramidConfig {
-    /// Summary blocks covered by one tier-2 node.
+    /// The fan-out of tiers 1 and 2, as [`build_tiers`] takes it.
     #[must_use]
-    pub fn tier2_blocks(&self) -> usize {
-        self.tier1_blocks as usize * self.tier2_nodes as usize
+    pub fn fanouts(&self) -> [u32; 2] {
+        [self.tier1_blocks, self.tier2_nodes]
     }
 }
 
-/// One pre-aggregated node covering a whole number of summary blocks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PyramidNode {
-    /// Frames under the node.
-    pub count: u64,
-    /// Timestamp of the first frame (µs).
-    pub first_us: u64,
-    /// Timestamp of the last frame (µs).
-    pub last_us: u64,
-    /// Sequential sum of total power (W).
-    pub sum_w: f64,
-    /// Minimum total power (W).
-    pub min_w: f64,
-    /// Maximum total power (W).
-    pub max_w: f64,
-    /// Trapezoid energy over the node's interior sample pairs (J),
-    /// junctions between children included; the junction to the
-    /// *previous* node is the reader's job, exactly as with
-    /// [`SummaryBlock::energy_j`].
-    pub energy_j: f64,
-    /// Total power of the first frame (W).
-    pub first_w: f64,
-    /// Total power of the last frame (W).
-    pub last_w: f64,
+/// Appends `node`'s sidecar record.
+fn encode_node(node: &TierNode, out: &mut Vec<u8>) {
+    out.extend_from_slice(&node.count.to_le_bytes());
+    out.extend_from_slice(&node.first_us.to_le_bytes());
+    out.extend_from_slice(&node.last_us.to_le_bytes());
+    for v in [
+        node.sum_w,
+        node.min_w,
+        node.max_w,
+        node.energy_j,
+        node.first_w,
+        node.last_w,
+    ] {
+        out.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
 }
 
-impl PyramidNode {
-    /// A tier-0 node: one summary block, verbatim.
-    #[must_use]
-    pub fn from_block(block: &SummaryBlock) -> Self {
-        Self {
-            count: u64::from(block.count),
-            first_us: block.first_us,
-            last_us: block.last_us,
-            sum_w: block.sum_w,
-            min_w: block.min_w,
-            max_w: block.max_w,
-            energy_j: block.energy_j,
-            first_w: block.first_w,
-            last_w: block.last_w,
-        }
-    }
-
-    /// Folds consecutive children into one parent, strictly left to
-    /// right: counts and sums add sequentially, min/max fold, and the
-    /// energy accumulates each child's interior energy plus the
-    /// trapezoid junction between adjacent children — the same
-    /// `(pw + w) / 2 · Δt` arithmetic, in the same order, as the flat
-    /// query path walking those children one by one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `children` is empty.
-    #[must_use]
-    pub fn fold(children: &[PyramidNode]) -> Self {
-        assert!(!children.is_empty(), "a pyramid node has children");
-        let mut acc = children[0];
-        for child in &children[1..] {
-            acc.count += child.count;
-            acc.sum_w += child.sum_w;
-            acc.min_w = acc.min_w.min(child.min_w);
-            acc.max_w = acc.max_w.max(child.max_w);
-            let dt = (child.first_us - acc.last_us) as f64 * 1e-6;
-            acc.energy_j += (acc.last_w + child.first_w) / 2.0 * dt;
-            acc.energy_j += child.energy_j;
-            acc.last_us = child.last_us;
-            acc.last_w = child.last_w;
-        }
-        acc
-    }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.count.to_le_bytes());
-        out.extend_from_slice(&self.first_us.to_le_bytes());
-        out.extend_from_slice(&self.last_us.to_le_bytes());
-        for v in [
-            self.sum_w,
-            self.min_w,
-            self.max_w,
-            self.energy_j,
-            self.first_w,
-            self.last_w,
-        ] {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-    }
-
-    fn decode(bytes: &[u8]) -> Self {
-        Self {
-            count: read_u64(bytes, 0),
-            first_us: read_u64(bytes, 8),
-            last_us: read_u64(bytes, 16),
-            sum_w: read_f64(bytes, 24),
-            min_w: read_f64(bytes, 32),
-            max_w: read_f64(bytes, 40),
-            energy_j: read_f64(bytes, 48),
-            first_w: read_f64(bytes, 56),
-            last_w: read_f64(bytes, 64),
-        }
+fn decode_node(bytes: &[u8]) -> TierNode {
+    TierNode {
+        count: read_u64(bytes, 0),
+        first_us: read_u64(bytes, 8),
+        last_us: read_u64(bytes, 16),
+        sum_w: read_f64(bytes, 24),
+        min_w: read_f64(bytes, 32),
+        max_w: read_f64(bytes, 40),
+        energy_j: read_f64(bytes, 48),
+        first_w: read_f64(bytes, 56),
+        last_w: read_f64(bytes, 64),
     }
 }
 
@@ -197,31 +125,20 @@ pub struct SegmentPyramid {
     pub seq: u32,
     /// Summary blocks the segment holds (ditto).
     pub block_count: u32,
-    /// One node per [`PyramidConfig::tier1_blocks`] blocks; the tail
-    /// node covers whatever blocks remain.
-    pub tier1: Vec<PyramidNode>,
-    /// One node per [`PyramidConfig::tier2_nodes`] tier-1 nodes.
-    pub tier2: Vec<PyramidNode>,
+    /// Tier 1 (one node per [`PyramidConfig::tier1_blocks`] blocks)
+    /// and tier 2 (one node per [`PyramidConfig::tier2_nodes`] tier-1
+    /// nodes); a tail node covers whatever remains.
+    pub tiers: Vec<Vec<TierNode>>,
 }
 
 impl SegmentPyramid {
     /// Builds both tiers from a segment's summary blocks.
     #[must_use]
     pub fn build(seq: u32, summaries: &[SummaryBlock], config: PyramidConfig) -> Self {
-        let tier0: Vec<PyramidNode> = summaries.iter().map(PyramidNode::from_block).collect();
-        let tier1: Vec<PyramidNode> = tier0
-            .chunks(config.tier1_blocks as usize)
-            .map(PyramidNode::fold)
-            .collect();
-        let tier2: Vec<PyramidNode> = tier1
-            .chunks(config.tier2_nodes as usize)
-            .map(PyramidNode::fold)
-            .collect();
         Self {
             seq,
             block_count: summaries.len() as u32,
-            tier1,
-            tier2,
+            tiers: build_tiers(summaries, &config.fanouts()),
         }
     }
 }
@@ -237,6 +154,12 @@ pub struct Pyramid {
     pub data_len: u64,
     /// Per-segment pyramids, in file order.
     pub segments: Vec<SegmentPyramid>,
+}
+
+impl TierStore for Pyramid {
+    fn tiers(&self, segment: usize) -> &[Vec<TierNode>] {
+        &self.segments[segment].tiers
+    }
 }
 
 /// Node totals per tier, for `ps3-arc info`.
@@ -360,8 +283,8 @@ impl Pyramid {
         let mut counts = PyramidCounts::default();
         for seg in &self.segments {
             counts.blocks += u64::from(seg.block_count);
-            counts.tier1 += seg.tier1.len() as u64;
-            counts.tier2 += seg.tier2.len() as u64;
+            counts.tier1 += seg.tiers[0].len() as u64;
+            counts.tier2 += seg.tiers[1].len() as u64;
         }
         counts
     }
@@ -372,7 +295,7 @@ impl Pyramid {
         let nodes: usize = self
             .segments
             .iter()
-            .map(|s| s.tier1.len() + s.tier2.len())
+            .map(|s| s.tiers.iter().map(Vec::len).sum::<usize>())
             .sum();
         let mut out = Vec::with_capacity(
             PYRAMID_HEADER_SIZE
@@ -388,10 +311,11 @@ impl Pyramid {
         for seg in &self.segments {
             out.extend_from_slice(&seg.seq.to_le_bytes());
             out.extend_from_slice(&seg.block_count.to_le_bytes());
-            out.extend_from_slice(&(seg.tier1.len() as u32).to_le_bytes());
-            out.extend_from_slice(&(seg.tier2.len() as u32).to_le_bytes());
-            for node in seg.tier1.iter().chain(&seg.tier2) {
-                node.encode_into(&mut out);
+            for tier in &seg.tiers {
+                out.extend_from_slice(&(tier.len() as u32).to_le_bytes());
+            }
+            for node in seg.tiers.iter().flatten() {
+                encode_node(node, &mut out);
             }
         }
         let crc = crc32(&out);
@@ -453,7 +377,7 @@ impl Pyramid {
             let read_nodes = |count: usize, at: &mut usize| {
                 (0..count)
                     .map(|_| {
-                        let node = PyramidNode::decode(&bytes[*at..]);
+                        let node = decode_node(&bytes[*at..]);
                         *at += NODE_WIRE_SIZE;
                         node
                     })
@@ -464,8 +388,7 @@ impl Pyramid {
             segments.push(SegmentPyramid {
                 seq,
                 block_count,
-                tier1,
-                tier2,
+                tiers: vec![tier1, tier2],
             });
         }
         if at != body_len {
@@ -517,11 +440,11 @@ mod tests {
     fn tier_shapes_follow_fanout() {
         let pyr = sample();
         // 7 blocks → ceil(7/2)=4 tier-1 → ceil(4/2)=2 tier-2.
-        assert_eq!(pyr.segments[0].tier1.len(), 4);
-        assert_eq!(pyr.segments[0].tier2.len(), 2);
+        assert_eq!(pyr.segments[0].tiers[0].len(), 4);
+        assert_eq!(pyr.segments[0].tiers[1].len(), 2);
         // 3 blocks → 2 tier-1 → 1 tier-2.
-        assert_eq!(pyr.segments[1].tier1.len(), 2);
-        assert_eq!(pyr.segments[1].tier2.len(), 1);
+        assert_eq!(pyr.segments[1].tiers[0].len(), 2);
+        assert_eq!(pyr.segments[1].tiers[1].len(), 1);
         assert_eq!(
             pyr.counts(),
             PyramidCounts {
@@ -535,8 +458,8 @@ mod tests {
     #[test]
     fn fold_preserves_counts_and_extremes() {
         let summaries: Vec<SummaryBlock> = (0..5).map(block).collect();
-        let nodes: Vec<PyramidNode> = summaries.iter().map(PyramidNode::from_block).collect();
-        let folded = PyramidNode::fold(&nodes);
+        let nodes: Vec<TierNode> = summaries.iter().map(TierNode::from_block).collect();
+        let folded = TierNode::fold(&nodes);
         assert_eq!(folded.count, 5000);
         assert_eq!(folded.first_us, summaries[0].first_us);
         assert_eq!(folded.last_us, summaries[4].last_us);

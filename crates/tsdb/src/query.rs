@@ -1,15 +1,12 @@
-//! The tiered query engine: O(log n)-ish range queries over an
-//! archive through its aggregation pyramid.
+//! [`Tsdb`]: an archive plus its aggregation pyramid, queried through
+//! `ps3-archive`'s one range-query walk.
 //!
-//! Every query decomposes its range the same way, per overlapping
-//! segment: binary-search the summary blocks for the overlap and the
-//! fully-covered core, then walk the core greedily — consume a tier-2
-//! node when the cursor is aligned on one and the node ends inside the
-//! core, else a tier-1 node under the same rule, else a single summary
-//! block; only the partial blocks at the range edges decode payload
-//! bytes, with the per-frame arithmetic copied from the flat
-//! `Archive` query paths. A query over a capture of any size touches
-//! O(range-edges + pyramid nodes) data.
+//! The walk (see [`ps3_archive::Tiers`]) treats each segment's summary
+//! blocks as tier 0 and the pyramid's nodes as tiers 1 and 2: per
+//! overlapping segment it binary-searches the overlap and the covered
+//! core, consumes the coarsest aligned node that fits inside the core,
+//! and decodes payload only at the range edges. A query over a capture
+//! of any size touches O(range-edges + pyramid nodes) data.
 //!
 //! # Exactness contract
 //!
@@ -17,10 +14,10 @@
 //!   [`Archive::stats`] always: counts add exactly and min/max folding
 //!   is associative.
 //! * `sum_w`, energies, and downsampled means are bit-identical to the
-//!   `*_ref` reference paths, which run this same decomposition with
-//!   every tier recomputed from freshly decoded frames (the proptests
-//!   pin this). Against the flat archive paths they agree to ~1e-9
-//!   relative — same terms, different float grouping.
+//!   `*_ref` methods, which run the walk in its reference mode: every
+//!   overlapping segment decoded and its summaries and pyramid tiers
+//!   rebuilt from the frames. Against the archive's own paths they
+//!   agree to ~1e-9 relative — same terms, different float grouping.
 //! * [`Tsdb::downsample`] produces buckets with **identical times and
 //!   counts** to [`Archive::downsample`] (bucketing is count-driven
 //!   and counts are exact); only the mean's low bits may differ when a
@@ -31,14 +28,10 @@
 //! segment order, so results never depend on thread count.
 
 use ps3_analysis::Trace;
-use ps3_archive::format::SUMMARY_FRAMES;
-use ps3_archive::{
-    build_summaries, frame_total, Archive, ArchiveError, ArchiveFrame, RangeStats, SegmentMeta,
-    SummaryBlock,
-};
-use ps3_units::{Joules, SimTime, Watts};
+use ps3_archive::{Archive, ArchiveError, RangeStats, Tiers};
+use ps3_units::{Joules, SimTime};
 
-use crate::pyramid::{Pyramid, PyramidConfig, PyramidNode, SegmentPyramid};
+use crate::pyramid::{Pyramid, PyramidConfig};
 
 /// A read-only archive handle with its aggregation pyramid: the query
 /// side of the time-series engine.
@@ -48,115 +41,6 @@ pub struct Tsdb {
     config: PyramidConfig,
     pyramid: Pyramid,
     from_sidecar: bool,
-}
-
-/// Block-index bounds of a query range within one segment:
-/// `[o_lo, o_hi)` overlap the range at all, `[f_lo, f_hi)` are fully
-/// covered by it.
-struct BlockBounds {
-    o_lo: usize,
-    o_hi: usize,
-    f_lo: usize,
-    f_hi: usize,
-}
-
-fn block_bounds(summaries: &[SummaryBlock], start_us: u64, end_us: u64) -> BlockBounds {
-    BlockBounds {
-        o_lo: summaries.partition_point(|b| b.last_us < start_us),
-        o_hi: summaries.partition_point(|b| b.first_us < end_us),
-        f_lo: summaries.partition_point(|b| b.first_us < start_us),
-        f_hi: summaries.partition_point(|b| b.last_us < end_us),
-    }
-}
-
-/// The largest aligned pyramid node starting at block `bi` whose span
-/// ends inside the fully-covered core `[.., f_hi)` and whose frame
-/// count fits `remaining` (pass `u64::MAX` for plain coverage walks).
-/// Falls through tier 2 → tier 1 → the single block. Returns the node
-/// and the block index just past it.
-fn pick_node(
-    summaries: &[SummaryBlock],
-    pyr: &SegmentPyramid,
-    config: PyramidConfig,
-    bi: usize,
-    f_hi: usize,
-    remaining: u64,
-) -> Option<(PyramidNode, usize)> {
-    let t1b = config.tier1_blocks as usize;
-    let t2b = config.tier2_blocks();
-    let block_count = summaries.len();
-    if bi.is_multiple_of(t2b) {
-        let end = (bi / t2b + 1) * t2b;
-        let end = end.min(block_count);
-        if end <= f_hi {
-            let node = pyr.tier2[bi / t2b];
-            if node.count <= remaining {
-                return Some((node, end));
-            }
-        }
-    }
-    if bi.is_multiple_of(t1b) {
-        let end = (bi / t1b + 1) * t1b;
-        let end = end.min(block_count);
-        if end <= f_hi {
-            let node = pyr.tier1[bi / t1b];
-            if node.count <= remaining {
-                return Some((node, end));
-            }
-        }
-    }
-    let node = PyramidNode::from_block(&summaries[bi]);
-    (node.count <= remaining).then_some((node, bi + 1))
-}
-
-/// Frame index range `[lo, hi)` of summary block `bi` (mirror of the
-/// archive's private `SegmentMeta::block_frames`).
-fn block_frames(meta: &SegmentMeta, bi: usize) -> (usize, usize) {
-    let lo = bi * SUMMARY_FRAMES;
-    let hi = (lo + SUMMARY_FRAMES).min(meta.header.frame_count as usize);
-    (lo, hi)
-}
-
-/// A segment's tier view for one query: stored pyramid + stored
-/// summaries (fast path), or everything recomputed from decoded frames
-/// (the `*_ref` reference path).
-struct SegView {
-    summaries_owned: Option<Vec<SummaryBlock>>,
-    pyramid_owned: Option<SegmentPyramid>,
-    decoded: Option<Vec<ArchiveFrame>>,
-}
-
-/// Per-segment energy partial: junction endpoints plus interior sum.
-struct SegEnergy {
-    first: Option<(u64, f64)>,
-    last: Option<(u64, f64)>,
-    energy: f64,
-}
-
-fn add_block(stats: &mut RangeStats, count: u64, sum_w: f64, min_w: f64, max_w: f64) {
-    if count == 0 {
-        return;
-    }
-    stats.count += count;
-    stats.sum_w += sum_w;
-    stats.min_w = stats.min_w.min(min_w);
-    stats.max_w = stats.max_w.max(max_w);
-}
-
-fn empty_stats() -> RangeStats {
-    RangeStats {
-        count: 0,
-        sum_w: 0.0,
-        min_w: f64::INFINITY,
-        max_w: f64::NEG_INFINITY,
-    }
-}
-
-fn junction(energy: &mut f64, prev: &Option<(u64, f64)>, t_us: u64, w: f64) {
-    if let Some((pt, pw)) = *prev {
-        let dt = (t_us - pt) as f64 * 1e-6;
-        *energy += (pw + w) / 2.0 * dt;
-    }
 }
 
 impl Tsdb {
@@ -237,69 +121,11 @@ impl Tsdb {
         self.archive
     }
 
-    /// Indices of segments overlapping `[start, end)`, mirroring the
-    /// archive's own overlap predicate.
-    fn overlap_indices(&self, start: SimTime, end: SimTime) -> Vec<usize> {
-        let (start_us, end_excl) = (start.as_micros(), end.as_micros().saturating_add(1));
-        self.archive
-            .segments()
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.header.start_us < end_excl && s.header.end_us >= start_us)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Tier view of segment `i`: stored tiers, or tiers recomputed
-    /// from decoded frames for the reference path.
-    fn seg_view(&self, i: usize, stored: bool) -> Result<SegView, ArchiveError> {
-        if stored {
-            return Ok(SegView {
-                summaries_owned: None,
-                pyramid_owned: None,
-                decoded: None,
-            });
-        }
-        let meta = &self.archive.segments()[i];
-        let frames = self.archive.decode_segment_frames(meta)?;
-        let watts: Vec<f64> = frames
-            .iter()
-            .map(|f| frame_total(self.archive.configs(), self.archive.adc(), f).value())
-            .collect();
-        let summaries = build_summaries(&frames, &watts);
-        let pyramid = SegmentPyramid::build(meta.header.seq, &summaries, self.config);
-        Ok(SegView {
-            summaries_owned: Some(summaries),
-            pyramid_owned: Some(pyramid),
-            decoded: Some(frames),
-        })
-    }
-
-    fn view_parts<'a>(
-        &'a self,
-        i: usize,
-        view: &'a SegView,
-    ) -> (&'a [SummaryBlock], &'a SegmentPyramid) {
-        match (&view.summaries_owned, &view.pyramid_owned) {
-            (Some(s), Some(p)) => (s, p),
-            _ => (
-                &self.archive.segments()[i].summaries,
-                &self.pyramid.segments[i],
-            ),
-        }
-    }
-
-    fn ensure_decoded<'a>(
-        &self,
-        meta: &SegmentMeta,
-        decoded: &'a mut Option<Vec<ArchiveFrame>>,
-    ) -> Result<&'a Vec<ArchiveFrame>, ArchiveError> {
-        match decoded {
-            Some(frames) => Ok(frames),
-            None => {
-                *decoded = Some(self.archive.decode_segment_frames(meta)?);
-                Ok(decoded.as_ref().expect("just inserted"))
-            }
+    /// The walk's view of the stored pyramid.
+    fn stored<'a>(&'a self, fanouts: &'a [u32]) -> Tiers<'a> {
+        Tiers::Stored {
+            fanouts,
+            store: &self.pyramid,
         }
     }
 
@@ -310,81 +136,21 @@ impl Tsdb {
     ///
     /// I/O or corruption errors from decoding partial blocks.
     pub fn stats(&self, start: SimTime, end: SimTime) -> Result<RangeStats, ArchiveError> {
-        self.stats_impl(start, end, true)
+        let fanouts = self.config.fanouts();
+        self.archive.stats_with(self.stored(&fanouts), start, end)
     }
 
-    /// The reference path: the same decomposition with every tier
-    /// recomputed from decoded frames. Bit-identical to
-    /// [`Tsdb::stats`] by construction.
+    /// [`Tsdb::stats`] in the reference mode (tiers rebuilt from
+    /// decoded frames). Bit-identical to [`Tsdb::stats`] by
+    /// construction.
     ///
     /// # Errors
     ///
     /// I/O or corruption errors from decoding.
     pub fn stats_ref(&self, start: SimTime, end: SimTime) -> Result<RangeStats, ArchiveError> {
-        self.stats_impl(start, end, false)
-    }
-
-    fn stats_impl(
-        &self,
-        start: SimTime,
-        end: SimTime,
-        stored: bool,
-    ) -> Result<RangeStats, ArchiveError> {
-        let partials = rayon::global().par_map(self.overlap_indices(start, end), |i| {
-            self.segment_stats(i, start, end, stored)
-        });
-        let mut stats = empty_stats();
-        for partial in partials {
-            let s = partial?;
-            add_block(&mut stats, s.count, s.sum_w, s.min_w, s.max_w);
-        }
-        Ok(stats)
-    }
-
-    fn segment_stats(
-        &self,
-        i: usize,
-        start: SimTime,
-        end: SimTime,
-        stored: bool,
-    ) -> Result<RangeStats, ArchiveError> {
-        let meta = &self.archive.segments()[i];
-        let mut view = self.seg_view(i, stored)?;
-        let mut decoded = view.decoded.take();
-        let (summaries, pyr) = self.view_parts(i, &view);
-        let (start_us, end_us) = (start.as_micros(), end.as_micros());
-        let bounds = block_bounds(summaries, start_us, end_us);
-        let mut stats = empty_stats();
-        let mut bi = bounds.o_lo;
-        while bi < bounds.o_hi {
-            if bi >= bounds.f_lo && bi < bounds.f_hi {
-                let (node, next) =
-                    pick_node(summaries, pyr, self.config, bi, bounds.f_hi, u64::MAX)
-                        .expect("an unbounded pick always yields a node");
-                add_block(&mut stats, node.count, node.sum_w, node.min_w, node.max_w);
-                bi = next;
-                continue;
-            }
-            // Range edge: per-block sequential accumulation over the
-            // decoded frames, mirroring `Archive::stats`.
-            let frames = self.ensure_decoded(meta, &mut decoded)?;
-            let (lo, hi) = block_frames(meta, bi);
-            let (mut count, mut sum) = (0u64, 0.0f64);
-            let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-            for frame in &frames[lo..hi] {
-                if frame.time < start || frame.time >= end {
-                    continue;
-                }
-                let w = frame_total(self.archive.configs(), self.archive.adc(), frame).value();
-                count += 1;
-                sum += w;
-                min = min.min(w);
-                max = max.max(w);
-            }
-            add_block(&mut stats, count, sum, min, max);
-            bi += 1;
-        }
-        Ok(stats)
+        let fanouts = self.config.fanouts();
+        self.archive
+            .stats_with(Tiers::Rebuilt(&fanouts), start, end)
     }
 
     /// Trapezoid energy over the samples in `[start, end)`, served
@@ -395,90 +161,19 @@ impl Tsdb {
     ///
     /// I/O or corruption errors from decoding partial blocks.
     pub fn energy(&self, start: SimTime, end: SimTime) -> Result<Joules, ArchiveError> {
-        self.energy_impl(start, end, true)
+        let fanouts = self.config.fanouts();
+        self.archive.energy_with(self.stored(&fanouts), start, end)
     }
 
-    /// The reference path for [`Tsdb::energy`] (tiers recomputed from
-    /// decoded frames).
+    /// [`Tsdb::energy`] in the reference mode.
     ///
     /// # Errors
     ///
     /// I/O or corruption errors from decoding.
     pub fn energy_ref(&self, start: SimTime, end: SimTime) -> Result<Joules, ArchiveError> {
-        self.energy_impl(start, end, false)
-    }
-
-    fn energy_impl(
-        &self,
-        start: SimTime,
-        end: SimTime,
-        stored: bool,
-    ) -> Result<Joules, ArchiveError> {
-        let partials = rayon::global().par_map(self.overlap_indices(start, end), |i| {
-            self.segment_energy(i, start, end, stored)
-        });
-        let mut energy = 0.0f64;
-        let mut prev: Option<(u64, f64)> = None;
-        for partial in partials {
-            let seg = partial?;
-            let Some(first) = seg.first else { continue };
-            junction(&mut energy, &prev, first.0, first.1);
-            energy += seg.energy;
-            prev = seg.last;
-        }
-        Ok(Joules::new(energy))
-    }
-
-    fn segment_energy(
-        &self,
-        i: usize,
-        start: SimTime,
-        end: SimTime,
-        stored: bool,
-    ) -> Result<SegEnergy, ArchiveError> {
-        let meta = &self.archive.segments()[i];
-        let mut view = self.seg_view(i, stored)?;
-        let mut decoded = view.decoded.take();
-        let (summaries, pyr) = self.view_parts(i, &view);
-        let (start_us, end_us) = (start.as_micros(), end.as_micros());
-        let bounds = block_bounds(summaries, start_us, end_us);
-        let mut out = SegEnergy {
-            first: None,
-            last: None,
-            energy: 0.0,
-        };
-        let mut bi = bounds.o_lo;
-        while bi < bounds.o_hi {
-            if bi >= bounds.f_lo && bi < bounds.f_hi {
-                let (node, next) =
-                    pick_node(summaries, pyr, self.config, bi, bounds.f_hi, u64::MAX)
-                        .expect("an unbounded pick always yields a node");
-                junction(&mut out.energy, &out.last, node.first_us, node.first_w);
-                out.energy += node.energy_j;
-                if out.first.is_none() {
-                    out.first = Some((node.first_us, node.first_w));
-                }
-                out.last = Some((node.last_us, node.last_w));
-                bi = next;
-                continue;
-            }
-            let frames = self.ensure_decoded(meta, &mut decoded)?;
-            let (lo, hi) = block_frames(meta, bi);
-            for frame in &frames[lo..hi] {
-                if frame.time < start || frame.time >= end {
-                    continue;
-                }
-                let w = frame_total(self.archive.configs(), self.archive.adc(), frame).value();
-                let t_us = frame.time.as_micros();
-                junction(&mut out.energy, &out.last, t_us, w);
-                if out.first.is_none() {
-                    out.first = Some((t_us, w));
-                }
-                out.last = Some((t_us, w));
-            }
-            bi += 1;
-        }
-        Ok(out)
+        let fanouts = self.config.fanouts();
+        self.archive
+            .energy_with(Tiers::Rebuilt(&fanouts), start, end)
     }
 
     /// Energy between the first marker labelled `start` and the first
@@ -490,39 +185,17 @@ impl Tsdb {
     /// [`ArchiveError::MarkerNotFound`] when a label is missing or out
     /// of order; I/O or corruption errors from decoding.
     pub fn energy_between(&self, start: char, end: char) -> Result<Joules, ArchiveError> {
-        let t0 = self
-            .archive
-            .marker_time(start)
-            .ok_or(ArchiveError::MarkerNotFound(start))?;
-        let t0_us = t0.as_micros();
-        let t1 = self
-            .archive
-            .markers()
-            .iter()
-            .find(|&&(t, l)| l == end && t >= t0_us)
-            .map(|&(t, _)| SimTime::from_micros(t))
-            .ok_or(ArchiveError::MarkerNotFound(end))?;
+        let (t0, t1) = self.archive.marker_span(start, end)?;
         self.energy(t0, t1)
     }
 
-    /// The reference path for [`Tsdb::energy_between`].
+    /// [`Tsdb::energy_between`] in the reference mode.
     ///
     /// # Errors
     ///
     /// As [`Tsdb::energy_between`].
     pub fn energy_between_ref(&self, start: char, end: char) -> Result<Joules, ArchiveError> {
-        let t0 = self
-            .archive
-            .marker_time(start)
-            .ok_or(ArchiveError::MarkerNotFound(start))?;
-        let t0_us = t0.as_micros();
-        let t1 = self
-            .archive
-            .markers()
-            .iter()
-            .find(|&&(t, l)| l == end && t >= t0_us)
-            .map(|&(t, _)| SimTime::from_micros(t))
-            .ok_or(ArchiveError::MarkerNotFound(end))?;
+        let (t0, t1) = self.archive.marker_span(start, end)?;
         self.energy_ref(t0, t1)
     }
 
@@ -567,12 +240,13 @@ impl Tsdb {
         divisor: u64,
         out: &mut Trace,
     ) -> Result<(), ArchiveError> {
-        self.downsample_impl(start, end, divisor, out, true)
+        let fanouts = self.config.fanouts();
+        self.archive
+            .downsample_with(self.stored(&fanouts), start, end, divisor, out)
     }
 
-    /// The reference path for [`Tsdb::downsample`] (tiers recomputed
-    /// from decoded frames; same node-fit decisions, since fits depend
-    /// only on exact counts).
+    /// [`Tsdb::downsample`] in the reference mode (same node-fit
+    /// decisions, since fits depend only on exact counts).
     ///
     /// # Errors
     ///
@@ -587,81 +261,10 @@ impl Tsdb {
         end: SimTime,
         divisor: u64,
     ) -> Result<Trace, ArchiveError> {
+        let fanouts = self.config.fanouts();
         let mut trace = Trace::new();
-        self.downsample_impl(start, end, divisor, &mut trace, false)?;
+        self.archive
+            .downsample_with(Tiers::Rebuilt(&fanouts), start, end, divisor, &mut trace)?;
         Ok(trace)
-    }
-
-    fn downsample_impl(
-        &self,
-        start: SimTime,
-        end: SimTime,
-        divisor: u64,
-        out: &mut Trace,
-        stored: bool,
-    ) -> Result<(), ArchiveError> {
-        assert!(divisor > 0, "divisor must be at least 1");
-        if divisor == 1 {
-            return self.archive.read_range_into(start, end, out);
-        }
-        out.clear();
-        let (start_us, end_us) = (start.as_micros(), end.as_micros());
-        let (mut count, mut sum) = (0u64, 0.0f64);
-        // Bucket state carries across segments, so this walk is
-        // inherently sequential in segment order.
-        for i in self.overlap_indices(start, end) {
-            let meta = &self.archive.segments()[i];
-            let mut view = self.seg_view(i, stored)?;
-            let mut decoded = view.decoded.take();
-            let (summaries, pyr) = self.view_parts(i, &view);
-            let bounds = block_bounds(summaries, start_us, end_us);
-            let mut bi = bounds.o_lo;
-            while bi < bounds.o_hi {
-                if bi >= bounds.f_lo && bi < bounds.f_hi {
-                    if let Some((node, next)) = pick_node(
-                        summaries,
-                        pyr,
-                        self.config,
-                        bi,
-                        bounds.f_hi,
-                        divisor - count,
-                    ) {
-                        count += node.count;
-                        sum += node.sum_w;
-                        if count == divisor {
-                            out.push(
-                                SimTime::from_micros(node.last_us),
-                                Watts::new(sum / divisor as f64),
-                            );
-                            (count, sum) = (0, 0.0);
-                        }
-                        bi = next;
-                        continue;
-                    }
-                }
-                // Edge block, or a block too large for the open
-                // bucket: per-frame, mirroring `Archive::downsample`.
-                let frames = self.ensure_decoded(meta, &mut decoded)?;
-                let (lo, hi) = block_frames(meta, bi);
-                for frame in &frames[lo..hi] {
-                    if frame.time < start || frame.time >= end {
-                        continue;
-                    }
-                    count += 1;
-                    sum += frame_total(self.archive.configs(), self.archive.adc(), frame).value();
-                    if count == divisor {
-                        out.push(frame.time, Watts::new(sum / divisor as f64));
-                        (count, sum) = (0, 0.0);
-                    }
-                }
-                bi += 1;
-            }
-        }
-        for &(t_us, label) in self.archive.markers() {
-            if t_us >= start_us && t_us < end_us {
-                out.mark(SimTime::from_micros(t_us), label);
-            }
-        }
-        Ok(())
     }
 }

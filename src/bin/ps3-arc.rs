@@ -5,7 +5,7 @@
 //!                [--segment-frames N]
 //! ps3-arc info FILE [--json]
 //! ps3-arc cat FILE [--start US] [--end US]
-//! ps3-arc stats FILE [--engine pyramid|decode|archive] [--start US] [--end US]
+//! ps3-arc stats FILE [--engine fast|decode] [--start US] [--end US]
 //! ps3-arc export-csv FILE [--out FILE] [--divisor N] [--start US] [--end US]
 //! ps3-arc compact FILE [--target-frames N]
 //! ps3-arc retain FILE --retain SPEC
@@ -17,9 +17,10 @@
 //! `--dump`, simultaneously through the live continuous-mode dump so
 //! the two can be diffed). `cat` prints an archive range in exactly
 //! the live dump text format; `stats` and `export-csv` use the
-//! summary-block fast paths (`stats --engine pyramid` answers from the
-//! tsdb aggregation pyramid, `--engine decode` from a full frame
-//! decode); `compact` merges small sealed segments crash-safely;
+//! range-query walk over summary blocks (`stats` adds the tsdb
+//! aggregation pyramid; `--engine decode` runs the walk's reference
+//! mode, every tier rebuilt from decoded frames, and prints the same
+//! bytes); `compact` merges small sealed segments crash-safely;
 //! `retain` drops expired whole segments (`--retain 2h`, `--retain
 //! 64mb`); `verify` deep-checks every segment and fails when the file
 //! holds damage or an unsealed tail.
@@ -48,7 +49,7 @@ fn usage() -> ExitCode {
         "usage: ps3-arc record --out FILE [--dump FILE] [--frames N] [--seed N] [--segment-frames N]\n\
          \x20      ps3-arc info FILE [--json]\n\
          \x20      ps3-arc cat FILE [--start US] [--end US]\n\
-         \x20      ps3-arc stats FILE [--start US] [--end US]\n\
+         \x20      ps3-arc stats FILE [--engine fast|decode] [--start US] [--end US]\n\
          \x20      ps3-arc export-csv FILE [--out FILE] [--divisor N] [--start US] [--end US]\n\
          \x20      ps3-arc verify FILE"
     );
@@ -404,35 +405,22 @@ fn cmd_cat(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
     let archive = open(args)?;
     let (start, end) = range(args, &archive);
-    let engine = flag_value(args, "--engine").unwrap_or_else(|| "archive".to_owned());
-    let (stats, energy, archive) = match engine.as_str() {
-        // Summary-block fast path (the default).
-        "archive" => (
-            archive.stats(start, end).map_err(|e| e.to_string())?,
-            archive.energy(start, end).map_err(|e| e.to_string())?,
-            archive,
-        ),
-        // Ground truth: decode every overlapping frame.
-        "decode" => (
-            archive
-                .stats_decoded(start, end)
-                .map_err(|e| e.to_string())?,
-            archive.energy(start, end).map_err(|e| e.to_string())?,
-            archive,
-        ),
-        // Aggregation-pyramid tier walk (sidecar-backed when fresh).
-        "pyramid" => {
-            let tsdb = Tsdb::from_archive(archive, PyramidConfig::default());
-            let stats = tsdb.stats(start, end).map_err(|e| e.to_string())?;
-            let energy = tsdb.energy(start, end).map_err(|e| e.to_string())?;
-            (stats, energy, tsdb.into_archive())
-        }
+    let tsdb = Tsdb::from_archive(archive, PyramidConfig::default());
+    let engine = flag_value(args, "--engine").unwrap_or_else(|| "fast".to_owned());
+    let (stats, energy) = match engine.as_str() {
+        // The tiered walk over summary blocks and pyramid nodes.
+        "fast" => (tsdb.stats(start, end), tsdb.energy(start, end)),
+        // The reference mode: every tier rebuilt from decoded frames.
+        "decode" => (tsdb.stats_ref(start, end), tsdb.energy_ref(start, end)),
         other => {
             return Err(format!(
-                "unknown --engine '{other}' (expected pyramid, decode or archive)"
+                "unknown --engine '{other}' (expected fast or decode)"
             ))
         }
     };
+    let stats = stats.map_err(|e| e.to_string())?;
+    let energy = energy.map_err(|e| e.to_string())?;
+    let archive = tsdb.archive();
     println!(
         "range [{}, {}) us: {} samples",
         start.as_micros(),

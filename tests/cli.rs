@@ -175,3 +175,42 @@ fn arc_record_cat_matches_live_dump_and_queries_work() {
         std::fs::remove_file(f).ok();
     }
 }
+
+#[test]
+fn arc_stats_engines_print_identical_answers() {
+    let dir = std::env::temp_dir().join(format!("ps3arc_cli_engines_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let arc = dir.join("capture.ps3a");
+    let arc_s = arc.to_str().unwrap();
+    let (out, err, ok) = ps3arc(&[
+        "record",
+        "--out",
+        arc_s,
+        "--frames",
+        "6000",
+        "--seed",
+        "3",
+        "--segment-frames",
+        "1000",
+    ]);
+    assert!(ok, "record failed: {out} {err}");
+
+    // The full span, then a range that starts and ends mid-block.
+    for range in [&[][..], &["--start", "12345", "--end", "187654"][..]] {
+        let run = |engine: &str| {
+            let mut args = vec!["stats", arc_s, "--engine", engine];
+            args.extend_from_slice(range);
+            let (out, err, ok) = ps3arc(&args);
+            assert!(ok, "--engine {engine} failed: {err}");
+            out
+        };
+        let fast = run("fast");
+        assert!(fast.contains("energy"), "{fast}");
+        assert_eq!(fast, run("decode"), "engines disagree over {range:?}");
+    }
+
+    let (_, err, ok) = ps3arc(&["stats", arc_s, "--engine", "pyramid"]);
+    assert!(!ok, "a removed engine must be rejected");
+    assert!(err.contains("unknown --engine"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
