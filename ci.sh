@@ -53,6 +53,12 @@ stage_lint() {
   matched=$(grep -o '"matched":[0-9]*' target/ci-lint/fixtures.json | cut -d: -f2)
   test "$matched" -ge 8 \
     || { echo "only $matched fixture expectations matched (< 1 per rule)"; exit 1; }
+  # The sim harness waits on counters, never on the clock: its only
+  # sleeps are the stalls inject.rs injects as faults. An allow
+  # directive would silence the determinism rule, so grep instead.
+  if grep -rn 'thread::sleep' crates/sim/src | grep -v '^crates/sim/src/inject.rs:'; then
+    echo "thread::sleep in crates/sim/src outside inject.rs's injected stalls"; exit 1
+  fi
 }
 
 stage_bench() {

@@ -75,7 +75,7 @@ fn scratch_dir(rigs: u16, seed: u64) -> PathBuf {
 }
 
 /// Runs the scaling curve: one fleet per rig count, sequentially (each
-/// point already fans out internally — per-rig daemons, writers, and
+/// point already fans out internally — per-rig readers, writers, and
 /// the query plane's parallel shard scans).
 #[must_use]
 pub fn run(rig_counts: &[u16], seed: u64) -> Vec<FleetPoint> {
@@ -103,9 +103,7 @@ fn run_point(rigs: u16, seed: u64) -> FleetPoint {
         },
     )
     .expect("connect merged subscriber");
-    wait_for(Duration::from_secs(5), || {
-        fleet.stats().active_subscribers == 1
-    });
+    fleet.wait_stats(Duration::from_secs(5), |s| s.active_subscribers == 1);
 
     let start = Instant::now(); // ps3-lint: allow(determinism) reason="wall-clock speedup metric: measures real elapsed time of the parallel run, outside the simulated timeline"
     for _ in 0..CAPTURE_TICKS {
@@ -117,8 +115,8 @@ fn run_point(rigs: u16, seed: u64) -> FleetPoint {
         u64::from(rigs) * CAPTURE_TICKS * FRAMES_PER_TICK,
         "advance is synchronous, so the published count is exact"
     );
-    wait_for(Duration::from_secs(30), || {
-        merged.is_evicted() || merged.frames_received() + merged.dropped_frames() == published
+    merged.wait_until(Duration::from_secs(30), |c| {
+        c.is_evicted() || c.frames_received() + c.dropped_frames() == published
     });
     let stream_wall_s = start.elapsed().as_secs_f64();
     let (received, gap_events, dropped) = (
@@ -172,20 +170,6 @@ fn run_point(rigs: u16, seed: u64) -> FleetPoint {
         energy_exact: energy.value().to_bits() == folded.to_bits(),
         stream_wall_s,
         query_wall_s,
-    }
-}
-
-fn wait_for(timeout: Duration, mut done: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout; // ps3-lint: allow(determinism) reason="harness quiesce: waits on real OS subscriber threads, not simulated time"
-    loop {
-        if done() {
-            return true;
-        }
-        // ps3-lint: allow(determinism) reason="harness quiesce: waits on real OS subscriber threads, not simulated time"
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(2)); // ps3-lint: allow(determinism) reason="harness quiesce: waits on real OS subscriber threads, not simulated time"
     }
 }
 

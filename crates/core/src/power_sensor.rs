@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -74,6 +74,12 @@ struct Shared {
     link_error: Mutex<Option<TransportError>>,
     /// Parking place for an in-flight version reply (reader → caller).
     version: Mutex<Option<String>>,
+    /// Set while [`PowerSensor::firmware_version`] awaits a reply; a
+    /// `v` byte is a reply header only then, and otherwise stream data.
+    version_requested: AtomicBool,
+    /// [`PowerSensor::wait_drained`] callers currently blocked. The
+    /// reader looks for an empty pipeline only while this is non-zero.
+    drain_waiters: AtomicUsize,
 }
 
 struct Inner {
@@ -88,6 +94,9 @@ struct Inner {
     dump: Option<DumpState>,
     raw_capture: Option<RawCaptureState>,
     sinks: Vec<FrameSink>,
+    /// Bumped each time the reader, with a drain waiter registered,
+    /// holds no undecoded bytes and finds the transport empty.
+    drained: u64,
 }
 
 impl core::fmt::Debug for PowerSensor {
@@ -164,26 +173,42 @@ impl RawCapture {
     /// within `timeout` (e.g. nobody is advancing the simulated
     /// device), or [`PowerSensorError::Shutdown`] if the reader died.
     pub fn wait(self, timeout: Duration) -> Result<[f64; SENSOR_SLOTS], PowerSensorError> {
+        let taken = self.shared.wait(timeout, "capturing raw samples", |inner| {
+            match &inner.raw_capture {
+                Some(cap) if !cap.done => None,
+                _ => Some(inner.raw_capture.take()),
+            }
+        });
+        let cap = taken?.ok_or(PowerSensorError::Shutdown)?;
+        let n = cap.count.max(1) as f64;
+        Ok(core::array::from_fn(|i| cap.sums[i] / n))
+    }
+}
+
+impl Shared {
+    /// The one blocking wait on the reader's progress: re-tests `check`
+    /// under the state lock each time the reader signals `changed`,
+    /// until it yields a value, the reader exits, or `timeout` passes.
+    fn wait<T>(
+        &self,
+        timeout: Duration,
+        what: &'static str,
+        mut check: impl FnMut(&mut Inner) -> Option<T>,
+    ) -> Result<T, PowerSensorError> {
         let deadline = Instant::now() + timeout;
-        let mut inner = self.shared.inner.lock();
+        let mut inner = self.inner.lock();
         loop {
-            if let Some(cap) = &inner.raw_capture {
-                if cap.done {
-                    let cap = inner.raw_capture.take().expect("checked");
-                    let n = cap.count.max(1) as f64;
-                    return Ok(core::array::from_fn(|i| cap.sums[i] / n));
-                }
-            } else {
+            if let Some(value) = check(&mut inner) {
+                return Ok(value);
+            }
+            if !self.alive.load(Ordering::SeqCst) {
                 return Err(PowerSensorError::Shutdown);
             }
-            if !self.shared.alive.load(Ordering::SeqCst) {
-                return Err(PowerSensorError::Shutdown);
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(PowerSensorError::Timeout(what));
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(PowerSensorError::Timeout("capturing raw samples"));
-            }
-            self.shared.changed.wait_for(&mut inner, deadline - now);
+            self.changed.wait_for(&mut inner, left);
         }
     }
 }
@@ -218,6 +243,7 @@ impl PowerSensor {
                 dump: None,
                 raw_capture: None,
                 sinks: Vec::new(),
+                drained: 0,
             }),
             changed: Condvar::new(),
             stop: AtomicBool::new(false),
@@ -225,6 +251,8 @@ impl PowerSensor {
             alive: AtomicBool::new(true),
             link_error: Mutex::new(None),
             version: Mutex::new(None),
+            version_requested: AtomicBool::new(false),
+            drain_waiters: AtomicUsize::new(0),
         });
 
         transport.write_all(&Command::StartStreaming.encode())?;
@@ -359,19 +387,31 @@ impl PowerSensor {
     /// [`PowerSensorError::Timeout`] if the frames do not arrive within
     /// `timeout`.
     pub fn wait_for_frames(&self, target: u64, timeout: Duration) -> Result<(), PowerSensorError> {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.shared.inner.lock();
-        while self.shared.frames.load(Ordering::SeqCst) < target {
-            if !self.shared.alive.load(Ordering::SeqCst) {
-                return Err(PowerSensorError::Shutdown);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(PowerSensorError::Timeout("waiting for frames"));
-            }
-            self.shared.changed.wait_for(&mut inner, deadline - now);
-        }
-        Ok(())
+        self.shared.wait(timeout, "waiting for frames", |_| {
+            (self.shared.frames.load(Ordering::SeqCst) >= target).then_some(())
+        })
+    }
+
+    /// Blocks until the reader has decoded every byte the transport
+    /// delivered and the transport is empty. After parking the device
+    /// (`DeviceThread::wait_parked`), the frame count is then final.
+    ///
+    /// # Errors
+    ///
+    /// [`PowerSensorError::Shutdown`] once the reader has exited, or
+    /// [`PowerSensorError::Timeout`] if the pipeline does not drain
+    /// within `timeout`.
+    pub fn wait_drained(&self, timeout: Duration) -> Result<(), PowerSensorError> {
+        let shared = &self.shared;
+        shared.drain_waiters.fetch_add(1, Ordering::SeqCst);
+        // The epoch is read under the lock the reader bumps it under,
+        // so only a check the reader makes after that can release us.
+        let mut epoch = None;
+        let result = shared.wait(timeout, "waiting for the reader to drain", |inner| {
+            (*epoch.get_or_insert(inner.drained) != inner.drained).then_some(())
+        });
+        shared.drain_waiters.fetch_sub(1, Ordering::SeqCst);
+        result
     }
 
     /// Rewrites the configuration of the given sensor slots, both on
@@ -473,23 +513,18 @@ impl PowerSensor {
         self.transport.write_all(&Command::StopStreaming.encode())?;
         // Let the reader drain remaining stream bytes, then take over.
         std::thread::sleep(Duration::from_millis(10));
+        self.shared.version_requested.store(true, Ordering::SeqCst);
         self.transport.write_all(&Command::Version.encode())?;
-        let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
         // The reader thread will stash the version reply for us.
-        let mut inner = self.shared.inner.lock();
-        loop {
-            if let Some(v) = self.shared.version.lock().take() {
-                drop(inner);
-                self.transport
-                    .write_all(&Command::StartStreaming.encode())?;
-                return Ok(v);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(PowerSensorError::Timeout("reading firmware version"));
-            }
-            self.shared.changed.wait_for(&mut inner, deadline - now);
-        }
+        let shared = &self.shared;
+        let reply = shared.wait(HANDSHAKE_TIMEOUT, "reading firmware version", |_| {
+            shared.version.lock().take()
+        });
+        let version =
+            reply.inspect_err(|_| shared.version_requested.store(false, Ordering::SeqCst))?;
+        self.transport
+            .write_all(&Command::StartStreaming.encode())?;
+        Ok(version)
     }
 }
 
@@ -621,7 +656,8 @@ fn reader_loop(transport: &dyn Transport, shared: &Shared) {
     while !shared.stop.load(Ordering::SeqCst) {
         let n = match transport.read(&mut buf, Some(READER_POLL)) {
             Ok(n) => n,
-            Err(TransportError::TimedOut) => continue,
+            // Idle: nothing to decode, but still a drained check.
+            Err(TransportError::TimedOut) => 0,
             Err(e) => {
                 *shared.link_error.lock() = Some(e);
                 break;
@@ -631,7 +667,6 @@ fn reader_loop(transport: &dyn Transport, shared: &Shared) {
         // One state lock and one waiter wakeup per read chunk — a
         // chunk carries hundreds of packets under streaming load, so
         // per-packet locking would dominate the reader.
-        let frames_before = shared.frames.load(Ordering::SeqCst);
         {
             let mut inner = shared.inner.lock();
             // A version reply may be interleaved when the stream is
@@ -644,12 +679,18 @@ fn reader_loop(transport: &dyn Transport, shared: &Shared) {
                     if partial.len() == *want {
                         let text = String::from_utf8_lossy(partial).into_owned();
                         *shared.version.lock() = Some(text);
+                        shared.version_requested.store(false, Ordering::SeqCst);
                         shared.changed.notify_all();
                         version_pending = None;
                     }
                     continue;
                 }
-                if bytes[0] == opcode::VERSION_REPLY && bytes.len() >= 2 {
+                // `v` is also byte 0 of a slot-7 sample whose code lies
+                // in 768..=895: only a requested reply is taken as one.
+                if bytes[0] == opcode::VERSION_REPLY
+                    && bytes.len() >= 2
+                    && shared.version_requested.load(Ordering::SeqCst)
+                {
                     let len = bytes[1] as usize;
                     version_pending = Some((len, Vec::with_capacity(len)));
                     bytes = &bytes[2..];
@@ -661,10 +702,13 @@ fn reader_loop(transport: &dyn Transport, shared: &Shared) {
                     handle_packet(shared, &mut inner, packet);
                 }
             }
+            // Every byte read is decoded: for a registered drain
+            // waiter, an empty transport means an empty pipeline.
+            if shared.drain_waiters.load(Ordering::SeqCst) > 0 && transport.available() == 0 {
+                inner.drained += 1;
+            }
         }
-        if shared.frames.load(Ordering::SeqCst) != frames_before {
-            shared.changed.notify_all();
-        }
+        shared.changed.notify_all();
     }
     shared.alive.store(false, Ordering::SeqCst);
     shared.changed.notify_all();
@@ -822,8 +866,8 @@ fn finalize_frame(shared: &Shared, inner: &mut Inner) {
         };
         inner.sinks.retain_mut(|sink| sink(&record));
     }
-    // Waiters are woken once per read chunk (in `reader_loop`), keyed
-    // off the frame counter bumped above — not per frame here.
+    // Waiters are woken once per read chunk (in `reader_loop`), not
+    // per frame here.
 }
 
 #[cfg(test)]
@@ -1102,10 +1146,12 @@ mod tests {
         assert!(ps.is_alive());
         assert_eq!(ps.link_error(), None);
         drop(h); // device thread exits, endpoint drops, link dies
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while ps.is_alive() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+
+        // No frame ever arrives: the wait ends only when the reader does.
+        assert_eq!(
+            ps.wait_for_frames(u64::MAX, Duration::from_secs(5)),
+            Err(PowerSensorError::Shutdown)
+        );
         assert!(!ps.is_alive());
         // The fault surface records why the reader died.
         assert_eq!(ps.link_error(), Some(TransportError::Disconnected));

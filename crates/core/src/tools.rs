@@ -150,44 +150,28 @@ impl fmt::Display for RunReport {
 /// `psrun`: runs `workload` and reports the energy it consumed.
 ///
 /// The workload closure receives no arguments; it is expected to drive
-/// the simulated device (through a testbed) and return when done. After
-/// it returns, `settle` lets the host catch up on in-flight frames.
+/// the simulated device (through a testbed) and return once the device
+/// has run it. The second snapshot is taken after the reader has
+/// decoded every byte the device delivered
+/// ([`PowerSensor::wait_drained`]).
 ///
 /// # Errors
 ///
-/// Propagates timeouts when frames do not arrive.
+/// [`PowerSensorError::Timeout`] if the reader does not drain, or
+/// [`PowerSensorError::Shutdown`] if the link died.
 pub fn psrun<W>(ps: &PowerSensor, workload: W) -> Result<RunReport, PowerSensorError>
 where
     W: FnOnce(),
 {
     let first = ps.read();
-    let frames_before = ps.frames_received();
     workload();
-    // Wait until at least one more frame than before has landed so the
-    // second snapshot reflects the workload (no-op workloads tolerate
-    // the timeout).
-    let _ = ps.wait_for_frames(frames_before + 1, Duration::from_millis(200));
-    settle(ps);
+    ps.wait_drained(TOOL_TIMEOUT)?;
     let second = ps.read();
     Ok(RunReport {
         joules: joules(&first, &second),
         seconds: seconds(&first, &second),
         watts: watts(&first, &second),
     })
-}
-
-/// Waits until the frame counter stops moving (all in-flight frames
-/// processed).
-fn settle(ps: &PowerSensor) {
-    let mut last = ps.frames_received();
-    loop {
-        std::thread::sleep(Duration::from_millis(5));
-        let now = ps.frames_received();
-        if now == last {
-            return;
-        }
-        last = now;
-    }
 }
 
 /// `psconfig --auto`: calibrates every populated pair against a known
@@ -288,7 +272,7 @@ mod tests {
         let ps = crate::PowerSensor::connect(host_end).unwrap();
         let report = psrun(&ps, || {
             h.advance(SimDuration::from_millis(20));
-            let _ = ps.wait_for_frames(390, Duration::from_secs(10));
+            assert!(h.wait_parked(std::time::Instant::now() + Duration::from_secs(10)));
         })
         .unwrap();
         assert!((report.watts.value() - 24.0).abs() < 0.5, "{report}");

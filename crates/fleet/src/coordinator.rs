@@ -1,13 +1,13 @@
 //! The fleet coordinator: N supervised rigs behind one TCP endpoint.
 //!
-//! Each rig is a full acquisition stack — sensor, per-rig
-//! [`StreamDaemon`], and an [`ArchiveWriter`] persisting to its own
-//! shard under the fleet data dir (`rig-{id:03}-g{gen}.ps3a`; the
-//! generation counts restarts, so a crash never appends to a
-//! possibly-torn file). The coordinator additionally taps every rig
-//! into a per-rig broadcast ring and serves rig-routed subscriptions
-//! off those rings through the same single-thread event loop the
-//! stream daemon uses (see `serve.rs` for the merge personality):
+//! Each rig is a full acquisition stack — a sensor and an
+//! [`ArchiveWriter`] persisting to its own shard under the fleet data
+//! dir (`rig-{id:03}-g{gen}.ps3a`; the generation counts restarts, so
+//! a crash never appends to a possibly-torn file). The coordinator
+//! taps every rig into a per-rig broadcast ring and serves rig-routed
+//! subscriptions off those rings through the same single-thread event
+//! loop the stream daemon uses (see `serve.rs` for the merge
+//! personality):
 //!
 //! * a legacy subscription (no [`RigSelector`]) streams rig 0 with
 //!   plain `Batch`/`Gap` messages — old clients work unchanged;
@@ -35,6 +35,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -42,7 +43,7 @@ use ps3_archive::{ArchiveWriter, ArchiveWriterOptions};
 use ps3_firmware::FRAME_INTERVAL;
 use ps3_stream::{
     bring_up, spawn_loop, BroadcastRing, FleetHello, LoopStats, LoopWaker, RigStatus, ServerMsg,
-    StreamDaemon, StreamDaemonConfig, StreamFrame, StreamStats,
+    StreamDaemonConfig, StreamFrame, StreamStats,
 };
 use ps3_units::SimDuration;
 
@@ -55,8 +56,8 @@ use crate::FLEET_PROTO_VERSION;
 pub struct FleetConfig {
     /// Where per-rig archive shards live (created if absent).
     pub data_dir: PathBuf,
-    /// Stream tuning, shared by the coordinator's subscriber sessions
-    /// and every per-rig daemon.
+    /// Stream tuning for the coordinator's per-rig rings and
+    /// subscriber sessions.
     pub stream: StreamDaemonConfig,
     /// Archive writer tuning for the per-rig shards.
     pub archive: ArchiveWriterOptions,
@@ -109,7 +110,6 @@ struct RigRuntime {
     sensor: ps3_core::SharedPowerSensor,
     advance: Box<dyn FnMut(SimDuration) + Send>,
     crashed: Box<dyn Fn() -> bool + Send>,
-    daemon: StreamDaemon,
     writer: Option<ArchiveWriter>,
     tap_alive: Arc<AtomicBool>,
     /// Drops accumulated from already-finished writers of this rig.
@@ -234,17 +234,6 @@ impl Fleet {
         &self.config.data_dir
     }
 
-    /// The per-rig daemon's own listening address (for direct
-    /// attachment bypassing the coordinator), if the rig is up.
-    #[must_use]
-    pub fn rig_daemon_addr(&self, id: u16) -> Option<SocketAddr> {
-        self.rigs
-            .lock()
-            .iter()
-            .find(|r| r.id == id)
-            .map(|r| r.daemon.local_addr())
-    }
-
     /// Advances every healthy rig's virtual clock by `d`. A rig that
     /// has crashed is skipped (and marked dead for subscribers) until
     /// [`Fleet::supervise`] restarts it.
@@ -290,7 +279,6 @@ impl Fleet {
                     rig.writer_dropped_acc += stats.dropped;
                 }
             }
-            rig.daemon.shutdown();
 
             let generation = rig.generation + 1;
             let fresh = build_rig(&mut factory, rig.id, generation, &self.shared, &self.config)?;
@@ -324,6 +312,14 @@ impl Fleet {
         aggregate_stats(&self.shared)
     }
 
+    /// Blocks until `f` holds for the coordinator's counters (returns
+    /// `true`) or `timeout` passes; [`LoopStats::wait_until`] says when
+    /// `f` is re-tested.
+    pub fn wait_stats(&self, timeout: Duration, mut f: impl FnMut(&StreamStats) -> bool) -> bool {
+        let s = &self.shared;
+        s.stats.wait_until(timeout, || f(&aggregate_stats(s)))
+    }
+
     /// Stops serving, disconnects subscribers, seals every shard, and
     /// joins all threads. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
@@ -346,7 +342,6 @@ impl Fleet {
                         .store(rig.writer_dropped_acc, Ordering::SeqCst);
                 }
             }
-            rig.daemon.shutdown();
         }
         rigs.clear();
     }
@@ -368,8 +363,7 @@ impl core::fmt::Debug for Fleet {
     }
 }
 
-/// Builds one rig generation: sensor, shard writer, ring tap, per-rig
-/// daemon.
+/// Builds one rig generation: sensor, shard writer, ring tap.
 fn build_rig(
     factory: &mut RigFactory,
     id: u16,
@@ -411,15 +405,12 @@ fn build_rig(
         });
     }
 
-    let daemon = StreamDaemon::start(sensor.clone(), "127.0.0.1:0", config.stream.clone())?;
-
     Ok(RigRuntime {
         id,
         generation,
         sensor,
         advance,
         crashed,
-        daemon,
         writer: Some(writer),
         tap_alive,
         writer_dropped_acc: 0,
@@ -455,15 +446,7 @@ pub(crate) fn snapshot(shared: &FleetShared) -> Vec<RigStatus> {
 }
 
 pub(crate) fn aggregate_stats(shared: &FleetShared) -> StreamStats {
-    StreamStats {
-        frames_published: shared.rigs.iter().map(|r| r.ring.head()).sum(),
-        active_subscribers: shared.stats.active_subscribers.load(Ordering::SeqCst),
-        evicted: shared.stats.evicted.load(Ordering::SeqCst),
-        gap_events: shared.stats.gap_events.load(Ordering::SeqCst),
-        accepted: shared.stats.accepted.load(Ordering::SeqCst),
-        active_peak: shared.stats.active_peak.load(Ordering::SeqCst),
-        bytes_sent: shared.stats.bytes_sent.load(Ordering::SeqCst),
-        evicted_gaps: shared.stats.evicted_gaps.load(Ordering::SeqCst),
-        evicted_stalled: shared.stats.evicted_stalled.load(Ordering::SeqCst),
-    }
+    shared
+        .stats
+        .snapshot(shared.rigs.iter().map(|r| r.ring.head()).sum())
 }

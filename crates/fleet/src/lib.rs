@@ -4,12 +4,12 @@
 //! rigs, and nobody wants to hand-manage N daemons and N archives.
 //! This crate runs the whole fleet in one process:
 //!
-//! * [`Fleet`] spawns and supervises N rigs — each a complete
-//!   acquisition stack with its own [`StreamDaemon`] and an archive
-//!   shard under the fleet data dir — restarts crashed rigs into
-//!   fresh shards, and serves a single TCP endpoint speaking the
-//!   rig-routed extension of the subscribe protocol (legacy single-rig
-//!   clients keep working and see rig 0).
+//! * [`Fleet`] spawns and supervises N rigs — each an acquisition
+//!   stack tapped into its own broadcast ring and archive shard under
+//!   the fleet data dir — restarts crashed rigs into fresh shards, and
+//!   serves one TCP endpoint on the [`StreamDaemon`]'s event loop,
+//!   speaking the rig-routed extension of the subscribe protocol
+//!   (legacy single-rig clients keep working and see rig 0).
 //! * [`FleetQuery`] answers cross-rig aggregates off the shards:
 //!   fleet-wide energy and power stats, top-k hottest rigs, rig-join
 //!   aligned downsampling — per-shard scans fan out over the

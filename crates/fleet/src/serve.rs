@@ -270,8 +270,8 @@ impl Handler for FleetHandler {
 
     fn control(&self, _s: &mut MergeSession, msg: ClientMsg, out: &mut OutQueue) -> Control {
         match msg {
-            // Markers are a single-rig concept; against a fleet the
-            // client should attach to the rig's own daemon to inject.
+            // Markers are a single-rig concept; a fleet has no one
+            // sensor to mark, so injections are ignored.
             ClientMsg::InjectMarker { .. } => Control::Continue,
             ClientMsg::QueryStats => {
                 out.push(&ServerMsg::Stats(aggregate_stats(&self.shared)));

@@ -3,7 +3,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ps3_fleet::{testbed_rig_factory, Fleet, FleetConfig, FleetQuery, RigFactory};
 use ps3_stream::{RigSelector, StreamClient, StreamClientConfig};
@@ -15,14 +15,8 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Polls until `cond` holds or the deadline passes.
-fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
+/// How long a test waits for a subscriber's counters to get there.
+const WAIT: Duration = Duration::from_secs(10);
 
 fn fleet_sub(rig: RigSelector) -> StreamClientConfig {
     StreamClientConfig {
@@ -70,11 +64,15 @@ fn merged_and_per_rig_subscriptions_flow() {
         std::thread::sleep(Duration::from_millis(10));
     }
     // 60 ms at 20 kHz is 1200 frames per rig.
-    wait_for(
-        || merged.frames_received() >= 4 * 1000 && one.frames_received() >= 1000,
-        "streams to flow",
+    assert!(
+        merged.wait_until(WAIT, |c| c.frames_received() >= 4 * 1000)
+            && one.wait_until(WAIT, |c| c.frames_received() >= 1000),
+        "timed out waiting for streams to flow"
     );
-    wait_for(|| legacy.frames_received() >= 1000, "legacy stream");
+    assert!(
+        legacy.wait_until(WAIT, |c| c.frames_received() >= 1000),
+        "timed out waiting for legacy stream"
+    );
 
     let counts = merged.rig_counts();
     assert_eq!(counts.len(), 4, "merged stream covers all rigs: {counts:?}");
@@ -104,7 +102,10 @@ fn merged_and_per_rig_subscriptions_flow() {
     assert!(stats.frames_published >= 4 * 1200);
 
     fleet.shutdown();
-    wait_for(|| !merged.is_alive(), "merged client to see shutdown");
+    assert!(
+        merged.wait_until(WAIT, |c| !c.is_alive()),
+        "timed out waiting for merged client to see shutdown"
+    );
     assert!(!merged.is_evicted(), "shutdown is not a for-cause eviction");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -156,7 +157,10 @@ fn supervisor_restarts_crashed_rig_into_fresh_shard() {
     let merged =
         StreamClient::connect(fleet.local_addr(), fleet_sub(RigSelector::All)).expect("sub");
     fleet.advance(SimDuration::from_millis(5));
-    wait_for(|| merged.rig_counts().len() == 3, "all rigs streaming");
+    assert!(
+        merged.wait_until(WAIT, |c| c.rig_counts().len() == 3),
+        "timed out waiting for all rigs streaming"
+    );
 
     crash.store(true, Ordering::SeqCst);
     fleet.advance(SimDuration::from_millis(5));
@@ -187,15 +191,14 @@ fn supervisor_restarts_crashed_rig_into_fresh_shard() {
         fleet.advance(SimDuration::from_millis(5));
         std::thread::sleep(Duration::from_millis(10));
     }
-    wait_for(
-        || {
-            merged
-                .rig_counts()
+    assert!(
+        merged.wait_until(WAIT, |c| {
+            c.rig_counts()
                 .iter()
                 .find(|c| c.rig == 1)
                 .is_some_and(|c| c.frames > before)
-        },
-        "restarted rig to stream",
+        }),
+        "timed out waiting for restarted rig to stream"
     );
 
     fleet.shutdown();

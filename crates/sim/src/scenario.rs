@@ -13,14 +13,14 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ps3_analysis::Trace;
 use ps3_archive::{
     frame_total, index_path_for, stats_path_for, Archive, ArchiveError, ArchiveFrame,
     ArchiveWriter, ArchiveWriterOptions, SegmentWriter,
 };
-use ps3_core::{PowerSensor, SharedPowerSensor};
+use ps3_core::{PowerSensor, PowerSensorError, SharedPowerSensor};
 use ps3_firmware::SENSOR_SLOTS;
 use ps3_fleet::{
     parse_shard_name, testbed_rig_factory, Fleet, FleetConfig, FleetQuery, RigFactory,
@@ -265,18 +265,23 @@ fn cleanup(path: &Path) {
     let _ = std::fs::remove_file(compact_tmp_path_for(path));
 }
 
-fn wait_for(timeout: Duration, mut done: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout; // ps3-lint: allow(determinism) reason="harness quiesce: paces real OS reader/device threads; the simulated timeline itself is SimTime-driven"
-    loop {
-        if done() {
-            return true;
-        }
-        // ps3-lint: allow(determinism) reason="harness quiesce: paces real OS reader/device threads; the simulated timeline itself is SimTime-driven"
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(5)); // ps3-lint: allow(determinism) reason="harness quiesce: paces real OS reader/device threads; the simulated timeline itself is SimTime-driven"
+/// Waits up to `timeout` for `client` to account for all `published`
+/// frames or be evicted. Unless it was evicted, checks its gap
+/// accounting and returns `true`.
+fn check_drained(
+    checker: &mut Checker,
+    client: &StreamClient,
+    published: u64,
+    timeout: Duration,
+) -> bool {
+    client.wait_until(timeout, |c| {
+        c.is_evicted() || c.frames_received() + c.dropped_frames() == published
+    });
+    if client.is_evicted() {
+        return false;
     }
+    checker.check_gap_accounting(published, client.frames_received(), client.dropped_frames());
+    true
 }
 
 pub(crate) fn finish_report(
@@ -362,19 +367,16 @@ fn run_pipeline(seed: u64, plan: &SimPlan, sabotage: Sabotage) -> ScenarioReport
         },
     )
     .expect("connect div-4 client");
-    // Subscribers pin their ring cursors once their sender loops start;
-    // settle while the device is parked so the cursors pin at head 0
-    // and no frame can slip past an unpinned subscriber.
-    let subscribed = wait_for(Duration::from_secs(5), || {
-        daemon.stats().active_subscribers == 2
-    });
+    // A subscriber counts as up only once its ring cursor is pinned;
+    // the device is still parked, so both cursors pin at head 0 and no
+    // frame can slip past an unpinned subscriber.
+    let subscribed = daemon.wait_stats(Duration::from_secs(5), |s| s.active_subscribers == 2);
     checker.expect("harness-quiesce", subscribed, || {
         "subscribers failed to register within 5 s".into()
     });
-    std::thread::sleep(Duration::from_millis(100)); // ps3-lint: allow(determinism) reason="harness quiesce: paces real OS reader/device threads; the simulated timeline itself is SimTime-driven"
 
     device.advance(SimDuration::from_millis(STREAM_MS));
-    let quiesced = quiesce(&ps, &device, &tap, Duration::from_secs(30));
+    let quiesced = quiesce(&ps, &device, Duration::from_secs(30));
     checker.expect("harness-quiesce", quiesced, || {
         "pipeline failed to quiesce within 30 s".into()
     });
@@ -400,20 +402,17 @@ fn run_pipeline(seed: u64, plan: &SimPlan, sabotage: Sabotage) -> ScenarioReport
 
     // The ring never laps (5000 frames < 8192 slots), so both clients
     // converge on exact counts; give them bounded wall time to drain.
-    let _ = wait_for(Duration::from_secs(10), || {
-        (c1.is_evicted() || c1.frames_received() + c1.dropped_frames() == published)
-            && (c4.is_evicted() || c4.frames_received() == published / 4)
+    check_drained(&mut checker, &c1, published, Duration::from_secs(10));
+    c4.wait_until(Duration::from_secs(10), |c| {
+        c.is_evicted() || c.frames_received() == published / 4
     });
-    if !c1.is_evicted() {
-        checker.check_gap_accounting(published, c1.frames_received(), c1.dropped_frames());
-    }
     if !c4.is_evicted() {
         checker.check_divided_bounds(published, c4.frames_received(), c4.dropped_frames(), 4);
     }
 
     daemon.shutdown();
     for (name, client) in [("div1", &c1), ("div4", &c4)] {
-        let dead = wait_for(Duration::from_secs(5), || !client.is_alive());
+        let dead = client.wait_until(Duration::from_secs(5), |c| !c.is_alive());
         checker.expect("evict-reason", dead, || {
             format!("{name} client still alive after daemon shutdown")
         });
@@ -479,7 +478,6 @@ fn run_device_crash(seed: u64, plan: &SimPlan) -> ScenarioReport {
 
     let (device, host) = spawn_device(seed, Some(SimTime::from_micros(crash_us)));
     let injector = FaultInjector::new(host, plan);
-    let tap = injector.clone();
 
     let ps = match PowerSensor::connect(injector) {
         Ok(ps) => SharedPowerSensor::new(ps),
@@ -497,11 +495,14 @@ fn run_device_crash(seed: u64, plan: &SimPlan) -> ScenarioReport {
 
     // Advance well past the crash time; the device dies on the way.
     device.advance(SimDuration::from_millis(40));
-    let quiesced = quiesce(&ps, &device, &tap, Duration::from_secs(30));
+    let quiesced = quiesce(&ps, &device, Duration::from_secs(30));
     checker.expect("harness-quiesce", quiesced, || {
         "device-crash failed to quiesce within 30 s".into()
     });
-    let noticed = wait_for(Duration::from_secs(5), || !ps.is_alive());
+    // No frame count is ever reached: the wait ends when the reader
+    // exits on the dead link.
+    let noticed =
+        ps.wait_for_frames(u64::MAX, Duration::from_secs(5)) == Err(PowerSensorError::Shutdown);
     checker.expect("crash-detected", noticed, || {
         "host reader still alive after the board crashed".into()
     });
@@ -578,9 +579,8 @@ fn run_tcp_faults(seed: u64, plan: &SimPlan) -> ScenarioReport {
     let mut facts: Vec<(String, String)> = Vec::new();
 
     let (device, host) = spawn_device(seed, None);
-    // Clean USB: the tap injector carries an empty plan.
+    // Clean USB: the injector carries an empty plan.
     let injector = FaultInjector::new(host, &SimPlan::empty());
-    let tap = injector.clone();
     let ps =
         SharedPowerSensor::new(PowerSensor::connect(injector).expect("connect over clean serial"));
     ps.begin_trace();
@@ -593,16 +593,14 @@ fn run_tcp_faults(seed: u64, plan: &SimPlan) -> ScenarioReport {
     let faulted = StreamClient::connect(proxy.addr(), StreamClientConfig::default())
         .expect("connect faulted client");
 
-    let subscribed = wait_for(Duration::from_secs(5), || {
-        daemon.stats().active_subscribers == 2
-    });
+    // Both cursors are pinned at head 0 once both subscribers are up.
+    let subscribed = daemon.wait_stats(Duration::from_secs(5), |s| s.active_subscribers == 2);
     checker.expect("harness-quiesce", subscribed, || {
         "subscribers failed to register within 5 s".into()
     });
-    std::thread::sleep(Duration::from_millis(100)); // ps3-lint: allow(determinism) reason="harness quiesce: paces real OS reader/device threads; the simulated timeline itself is SimTime-driven"
 
     device.advance(SimDuration::from_millis(STREAM_MS));
-    let quiesced = quiesce(&ps, &device, &tap, Duration::from_secs(30));
+    let quiesced = quiesce(&ps, &device, Duration::from_secs(30));
     checker.expect("harness-quiesce", quiesced, || {
         "tcp-faults failed to quiesce within 30 s".into()
     });
@@ -626,38 +624,23 @@ fn run_tcp_faults(seed: u64, plan: &SimPlan) -> ScenarioReport {
     checker.check_monotonic(&trace, true);
     checker.check_energy(&trace, state.total_energy);
 
-    let _ = wait_for(Duration::from_secs(10), || {
-        direct.is_evicted() || direct.frames_received() + direct.dropped_frames() == published
-    });
-    if !direct.is_evicted() {
-        checker.check_gap_accounting(published, direct.frames_received(), direct.dropped_frames());
-    }
+    check_drained(&mut checker, &direct, published, Duration::from_secs(10));
     // The faulted client's exact counts depend on what the plan did to
     // its bytes; only scheduling-independent claims are checked.
     if plan.crashes() {
-        let died = wait_for(Duration::from_secs(10), || !faulted.is_alive());
+        let died = faulted.wait_until(Duration::from_secs(10), |c| !c.is_alive());
         checker.expect("gap-accounting", died, || {
             "faulted client survived a severed proxy".into()
         });
     } else if !plan.mutates_bytes() {
         // Stalls and short reads only delay bytes; the client still
         // converges on full accounting.
-        let _ = wait_for(Duration::from_secs(10), || {
-            faulted.is_evicted()
-                || faulted.frames_received() + faulted.dropped_frames() == published
-        });
-        if !faulted.is_evicted() {
-            checker.check_gap_accounting(
-                published,
-                faulted.frames_received(),
-                faulted.dropped_frames(),
-            );
-        }
+        check_drained(&mut checker, &faulted, published, Duration::from_secs(10));
     }
 
     daemon.shutdown();
     for (name, client) in [("direct", &direct), ("faulted", &faulted)] {
-        let _ = wait_for(Duration::from_secs(5), || !client.is_alive());
+        client.wait_until(Duration::from_secs(5), |c| !c.is_alive());
         checker.expect(
             "evict-reason",
             !client.is_evicted() || client.eviction_reason().is_some(),
@@ -691,9 +674,8 @@ fn run_c10k(seed: u64, plan: &SimPlan) -> ScenarioReport {
     let mut facts: Vec<(String, String)> = Vec::new();
 
     let (device, host) = spawn_device(seed, None);
-    // Clean USB: the tap injector carries an empty plan.
+    // Clean USB: the injector carries an empty plan.
     let injector = FaultInjector::new(host, &SimPlan::empty());
-    let tap = injector.clone();
     let ps =
         SharedPowerSensor::new(PowerSensor::connect(injector).expect("connect over clean serial"));
 
@@ -739,15 +721,15 @@ fn run_c10k(seed: u64, plan: &SimPlan) -> ScenarioReport {
         .expect("subscribe stalled client");
 
     let expected_subs = C10K_SUBS as u64 + 1;
-    let subscribed = wait_for(Duration::from_secs(10), || {
-        daemon.stats().active_subscribers == expected_subs
+    let subscribed = daemon.wait_stats(Duration::from_secs(10), |s| {
+        s.active_subscribers == expected_subs
     });
     checker.expect("harness-quiesce", subscribed, || {
         format!("{expected_subs} subscribers failed to register within 10 s")
     });
 
     device.advance(SimDuration::from_millis(C10K_MS));
-    let quiesced = quiesce(&ps, &device, &tap, Duration::from_secs(30));
+    let quiesced = quiesce(&ps, &device, Duration::from_secs(30));
     checker.expect("harness-quiesce", quiesced, || {
         "c10k failed to quiesce within 30 s".into()
     });
@@ -763,8 +745,8 @@ fn run_c10k(seed: u64, plan: &SimPlan) -> ScenarioReport {
     let mut received_total = 0u64;
     for (i, client) in clients.iter().enumerate() {
         let want = published / u64::from(C10K_DIVISORS[i % C10K_DIVISORS.len()]);
-        let _ = wait_for(Duration::from_secs(30), || {
-            client.is_evicted() || client.frames_received() >= want
+        client.wait_until(Duration::from_secs(30), |c| {
+            c.is_evicted() || c.frames_received() >= want
         });
         checker.expect("gap-accounting", !client.is_evicted(), || {
             format!(
@@ -789,7 +771,7 @@ fn run_c10k(seed: u64, plan: &SimPlan) -> ScenarioReport {
 
     // The stalled subscriber blocks until the write timeout, then is
     // evicted — and for the stall, never for gaps (nothing lapped).
-    let evicted = wait_for(Duration::from_secs(20), || daemon.stats().evicted == 1);
+    let evicted = daemon.wait_stats(Duration::from_secs(20), |s| s.evicted == 1);
     let stats = daemon.stats();
     checker.expect("evict-reason", evicted, || {
         format!(
@@ -905,13 +887,11 @@ fn run_fleet(seed: u64, plan: &SimPlan) -> ScenarioReport {
     )
     .expect("connect faulted client");
 
-    let subscribed = wait_for(Duration::from_secs(5), || {
-        fleet.stats().active_subscribers == 10
-    });
+    // Every session's cursors are pinned once all ten are up.
+    let subscribed = fleet.wait_stats(Duration::from_secs(5), |s| s.active_subscribers == 10);
     checker.expect("harness-quiesce", subscribed, || {
         "fleet subscribers failed to register within 5 s".into()
     });
-    std::thread::sleep(Duration::from_millis(100)); // ps3-lint: allow(determinism) reason="harness quiesce: paces real OS reader/device threads; the simulated timeline itself is SimTime-driven"
 
     let mut restarts = 0u32;
     for tick in 0..FLEET_TICKS {
@@ -966,11 +946,7 @@ fn run_fleet(seed: u64, plan: &SimPlan) -> ScenarioReport {
     // No ring ever holds more than 2000 frames, so the merged stream
     // must account for every published frame with zero gaps — and its
     // session totals must equal its per-rig attribution.
-    let _ = wait_for(Duration::from_secs(20), || {
-        merged.is_evicted() || merged.frames_received() + merged.dropped_frames() == published
-    });
-    if !merged.is_evicted() {
-        checker.check_gap_accounting(published, merged.frames_received(), merged.dropped_frames());
+    if check_drained(&mut checker, &merged, published, Duration::from_secs(20)) {
         checker.check_merged_gap_sum(
             merged.gap_events(),
             merged.dropped_frames(),
@@ -1015,38 +991,24 @@ fn run_fleet(seed: u64, plan: &SimPlan) -> ScenarioReport {
 
     for (r, client) in per_rig.iter().enumerate() {
         let want = roster[r].frames_published;
-        let _ = wait_for(Duration::from_secs(10), || {
-            client.is_evicted() || client.frames_received() + client.dropped_frames() == want
-        });
-        if !client.is_evicted() {
-            checker.check_gap_accounting(want, client.frames_received(), client.dropped_frames());
-        }
+        check_drained(&mut checker, client, want, Duration::from_secs(10));
     }
 
     // The faulted merged subscriber mirrors tcp-faults: coordinator
     // facts never depend on what the proxy did to its bytes.
     if plan.crashes() {
-        let died = wait_for(Duration::from_secs(10), || !faulted.is_alive());
+        let died = faulted.wait_until(Duration::from_secs(10), |c| !c.is_alive());
         checker.expect("gap-accounting", died, || {
             "faulted client survived a severed proxy".into()
         });
-    } else if !plan.mutates_bytes() {
-        let _ = wait_for(Duration::from_secs(20), || {
-            faulted.is_evicted()
-                || faulted.frames_received() + faulted.dropped_frames() == published
-        });
-        if !faulted.is_evicted() {
-            checker.check_gap_accounting(
-                published,
-                faulted.frames_received(),
-                faulted.dropped_frames(),
-            );
-            checker.check_merged_gap_sum(
-                faulted.gap_events(),
-                faulted.dropped_frames(),
-                &faulted.rig_counts(),
-            );
-        }
+    } else if !plan.mutates_bytes()
+        && check_drained(&mut checker, &faulted, published, Duration::from_secs(20))
+    {
+        checker.check_merged_gap_sum(
+            faulted.gap_events(),
+            faulted.dropped_frames(),
+            &faulted.rig_counts(),
+        );
     }
 
     // The roster over the wire must agree with the coordinator's own.
@@ -1074,7 +1036,7 @@ fn run_fleet(seed: u64, plan: &SimPlan) -> ScenarioReport {
 
     fleet.shutdown();
     for client in per_rig.iter().chain([&merged, &faulted]) {
-        let _ = wait_for(Duration::from_secs(5), || !client.is_alive());
+        client.wait_until(Duration::from_secs(5), |c| !c.is_alive());
         checker.expect(
             "evict-reason",
             !client.is_evicted() || client.eviction_reason().is_some(),

@@ -10,9 +10,9 @@
 
 use std::time::{Duration, Instant};
 
-use ps3_core::PowerSensor;
+use ps3_core::{PowerSensor, PowerSensorError};
 use ps3_firmware::{Device, DeviceThread, Eeprom, SensorConfig};
-use ps3_transport::{SerialEndpoint, Transport, VirtualSerial};
+use ps3_transport::{SerialEndpoint, VirtualSerial};
 use ps3_units::SimTime;
 
 /// Nominal rail voltage of the simulated pair.
@@ -76,49 +76,28 @@ pub fn spawn_device(seed: u64, crash_at: Option<SimTime>) -> (DeviceThread, Seri
 }
 
 /// Drives the world to a deterministic stop: the device is parked (or
-/// crashed), the transport is drained, and the host's frame count has
-/// stopped moving. After a successful quiesce, every fact derived from
-/// the byte stream (frame count, trace, archive contents, energy) is a
-/// pure function of `(seed, plan)`.
+/// crashed) and the host reader has decoded every byte the transport
+/// delivered ([`PowerSensor::wait_drained`]), or has exited on a dead
+/// link. After a successful quiesce, every fact derived from the byte
+/// stream (frame count, trace, archive contents, energy) is a pure
+/// function of `(seed, plan)`.
 ///
-/// Returns `false` on timeout (the run is then not trustworthy for
-/// bit-exact comparison).
+/// Each of the two waits may take up to `timeout`. Returns `false` on
+/// timeout (the run is then not trustworthy for bit-exact comparison).
 #[must_use]
-pub fn quiesce(
-    ps: &PowerSensor,
-    device: &DeviceThread,
-    tap: &dyn Transport,
-    timeout: Duration,
-) -> bool {
-    let deadline = Instant::now() + timeout; // ps3-lint: allow(determinism) reason="harness quiesce: paces real OS reader/device threads; the simulated timeline itself is SimTime-driven"
-    let mut last_frames = ps.frames_received();
-    let mut stable_since = Instant::now(); // ps3-lint: allow(determinism) reason="harness quiesce: paces real OS reader/device threads; the simulated timeline itself is SimTime-driven"
-
-    loop {
-        let now = Instant::now(); // ps3-lint: allow(determinism) reason="harness quiesce: paces real OS reader/device threads; the simulated timeline itself is SimTime-driven"
-        if now >= deadline {
-            return false;
-        }
-        // A deadline of `now` makes this a non-blocking check.
-        let settled = device.wait_parked(now) || !ps.is_alive();
-        let drained = tap.available() == 0 || !ps.is_alive();
-        let frames = ps.frames_received();
-        if frames != last_frames {
-            last_frames = frames;
-            stable_since = now;
-        }
-        // Two reader polls (20 ms each) of silence after the pipeline
-        // looks empty: the count is final.
-        if settled && drained && stable_since.elapsed() > Duration::from_millis(60) {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5)); // ps3-lint: allow(determinism) reason="harness quiesce: paces real OS reader/device threads; the simulated timeline itself is SimTime-driven"
-    }
+pub fn quiesce(ps: &PowerSensor, device: &DeviceThread, timeout: Duration) -> bool {
+    let deadline = Instant::now() + timeout; // ps3-lint: allow(determinism) reason="harness quiesce: bounds the blocking waits on real OS reader/device threads; the simulated timeline itself is SimTime-driven"
+    device.wait_parked(deadline)
+        && matches!(
+            ps.wait_drained(timeout),
+            Ok(()) | Err(PowerSensorError::Shutdown)
+        )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ps3_transport::Transport;
     use ps3_units::SimDuration;
 
     /// The bytes `seed`'s device streams over its first 5 ms.

@@ -33,9 +33,9 @@ use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use ps3_core::pair_readings;
 use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
@@ -47,6 +47,7 @@ use crate::proto::{
     read_msg_body, write_msg, ClientMsg, EvictReason, FleetHello, RigSelector, RigStatus,
     ServerMsg, StreamFrame, StreamStats,
 };
+use crate::signal::Signal;
 
 /// Bounded-retry reconnect behaviour for [`StreamClientConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,9 +131,10 @@ struct ClientShared {
     /// Per-rig counters, keyed by rig id (rig-tagged messages only).
     rig_counts: Mutex<BTreeMap<u16, RigCounts>>,
     stats_reply: Mutex<Option<StreamStats>>,
-    stats_cv: Condvar,
     fleet_reply: Mutex<Option<Vec<RigStatus>>>,
-    fleet_cv: Condvar,
+    /// Notified after every message (query replies included),
+    /// eviction, reconnect and reader exit, and by `close()`.
+    changed: Signal,
 }
 
 /// A connected stream subscriber.
@@ -176,9 +178,8 @@ impl StreamClient {
             rig_callback: Mutex::new(None),
             rig_counts: Mutex::new(BTreeMap::new()),
             stats_reply: Mutex::new(None),
-            stats_cv: Condvar::new(),
             fleet_reply: Mutex::new(None),
-            fleet_cv: Condvar::new(),
+            changed: Signal::default(),
         });
 
         let writer = Arc::new(Mutex::new(stream.try_clone()?));
@@ -293,6 +294,14 @@ impl StreamClient {
         self.shared.alive.load(Ordering::SeqCst)
     }
 
+    /// Blocks until `done(self)` holds or `timeout` passes, and returns
+    /// whether it held. `done` is re-tested after every message from
+    /// the server, on eviction, reconnect and connection loss — e.g.
+    /// `|c| c.frames_received() + c.dropped_frames() == published`.
+    pub fn wait_until(&self, timeout: Duration, mut done: impl FnMut(&Self) -> bool) -> bool {
+        self.shared.changed.wait_until(timeout, || done(self))
+    }
+
     /// The most recent frame, if any arrived yet.
     #[must_use]
     pub fn last_frame(&self) -> Option<StreamFrame> {
@@ -327,29 +336,12 @@ impl StreamClient {
     /// Write failure, or [`io::ErrorKind::TimedOut`] when no reply
     /// arrives in time.
     pub fn query_stats(&self, timeout: Duration) -> io::Result<StreamStats> {
-        let mut reply = self.shared.stats_reply.lock();
-        *reply = None;
-        write_msg(&mut *self.writer.lock(), &ClientMsg::QueryStats.encode())?;
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(stats) = reply.take() {
-                return Ok(stats);
-            }
-            if !self.is_alive() {
-                return Err(io::Error::new(
-                    io::ErrorKind::ConnectionAborted,
-                    "stream connection lost",
-                ));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "no stats reply from daemon",
-                ));
-            }
-            self.shared.stats_cv.wait_for(&mut reply, deadline - now);
-        }
+        self.round_trip(
+            &ClientMsg::QueryStats,
+            &self.shared.stats_reply,
+            "stats",
+            timeout,
+        )
     }
 
     /// Round-trips a fleet roster query. A plain (non-fleet) daemon
@@ -360,34 +352,47 @@ impl StreamClient {
     /// Write failure, or [`io::ErrorKind::TimedOut`] when no reply
     /// arrives in time.
     pub fn query_fleet(&self, timeout: Duration) -> io::Result<Vec<RigStatus>> {
-        let mut reply = self.shared.fleet_reply.lock();
-        *reply = None;
-        write_msg(&mut *self.writer.lock(), &ClientMsg::QueryFleet.encode())?;
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(rigs) = reply.take() {
-                return Ok(rigs);
-            }
-            if !self.is_alive() {
-                return Err(io::Error::new(
-                    io::ErrorKind::ConnectionAborted,
-                    "stream connection lost",
-                ));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "no fleet reply from daemon",
-                ));
-            }
-            self.shared.fleet_cv.wait_for(&mut reply, deadline - now);
+        self.round_trip(
+            &ClientMsg::QueryFleet,
+            &self.shared.fleet_reply,
+            "fleet",
+            timeout,
+        )
+    }
+
+    /// Sends `query`, then blocks until the reader parks the reply in
+    /// `slot` or the connection is lost.
+    fn round_trip<T>(
+        &self,
+        query: &ClientMsg,
+        slot: &Mutex<Option<T>>,
+        what: &str,
+        timeout: Duration,
+    ) -> io::Result<T> {
+        *slot.lock() = None;
+        write_msg(&mut *self.writer.lock(), &query.encode())?;
+        let mut reply = None;
+        self.shared.changed.wait_until(timeout, || {
+            reply = slot.lock().take();
+            reply.is_some() || !self.is_alive()
+        });
+        match reply {
+            Some(reply) => Ok(reply),
+            None if !self.is_alive() => Err(io::Error::new(
+                io::ErrorKind::ConnectionAborted,
+                "stream connection lost",
+            )),
+            None => Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("no {what} reply from daemon"),
+            )),
         }
     }
 
     /// Says goodbye and closes the connection. Also runs on drop.
     pub fn close(&mut self) {
         self.shared.closing.store(true, Ordering::SeqCst);
+        self.shared.changed.notify();
         {
             let mut writer = self.writer.lock();
             let _ = write_msg(&mut *writer, &ClientMsg::Bye.encode());
@@ -515,13 +520,13 @@ fn reader_thread(
                 *writer.lock() = clone;
                 stream = new_stream;
                 shared.reconnects.fetch_add(1, Ordering::SeqCst);
+                shared.changed.notify();
             }
             None => break,
         }
     }
     shared.alive.store(false, Ordering::SeqCst);
-    shared.stats_cv.notify_all();
-    shared.fleet_cv.notify_all();
+    shared.changed.notify();
 }
 
 /// Bounded exponential-backoff redial; `None` when retries are
@@ -534,18 +539,12 @@ fn redial(
 ) -> Option<TcpStream> {
     let mut backoff = policy.initial_backoff;
     for _ in 0..policy.max_retries {
-        // Sleep in small slices so close() never waits out a long
-        // backoff.
-        let deadline = Instant::now() + backoff;
-        loop {
-            if shared.closing.load(Ordering::SeqCst) {
-                return None;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10).min(deadline - now));
+        // close() notifies, so it never waits out a long backoff.
+        if shared
+            .changed
+            .wait_until(backoff, || shared.closing.load(Ordering::SeqCst))
+        {
+            return None;
         }
         if let Ok((stream, _, _, _)) = handshake(addrs, subscribe) {
             return Some(stream);
@@ -583,24 +582,22 @@ fn reader_loop(
                 entry.gap_events += 1;
                 entry.dropped += dropped;
             }
-            ServerMsg::Stats(stats) => {
-                *shared.stats_reply.lock() = Some(stats);
-                shared.stats_cv.notify_all();
-            }
-            ServerMsg::FleetStatus { rigs } => {
-                *shared.fleet_reply.lock() = Some(rigs);
-                shared.fleet_cv.notify_all();
-            }
+            ServerMsg::Stats(stats) => *shared.stats_reply.lock() = Some(stats),
+            ServerMsg::FleetStatus { rigs } => *shared.fleet_reply.lock() = Some(rigs),
             ServerMsg::Evicted { reason } => {
                 *shared.eviction.lock() = Some(reason);
-                if reason != EvictReason::Shutdown {
+                let end = if reason == EvictReason::Shutdown {
+                    SessionEnd::Lost
+                } else {
                     shared.evicted.store(true, Ordering::SeqCst);
-                    return SessionEnd::Closed;
-                }
-                return SessionEnd::Lost;
+                    SessionEnd::Closed
+                };
+                shared.changed.notify();
+                return end;
             }
             ServerMsg::Hello { .. } => { /* duplicate hello: ignore */ }
         }
+        shared.changed.notify();
     }
     SessionEnd::Lost
 }

@@ -100,17 +100,7 @@ struct DaemonShared {
 
 impl DaemonShared {
     fn stats_snapshot(&self) -> StreamStats {
-        StreamStats {
-            frames_published: self.ring.head(),
-            active_subscribers: self.stats.active_subscribers.load(Ordering::SeqCst),
-            evicted: self.stats.evicted.load(Ordering::SeqCst),
-            gap_events: self.stats.gap_events.load(Ordering::SeqCst),
-            accepted: self.stats.accepted.load(Ordering::SeqCst),
-            active_peak: self.stats.active_peak.load(Ordering::SeqCst),
-            bytes_sent: self.stats.bytes_sent.load(Ordering::SeqCst),
-            evicted_gaps: self.stats.evicted_gaps.load(Ordering::SeqCst),
-            evicted_stalled: self.stats.evicted_stalled.load(Ordering::SeqCst),
-        }
+        self.stats.snapshot(self.ring.head())
     }
 }
 
@@ -235,6 +225,14 @@ impl StreamDaemon {
     #[must_use]
     pub fn stats(&self) -> StreamStats {
         self.shared.stats_snapshot()
+    }
+
+    /// Blocks until `f` holds for the daemon's counters (returns `true`)
+    /// or `timeout` passes; [`LoopStats::wait_until`] says when `f` is
+    /// re-tested.
+    pub fn wait_stats(&self, timeout: Duration, mut f: impl FnMut(&StreamStats) -> bool) -> bool {
+        let s = &self.shared;
+        s.stats.wait_until(timeout, || f(&s.stats_snapshot()))
     }
 
     /// The sensor this daemon is serving, or `None` in replay mode.
@@ -437,24 +435,19 @@ impl Handler for DaemonHandler {
 /// Publishes an archived range into the ring, paced against wall
 /// clock, then closes the ring so subscribers see end-of-stream.
 ///
-/// Waits for the first subscriber before starting (plus a short settle
-/// so its cursor is parked at the ring head) — a replay nobody
-/// watches would otherwise finish before anyone could attach.
+/// Blocks until the first subscriber is up (its cursor pinned at the
+/// ring head) before starting — a replay nobody watches would
+/// otherwise finish before anyone could attach.
 fn replay_pump(
     shared: &Arc<DaemonShared>,
     archive: &Archive,
     range: Option<(SimTime, SimTime)>,
     speed: f64,
 ) {
-    while shared.stats.active_subscribers.load(Ordering::SeqCst) == 0 {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            shared.ring.close();
-            shared.waker.wake();
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    std::thread::sleep(Duration::from_millis(50));
+    shared.stats.wait_until(Duration::MAX, || {
+        shared.stats.active_subscribers.load(Ordering::SeqCst) > 0
+            || shared.shutdown.load(Ordering::SeqCst)
+    });
 
     let start_wall = Instant::now();
     let mut first_time: Option<SimTime> = None;

@@ -53,7 +53,8 @@ use mio::{Events, Interest, Poll, Token, Waker};
 use crate::daemon::StreamDaemonConfig;
 use crate::log;
 use crate::net::set_send_buffer;
-use crate::proto::{ClientMsg, EvictReason, RigSelector, ServerMsg, MAX_MSG_LEN};
+use crate::proto::{ClientMsg, EvictReason, RigSelector, ServerMsg, StreamStats, MAX_MSG_LEN};
+use crate::signal::Signal;
 
 const LISTENER: Token = Token(0);
 const WAKER: Token = Token(1);
@@ -126,7 +127,8 @@ pub enum Control {
 }
 
 /// Cumulative counters shared between the loop thread and
-/// `stats()`/status surfaces. All plain `SeqCst` atomics.
+/// `stats()`/status surfaces. All plain `SeqCst` atomics, plus a
+/// signal that [`LoopStats::wait_until`] blocks on.
 #[derive(Debug, Default)]
 pub struct LoopStats {
     /// Currently connected (post-handshake) subscribers.
@@ -147,16 +149,45 @@ pub struct LoopStats {
     pub gap_events: AtomicU64,
     /// Payload bytes handed to the kernel across all subscribers.
     pub bytes_sent: AtomicU64,
+    /// Notified when a subscriber comes up, goes down or is evicted,
+    /// and when the loop exits.
+    changed: Signal,
 }
 
 impl LoopStats {
+    /// Blocks until `done()` holds (returns `true`) or `timeout` passes.
+    /// `done` is re-tested when a subscriber comes up (after `begin`
+    /// pinned its cursors), goes down or is evicted, and on loop exit.
+    pub fn wait_until(&self, timeout: Duration, done: impl FnMut() -> bool) -> bool {
+        self.changed.wait_until(timeout, done)
+    }
+
+    /// The wire view of these counters, given the frames the caller's
+    /// ring(s) published.
+    #[must_use]
+    pub fn snapshot(&self, frames_published: u64) -> StreamStats {
+        StreamStats {
+            frames_published,
+            active_subscribers: self.active_subscribers.load(Ordering::SeqCst),
+            evicted: self.evicted.load(Ordering::SeqCst),
+            gap_events: self.gap_events.load(Ordering::SeqCst),
+            accepted: self.accepted.load(Ordering::SeqCst),
+            active_peak: self.active_peak.load(Ordering::SeqCst),
+            bytes_sent: self.bytes_sent.load(Ordering::SeqCst),
+            evicted_gaps: self.evicted_gaps.load(Ordering::SeqCst),
+            evicted_stalled: self.evicted_stalled.load(Ordering::SeqCst),
+        }
+    }
+
     fn subscriber_up(&self) {
         let now_active = self.active_subscribers.fetch_add(1, Ordering::SeqCst) + 1;
         self.active_peak.fetch_max(now_active, Ordering::SeqCst);
+        self.changed.notify();
     }
 
     fn subscriber_down(&self) {
         self.active_subscribers.fetch_sub(1, Ordering::SeqCst);
+        self.changed.notify();
     }
 
     fn note_evicted(&self, reason: &EvictReason) {
@@ -170,6 +201,7 @@ impl LoopStats {
             }
             EvictReason::Shutdown => {}
         }
+        self.changed.notify();
     }
 }
 
@@ -831,7 +863,8 @@ impl<H: Handler> Reactor<H> {
     }
 
     /// Daemon shutdown: notify every live subscriber, grant one
-    /// `write_timeout` of grace to flush, then close everything.
+    /// `write_timeout` of grace to flush, close everything, and wake
+    /// the stats waiters.
     fn drain_all_and_exit(mut self) {
         let now = Instant::now();
         for idx in 0..self.conns.len() {
@@ -853,10 +886,7 @@ impl<H: Handler> Reactor<H> {
         }
         let deadline = now + self.config.write_timeout;
         let mut events = Events::with_capacity(256);
-        loop {
-            if self.conns.iter().all(Option::is_none) {
-                return;
-            }
+        while self.conns.iter().any(Option::is_some) {
             let now = Instant::now();
             if now >= deadline {
                 break;
@@ -873,6 +903,7 @@ impl<H: Handler> Reactor<H> {
         for idx in 0..self.conns.len() {
             self.close_conn(idx, true);
         }
+        self.stats.changed.notify();
     }
 }
 

@@ -42,6 +42,7 @@ pub mod log;
 pub mod net;
 pub mod proto;
 mod ring;
+mod signal;
 
 pub use client::{
     FrameCallback, ReconnectPolicy, RigCounts, RigFrameCallback, StreamClient, StreamClientConfig,

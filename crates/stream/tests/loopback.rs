@@ -25,17 +25,6 @@ fn bench_testbed() -> Testbed<BenchSetup> {
     .build()
 }
 
-fn wait_until(deadline: Duration, mut done: impl FnMut() -> bool) -> bool {
-    let end = Instant::now() + deadline;
-    while Instant::now() < end {
-        if done() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    done()
-}
-
 #[test]
 fn daemon_serves_mixed_rate_subscribers_and_evicts_stalled() {
     let mut tb = bench_testbed();
@@ -83,10 +72,7 @@ fn daemon_serves_mixed_rate_subscribers_and_evicts_stalled() {
         .unwrap();
 
     assert!(
-        wait_until(Duration::from_secs(10), || daemon
-            .stats()
-            .active_subscribers
-            == 8),
+        daemon.wait_stats(Duration::from_secs(10), |s| s.active_subscribers == 8),
         "all 8 subscribers should be accepted, stats: {:?}",
         daemon.stats()
     );
@@ -133,7 +119,7 @@ fn daemon_serves_mixed_rate_subscribers_and_evicts_stalled() {
     // Every healthy 20 kHz subscriber gets every frame, gap-free.
     for client in &fast {
         assert!(
-            wait_until(Duration::from_secs(30), || client.frames_received()
+            client.wait_until(Duration::from_secs(30), |c| c.frames_received()
                 >= frames_total),
             "20 kHz subscriber received {} of {frames_total}",
             client.frames_received()
@@ -167,8 +153,7 @@ fn daemon_serves_mixed_rate_subscribers_and_evicts_stalled() {
         let expect = frames_total / divisor;
         for client in clients.iter() {
             assert!(
-                wait_until(Duration::from_secs(30), || client.frames_received()
-                    >= expect),
+                client.wait_until(Duration::from_secs(30), |c| c.frames_received() >= expect),
                 "÷{divisor} subscriber received {} of {expect}",
                 client.frames_received()
             );
@@ -187,10 +172,7 @@ fn daemon_serves_mixed_rate_subscribers_and_evicts_stalled() {
     // (the evicted session's thread needs a moment to finish tearing
     // down before the subscriber count settles at 7).
     assert!(
-        wait_until(Duration::from_secs(10), || daemon
-            .stats()
-            .active_subscribers
-            == 7),
+        daemon.wait_stats(Duration::from_secs(10), |s| s.active_subscribers == 7),
         "evicted session should deregister, stats: {:?}",
         daemon.stats()
     );
@@ -204,10 +186,7 @@ fn daemon_serves_mixed_rate_subscribers_and_evicts_stalled() {
     drop(khz);
     drop(slow);
     assert!(
-        wait_until(Duration::from_secs(10), || daemon
-            .stats()
-            .active_subscribers
-            == 0),
+        daemon.wait_stats(Duration::from_secs(10), |s| s.active_subscribers == 0),
         "subscribers drain on disconnect"
     );
     drop(daemon);
@@ -278,7 +257,7 @@ fn persistently_lapped_subscriber_is_evicted() {
     assert_eq!(daemon.stats().evicted, 1, "gap budget exceeded → eviction");
     // The client reads promptly, so the Evicted notice reaches it.
     assert!(
-        wait_until(Duration::from_secs(10), || client.is_evicted()),
+        client.wait_until(Duration::from_secs(10), StreamClient::is_evicted),
         "client should learn of its eviction: {client:?}"
     );
     // The eviction notice carries the cause: the configured gap budget
@@ -385,7 +364,7 @@ fn replay_daemon_serves_archived_range_exactly() {
 
     // End of range closes the stream; the client observes it.
     assert!(
-        wait_until(Duration::from_secs(30), || !client.is_alive()),
+        client.wait_until(Duration::from_secs(30), |c| !c.is_alive()),
         "replay should end the stream"
     );
     let got = received.lock().unwrap().clone();
@@ -439,7 +418,7 @@ fn reconnecting_client_survives_daemon_bounce() {
     tb.advance_and_sync(&sensor, SimDuration::from_millis(50))
         .unwrap();
     assert!(
-        wait_until(Duration::from_secs(10), || client.frames_received() > 0),
+        client.wait_until(Duration::from_secs(10), |c| c.frames_received() > 0),
         "first incarnation delivers frames"
     );
     let before_bounce = client.frames_received();
@@ -454,12 +433,12 @@ fn reconnecting_client_survives_daemon_bounce() {
 
     // The client redials and resubscribes on its own.
     assert!(
-        wait_until(Duration::from_secs(10), || daemon2
-            .stats()
-            .active_subscribers
-            == 1),
+        daemon2.wait_stats(Duration::from_secs(10), |s| s.active_subscribers == 1),
         "client should reattach to the new daemon"
     );
+    // The daemon counts the subscriber before the client has read its
+    // Hello and counted the reconnect.
+    client.wait_until(Duration::from_secs(10), |c| c.reconnects() == 1);
     assert_eq!(client.reconnects(), 1);
     assert!(client.is_alive());
     assert!(!client.is_evicted(), "a bounce is not a for-cause eviction");
@@ -467,7 +446,7 @@ fn reconnecting_client_survives_daemon_bounce() {
     tb2.advance_and_sync(&sensor2, SimDuration::from_millis(50))
         .unwrap();
     assert!(
-        wait_until(Duration::from_secs(10), || client.frames_received()
+        client.wait_until(Duration::from_secs(10), |c| c.frames_received()
             > before_bounce),
         "second incarnation delivers frames to the same client"
     );
@@ -478,10 +457,7 @@ fn reconnecting_client_survives_daemon_bounce() {
 
     drop(client);
     assert!(
-        wait_until(Duration::from_secs(10), || daemon2
-            .stats()
-            .active_subscribers
-            == 0),
+        daemon2.wait_stats(Duration::from_secs(10), |s| s.active_subscribers == 0),
         "client drains from the new daemon on close"
     );
 }

@@ -5,7 +5,7 @@
 
 use std::fs::OpenOptions;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ps3_archive::{Archive, ArchiveFrame, SegmentWriter};
 use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
@@ -13,17 +13,6 @@ use ps3_stream::{
     EvictReason, StreamClient, StreamClientConfig, StreamDaemon, StreamDaemonConfig, StreamFrame,
 };
 use ps3_units::SimTime;
-
-fn wait_until(deadline: Duration, mut done: impl FnMut() -> bool) -> bool {
-    let end = Instant::now() + deadline;
-    while Instant::now() < end {
-        if done() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    done()
-}
 
 #[test]
 fn replay_of_truncated_archive_serves_recovered_prefix_and_closes_cleanly() {
@@ -106,7 +95,7 @@ fn replay_of_truncated_archive_serves_recovered_prefix_and_closes_cleanly() {
     // The replay ends by closing the ring; the client sees a clean
     // end-of-stream.
     assert!(
-        wait_until(Duration::from_secs(30), || !client.is_alive()),
+        client.wait_until(Duration::from_secs(30), |c| !c.is_alive()),
         "replay should end the stream"
     );
     let got = received.lock().unwrap().clone();

@@ -77,9 +77,7 @@ fn main() {
 
     // 5. Let the last batches drain, then report.
     let total = testbed.frames_emitted();
-    while native.frames_received() < total {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    native.wait_until(Duration::from_secs(30), |c| c.frames_received() >= total);
     println!(
         "device emitted {total} frames; 20 kHz client got {}, 1 kHz client {}, 10 Hz client {}",
         native.frames_received(),
