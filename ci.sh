@@ -59,6 +59,12 @@ stage_lint() {
   if grep -rn 'thread::sleep' crates/sim/src | grep -v '^crates/sim/src/inject.rs:'; then
     echo "thread::sleep in crates/sim/src outside inject.rs's injected stalls"; exit 1
   fi
+  # The raw-code -> volts conversion (paper §III-C) is written once:
+  # every other layer folds its frames through ps3_firmware::fold_pairs.
+  if grep -rn --include='*.rs' --exclude-dir=target --exclude-dir=.git 'to_volts(' . \
+      | grep -v -e '^\./crates/sensors/' -e '^\./crates/firmware/src/convert\.rs:'; then
+    echo "to_volts( outside crates/sensors/ and crates/firmware/src/convert.rs"; exit 1
+  fi
 }
 
 stage_bench() {

@@ -1,24 +1,86 @@
-//! Parser for PowerSensor3 continuous-mode dump files.
+//! Writer and parser for PowerSensor3 continuous-mode dump files.
 //!
-//! The host library's `dump_to` writer produces a line-oriented text
-//! format:
+//! The format is line-oriented text:
 //!
 //! ```text
 //! # PowerSensor3 dump (times in device µs)
 //! 1025 38.4000 2.1000 40.5000        <- t_us, per-pair W…, total W
 //! M 1075 k                           <- marker at t_us with label 'k'
+//! # end frames=1                     <- seal: the dump is complete
 //! ```
 //!
-//! [`parse_dump`] reads it back into a [`Trace`] (total power) plus the
-//! per-pair series, closing the capture-to-analysis loop without the
-//! device being attached.
+//! [`DumpWriter`] writes it — for the host library's live `dump_to`
+//! and for `ps3-arc cat` of an archive alike — and [`parse_dump`] reads
+//! it back into a [`Trace`] (total power) plus the per-pair series,
+//! closing the capture-to-analysis loop without the device being
+//! attached.
 
 use core::fmt;
 use std::error::Error;
+use std::io::{self, Write};
 
 use ps3_units::{SimTime, Watts};
 
 use crate::trace::Trace;
+
+/// Writes the continuous-mode dump format: the header on creation, one
+/// data line (plus a marker line when marked) per frame, and the
+/// `# end frames=N` seal that tells a complete dump from one cut short.
+/// Which per-pair columns a frame carries is the caller's choice.
+#[derive(Debug)]
+pub struct DumpWriter<W: Write> {
+    out: W,
+    frames: u64,
+}
+
+impl<W: Write> DumpWriter<W> {
+    /// Starts a dump by writing its header line.
+    ///
+    /// # Errors
+    ///
+    /// Any error writing to `out`.
+    pub fn new(mut out: W) -> io::Result<Self> {
+        writeln!(out, "# PowerSensor3 dump (times in device µs)")?;
+        Ok(Self { out, frames: 0 })
+    }
+
+    /// Writes one frame: `t_us`, each of `pairs` and `total` in watts
+    /// to four decimals, then `M t_us label` if the frame is marked.
+    ///
+    /// # Errors
+    ///
+    /// Any error writing to the underlying writer.
+    pub fn frame(
+        &mut self,
+        time: SimTime,
+        pairs: impl IntoIterator<Item = Watts>,
+        total: Watts,
+        marker: Option<char>,
+    ) -> io::Result<()> {
+        let t = time.as_micros();
+        write!(self.out, "{t}")?;
+        for watts in pairs {
+            write!(self.out, " {:.4}", watts.value())?;
+        }
+        writeln!(self.out, " {:.4}", total.value())?;
+        if let Some(label) = marker {
+            writeln!(self.out, "M {t} {label}")?;
+        }
+        self.frames += 1;
+        Ok(())
+    }
+
+    /// Writes the seal record, flushes, and hands back the writer.
+    ///
+    /// # Errors
+    ///
+    /// Any error writing to or flushing the underlying writer.
+    pub fn seal(mut self) -> io::Result<W> {
+        writeln!(self.out, "# end frames={}", self.frames)?;
+        self.out.flush()?;
+        Ok(self.out)
+    }
+}
 
 /// A parsed dump: the total-power trace plus per-pair power series.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -253,6 +315,35 @@ M 75 k
         // Only the *final* unterminated line gets the torn-tail pass.
         let err = parse_dump("25 1.0 2.0\n99 oops 3.0\n125 1.1 2.1").unwrap_err();
         assert_eq!(err, ParseDumpError::BadNumber { line: 2 });
+    }
+
+    #[test]
+    fn written_dump_parses_back() {
+        let mut writer = DumpWriter::new(Vec::new()).unwrap();
+        let rows = [(25, [10.5, 2.0], None), (75, [10.6, 2.1], Some('k'))];
+        for (t, pairs, marker) in rows {
+            let total = Watts::new(pairs[0] + pairs[1]);
+            let time = SimTime::from_micros(t);
+            writer
+                .frame(time, pairs.map(Watts::new), total, marker)
+                .unwrap();
+        }
+        let text = String::from_utf8(writer.seal().unwrap()).unwrap();
+        assert_eq!(
+            text,
+            "# PowerSensor3 dump (times in device µs)\n\
+             25 10.5000 2.0000 12.5000\n\
+             75 10.6000 2.1000 12.7000\n\
+             M 75 k\n\
+             # end frames=2\n"
+        );
+        let dump = parse_dump(&text).unwrap();
+        assert_eq!(dump.total.len(), 2);
+        assert_eq!(dump.pairs.len(), 2);
+        assert_eq!(dump.total.samples()[1].power, Watts::new(12.7));
+        assert_eq!(dump.pairs[1].samples()[0].power, Watts::new(2.0));
+        assert_eq!(dump.total.markers()[0].label, 'k');
+        assert_eq!(dump.total.markers()[0].time, SimTime::from_micros(75));
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! * [`pareto_front`] — non-dominated front for the auto-tuning scatter
 //!   plots (Fig 8 / Fig 10).
 //! * [`csv`] — a tiny hand-rolled CSV writer for experiment artifacts.
-//! * [`parse_dump`] — reads continuous-mode dump files back into
-//!   traces (capture once, analyse many).
+//! * [`DumpWriter`] / [`parse_dump`] — writes continuous-mode dump
+//!   files and reads them back into traces (capture once, analyse
+//!   many).
 //! * [`dominant_frequency`] — Goertzel-based tone detection for
 //!   periodic workloads (the Fig 5 modulation, GPU wave cadence).
 //!
@@ -39,7 +40,7 @@ mod stats;
 mod step;
 mod trace;
 
-pub use dump::{parse_dump, ParseDumpError, ParsedDump};
+pub use dump::{parse_dump, DumpWriter, ParseDumpError, ParsedDump};
 pub use pareto::{pareto_front, pareto_front_indices, ParetoPoint};
 pub use plot::{ascii_plot, ascii_trace};
 pub use spectrum::{dominant_frequency, goertzel_power};

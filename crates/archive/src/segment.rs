@@ -30,10 +30,8 @@
 //! archived traces round-trip the host-side labels that the device
 //! wire protocol itself cannot carry.
 
-use ps3_core::SENSOR_PAIRS;
-use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
-use ps3_sensors::AdcSpec;
-use ps3_units::{SimTime, Watts};
+use ps3_firmware::SENSOR_SLOTS;
+use ps3_units::SimTime;
 
 use crate::bits::{unzigzag64, zigzag64, BitReader, BitWriter};
 use crate::crc::crc32;
@@ -51,54 +49,13 @@ const DEFAULT_DELTA_US: u64 = 50;
 /// Unicode scalar values fit in 21 bits.
 const CHAR_BITS: u8 = 21;
 
-/// One archived sample frame — the durable form of
-/// [`ps3_core::FrameRecord`]: raw codes plus presence, so reads can
-/// re-derive physical units bit-identically with the stored sensor
-/// configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArchiveFrame {
-    /// Unwrapped device timestamp.
-    pub time: SimTime,
-    /// Raw 10-bit ADC code per slot (0 where absent).
-    pub raw: [u16; SENSOR_SLOTS],
-    /// Bit `i` set when slot `i` reported a sample in this frame.
-    pub present: u8,
-    /// Host-side marker label paired with this frame, if any.
-    pub marker: Option<char>,
-}
+/// One archived sample frame: the host's frame type, stored as is —
+/// raw codes plus presence, so reads re-derive physical units
+/// bit-identically with the stored sensor configuration
+/// ([`frame_total`]).
+pub use ps3_core::FrameRecord as ArchiveFrame;
 
-/// Total power of one archived frame, mirroring the live reader's
-/// accumulation (`finalize_frame` in `ps3-core`) exactly: pairs in
-/// ascending order, a pair contributes only when both its slots are
-/// enabled *and* present, additions in the same order — so the result
-/// is bit-identical to the live `Trace` sample.
-#[must_use]
-pub fn frame_total(
-    configs: &[SensorConfig; SENSOR_SLOTS],
-    adc: &AdcSpec,
-    frame: &ArchiveFrame,
-) -> Watts {
-    let mut total = Watts::zero();
-    for pair in 0..SENSOR_PAIRS {
-        let i_cfg = &configs[2 * pair];
-        let u_cfg = &configs[2 * pair + 1];
-        if !(i_cfg.enabled && u_cfg.enabled) {
-            continue;
-        }
-        if frame.present >> (2 * pair) & 0b11 != 0b11 {
-            continue;
-        }
-        let (_, _, watts) = ps3_core::pair_readings(
-            i_cfg,
-            u_cfg,
-            adc,
-            frame.raw[2 * pair],
-            frame.raw[2 * pair + 1],
-        );
-        total += watts;
-    }
-    total
-}
+pub use ps3_core::frame_total;
 
 /// Pre-aggregated statistics over one block of up to
 /// [`SUMMARY_FRAMES`] frames, stored uncompressed so range queries can

@@ -534,17 +534,7 @@ impl ArchiveWriter {
     /// returning `false`) once the writer fails or is finished.
     pub fn sink(&self) -> impl FnMut(&FrameRecord) -> bool + Send + 'static {
         let shared = Arc::clone(&self.shared);
-        move |record: &FrameRecord| {
-            Self::enqueue(
-                &shared,
-                ArchiveFrame {
-                    time: record.time,
-                    raw: record.raw,
-                    present: record.present,
-                    marker: record.marker,
-                },
-            )
-        }
+        move |record: &FrameRecord| Self::enqueue(&shared, *record)
     }
 
     /// Attaches this writer to a live sensor's acquisition path.

@@ -3,17 +3,19 @@
 //! A recorded byte stream (e.g. from
 //! [`RecordingTransport`](ps3_transport::RecordingTransport), a logic
 //! analyser on the real USB wire, or a file) can be decoded into a
-//! trace without a device attached. The decoding pipeline mirrors the
-//! live reader thread: framing-bit resynchronisation, timestamp
-//! unwrapping, per-pair conversion through the sensor configuration,
-//! and left-Riemann energy integration.
+//! trace without a device attached. Decoding runs the live reader's own
+//! frame path — the same byte→frame assembler and the same per-pair
+//! conversion fold — so it keeps the live reader's frame semantics,
+//! incomplete frames included, and yields exactly the frames and watts
+//! a live reader fed the same bytes would; only the left-Riemann energy
+//! integration is its own.
 
 use ps3_analysis::Trace;
-use ps3_firmware::protocol::{Packet, StreamDecoder, TimestampUnwrapper};
-use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
+use ps3_firmware::{fold_pairs, SensorConfig, SENSOR_SLOTS};
 use ps3_sensors::AdcSpec;
-use ps3_units::{Joules, SimDuration, SimTime, Watts};
+use ps3_units::{Joules, SimDuration, SimTime};
 
+use crate::frame::FrameAssembler;
 use crate::state::SENSOR_PAIRS;
 
 /// Result of decoding a capture.
@@ -23,11 +25,12 @@ pub struct OfflineDecode {
     /// [`decode_stream_with_labels`], or the placeholder `'?'` (the
     /// wire carries only the marker bit — labels live host-side).
     pub total: Trace,
-    /// Per-pair power traces (enabled pairs only, in pair order).
+    /// Per-pair power traces (enabled pairs only, in pair order). A
+    /// pair gets a sample in every frame that carries both its codes.
     pub pairs: Vec<(usize, Trace)>,
     /// Total energy by frame integration.
     pub energy: Joules,
-    /// Complete frames decoded.
+    /// Frames decoded.
     pub frames: u64,
     /// Framing resynchronisations the decoder needed (0 for a clean
     /// capture).
@@ -37,11 +40,13 @@ pub struct OfflineDecode {
 /// Decodes a raw device→host byte capture using the sensor
 /// configuration that was active when it was recorded.
 ///
-/// Incomplete frames (e.g. a capture cut mid-frame) are dropped;
-/// corrupted bytes cost at most the frame they occur in. Markers get
-/// the placeholder label `'?'`; use
-/// [`decode_stream_with_labels`] to restore the host-side labels from
-/// a sidecar.
+/// Frames follow the live reader's rules: a frame is kept once every
+/// enabled slot has reported, or when the next timestamp arrives with
+/// samples missing (corrupted or lost bytes), in which case its total
+/// sums the pairs that are present. A frame the capture cuts off
+/// before it completes is not kept. Markers get the placeholder label
+/// `'?'`; use [`decode_stream_with_labels`] to restore the host-side
+/// labels from a sidecar.
 #[must_use]
 pub fn decode_stream(bytes: &[u8], configs: &[SensorConfig; SENSOR_SLOTS]) -> OfflineDecode {
     decode_stream_with_labels(bytes, configs, &[])
@@ -62,100 +67,41 @@ pub fn decode_stream_with_labels(
     labels: &[char],
 ) -> OfflineDecode {
     let adc = AdcSpec::POWERSENSOR3;
-    let mut decoder = StreamDecoder::new();
-    let mut unwrapper = TimestampUnwrapper::new();
+    let mut assembler = FrameAssembler::new(configs);
     let mut total = Trace::new();
-    let enabled_pairs: Vec<usize> = (0..SENSOR_PAIRS)
-        .filter(|&p| configs[2 * p].enabled && configs[2 * p + 1].enabled)
-        .collect();
-    let mut pairs: Vec<(usize, Trace)> = enabled_pairs.iter().map(|&p| (p, Trace::new())).collect();
+    let mut pairs: [Trace; SENSOR_PAIRS] = Default::default();
     let mut energy = Joules::zero();
     let mut frames = 0u64;
+    let mut prev_time: Option<SimTime> = None;
     let mut next_label = labels.iter().copied();
 
-    let mut frame_time: Option<SimTime> = None;
-    let mut prev_time: Option<SimTime> = None;
-    let mut values: [Option<u16>; SENSOR_SLOTS] = [None; SENSOR_SLOTS];
-    let mut marker = false;
-
-    let mut finalize = |time: SimTime,
-                        values: &[Option<u16>; SENSOR_SLOTS],
-                        marker: bool,
-                        prev_time: &mut Option<SimTime>| {
-        let mut frame_total = Watts::zero();
-        let mut complete = true;
-        let mut pair_watts: Vec<(usize, Watts)> = Vec::with_capacity(enabled_pairs.len());
-        for &pair in &enabled_pairs {
-            let (Some(raw_i), Some(raw_u)) = (values[2 * pair], values[2 * pair + 1]) else {
-                complete = false;
-                break;
-            };
-            let i_cfg = &configs[2 * pair];
-            let u_cfg = &configs[2 * pair + 1];
-            let amps = (adc.to_volts(raw_i) - f64::from(i_cfg.vref) / 2.0) / f64::from(i_cfg.gain);
-            let volts = adc.to_volts(raw_u) * f64::from(u_cfg.gain);
-            let w = Watts::new(volts * amps);
-            frame_total += w;
-            pair_watts.push((pair, w));
-        }
-        if !complete {
-            return;
-        }
+    for frame in bytes.iter().filter_map(|&byte| assembler.push(byte)) {
+        let time = frame.time;
+        let watts = fold_pairs(configs, &adc, &frame.raw, frame.present, |pair, _, _, w| {
+            pairs[pair].push(time, w);
+        });
         let dt = prev_time
             .map(|p| time.saturating_duration_since(p))
             .unwrap_or(SimDuration::ZERO);
-        *prev_time = Some(time);
-        energy += frame_total * dt;
-        total.push(time, frame_total);
-        if marker {
+        prev_time = Some(time);
+        energy += watts * dt;
+        total.push(time, watts);
+        if frame.marker.is_some() {
             total.mark(time, next_label.next().unwrap_or('?'));
         }
-        for ((_, trace), (_, w)) in pairs.iter_mut().zip(pair_watts) {
-            trace.push(time, w);
-        }
         frames += 1;
-    };
-
-    for &byte in bytes {
-        let Some(packet) = decoder.push(byte) else {
-            continue;
-        };
-        match packet {
-            Packet::Timestamp { micros } => {
-                // A timestamp opens a new frame: flush the previous one.
-                if let Some(t) = frame_time.take() {
-                    finalize(t, &values, marker, &mut prev_time);
-                }
-                values = [None; SENSOR_SLOTS];
-                marker = false;
-                frame_time = Some(SimTime::from_micros(unwrapper.unwrap(micros)));
-            }
-            Packet::Sample {
-                sensor,
-                marker: m,
-                value,
-            } => {
-                values[sensor as usize] = Some(value);
-                if m && sensor == 0 {
-                    marker = true;
-                }
-            }
-        }
     }
-    // Flush the last complete frame.
-    if let Some(t) = frame_time {
-        finalize(t, &values, marker, &mut prev_time);
-    }
-    // `finalize` holds the mutable borrows; end its scope explicitly.
-    #[allow(clippy::drop_non_drop)]
-    drop(finalize);
 
     OfflineDecode {
         total,
-        pairs,
+        pairs: pairs
+            .into_iter()
+            .enumerate()
+            .filter(|(p, _)| configs[2 * p].enabled && configs[2 * p + 1].enabled)
+            .collect(),
         energy,
         frames,
-        resyncs: decoder.resync_count(),
+        resyncs: assembler.resyncs(),
     }
 }
 
@@ -193,6 +139,7 @@ pub fn parse_label_sidecar(text: &str) -> Vec<char> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ps3_firmware::protocol::Packet;
 
     fn configs_one_pair() -> [SensorConfig; SENSOR_SLOTS] {
         let mut configs: [SensorConfig; SENSOR_SLOTS] =
@@ -249,7 +196,7 @@ mod tests {
         let mut bytes = synthetic_stream(10);
         bytes.truncate(bytes.len() - 3); // cut mid-frame
         let decoded = decode_stream(&bytes, &configs_one_pair());
-        assert_eq!(decoded.frames, 9, "incomplete last frame dropped");
+        assert_eq!(decoded.frames, 9, "the cut-off last frame is not kept");
     }
 
     #[test]

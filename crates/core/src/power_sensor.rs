@@ -9,34 +9,18 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use ps3_analysis::Trace;
-use ps3_firmware::protocol::{opcode, Command, Packet, StreamDecoder, TimestampUnwrapper};
-use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
+use ps3_analysis::{DumpWriter, Trace};
+use ps3_firmware::protocol::{opcode, Command};
+use ps3_firmware::{fold_pairs, SensorConfig, SENSOR_SLOTS};
 use ps3_sensors::AdcSpec;
 use ps3_transport::{Transport, TransportError};
-use ps3_units::{Joules, SimDuration, SimTime, Watts};
+use ps3_units::{Joules, SimDuration, SimTime};
 
-use crate::convert::pair_readings;
 use crate::error::PowerSensorError;
+use crate::frame::{FrameAssembler, FrameRecord};
 use crate::state::{PairState, State};
 
 pub use crate::state::SENSOR_PAIRS;
-
-/// One fully assembled 20 kHz sample frame, as delivered to frame
-/// sinks (see [`PowerSensor::add_frame_sink`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FrameRecord {
-    /// Unwrapped device timestamp of the frame.
-    pub time: SimTime,
-    /// Raw 10-bit ADC code per sensor slot (0 where absent).
-    pub raw: [u16; SENSOR_SLOTS],
-    /// Bit `i` set when slot `i` reported a sample in this frame.
-    pub present: u8,
-    /// Host-side marker label paired with this frame, if any.
-    pub marker: Option<char>,
-    /// Total power across enabled pairs.
-    pub total: Watts,
-}
 
 /// Callback receiving every assembled frame; return `false` to
 /// deregister.
@@ -86,12 +70,11 @@ struct Inner {
     state: State,
     configs: [SensorConfig; SENSOR_SLOTS],
     adc: AdcSpec,
-    unwrapper: TimestampUnwrapper,
+    assembler: FrameAssembler,
     prev_frame_time: Option<SimTime>,
-    frame: FrameAssembly,
     marker_labels: VecDeque<char>,
     trace: Option<Trace>,
-    dump: Option<DumpState>,
+    dump: Option<DumpWriter<std::io::BufWriter<Box<dyn Write + Send>>>>,
     raw_capture: Option<RawCaptureState>,
     sinks: Vec<FrameSink>,
     /// Bumped each time the reader, with a drain waiter registered,
@@ -113,38 +96,6 @@ impl core::fmt::Debug for Inner {
         f.debug_struct("Inner")
             .field("state", &self.state)
             .finish_non_exhaustive()
-    }
-}
-
-/// Continuous-mode dump writer plus the line count it has produced,
-/// so the seal record can state how many frames a complete dump holds.
-struct DumpState {
-    writer: std::io::BufWriter<Box<dyn Write + Send>>,
-    frames: u64,
-}
-
-impl DumpState {
-    /// Writes the seal record and flushes. A dump without this final
-    /// `# end frames=N` line was cut short (process killed mid-write).
-    fn seal(mut self) {
-        let _ = writeln!(self.writer, "# end frames={}", self.frames);
-        let _ = self.writer.flush();
-    }
-}
-
-struct FrameAssembly {
-    time: Option<SimTime>,
-    values: [Option<u16>; SENSOR_SLOTS],
-    marker: bool,
-}
-
-impl FrameAssembly {
-    fn empty() -> Self {
-        Self {
-            time: None,
-            values: [None; SENSOR_SLOTS],
-            marker: false,
-        }
     }
 }
 
@@ -233,11 +184,10 @@ impl PowerSensor {
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
                 state: State::default(),
-                configs: configs.clone(),
+                assembler: FrameAssembler::new(&configs),
+                configs,
                 adc: AdcSpec::POWERSENSOR3,
-                unwrapper: TimestampUnwrapper::new(),
                 prev_frame_time: None,
-                frame: FrameAssembly::empty(),
                 marker_labels: VecDeque::new(),
                 trace: None,
                 dump: None,
@@ -352,15 +302,14 @@ impl PowerSensor {
     /// sensor) flushes it and appends a `# end frames=N` seal line so
     /// readers can tell a complete dump from one cut short by a crash.
     pub fn dump_to<W: Write + Send + 'static>(&self, writer: W) {
-        let mut writer = std::io::BufWriter::new(Box::new(writer) as Box<dyn Write + Send>);
-        let _ = writeln!(writer, "# PowerSensor3 dump (times in device µs)");
-        self.shared.inner.lock().dump = Some(DumpState { writer, frames: 0 });
+        let writer = std::io::BufWriter::new(Box::new(writer) as Box<dyn Write + Send>);
+        self.shared.inner.lock().dump = DumpWriter::new(writer).ok();
     }
 
     /// Stops dumping, appends the seal line, and flushes the writer.
     pub fn stop_dump(&self) {
-        if let Some(state) = self.shared.inner.lock().dump.take() {
-            state.seal();
+        if let Some(dump) = self.shared.inner.lock().dump.take() {
+            let _ = dump.seal();
         }
     }
 
@@ -444,13 +393,14 @@ impl PowerSensor {
             )?;
         }
         {
-            let mut inner = self.shared.inner.lock();
+            let mut guard = self.shared.inner.lock();
+            let inner = &mut *guard;
             for (slot, cfg) in updates {
                 inner.configs[*slot] = cfg.clone();
             }
             // The stream pauses: restart interval accounting cleanly.
             inner.prev_frame_time = None;
-            inner.frame = FrameAssembly::empty();
+            inner.assembler.reset_frame(&inner.configs);
         }
         self.transport
             .write_all(&Command::StartStreaming.encode())?;
@@ -480,9 +430,10 @@ impl PowerSensor {
     /// Transport failure if the link is down.
     pub fn resume_stream(&self) -> Result<(), PowerSensorError> {
         {
-            let mut inner = self.shared.inner.lock();
+            let mut guard = self.shared.inner.lock();
+            let inner = &mut *guard;
             inner.prev_frame_time = None;
-            inner.frame = FrameAssembly::empty();
+            inner.assembler.reset_frame(&inner.configs);
         }
         self.transport
             .write_all(&Command::StartStreaming.encode())?;
@@ -583,7 +534,7 @@ impl Drop for PowerSensor {
             let _ = handle.join();
         }
         if let Some(dump) = self.shared.inner.lock().dump.take() {
-            dump.seal();
+            let _ = dump.seal();
         }
     }
 }
@@ -650,7 +601,6 @@ fn read_with_deadline(
 
 /// The background reader: decodes the stream and maintains state.
 fn reader_loop(transport: &dyn Transport, shared: &Shared) {
-    let mut decoder = StreamDecoder::new();
     let mut buf = [0u8; 4096];
     let mut version_pending: Option<(usize, Vec<u8>)> = None;
     while !shared.stop.load(Ordering::SeqCst) {
@@ -698,8 +648,8 @@ fn reader_loop(transport: &dyn Transport, shared: &Shared) {
                 }
                 let byte = bytes[0];
                 bytes = &bytes[1..];
-                if let Some(packet) = decoder.push(byte) {
-                    handle_packet(shared, &mut inner, packet);
+                if let Some(frame) = inner.assembler.push(byte) {
+                    finalize_frame(shared, &mut inner, frame);
                 }
             }
             // Every byte read is decoded: for a registered drain
@@ -714,81 +664,51 @@ fn reader_loop(transport: &dyn Transport, shared: &Shared) {
     shared.changed.notify_all();
 }
 
-fn handle_packet(shared: &Shared, inner: &mut Inner, packet: Packet) {
-    match packet {
-        Packet::Timestamp { micros } => {
-            // A timestamp opens a new frame; finalise the previous one.
-            finalize_frame(shared, inner);
-            let abs = inner.unwrapper.unwrap(micros);
-            inner.frame.time = Some(SimTime::from_micros(abs));
-        }
-        Packet::Sample {
-            sensor,
-            marker,
-            value,
-        } => {
-            inner.frame.values[sensor as usize] = Some(value);
-            if marker && sensor == 0 {
-                inner.frame.marker = true;
-            }
-            // Finalise eagerly once every enabled slot has reported, so
-            // state updates land one frame earlier than waiting for the
-            // next timestamp.
-            let complete = inner.frame.time.is_some()
-                && (0..SENSOR_SLOTS)
-                    .all(|s| !inner.configs[s].enabled || inner.frame.values[s].is_some());
-            if complete {
-                finalize_frame(shared, inner);
-            }
-        }
-    }
-}
-
-fn finalize_frame(shared: &Shared, inner: &mut Inner) {
-    let Some(time) = inner.frame.time else {
-        inner.frame = FrameAssembly::empty();
-        return;
-    };
-    let values = inner.frame.values;
-    let had_marker = inner.frame.marker;
-    inner.frame = FrameAssembly::empty();
-
+/// Folds one assembled frame into the live state and hands it to every
+/// continuous-mode consumer: trace, dump and frame sinks.
+fn finalize_frame(shared: &Shared, inner: &mut Inner, mut frame: FrameRecord) {
+    let time = frame.time;
     let dt = inner
         .prev_frame_time
         .map(|prev| time.saturating_duration_since(prev))
         .unwrap_or(SimDuration::ZERO);
     inner.prev_frame_time = Some(time);
 
-    let adc = inner.adc;
-    let mut total_power = Watts::zero();
-    let mut pair_updates: [Option<PairState>; SENSOR_PAIRS] = [None; SENSOR_PAIRS];
-    for pair in 0..SENSOR_PAIRS {
-        let i_cfg = &inner.configs[2 * pair];
-        let u_cfg = &inner.configs[2 * pair + 1];
-        if !(i_cfg.enabled && u_cfg.enabled) {
-            continue;
-        }
-        let (Some(raw_i), Some(raw_u)) = (values[2 * pair], values[2 * pair + 1]) else {
-            continue;
-        };
-        let (volts, amps, watts) = pair_readings(i_cfg, u_cfg, &adc, raw_i, raw_u);
-        total_power += watts;
-        let prev_energy = inner.state.pairs[pair].energy;
-        pair_updates[pair] = Some(PairState {
-            enabled: true,
-            volts,
-            amps,
-            watts,
-            energy: prev_energy + watts * dt,
-        });
+    let state = &mut inner.state;
+    let mut delta_energy = Joules::zero();
+    let total_power = fold_pairs(
+        &inner.configs,
+        &inner.adc,
+        &frame.raw,
+        frame.present,
+        |pair, volts, amps, watts| {
+            let prev_energy = state.pairs[pair].energy;
+            let energy = prev_energy + watts * dt;
+            delta_energy += energy - prev_energy;
+            state.pairs[pair] = PairState {
+                enabled: true,
+                volts,
+                amps,
+                watts,
+                energy,
+            };
+        },
+    );
+    let present = |slot: usize| frame.present >> slot & 1 == 1;
+    for slot in (0..SENSOR_SLOTS).filter(|&s| present(s)) {
+        state.raw[slot] = frame.raw[slot];
     }
+    state.total_energy += delta_energy;
+    state.timestamp = time;
+    state.frames += 1;
+    shared.frames.fetch_add(1, Ordering::SeqCst);
 
     // Raw-capture accumulation.
     if let Some(cap) = &mut inner.raw_capture {
         if !cap.done {
             for (slot, sum) in cap.sums.iter_mut().enumerate() {
-                if let Some(v) = values[slot] {
-                    *sum += f64::from(v);
+                if present(slot) {
+                    *sum += f64::from(frame.raw[slot]);
                 }
             }
             cap.count += 1;
@@ -799,73 +719,23 @@ fn finalize_frame(shared: &Shared, inner: &mut Inner) {
         }
     }
 
-    // Commit state.
-    let mut delta_energy = Joules::zero();
-    for (pair, update) in pair_updates.into_iter().enumerate() {
-        if let Some(p) = update {
-            delta_energy += p.energy - inner.state.pairs[pair].energy;
-            inner.state.pairs[pair] = p;
-        }
-    }
-    for (slot, value) in values.iter().enumerate() {
-        if let Some(v) = value {
-            inner.state.raw[slot] = *v;
-        }
-    }
-    inner.state.total_energy += delta_energy;
-    inner.state.timestamp = time;
-    inner.state.frames += 1;
-    shared.frames.fetch_add(1, Ordering::SeqCst);
-
-    // Markers.
-    let marker_label = if had_marker {
-        Some(inner.marker_labels.pop_front().unwrap_or('?'))
-    } else {
-        None
-    };
+    // Markers: the wire carries only the bit; labels live host-side.
+    frame.marker = frame
+        .marker
+        .map(|_| inner.marker_labels.pop_front().unwrap_or('?'));
 
     // Continuous-mode consumers.
     if let Some(trace) = &mut inner.trace {
         trace.push(time, total_power);
-        if let Some(label) = marker_label {
+        if let Some(label) = frame.marker {
             trace.mark(time, label);
         }
     }
-    let pairs_snapshot = inner.state.pairs;
     if let Some(dump) = &mut inner.dump {
-        let mut line = String::new();
-        use core::fmt::Write as _;
-        let _ = write!(line, "{}", time.as_micros());
-        for p in &pairs_snapshot {
-            if p.enabled {
-                let _ = write!(line, " {:.4}", p.watts.value());
-            }
-        }
-        let _ = writeln!(line, " {:.4}", total_power.value());
-        let _ = dump.writer.write_all(line.as_bytes());
-        if let Some(label) = marker_label {
-            let _ = writeln!(dump.writer, "M {} {label}", time.as_micros());
-        }
-        dump.frames += 1;
+        let pairs = inner.state.pairs.iter().filter(|p| p.enabled);
+        let _ = dump.frame(time, pairs.map(|p| p.watts), total_power, frame.marker);
     }
-    if !inner.sinks.is_empty() {
-        let mut raw = [0u16; SENSOR_SLOTS];
-        let mut present = 0u8;
-        for (slot, value) in values.iter().enumerate() {
-            if let Some(v) = value {
-                raw[slot] = *v;
-                present |= 1 << slot;
-            }
-        }
-        let record = FrameRecord {
-            time,
-            raw,
-            present,
-            marker: marker_label,
-            total: total_power,
-        };
-        inner.sinks.retain_mut(|sink| sink(&record));
-    }
+    inner.sinks.retain_mut(|sink| sink(&frame));
     // Waiters are woken once per read chunk (in `reader_loop`), not
     // per frame here.
 }
@@ -1112,10 +982,12 @@ mod tests {
         let ps = PowerSensor::connect(host_end).unwrap();
         let seen = Arc::new(AtomicU64::new(0));
         let seen2 = Arc::clone(&seen);
+        let configs = ps.configs();
         // This sink detaches itself after 10 frames.
         ps.add_frame_sink(move |record| {
             assert!(record.present & 0b11 == 0b11, "pair 0 samples present");
-            assert!((record.total.value() - 24.0).abs() < 0.5);
+            let total = crate::frame_total(&configs, &AdcSpec::POWERSENSOR3, record);
+            assert!((total.value() - 24.0).abs() < 0.5);
             seen2.fetch_add(1, Ordering::SeqCst) < 9
         });
         h.advance(SimDuration::from_millis(10));

@@ -4,6 +4,7 @@ use ps3_transport::{Transport, TransportError};
 use ps3_units::{SimDuration, SimTime};
 
 use crate::adc::{AdcSequencer, AnalogSource};
+use crate::convert::fold_pairs;
 use crate::display::{Display, PairReadout};
 use crate::eeprom::{Eeprom, SENSOR_SLOTS};
 use crate::protocol::{opcode, Command, CommandParser, Packet, VALUE_MASK};
@@ -297,27 +298,25 @@ impl<S: AnalogSource> Device<S> {
         if !self.display.due(frame.end) {
             return;
         }
-        let adc = *self.sequencer.spec();
         let mut pairs = [PairReadout {
             volts: 0.0,
             amps: 0.0,
         }; SENSOR_SLOTS / 2];
         let mut used = 0;
-        let mut total = 0.0;
-        for pair in 0..SENSOR_SLOTS / 2 {
-            let i_cfg = self.eeprom.read(2 * pair);
-            let u_cfg = self.eeprom.read(2 * pair + 1);
-            if !(i_cfg.enabled && u_cfg.enabled) {
-                continue;
-            }
-            let v_i = adc.to_volts(frame.values[2 * pair]);
-            let v_u = adc.to_volts(frame.values[2 * pair + 1]);
-            let amps = (v_i - f64::from(i_cfg.vref) / 2.0) / f64::from(i_cfg.gain);
-            let volts = v_u * f64::from(u_cfg.gain);
-            total += volts * amps;
-            pairs[used] = PairReadout { volts, amps };
-            used += 1;
-        }
+        let total = fold_pairs(
+            self.eeprom.slots(),
+            self.sequencer.spec(),
+            &frame.values,
+            u8::MAX,
+            |_, volts, amps, _| {
+                pairs[used] = PairReadout {
+                    volts: volts.value(),
+                    amps: amps.value(),
+                };
+                used += 1;
+            },
+        )
+        .value();
         self.display.update(frame.end, total, &pairs[..used]);
     }
 

@@ -13,6 +13,9 @@
 //!   reboot).
 //! * [`Eeprom`] / [`SensorConfig`] — the virtual EEPROM holding
 //!   per-sensor conversion values (§III-B1).
+//! * [`fold_pairs`] / [`pair_readings`] — the §III-C conversion from
+//!   raw codes to volts, amps and watts: the one copy every host-side
+//!   layer and the status display use.
 //! * [`AdcSequencer`] — 10-bit conversions at 25 ADC clocks each
 //!   (24 MHz clock), eight channels, six-fold averaging → one frame
 //!   every 50 µs, i.e. the paper's 20 kHz sampling rate.
@@ -32,6 +35,7 @@
 #![forbid(unsafe_code)]
 
 mod adc;
+mod convert;
 mod device;
 mod display;
 mod driver;
@@ -40,6 +44,7 @@ pub mod font;
 pub mod protocol;
 
 pub use adc::{AdcSequencer, AnalogSource, Frame, FRAME_INTERVAL};
+pub use convert::{fold_pairs, pair_readings};
 pub use device::{Device, DeviceMode, COMMAND_POLL_FRAMES, FIRMWARE_VERSION};
 pub use display::{Display, Framebuffer, PairReadout, DISPLAY_H, DISPLAY_W};
 pub use driver::DeviceThread;

@@ -394,12 +394,7 @@ fn build_rig(
             if !alive.load(Ordering::SeqCst) || ring.is_closed() {
                 return false;
             }
-            ring.publish(&StreamFrame {
-                time: record.time,
-                raw: record.raw,
-                present: record.present,
-                marker: record.marker.is_some(),
-            });
+            ring.publish(&StreamFrame::from(record));
             waker.wake();
             true
         });

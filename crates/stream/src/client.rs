@@ -4,7 +4,7 @@
 //! A [`StreamClient`] subscribes with a pair mask and a rate divisor,
 //! converts raw codes to physical readings locally (using the sensor
 //! configuration carried in the `Hello` message and the same
-//! [`ps3_core::pair_readings`] math the host library uses), and
+//! [`ps3_firmware::fold_pairs`] the host library uses), and
 //! implements [`ps3_pmt::PowerMeter`] so a networked sensor plugs into
 //! everything PMT-based.
 //!
@@ -37,8 +37,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use ps3_core::pair_readings;
-use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
+use ps3_firmware::{fold_pairs, SensorConfig, SENSOR_SLOTS};
 use ps3_pmt::PowerMeter;
 use ps3_sensors::AdcSpec;
 use ps3_units::{SimDuration, SimTime, Watts};
@@ -434,28 +433,6 @@ impl PowerMeter for StreamClient {
     }
 }
 
-/// Total power over the pairs present in `frame`, converted with the
-/// announced configuration — the same math as the host library.
-fn frame_watts(frame: &StreamFrame, configs: &[SensorConfig; SENSOR_SLOTS]) -> Watts {
-    let adc = AdcSpec::POWERSENSOR3;
-    let mut total = Watts::zero();
-    for pair in 0..SENSOR_SLOTS / 2 {
-        let (i_slot, u_slot) = (2 * pair, 2 * pair + 1);
-        let pair_bits = (1 << i_slot) | (1 << u_slot);
-        if frame.present & pair_bits != pair_bits {
-            continue;
-        }
-        let i_cfg = &configs[i_slot];
-        let u_cfg = &configs[u_slot];
-        if !(i_cfg.enabled && u_cfg.enabled) {
-            continue;
-        }
-        let (_, _, watts) = pair_readings(i_cfg, u_cfg, &adc, frame.raw[i_slot], frame.raw[u_slot]);
-        total += watts;
-    }
-    total
-}
-
 /// Dials the first address that answers and completes the
 /// Subscribe → Hello handshake.
 #[allow(clippy::type_complexity)]
@@ -622,7 +599,14 @@ fn deliver(
         }
     }
     if let Some(frame) = frames.last() {
-        *shared.last.lock() = Some((*frame, frame_watts(frame, configs)));
+        let watts = fold_pairs(
+            configs,
+            &AdcSpec::POWERSENSOR3,
+            &frame.raw,
+            frame.present,
+            |_, _, _, _| {},
+        );
+        *shared.last.lock() = Some((*frame, watts));
     }
     if let Some(rig) = rig {
         let mut counts = shared.rig_counts.lock();

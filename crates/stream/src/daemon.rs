@@ -138,12 +138,7 @@ impl StreamDaemon {
                     waker.wake();
                     return false;
                 }
-                ring.publish(&StreamFrame {
-                    time: record.time,
-                    raw: record.raw,
-                    present: record.present,
-                    marker: record.marker.is_some(),
-                });
+                ring.publish(&StreamFrame::from(record));
                 waker.wake();
                 true
             });
@@ -489,12 +484,7 @@ fn replay_pump(
                     }
                 }
             }
-            shared.ring.publish(&StreamFrame {
-                time: frame.time,
-                raw: frame.raw,
-                present: frame.present,
-                marker: frame.marker.is_some(),
-            });
+            shared.ring.publish(&StreamFrame::from(&frame));
             shared.waker.wake();
         }
     }

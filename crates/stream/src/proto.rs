@@ -27,6 +27,7 @@
 
 use std::io::{self, Read, Write};
 
+use ps3_core::FrameRecord;
 use ps3_firmware::protocol::Packet;
 use ps3_firmware::{SensorConfig, CONFIG_WIRE_SIZE, SENSOR_SLOTS};
 use ps3_units::SimTime;
@@ -61,6 +62,20 @@ impl StreamFrame {
             raw: [0; SENSOR_SLOTS],
             present: 0,
             marker: false,
+        }
+    }
+}
+
+/// The acquisition tap's conversion: a host frame as it enters the
+/// broadcast ring (the marker label stays host-side; the wire carries
+/// only the flag).
+impl From<&FrameRecord> for StreamFrame {
+    fn from(record: &FrameRecord) -> Self {
+        Self {
+            time: record.time,
+            raw: record.raw,
+            present: record.present,
+            marker: record.marker.is_some(),
         }
     }
 }

@@ -25,22 +25,19 @@
 //! 64mb`); `verify` deep-checks every segment and fails when the file
 //! holds damage or an unsealed tail.
 
-use std::io::Write;
 use std::process::ExitCode;
 
-use powersensor3::archive::{
-    frame_total, Archive, ArchiveWriter, ArchiveWriterOptions, WriterStats,
-};
-use powersensor3::core::pair_readings;
+use powersensor3::analysis::DumpWriter;
+use powersensor3::archive::{Archive, ArchiveWriter, ArchiveWriterOptions, WriterStats};
 use powersensor3::duts::LoadProgram;
-use powersensor3::firmware::SENSOR_SLOTS;
+use powersensor3::firmware::{fold_pairs, SENSOR_SLOTS};
 use powersensor3::sensors::ModuleKind;
 use powersensor3::testbed::setups::accuracy_bench;
 use powersensor3::tsdb::{
     compact_archive, pyramid_path_for, retain_archive, CompactOptions, Pyramid, PyramidConfig,
     Retention, Tsdb, DEFAULT_COMPACT_TARGET_FRAMES,
 };
-use powersensor3::units::{Amps, SimDuration, SimTime};
+use powersensor3::units::{Amps, SimDuration, SimTime, Watts};
 
 const SENSOR_PAIRS: usize = SENSOR_SLOTS / 2;
 
@@ -340,17 +337,12 @@ fn cmd_info(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_cat(args: &[String]) -> Result<ExitCode, String> {
     let archive = open(args)?;
     let (start, end) = range(args, &archive);
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
-    let adc = *archive.adc();
-    let configs = archive.configs().clone();
-
-    let emit = (|| -> std::io::Result<u64> {
-        writeln!(out, "# PowerSensor3 dump (times in device µs)")?;
-        let mut lines = 0u64;
+    let (configs, adc) = (archive.configs(), archive.adc());
+    let emit = (|| -> std::io::Result<()> {
+        let mut dump = DumpWriter::new(std::io::BufWriter::new(std::io::stdout().lock()))?;
         // Per-pair last readings mirror the live sensor's pair state:
         // a pair's column appears once it has reported at least once.
-        let mut last: [Option<f64>; SENSOR_PAIRS] = [None; SENSOR_PAIRS];
+        let mut last: [Option<Watts>; SENSOR_PAIRS] = [None; SENSOR_PAIRS];
         for meta in archive.segments() {
             if meta.header.end_us < start.as_micros() || meta.header.start_us >= end.as_micros() {
                 continue;
@@ -365,38 +357,18 @@ fn cmd_cat(args: &[String]) -> Result<ExitCode, String> {
                 if frame.time >= end {
                     break;
                 }
-                for pair in 0..SENSOR_PAIRS {
-                    let (i_cfg, u_cfg) = (&configs[2 * pair], &configs[2 * pair + 1]);
-                    if !(i_cfg.enabled && u_cfg.enabled) {
-                        continue;
-                    }
-                    let both = 0b11 << (2 * pair);
-                    if frame.present & both == both {
-                        let (_, _, watts) = pair_readings(
-                            i_cfg,
-                            u_cfg,
-                            &adc,
-                            frame.raw[2 * pair],
-                            frame.raw[2 * pair + 1],
-                        );
-                        last[pair] = Some(watts.value());
-                    }
-                }
-                let total = frame_total(&configs, &adc, &frame);
-                write!(out, "{}", frame.time.as_micros())?;
-                for watts in last.iter().flatten() {
-                    write!(out, " {watts:.4}")?;
-                }
-                writeln!(out, " {:.4}", total.value())?;
-                if let Some(label) = frame.marker {
-                    writeln!(out, "M {} {label}", frame.time.as_micros())?;
-                }
-                lines += 1;
+                let total = fold_pairs(configs, adc, &frame.raw, frame.present, |pair, _, _, w| {
+                    last[pair] = Some(w);
+                });
+                dump.frame(
+                    frame.time,
+                    last.iter().flatten().copied(),
+                    total,
+                    frame.marker,
+                )?;
             }
         }
-        writeln!(out, "# end frames={lines}")?;
-        out.flush()?;
-        Ok(lines)
+        dump.seal().map(drop)
     })();
     emit.map_err(|e| e.to_string())?;
     Ok(ExitCode::SUCCESS)
