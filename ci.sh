@@ -108,6 +108,21 @@ stage_archive() {
   ./target/release/ps3-arc export-csv target/ci-arc/cap.ps3a \
     --divisor 100 --out target/ci-arc/cap.csv 2>/dev/null
   test -s target/ci-arc/cap.csv || { echo "export-csv produced nothing"; exit 1; }
+  # Queries decode only the summary blocks a range cuts through. On
+  # ranges inside a block, across a block boundary (segment 0's block 0
+  # into its 24-frame tail block), inside that tail block and across
+  # segments, the fast engine must print exactly what the decode engine
+  # (whole-segment decodes) prints.
+  for range in "10025 30025" "51000 53000" "52100 53100" "52500 60000" \
+      "40000 110000"; do
+    set -- $range
+    ./target/release/ps3-arc stats target/ci-arc/cap.ps3a --engine fast \
+      --start "$1" --end "$2" >target/ci-arc/stats-fast.txt
+    ./target/release/ps3-arc stats target/ci-arc/cap.ps3a --engine decode \
+      --start "$1" --end "$2" >target/ci-arc/stats-dec.txt
+    cmp target/ci-arc/stats-fast.txt target/ci-arc/stats-dec.txt \
+      || { echo "engines disagree on [$1, $2) us"; exit 1; }
+  done
   # Tear the tail off the archive (simulated crash mid-write): verify
   # must flag it with a nonzero exit; info must still open the file.
   cp target/ci-arc/cap.ps3a target/ci-arc/torn.ps3a

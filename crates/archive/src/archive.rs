@@ -16,6 +16,7 @@
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
@@ -26,37 +27,11 @@ use ps3_units::SimTime;
 
 use crate::crc::crc32;
 use crate::format::{
-    decode_file_header, read_u32, ArchiveError, FILE_HEADER_SIZE, MARKER_WIRE_SIZE, SEAL_MAGIC,
-    SEGMENT_HEADER_SIZE, SEGMENT_TRAILER_SIZE, SUMMARY_WIRE_SIZE,
+    decode_file_header, read_u32, ArchiveError, FILE_HEADER_SIZE, SEAL_MAGIC, SEGMENT_HEADER_SIZE,
+    SEGMENT_TRAILER_SIZE,
 };
 use crate::index::{index_path_for, ArchiveIndex};
-use crate::segment::{
-    build_summaries, decode_payload, frame_total, parse_markers, parse_summaries, ArchiveFrame,
-    SegmentHeader, SummaryBlock,
-};
-
-/// Where a sealed segment lives and what it covers — everything a
-/// query needs short of the payload itself.
-#[derive(Debug, Clone)]
-pub struct SegmentMeta {
-    /// Byte offset of the segment header in the archive file.
-    pub offset: u64,
-    /// The parsed fixed header.
-    pub header: SegmentHeader,
-    /// The segment's pre-aggregated summary blocks.
-    pub summaries: Vec<SummaryBlock>,
-    /// The segment's marker table: `(time µs, label)`.
-    pub markers: Vec<(u64, char)>,
-}
-
-impl SegmentMeta {
-    fn payload_offset(&self) -> u64 {
-        self.offset
-            + (SEGMENT_HEADER_SIZE
-                + self.header.summary_count as usize * SUMMARY_WIRE_SIZE
-                + self.header.marker_count as usize * MARKER_WIRE_SIZE) as u64
-    }
-}
+use crate::segment::{build_summaries, frame_total, ArchiveFrame, SegmentHeader, SegmentMeta};
 
 /// How an archive was opened and what, if anything, was left behind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,8 +138,9 @@ impl Archive {
 
     /// Loads segment metadata through the sidecar index. Any
     /// inconsistency — missing or damaged sidecar, stale `data_len`,
-    /// index records that disagree with the file — returns `None` and
-    /// the caller falls back to a full scan.
+    /// index records that disagree with the file, a block layout that
+    /// fails [`SegmentMeta::parse`]'s checks — returns `None` and the
+    /// caller falls back to the CRC-checked scan.
     fn try_index(path: &Path, file: &mut File, file_len: u64) -> Option<Vec<SegmentMeta>> {
         let bytes = std::fs::read(index_path_for(path)).ok()?;
         let index = ArchiveIndex::decode(&bytes).ok()?;
@@ -183,20 +159,13 @@ impl Archive {
             {
                 return None;
             }
-            let tables_len = header.summary_count as usize * SUMMARY_WIRE_SIZE
-                + header.marker_count as usize * MARKER_WIRE_SIZE;
-            let tables = read_at(file, rec.offset + SEGMENT_HEADER_SIZE as u64, tables_len).ok()?;
-            let summaries = parse_summaries(&tables, header.summary_count as usize);
-            let markers = parse_markers(
-                &tables[header.summary_count as usize * SUMMARY_WIRE_SIZE..],
-                header.marker_count as usize,
-            );
-            segments.push(SegmentMeta {
-                offset: rec.offset,
-                header,
-                summaries,
-                markers,
-            });
+            let tables = read_at(
+                file,
+                rec.offset + SEGMENT_HEADER_SIZE as u64,
+                header.tables_len(),
+            )
+            .ok()?;
+            segments.push(SegmentMeta::parse(rec.offset, header, &tables).ok()?);
         }
         Some(segments)
     }
@@ -223,17 +192,10 @@ impl Archive {
             if seal != SEAL_MAGIC || crc32(&bytes[..body_len]) != stored_crc {
                 break;
             }
-            let summaries =
-                parse_summaries(&bytes[SEGMENT_HEADER_SIZE..], header.summary_count as usize);
-            let markers_at =
-                SEGMENT_HEADER_SIZE + header.summary_count as usize * SUMMARY_WIRE_SIZE;
-            let markers = parse_markers(&bytes[markers_at..], header.marker_count as usize);
-            segments.push(SegmentMeta {
-                offset,
-                header,
-                summaries,
-                markers,
-            });
+            let Ok(meta) = SegmentMeta::parse(offset, header, &bytes[SEGMENT_HEADER_SIZE..]) else {
+                break;
+            };
+            segments.push(meta);
             offset += size;
         }
         Ok((segments, offset))
@@ -261,12 +223,37 @@ impl Archive {
         &self,
         meta: &SegmentMeta,
     ) -> Result<Vec<ArchiveFrame>, ArchiveError> {
-        let payload = read_at(
+        let mut frames = Vec::new();
+        self.decode_blocks_into(meta, 0..meta.summaries.len(), &mut frames)?;
+        Ok(frames)
+    }
+
+    /// Decodes summary blocks `blocks` of one segment, appending their
+    /// frames to `out`, with one read of exactly their payload bytes.
+    ///
+    /// # Errors
+    ///
+    /// I/O or corruption errors from block decoding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `blocks` reaches past the segment's last block.
+    pub fn decode_blocks_into(
+        &self,
+        meta: &SegmentMeta,
+        blocks: Range<usize>,
+        out: &mut Vec<ArchiveFrame>,
+    ) -> Result<(), ArchiveError> {
+        if blocks.is_empty() {
+            return Ok(());
+        }
+        let span = meta.block_bytes(&blocks);
+        let bytes = read_at(
             &mut self.file.lock(),
-            meta.payload_offset(),
-            meta.header.payload_len as usize,
+            meta.payload_offset() + span.start as u64,
+            span.len(),
         )?;
-        decode_payload(&meta.header, &payload, meta.offset)
+        meta.decode_blocks(blocks, &bytes, out)
     }
 
     /// The archive file path.
@@ -351,9 +338,14 @@ impl Archive {
     ///
     /// I/O or corruption errors from segment decoding.
     pub fn read_range(&self, start: SimTime, end: SimTime) -> Result<Trace, ArchiveError> {
+        let (start_us, end_us) = (start.as_micros(), end.as_micros());
         let capacity: u64 = self
             .overlapping(start, end)
-            .map(|i| u64::from(self.segments[i].header.frame_count))
+            .flat_map(|i| {
+                let meta = &self.segments[i];
+                &meta.summaries[meta.blocks_overlapping(start_us, end_us)]
+            })
+            .map(|block| u64::from(block.count))
             .sum();
         let mut trace = Trace::with_capacity(capacity as usize);
         self.read_range_into(start, end, &mut trace)?;
@@ -361,7 +353,8 @@ impl Archive {
     }
 
     /// [`Archive::read_range`] into a caller-owned trace, which is
-    /// cleared first; repeated reads reuse its allocations.
+    /// cleared first; repeated reads reuse its allocations. Only the
+    /// summary blocks holding frames in range are read and decoded.
     ///
     /// # Errors
     ///
@@ -373,14 +366,19 @@ impl Archive {
         out: &mut Trace,
     ) -> Result<(), ArchiveError> {
         out.clear();
+        let (start_us, end_us) = (start.as_micros(), end.as_micros());
+        let mut frames = Vec::new();
         for i in self.overlapping(start, end) {
-            for frame in self.decode_segment_frames(&self.segments[i])? {
+            let meta = &self.segments[i];
+            frames.clear();
+            self.decode_blocks_into(meta, meta.blocks_overlapping(start_us, end_us), &mut frames)?;
+            for frame in &frames {
                 if frame.time < start || frame.time >= end {
                     continue;
                 }
                 // Same call order as the live acquisition path:
                 // sample first, then its marker.
-                out.push(frame.time, frame_total(&self.configs, &self.adc, &frame));
+                out.push(frame.time, frame_total(&self.configs, &self.adc, frame));
                 if let Some(label) = frame.marker {
                     out.mark(frame.time, label);
                 }
@@ -465,25 +463,22 @@ impl Archive {
         offset: u64,
         report: &mut VerifyReport,
     ) {
-        let summaries =
-            parse_summaries(&bytes[SEGMENT_HEADER_SIZE..], header.summary_count as usize);
-        let markers_at = SEGMENT_HEADER_SIZE + header.summary_count as usize * SUMMARY_WIRE_SIZE;
-        let markers = parse_markers(&bytes[markers_at..], header.marker_count as usize);
-        let payload_at = markers_at + header.marker_count as usize * MARKER_WIRE_SIZE;
-        let payload = &bytes[payload_at..payload_at + header.payload_len as usize];
-        let frames = match decode_payload(header, payload, offset) {
-            Ok(frames) => frames,
+        // The block loop yields exactly `frame_count` frames or fails.
+        let decoded =
+            SegmentMeta::parse(offset, *header, &bytes[SEGMENT_HEADER_SIZE..]).and_then(|meta| {
+                let payload_at = SEGMENT_HEADER_SIZE + header.tables_len();
+                let payload = &bytes[payload_at..payload_at + header.payload_len as usize];
+                let mut frames = Vec::new();
+                meta.decode_blocks(0..meta.summaries.len(), payload, &mut frames)?;
+                Ok((meta, frames))
+            });
+        let (meta, frames) = match decoded {
+            Ok(decoded) => decoded,
             Err(e) => {
                 report.errors.push(e.to_string());
                 return;
             }
         };
-        if frames.len() != header.frame_count as usize {
-            report
-                .errors
-                .push(format!("segment at byte {offset}: frame count mismatch"));
-            return;
-        }
         if let (Some(first), Some(last)) = (frames.first(), frames.last()) {
             if first.time.as_micros() != header.start_us || last.time.as_micros() != header.end_us {
                 report
@@ -495,7 +490,7 @@ impl Archive {
             .iter()
             .map(|f| frame_total(&self.configs, &self.adc, f).value())
             .collect();
-        if build_summaries(&frames, &watts) != summaries {
+        if build_summaries(&frames, &watts) != meta.summaries {
             report.errors.push(format!(
                 "segment at byte {offset}: summary blocks disagree with payload"
             ));
@@ -504,7 +499,7 @@ impl Archive {
             .iter()
             .filter_map(|f| f.marker.map(|l| (f.time.as_micros(), l)))
             .collect();
-        if expect_markers != markers {
+        if expect_markers != meta.markers {
             report.errors.push(format!(
                 "segment at byte {offset}: marker table disagrees with payload"
             ));

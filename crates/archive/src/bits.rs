@@ -104,6 +104,13 @@ impl BitWriter {
         }
     }
 
+    /// Zero-pads to the next byte boundary and returns the byte offset
+    /// the next bit lands in.
+    pub fn align(&mut self) -> usize {
+        self.used = 0;
+        self.out.len()
+    }
+
     /// Finishes the stream, zero-padding the final partial byte.
     #[must_use]
     pub fn finish(self) -> Vec<u8> {
@@ -150,6 +157,12 @@ impl<'a> BitReader<'a> {
         let bit = byte >> (self.pos % 8) & 1 == 1;
         self.pos += 1;
         Ok(bit)
+    }
+
+    /// Bytes consumed so far, a partly read final byte included.
+    #[must_use]
+    pub fn bytes_read(&self) -> usize {
+        self.pos.div_ceil(8)
     }
 
     /// Reads `n` bits written by [`BitWriter::push_bits`].

@@ -6,8 +6,9 @@
 //! │ file header: magic "PS3ARCH1" · version · 8 sensor configs   │
 //! │              · header CRC-32                                 │
 //! ├──────────────────────────────────────────────────────────────┤
-//! │ segment 0: header · summary blocks · marker table ·          │
-//! │            compressed payload · CRC-32 · seal "PS3e"         │
+//! │ segment 0: header · summary blocks · block offsets ·         │
+//! │            marker table · compressed payload · CRC-32 ·      │
+//! │            seal "PS3e"                                       │
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ segment 1: …                                                 │
 //! ├──────────────────────────────────────────────────────────────┤
@@ -19,6 +20,13 @@
 //! CRC, so any prefix of the file that ends in a sealed segment is a
 //! valid archive: appending is crash-safe by construction and a kill
 //! mid-write loses at most the unsealed tail.
+//!
+//! Version 2 made the payload block-addressable: each
+//! [`SUMMARY_FRAMES`]-frame block is coded on its own, starts on a
+//! byte boundary, and has its payload byte offset in the segment's
+//! block-offset table, so a query decodes only the blocks it touches.
+//! Version 1 files (one bit stream per segment) are refused as
+//! [`ArchiveError::NotAnArchive`].
 
 use core::fmt;
 use std::error::Error;
@@ -32,7 +40,7 @@ use crate::crc::crc32;
 pub const FILE_MAGIC: [u8; 8] = *b"PS3ARCH1";
 
 /// Format version written by this crate.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Magic opening every segment header ("PS3s").
 pub const SEGMENT_MAGIC: u32 = u32::from_le_bytes(*b"PS3s");
@@ -52,6 +60,9 @@ pub const SEGMENT_HEADER_SIZE: usize = 4 + 4 + 4 + 4 + 4 + 4 + 8 + 8 + 4;
 
 /// Size of one summary block on disk, bytes.
 pub const SUMMARY_WIRE_SIZE: usize = 4 + 8 + 8 + 6 * 8;
+
+/// Size of one block-offset table entry on disk, bytes.
+pub const BLOCK_OFFSET_SIZE: usize = 4;
 
 /// Size of one marker-table entry on disk, bytes.
 pub const MARKER_WIRE_SIZE: usize = 8 + 4;
@@ -224,6 +235,19 @@ mod tests {
         assert!(matches!(
             decode_file_header(&header),
             Err(ArchiveError::Corrupt { .. })
+        ));
+    }
+
+    #[test]
+    fn version_1_files_are_refused() {
+        let mut header = encode_file_header(&configs());
+        header[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let body_len = FILE_HEADER_SIZE - 4;
+        let crc = crc32(&header[..body_len]);
+        header[body_len..].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            decode_file_header(&header),
+            Err(ArchiveError::NotAnArchive)
         ));
     }
 

@@ -11,8 +11,8 @@
 //! the coarsest aligned node that ends inside the core and fits the
 //! fold's room, falling through the tiers down to a single block; at
 //! the range edges (and for a block too large for the room) it decodes
-//! the payload and feeds frames one by one. Three folds consume that
-//! stream:
+//! that one block — segment payloads are block-addressable — and feeds
+//! its frames one by one. Three folds consume that stream:
 //!
 //! * **stats** — count/sum/min/max; edge frames accumulate per block,
 //!   mirroring the writer's per-block summation order;
@@ -612,7 +612,7 @@ impl Archive {
     ) -> Result<(), ArchiveError> {
         let meta = &self.segments()[seg];
         let rebuilt;
-        let (summaries, nodes, mut decoded) = match tiers {
+        let (summaries, nodes, whole) = match tiers {
             Tiers::Stored { store, .. } => (meta.summaries.as_slice(), store.tiers(seg), None),
             Tiers::Rebuilt(fanouts) => {
                 let frames = self.decode_segment_frames(meta)?;
@@ -622,8 +622,12 @@ impl Archive {
                     .collect();
                 let summaries = build_summaries(&frames, &watts);
                 let nodes = build_tiers(&summaries, fanouts);
-                rebuilt = (summaries, nodes);
-                (rebuilt.0.as_slice(), rebuilt.1.as_slice(), Some(frames))
+                rebuilt = (summaries, nodes, frames);
+                (
+                    rebuilt.0.as_slice(),
+                    rebuilt.1.as_slice(),
+                    Some(rebuilt.2.as_slice()),
+                )
             }
         };
         let (start_us, end_us) = (start.as_micros(), end.as_micros());
@@ -631,6 +635,7 @@ impl Archive {
         let f_lo = summaries.partition_point(|b| b.first_us < start_us);
         let f_hi = summaries.partition_point(|b| b.last_us < end_us);
         let mut bi = summaries.partition_point(|b| b.last_us < start_us);
+        let mut block = Vec::new();
         while bi < o_hi {
             if (f_lo..f_hi).contains(&bi) {
                 if let Some((node, next)) = pick(summaries, nodes, spans, bi, f_hi, fold.room()) {
@@ -639,13 +644,19 @@ impl Archive {
                     continue;
                 }
             }
-            // A range edge, or a block too large for the fold's room.
-            let frames = match &decoded {
-                Some(frames) => frames,
-                None => decoded.insert(self.decode_segment_frames(meta)?),
+            // A range edge, or a block too large for the fold's room:
+            // decode that block alone.
+            let frames = match whole {
+                Some(frames) => {
+                    &frames[bi * SUMMARY_FRAMES..((bi + 1) * SUMMARY_FRAMES).min(frames.len())]
+                }
+                None => {
+                    block.clear();
+                    self.decode_blocks_into(meta, bi..bi + 1, &mut block)?;
+                    &block
+                }
             };
-            let lo = bi * SUMMARY_FRAMES;
-            for frame in &frames[lo..(lo + SUMMARY_FRAMES).min(frames.len())] {
+            for frame in frames {
                 if frame.time >= start && frame.time < end {
                     fold.frame(
                         frame.time,

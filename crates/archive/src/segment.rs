@@ -8,27 +8,38 @@
 //!          start/end time · per-slot Rice parameters
 //! summary  one block per [`SUMMARY_FRAMES`] frames: count, first/last
 //!          (time, power), Σ/min/max power, in-block trapezoid energy
+//! offsets  per summary block, the payload byte offset of its frames
 //! markers  (time, label) table — marker queries never touch the
 //!          payload
-//! payload  the compressed frame bit stream (see below)
+//! payload  the compressed frames, block by block (see below)
 //! trailer  CRC-32 over everything above · seal word
 //! ```
 //!
 //! # Payload encoding
 //!
-//! Timestamps are delta-of-delta coded (Gorilla-style): at 20 kHz the
-//! inter-frame delta is a constant 50 µs, so the common case is a
-//! single bit. Raw 10-bit sample values are coded per slot as a
-//! Rice-coded zigzag delta from the slot's previous value, with the
+//! The payload is a run of independently decodable blocks, one per
+//! summary block (the Gorilla block layout), each starting on a byte
+//! boundary at its stored offset. A query decodes only the blocks its
+//! range cuts through; a whole-segment decode is the same block loop
+//! over every block ([`SegmentMeta::decode_blocks`]).
+//!
+//! Within a block, timestamps are delta-of-delta coded (Gorilla-style):
+//! at 20 kHz the inter-frame delta is a constant 50 µs, so the common
+//! case is a single bit. Raw 10-bit sample values are coded per slot as
+//! a Rice-coded zigzag delta from the slot's previous value, with the
 //! Rice parameter `k` chosen per slot per segment by exact cost
 //! minimisation over the segment's actual deltas. A steady frame
 //! (regular cadence, unchanged slot set, no marker) spends one flag
 //! bit plus its value codes — ~10 bits/frame for one active pair
-//! against 48 bits on the wire.
+//! against 48 bits on the wire. A block's first frame restarts both
+//! coders: its slot set and raw values are stored whole, and its
+//! timestamp is the block summary's `first_us`.
 //!
 //! Marker labels are stored natively (21 bits of Unicode scalar), so
 //! archived traces round-trip the host-side labels that the device
 //! wire protocol itself cannot carry.
+
+use core::ops::Range;
 
 use ps3_firmware::SENSOR_SLOTS;
 use ps3_units::SimTime;
@@ -36,8 +47,8 @@ use ps3_units::SimTime;
 use crate::bits::{unzigzag64, zigzag64, BitReader, BitWriter};
 use crate::crc::crc32;
 use crate::format::{
-    read_f64, read_u32, read_u64, ArchiveError, MARKER_WIRE_SIZE, SEAL_MAGIC, SEGMENT_HEADER_SIZE,
-    SEGMENT_MAGIC, SUMMARY_FRAMES, SUMMARY_WIRE_SIZE,
+    read_f64, read_u32, read_u64, ArchiveError, BLOCK_OFFSET_SIZE, MARKER_WIRE_SIZE, SEAL_MAGIC,
+    SEGMENT_HEADER_SIZE, SEGMENT_MAGIC, SUMMARY_FRAMES, SUMMARY_WIRE_SIZE,
 };
 
 /// The inter-frame delta the delta-of-delta coder assumes before the
@@ -48,6 +59,10 @@ const DEFAULT_DELTA_US: u64 = 50;
 
 /// Unicode scalar values fit in 21 bits.
 const CHAR_BITS: u8 = 21;
+
+/// The latest timestamp a [`SimTime`] can hold, µs: a decoded time past
+/// it is corrupt data.
+const MAX_TIME_US: u64 = u64::MAX / 1000;
 
 /// One archived sample frame: the host's frame type, stored as is —
 /// raw codes plus presence, so reads re-derive physical units
@@ -190,13 +205,20 @@ impl SegmentHeader {
         (self.k_params >> (4 * slot) & 0xF) as u8
     }
 
+    /// Bytes of the tables between the fixed header and the payload:
+    /// summary blocks, block offsets and markers.
+    #[must_use]
+    pub fn tables_len(&self) -> usize {
+        self.summary_count as usize * (SUMMARY_WIRE_SIZE + BLOCK_OFFSET_SIZE)
+            + self.marker_count as usize * MARKER_WIRE_SIZE
+    }
+
     /// Total on-disk size of the segment this header describes,
     /// including the header itself and the trailer.
     #[must_use]
     pub fn disk_size(&self) -> u64 {
         (SEGMENT_HEADER_SIZE
-            + self.summary_count as usize * SUMMARY_WIRE_SIZE
-            + self.marker_count as usize * MARKER_WIRE_SIZE
+            + self.tables_len()
             + self.payload_len as usize
             + crate::format::SEGMENT_TRAILER_SIZE) as u64
     }
@@ -255,7 +277,7 @@ pub fn parse_summaries(bytes: &[u8], count: usize) -> Vec<SummaryBlock> {
 
 /// Parses `count` marker-table entries from `bytes`.
 #[must_use]
-pub fn parse_markers(bytes: &[u8], count: usize) -> Vec<(u64, char)> {
+fn parse_markers(bytes: &[u8], count: usize) -> Vec<(u64, char)> {
     (0..count)
         .map(|i| {
             let at = i * MARKER_WIRE_SIZE;
@@ -264,6 +286,153 @@ pub fn parse_markers(bytes: &[u8], count: usize) -> Vec<(u64, char)> {
             (time_us, label)
         })
         .collect()
+}
+
+/// Where a sealed segment lives and what it covers — everything a
+/// query needs short of the payload itself.
+#[derive(Debug, Clone)]
+pub struct SegmentMeta {
+    /// Byte offset of the segment header in the archive file.
+    pub offset: u64,
+    /// The parsed fixed header.
+    pub header: SegmentHeader,
+    /// The segment's pre-aggregated summary blocks.
+    pub summaries: Vec<SummaryBlock>,
+    /// Payload byte offset of each summary block's frames, checked by
+    /// [`SegmentMeta::parse`] (the only constructor) before any read.
+    block_offsets: Vec<u32>,
+    /// The segment's marker table: `(time µs, label)`.
+    pub markers: Vec<(u64, char)>,
+}
+
+impl SegmentMeta {
+    /// Parses the tables that follow `header` (the first
+    /// [`SegmentHeader::tables_len`] bytes of `tables`) and checks the
+    /// block layout: one summary block per [`SUMMARY_FRAMES`] frames,
+    /// each holding its share of them, and block offsets that start at
+    /// 0 and rise strictly inside the payload. Only a segment that
+    /// passes is ever decoded, so stored offsets never index unchecked.
+    ///
+    /// # Errors
+    ///
+    /// [`ArchiveError::Corrupt`] (at `offset`) on short tables or a
+    /// layout that fails the checks.
+    pub fn parse(offset: u64, header: SegmentHeader, tables: &[u8]) -> Result<Self, ArchiveError> {
+        let corrupt = |what: &str| ArchiveError::Corrupt {
+            offset,
+            what: what.into(),
+        };
+        let blocks = header.summary_count as usize;
+        if header.frame_count == 0
+            || blocks != (header.frame_count as usize).div_ceil(SUMMARY_FRAMES)
+        {
+            return Err(corrupt("summary count disagrees with the frame count"));
+        }
+        if tables.len() < header.tables_len() {
+            return Err(corrupt("segment tables truncated"));
+        }
+        let summaries = parse_summaries(tables, blocks);
+        let offsets_at = blocks * SUMMARY_WIRE_SIZE;
+        let block_offsets: Vec<u32> = (0..blocks)
+            .map(|i| read_u32(tables, offsets_at + i * BLOCK_OFFSET_SIZE))
+            .collect();
+        let markers = parse_markers(
+            &tables[offsets_at + blocks * BLOCK_OFFSET_SIZE..],
+            header.marker_count as usize,
+        );
+        let meta = Self {
+            offset,
+            header,
+            summaries,
+            block_offsets,
+            markers,
+        };
+        if (0..blocks).any(|i| meta.summaries[i].count as usize != meta.block_frames(i)) {
+            return Err(corrupt(
+                "summary block counts disagree with the frame count",
+            ));
+        }
+        if meta.block_offsets[0] != 0
+            || meta.block_offsets.windows(2).any(|w| w[0] >= w[1])
+            || meta.block_offsets[blocks - 1] >= header.payload_len
+        {
+            return Err(corrupt("block offsets out of order or past the payload"));
+        }
+        Ok(meta)
+    }
+
+    /// Byte offset of the payload in the archive file.
+    #[must_use]
+    pub fn payload_offset(&self) -> u64 {
+        self.offset + (SEGMENT_HEADER_SIZE + self.header.tables_len()) as u64
+    }
+
+    /// Frames in block `i`.
+    fn block_frames(&self, i: usize) -> usize {
+        (self.header.frame_count as usize - i * SUMMARY_FRAMES).min(SUMMARY_FRAMES)
+    }
+
+    /// The blocks holding frames in `[start_us, end_us)`.
+    #[must_use]
+    pub fn blocks_overlapping(&self, start_us: u64, end_us: u64) -> Range<usize> {
+        let lo = self.summaries.partition_point(|b| b.last_us < start_us);
+        let hi = self.summaries.partition_point(|b| b.first_us < end_us);
+        lo..hi.max(lo)
+    }
+
+    /// The payload byte range holding `blocks`.
+    #[must_use]
+    pub fn block_bytes(&self, blocks: &Range<usize>) -> Range<usize> {
+        let end = self
+            .block_offsets
+            .get(blocks.end)
+            .map_or(self.header.payload_len, |&o| o);
+        self.block_offsets[blocks.start] as usize..end as usize
+    }
+
+    /// Decodes `blocks` from `bytes`, their payload bytes
+    /// ([`SegmentMeta::block_bytes`]), appending the frames to `out`:
+    /// the one decoder, block by block.
+    ///
+    /// # Errors
+    ///
+    /// [`ArchiveError::Corrupt`] when a block does not decode to
+    /// exactly its frames and bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `blocks` reaches past the last summary block.
+    pub fn decode_blocks(
+        &self,
+        blocks: Range<usize>,
+        bytes: &[u8],
+        out: &mut Vec<ArchiveFrame>,
+    ) -> Result<(), ArchiveError> {
+        if blocks.is_empty() {
+            return Ok(());
+        }
+        let k: [u8; SENSOR_SLOTS] = core::array::from_fn(|s| self.header.k_for(s));
+        let base = self.block_bytes(&blocks).start;
+        out.reserve(blocks.len() * SUMMARY_FRAMES);
+        for i in blocks {
+            let span = self.block_bytes(&(i..i + 1));
+            let block = bytes
+                .get(span.start - base..span.end - base)
+                .ok_or_else(|| ArchiveError::Corrupt {
+                    offset: self.offset,
+                    what: "payload shorter than its block offsets".into(),
+                })?;
+            decode_block(
+                &k,
+                self.summaries[i].first_us,
+                self.block_frames(i),
+                block,
+                self.offset,
+                out,
+            )?;
+        }
+        Ok(())
+    }
 }
 
 /// Builds the complete on-disk bytes of one sealed segment from its
@@ -282,7 +451,7 @@ pub fn build_segment(seq: u32, frames: &[ArchiveFrame], watts: &[f64]) -> Vec<u8
         "segment frames must be in time order"
     );
     let k_params = choose_rice_params(frames);
-    let payload = encode_payload(frames, k_params);
+    let (payload, block_offsets) = encode_payload(frames, k_params);
     let summaries = build_summaries(frames, watts);
     let markers: Vec<(u64, char)> = frames
         .iter()
@@ -304,6 +473,9 @@ pub fn build_segment(seq: u32, frames: &[ArchiveFrame], watts: &[f64]) -> Vec<u8
     for s in &summaries {
         s.encode_into(&mut out);
     }
+    for offset in &block_offsets {
+        out.extend_from_slice(&offset.to_le_bytes());
+    }
     for &(time_us, label) in &markers {
         out.extend_from_slice(&time_us.to_le_bytes());
         out.extend_from_slice(&(label as u32).to_le_bytes());
@@ -317,19 +489,23 @@ pub fn build_segment(seq: u32, frames: &[ArchiveFrame], watts: &[f64]) -> Vec<u8
 
 /// Picks the Rice parameter per slot by exact cost minimisation over
 /// the segment's zigzagged value deltas (ties go to the smaller `k`).
+/// The first value of each block is stored raw, so only in-block
+/// deltas count.
 fn choose_rice_params(frames: &[ArchiveFrame]) -> u32 {
     let mut deltas: [Vec<u32>; SENSOR_SLOTS] = core::array::from_fn(|_| Vec::new());
-    let mut prev: [Option<u16>; SENSOR_SLOTS] = [None; SENSOR_SLOTS];
-    for frame in frames {
-        for slot in 0..SENSOR_SLOTS {
-            if frame.present & (1 << slot) == 0 {
-                continue;
+    for block in frames.chunks(SUMMARY_FRAMES) {
+        let mut prev: [Option<u16>; SENSOR_SLOTS] = [None; SENSOR_SLOTS];
+        for frame in block {
+            for slot in 0..SENSOR_SLOTS {
+                if frame.present & (1 << slot) == 0 {
+                    continue;
+                }
+                let v = frame.raw[slot];
+                if let Some(p) = prev[slot] {
+                    deltas[slot].push(zigzag64(i64::from(v) - i64::from(p)) as u32);
+                }
+                prev[slot] = Some(v);
             }
-            let v = frame.raw[slot];
-            if let Some(p) = prev[slot] {
-                deltas[slot].push(zigzag64(i64::from(v) - i64::from(p)) as u32);
-            }
-            prev[slot] = Some(v);
         }
     }
     let mut packed = 0u32;
@@ -346,9 +522,26 @@ fn choose_rice_params(frames: &[ArchiveFrame]) -> u32 {
     packed
 }
 
-fn encode_payload(frames: &[ArchiveFrame], k_params: u32) -> Vec<u8> {
+/// Codes each [`SUMMARY_FRAMES`]-frame block on its own, starting on a
+/// byte boundary. Returns the payload and each block's byte offset.
+fn encode_payload(frames: &[ArchiveFrame], k_params: u32) -> (Vec<u8>, Vec<u32>) {
     let k: [u8; SENSOR_SLOTS] = core::array::from_fn(|s| (k_params >> (4 * s) & 0xF) as u8);
     let mut w = BitWriter::new();
+    let offsets = frames
+        .chunks(SUMMARY_FRAMES)
+        .map(|block| {
+            let offset = w.align() as u32;
+            encode_block(&mut w, block, &k);
+            offset
+        })
+        .collect();
+    (w.finish(), offsets)
+}
+
+/// Codes one block. Its first frame restarts every coder: no
+/// timestamp (the block summary's `first_us` holds it), raw values,
+/// and the assumed 20 kHz cadence for the delta-of-delta.
+fn encode_block(w: &mut BitWriter, frames: &[ArchiveFrame], k: &[u8; SENSOR_SLOTS]) {
     let mut prev_vals: [Option<u16>; SENSOR_SLOTS] = [None; SENSOR_SLOTS];
     let mut push_values = |w: &mut BitWriter, frame: &ArchiveFrame| {
         for slot in 0..SENSOR_SLOTS {
@@ -366,11 +559,10 @@ fn encode_payload(frames: &[ArchiveFrame], k_params: u32) -> Vec<u8> {
         }
     };
 
-    // First frame: its timestamp is the header's `start_us`.
     let first = &frames[0];
     w.push_bits(u64::from(first.present), 8);
-    push_marker(&mut w, first.marker);
-    push_values(&mut w, first);
+    push_marker(w, first.marker);
+    push_values(w, first);
 
     let mut prev_time = first.time.as_micros();
     let mut prev_delta = DEFAULT_DELTA_US;
@@ -382,21 +574,20 @@ fn encode_payload(frames: &[ArchiveFrame], k_params: u32) -> Vec<u8> {
         let fast = dod == 0 && frame.present == prev_present && frame.marker.is_none();
         w.push_bit(fast);
         if !fast {
-            push_dod(&mut w, dod, delta);
+            push_dod(w, dod, delta);
             if frame.present == prev_present {
                 w.push_bit(false);
             } else {
                 w.push_bit(true);
                 w.push_bits(u64::from(frame.present), 8);
             }
-            push_marker(&mut w, frame.marker);
+            push_marker(w, frame.marker);
         }
-        push_values(&mut w, frame);
+        push_values(w, frame);
         prev_time = t;
         prev_delta = delta;
         prev_present = frame.present;
     }
-    w.finish()
 }
 
 /// Writes a marker flag bit plus, when set, the label's Unicode scalar.
@@ -440,28 +631,29 @@ fn push_dod(w: &mut BitWriter, dod: i128, delta: u64) {
     }
 }
 
-/// Decodes a segment payload back into its frames.
+/// Decodes one block of `count` frames whose first frame is at
+/// `first_us`, appending them to `out`. `bytes` must be exactly the
+/// block's payload bytes.
 ///
 /// # Errors
 ///
 /// [`ArchiveError::Corrupt`] (at `abs_offset`) if the bit stream ends
-/// early or decodes to impossible values — only reachable on CRC-valid
-/// but logically damaged data, or a codec bug.
-pub fn decode_payload(
-    header: &SegmentHeader,
-    payload: &[u8],
+/// early, decodes to impossible values, or does not end in the block's
+/// last byte — only reachable on logically damaged data (a CRC-valid
+/// segment, or an unchecked sidecar open) or a codec bug.
+fn decode_block(
+    k: &[u8; SENSOR_SLOTS],
+    first_us: u64,
+    count: usize,
+    bytes: &[u8],
     abs_offset: u64,
-) -> Result<Vec<ArchiveFrame>, ArchiveError> {
+    out: &mut Vec<ArchiveFrame>,
+) -> Result<(), ArchiveError> {
     let corrupt = |what: &str| ArchiveError::Corrupt {
         offset: abs_offset,
         what: what.into(),
     };
-    let k: [u8; SENSOR_SLOTS] = core::array::from_fn(|s| header.k_for(s));
-    let mut r = BitReader::new(payload);
-    let mut frames = Vec::with_capacity(header.frame_count as usize);
-    if header.frame_count == 0 {
-        return Ok(frames);
-    }
+    let mut r = BitReader::new(bytes);
     let mut prev_vals: [Option<u16>; SENSOR_SLOTS] = [None; SENSOR_SLOTS];
     let mut read_values = |r: &mut BitReader<'_>, present: u8| -> Result<_, ArchiveError> {
         let mut raw = [0u16; SENSOR_SLOTS];
@@ -487,23 +679,26 @@ pub fn decode_payload(
         Ok(raw)
     };
 
-    // First frame.
+    // First frame: its timestamp is the block summary's `first_us`.
+    if first_us > MAX_TIME_US {
+        return Err(corrupt("timestamp overflow"));
+    }
     let present = r
         .read_bits(8)
-        .map_err(|_| corrupt("payload ends in first frame"))? as u8;
+        .map_err(|_| corrupt("payload ends in a block's first frame"))? as u8;
     let marker = read_marker(&mut r).map_err(|_| corrupt("payload ends mid-marker"))?;
     let raw = read_values(&mut r, present)?;
-    frames.push(ArchiveFrame {
-        time: SimTime::from_micros(header.start_us),
+    out.push(ArchiveFrame {
+        time: SimTime::from_micros(first_us),
         raw,
         present,
         marker,
     });
 
-    let mut prev_time = header.start_us;
+    let mut prev_time = first_us;
     let mut prev_delta = DEFAULT_DELTA_US;
     let mut prev_present = present;
-    for _ in 1..header.frame_count {
+    for _ in 1..count {
         let fast = r
             .read_bit()
             .map_err(|_| corrupt("payload ends between frames"))?;
@@ -527,9 +722,10 @@ pub fn decode_payload(
         };
         let time = prev_time
             .checked_add(delta)
+            .filter(|&t| t <= MAX_TIME_US)
             .ok_or_else(|| corrupt("timestamp overflow"))?;
         let raw = read_values(&mut r, present)?;
-        frames.push(ArchiveFrame {
+        out.push(ArchiveFrame {
             time: SimTime::from_micros(time),
             raw,
             present,
@@ -539,7 +735,10 @@ pub fn decode_payload(
         prev_delta = delta;
         prev_present = present;
     }
-    Ok(frames)
+    if r.bytes_read() != bytes.len() {
+        return Err(corrupt("block length disagrees with the block offsets"));
+    }
+    Ok(())
 }
 
 fn read_marker(r: &mut BitReader<'_>) -> Result<Option<char>, crate::bits::BitStreamExhausted> {
@@ -592,19 +791,22 @@ mod tests {
             .collect()
     }
 
+    /// The parsed tables and the payload bytes of a built segment.
+    fn parse(bytes: &[u8]) -> (SegmentMeta, &[u8]) {
+        let header = SegmentHeader::parse(bytes, 0).unwrap();
+        let meta = SegmentMeta::parse(0, header, &bytes[SEGMENT_HEADER_SIZE..]).unwrap();
+        let at = meta.payload_offset() as usize;
+        (meta, &bytes[at..at + header.payload_len as usize])
+    }
+
     fn roundtrip(frames: &[ArchiveFrame]) -> Vec<ArchiveFrame> {
         let watts: Vec<f64> = frames.iter().map(|_| 0.0).collect();
         let bytes = build_segment(0, frames, &watts);
-        let header = SegmentHeader::parse(&bytes, 0).unwrap();
-        let payload_at = SEGMENT_HEADER_SIZE
-            + header.summary_count as usize * SUMMARY_WIRE_SIZE
-            + header.marker_count as usize * MARKER_WIRE_SIZE;
-        decode_payload(
-            &header,
-            &bytes[payload_at..payload_at + header.payload_len as usize],
-            0,
-        )
-        .unwrap()
+        let (meta, payload) = parse(&bytes);
+        let mut out = Vec::new();
+        meta.decode_blocks(0..meta.summaries.len(), payload, &mut out)
+            .unwrap();
+        out
     }
 
     #[test]
@@ -672,11 +874,9 @@ mod tests {
         let frames = steady_frames(300);
         let watts = vec![0.0; frames.len()];
         let bytes = build_segment(3, &frames, &watts);
-        let header = SegmentHeader::parse(&bytes, 0).unwrap();
-        assert_eq!(header.marker_count, 1);
-        let markers_at = SEGMENT_HEADER_SIZE + header.summary_count as usize * SUMMARY_WIRE_SIZE;
-        let markers = parse_markers(&bytes[markers_at..], header.marker_count as usize);
-        assert_eq!(markers, vec![(25 + 100 * 50, 'k')]);
+        let (meta, _) = parse(&bytes);
+        assert_eq!(meta.header.marker_count, 1);
+        assert_eq!(meta.markers, vec![(25 + 100 * 50, 'k')]);
     }
 
     #[test]
@@ -684,11 +884,75 @@ mod tests {
         let frames = steady_frames(100);
         let watts = vec![0.0; frames.len()];
         let bytes = build_segment(0, &frames, &watts);
+        let (meta, payload) = parse(&bytes);
+        let short = &payload[..payload.len() / 2];
+        assert!(meta.decode_blocks(0..1, short, &mut Vec::new()).is_err());
+    }
+
+    #[test]
+    fn blocks_start_on_byte_boundaries_and_decode_alone() {
+        let frames = steady_frames(2500);
+        let watts = vec![0.0; frames.len()];
+        let bytes = build_segment(0, &frames, &watts);
+        let (meta, payload) = parse(&bytes);
+        assert_eq!(meta.block_offsets.len(), 3);
+        for (i, chunk) in frames.chunks(SUMMARY_FRAMES).enumerate() {
+            let span = meta.block_bytes(&(i..i + 1));
+            let mut out = Vec::new();
+            meta.decode_blocks(i..i + 1, &payload[span], &mut out)
+                .unwrap();
+            assert_eq!(out, chunk, "block {i}");
+        }
+    }
+
+    #[test]
+    fn a_block_one_byte_too_long_is_detected() {
+        let frames = steady_frames(2500);
+        let watts = vec![0.0; frames.len()];
+        let bytes = build_segment(0, &frames, &watts);
+        let (mut meta, payload) = parse(&bytes);
+        meta.block_offsets[1] += 1;
+        let span = meta.block_bytes(&(0..1));
+        assert!(meta
+            .decode_blocks(0..1, &payload[span], &mut Vec::new())
+            .is_err());
+    }
+
+    #[test]
+    fn garbage_blocks_fail_without_panicking() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..500 {
+            let bytes: Vec<u8> = (0..1 + next() % 600).map(|_| next() as u8).collect();
+            let k: [u8; SENSOR_SLOTS] = core::array::from_fn(|_| (next() % 11) as u8);
+            let first_us = next() >> (next() % 64);
+            let _ = decode_block(&k, first_us, SUMMARY_FRAMES, &bytes, 0, &mut Vec::new());
+        }
+    }
+
+    #[test]
+    fn damaged_layouts_are_refused() {
+        let frames = steady_frames(2500);
+        let watts = vec![0.0; frames.len()];
+        let bytes = build_segment(0, &frames, &watts);
         let header = SegmentHeader::parse(&bytes, 0).unwrap();
-        let payload_at = SEGMENT_HEADER_SIZE
-            + header.summary_count as usize * SUMMARY_WIRE_SIZE
-            + header.marker_count as usize * MARKER_WIRE_SIZE;
-        let short = &bytes[payload_at..payload_at + header.payload_len as usize / 2];
-        assert!(decode_payload(&header, short, 0).is_err());
+        let tables = &bytes[SEGMENT_HEADER_SIZE..];
+        let mut more = header;
+        more.summary_count += 1;
+        assert!(SegmentMeta::parse(0, more, tables).is_err());
+        let offsets_at = 3 * SUMMARY_WIRE_SIZE;
+        for (at, value) in [(0, 1u32), (4, 0), (8, header.payload_len)] {
+            let mut damaged = tables.to_vec();
+            damaged[offsets_at + at..offsets_at + at + 4].copy_from_slice(&value.to_le_bytes());
+            assert!(SegmentMeta::parse(0, header, &damaged).is_err(), "{at}");
+        }
+        let mut damaged = tables.to_vec();
+        damaged[0] ^= 1; // block 0's count
+        assert!(SegmentMeta::parse(0, header, &damaged).is_err());
     }
 }

@@ -1,7 +1,9 @@
 //! Adversarial property tests for the two payload codecs: the Rice
 //! coder (per-slot sample deltas) and the delta-of-delta timestamp
 //! scheme — max deltas, all-equal runs, alternating extremes, and the
-//! empty segment, plus randomized sweeps over the whole input space.
+//! empty segment, plus randomized sweeps over the whole input space —
+//! and for the block layout: every summary block decodes on its own to
+//! exactly its slice of the whole-segment decode.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -10,7 +12,10 @@ use proptest::prelude::*;
 use ps3_archive::bits::{
     unzigzag64, zigzag64, BitReader, BitWriter, RICE_ESCAPE_BITS, RICE_ESCAPE_Q,
 };
-use ps3_archive::{Archive, ArchiveFrame, SegmentWriter};
+use ps3_archive::format::{SEGMENT_HEADER_SIZE, SUMMARY_FRAMES};
+use ps3_archive::{
+    build_segment, Archive, ArchiveFrame, SegmentHeader, SegmentMeta, SegmentWriter,
+};
 use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
 use ps3_units::SimTime;
 
@@ -178,7 +183,151 @@ fn dod_adversarial_timestamp_patterns_roundtrip() {
     std::fs::remove_file(ps3_archive::index_path_for(&path)).ok();
 }
 
+/// Things that can happen on a block's first frame, as bits of an
+/// event mask.
+const MARKER: u8 = 1;
+const PRESENCE: u8 = 2;
+const TIME_JUMP: u8 = 4;
+const ESCAPE: u8 = 8;
+
+/// `n` frames at the 20 kHz cadence with a noisy two-slot code walk,
+/// and `events[i - 1]` applied to the first frame of block `i`.
+fn boundary_frames(n: usize, events: &[u8], seed: u64) -> Vec<ArchiveFrame> {
+    let mut state = seed | 1;
+    let mut time_us = 25u64;
+    let mut code = 500i64;
+    let mut frames: Vec<ArchiveFrame> = (0..n)
+        .map(|i| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            code = (code + (state % 7) as i64 - 3).clamp(0, 1023);
+            if i > 0 {
+                time_us += 50;
+            }
+            let mut raw = [0u16; SENSOR_SLOTS];
+            raw[0] = code as u16;
+            raw[1] = 700 + (state >> 8) as u16 % 5;
+            ArchiveFrame {
+                time: SimTime::from_micros(time_us),
+                raw,
+                present: 0b11,
+                marker: None,
+            }
+        })
+        .collect();
+    for (i, &mask) in events.iter().enumerate() {
+        let b = (i + 1) * SUMMARY_FRAMES;
+        if b >= n {
+            break;
+        }
+        if mask & MARKER != 0 {
+            frames[b].marker = Some('β');
+        }
+        if mask & PRESENCE != 0 {
+            frames[b].present = 0b1101;
+            frames[b].raw[1] = 0;
+            frames[b].raw[2] = 1023;
+            frames[b].raw[3] = 1;
+        }
+        if mask & TIME_JUMP != 0 {
+            for f in &mut frames[b..] {
+                f.time += ps3_units::SimDuration::from_micros(1 << 33);
+            }
+        }
+        if mask & ESCAPE != 0 {
+            // A full-scale swing into and out of the block's first
+            // frame: the delta after it takes the Rice escape.
+            frames[b].raw[0] = if frames[b - 1].raw[0] < 512 { 1023 } else { 0 };
+        }
+    }
+    frames
+}
+
+/// Builds one segment from `frames` and checks that the whole-segment
+/// decode returns them, and that every block, and every run of
+/// blocks, decoded alone equals its slice of it.
+fn check_blocks_decode_alone(frames: &[ArchiveFrame]) {
+    let watts: Vec<f64> = frames.iter().map(|f| f64::from(f.raw[0])).collect();
+    let bytes = build_segment(0, frames, &watts);
+    let header = SegmentHeader::parse(&bytes, 0).unwrap();
+    let meta = SegmentMeta::parse(0, header, &bytes[SEGMENT_HEADER_SIZE..]).unwrap();
+    let at = meta.payload_offset() as usize;
+    let payload = &bytes[at..at + header.payload_len as usize];
+    let blocks = meta.summaries.len();
+    assert_eq!(blocks, frames.len().div_ceil(SUMMARY_FRAMES));
+
+    let mut whole = Vec::new();
+    meta.decode_blocks(0..blocks, payload, &mut whole).unwrap();
+    assert_eq!(whole, frames);
+    for lo in 0..blocks {
+        for hi in lo + 1..=blocks {
+            let mut alone = Vec::new();
+            let span = meta.block_bytes(&(lo..hi));
+            meta.decode_blocks(lo..hi, &payload[span], &mut alone)
+                .unwrap();
+            let end = (hi * SUMMARY_FRAMES).min(whole.len());
+            assert_eq!(alone, whole[lo * SUMMARY_FRAMES..end], "blocks {lo}..{hi}");
+        }
+    }
+}
+
+#[test]
+fn every_block_decodes_alone_at_its_boundaries() {
+    // Each event alone, then all of them at once, on a 3.5-block
+    // segment: the last block is partial.
+    for mask in [0, MARKER, PRESENCE, TIME_JUMP, ESCAPE, 15] {
+        check_blocks_decode_alone(&boundary_frames(3500, &[mask; 3], 7));
+    }
+    // A single-frame segment, a single full block, and one frame past.
+    for n in [1, SUMMARY_FRAMES, SUMMARY_FRAMES + 1] {
+        check_blocks_decode_alone(&boundary_frames(n, &[15], 7));
+    }
+}
+
+/// The file path: `Archive::decode_blocks_into` reads one block's bytes
+/// and decodes the same frames as the whole-segment decode.
+#[test]
+fn archive_reads_each_block_alone() {
+    let path = temp_path("blocks");
+    let frames = boundary_frames(5000, &[15, 3, 12, 0], 11);
+    let mut writer = SegmentWriter::create_with(&path, test_configs(), 2500).unwrap();
+    for &frame in &frames {
+        writer.push(frame).unwrap();
+    }
+    writer.finish().unwrap();
+    let archive = Archive::open(&path).unwrap();
+    assert!(archive.verify().unwrap().is_clean());
+    let mut decoded = Vec::new();
+    for meta in archive.segments() {
+        let whole = archive.decode_segment_frames(meta).unwrap();
+        for i in 0..meta.summaries.len() {
+            let mut alone = Vec::new();
+            archive
+                .decode_blocks_into(meta, i..i + 1, &mut alone)
+                .unwrap();
+            let end = ((i + 1) * SUMMARY_FRAMES).min(whole.len());
+            assert_eq!(alone, whole[i * SUMMARY_FRAMES..end]);
+        }
+        decoded.extend(whole);
+    }
+    assert_eq!(decoded, frames);
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(ps3_archive::index_path_for(&path)).ok();
+}
+
 proptest! {
+    /// Random segment lengths (partial last blocks and single frames
+    /// included) with random events on every block's first frame.
+    #[test]
+    fn blocks_decode_alone_under_random_boundary_events(
+        n in 1usize..=3600,
+        events in proptest::collection::vec(0u8..16, 3),
+        seed in proptest::prelude::any::<u64>(),
+    ) {
+        check_blocks_decode_alone(&boundary_frames(n, &events, seed));
+    }
+
     /// Random values at random k: decode inverts encode and the cost
     /// model stays exact.
     #[test]

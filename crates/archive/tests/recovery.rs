@@ -2,6 +2,7 @@
 //! prove that the sealed prefix always survives, the torn tail is
 //! flagged, and corruption never decodes silently.
 
+use std::ops::Range;
 use std::path::PathBuf;
 
 use ps3_archive::{index_path_for, Archive, ArchiveError, ArchiveFrame, SegmentWriter};
@@ -172,4 +173,89 @@ fn unrelated_file_is_rejected() {
         Err(ArchiveError::NotAnArchive)
     ));
     std::fs::remove_file(&path).ok();
+}
+
+/// Opens `path` (an archive whose segment 0 is damaged and whose
+/// sidecar is still the intact one) and checks that nothing is
+/// answered from the damage: either the sidecar is refused and the
+/// CRC scan stops before segment 0, or every read of segment 0's
+/// `damaged` blocks fails.
+fn assert_damage_is_not_served(path: &PathBuf, damaged: Range<usize>, what: &str) {
+    let archive = Archive::open(path).unwrap_or_else(|e| panic!("{what}: {e}"));
+    if !archive.recovery().used_index {
+        assert!(archive.segments().is_empty(), "{what}: served past damage");
+        assert!(archive.read_all().unwrap().is_empty(), "{what}");
+        assert!(!archive.verify().unwrap().is_clean(), "{what}");
+        return;
+    }
+    let meta = &archive.segments()[0];
+    for i in damaged {
+        let block = meta.summaries[i];
+        let (s, e) = (
+            SimTime::from_micros(block.first_us),
+            SimTime::from_micros(block.last_us + 1),
+        );
+        assert!(archive.read_range(s, e).is_err(), "{what}: block {i} read");
+    }
+    assert!(archive.read_all().is_err(), "{what}: full read");
+}
+
+/// Writes 3 segments of 5 summary blocks each and returns the bytes
+/// plus segment 0's parsed tables.
+fn write_block_archive(path: &PathBuf) -> (Vec<u8>, ps3_archive::SegmentMeta) {
+    write_archive(path, 15_000, 5_000);
+    let archive = Archive::open(path).unwrap();
+    assert!(archive.recovery().used_index);
+    let meta = archive.segments()[0].clone();
+    assert_eq!(meta.summaries.len(), 5);
+    (std::fs::read(path).unwrap(), meta)
+}
+
+#[test]
+fn flipped_summary_count_falls_back_to_the_scan() {
+    let path = temp_path("summary-count");
+    let (bytes, meta) = write_block_archive(&path);
+    // summary_count is the u32 at byte 12 of the segment header:
+    // 5 → 1 (a shorter segment) and 5 → 261 (a longer one).
+    for (byte, bit) in [(12, 0x04u8), (13, 0x01)] {
+        let mut damaged = bytes.clone();
+        damaged[meta.offset as usize + byte] ^= bit;
+        std::fs::write(&path, &damaged).unwrap();
+        let archive = Archive::open(&path).unwrap();
+        assert!(
+            !archive.recovery().used_index,
+            "byte {byte}: sidecar trusted"
+        );
+        assert_damage_is_not_served(&path, 0..0, &format!("summary_count byte {byte}"));
+    }
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(index_path_for(&path)).ok();
+}
+
+#[test]
+fn flipped_block_offset_is_never_served() {
+    let path = temp_path("block-offset");
+    let (bytes, meta) = write_block_archive(&path);
+    let table = meta.offset as usize
+        + ps3_archive::format::SEGMENT_HEADER_SIZE
+        + 5 * ps3_archive::format::SUMMARY_WIRE_SIZE;
+    // Every byte of block 2's offset; the high ones point past the
+    // payload and must send the open to the scan.
+    for byte in 0..4 {
+        let at = table + 2 * ps3_archive::format::BLOCK_OFFSET_SIZE + byte;
+        let mut damaged = bytes.clone();
+        damaged[at] ^= 0x01;
+        std::fs::write(&path, &damaged).unwrap();
+        if byte >= 2 {
+            let archive = Archive::open(&path).unwrap();
+            assert!(
+                !archive.recovery().used_index,
+                "byte {byte}: sidecar trusted"
+            );
+        }
+        // Block 2 starts, and block 1 ends, at the damaged offset.
+        assert_damage_is_not_served(&path, 1..3, &format!("offset byte {byte}"));
+    }
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(index_path_for(&path)).ok();
 }

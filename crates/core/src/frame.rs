@@ -104,12 +104,13 @@ impl FrameAssembler {
         }
     }
 
-    /// Drops the frame in progress and adopts `configs`' enabled slots
-    /// (the stream paused or the configuration changed). Decoder and
-    /// timestamp state carry on.
-    pub(crate) fn reset_frame(&mut self, configs: &[SensorConfig; SENSOR_SLOTS]) {
+    /// Adopts `configs`' enabled slots (the stream paused or the
+    /// configuration changed). The frame in progress is kept: the
+    /// device sends whole frames, so its remaining bytes are already
+    /// on the wire, and dropping it would lose a frame the device
+    /// counted. Decoder and timestamp state carry on.
+    pub(crate) fn set_enabled(&mut self, configs: &[SensorConfig; SENSOR_SLOTS]) {
         self.enabled = enabled_mask(configs);
-        self.take();
     }
 
     /// Framing resynchronisations so far.

@@ -400,7 +400,7 @@ impl PowerSensor {
             }
             // The stream pauses: restart interval accounting cleanly.
             inner.prev_frame_time = None;
-            inner.assembler.reset_frame(&inner.configs);
+            inner.assembler.set_enabled(&inner.configs);
         }
         self.transport
             .write_all(&Command::StartStreaming.encode())?;
@@ -429,12 +429,7 @@ impl PowerSensor {
     ///
     /// Transport failure if the link is down.
     pub fn resume_stream(&self) -> Result<(), PowerSensorError> {
-        {
-            let mut guard = self.shared.inner.lock();
-            let inner = &mut *guard;
-            inner.prev_frame_time = None;
-            inner.assembler.reset_frame(&inner.configs);
-        }
+        self.shared.inner.lock().prev_frame_time = None;
         self.transport
             .write_all(&Command::StartStreaming.encode())?;
         Ok(())

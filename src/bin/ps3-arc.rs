@@ -343,14 +343,15 @@ fn cmd_cat(args: &[String]) -> Result<ExitCode, String> {
         // Per-pair last readings mirror the live sensor's pair state:
         // a pair's column appears once it has reported at least once.
         let mut last: [Option<Watts>; SENSOR_PAIRS] = [None; SENSOR_PAIRS];
+        let mut frames = Vec::new();
         for meta in archive.segments() {
-            if meta.header.end_us < start.as_micros() || meta.header.start_us >= end.as_micros() {
-                continue;
-            }
-            let frames = archive
-                .decode_segment_frames(meta)
+            // Only the summary blocks holding frames in range.
+            let blocks = meta.blocks_overlapping(start.as_micros(), end.as_micros());
+            frames.clear();
+            archive
+                .decode_blocks_into(meta, blocks, &mut frames)
                 .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-            for frame in frames {
+            for &frame in &frames {
                 if frame.time < start {
                     continue;
                 }

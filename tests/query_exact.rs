@@ -1,26 +1,31 @@
 //! Conservation test of the range-query walk on one seeded capture:
-//! summary-block and pyramid aggregates equal a full decode.
+//! summary-block and pyramid aggregates, and block-addressed reads,
+//! equal a full decode.
 //!
 //! The capture holds 30 sealed segments of 5 summary blocks each. It is
 //! queried through the archive alone (summary blocks only), through the
 //! tsdb at the default pyramid fan-out, and through the tsdb at a
 //! 2-block / 2-node fan-out, where a 5-block segment is served as one
 //! tier-2 node plus a tier-1 tail node. Over empty, sub-block,
-//! block-aligned, cross-segment and full ranges:
+//! block-straddling, block-aligned, cross-segment and full ranges:
 //!
 //! * every served answer (stats, energy, energy_between, downsample) is
 //!   bit-identical to the walk's reference mode, which rebuilds every
 //!   tier from decoded frames;
-//! * against a full decode (`read_range`), every engine's count, min and
-//!   max agree bit for bit, its sums, energies and downsampled means
-//!   within 1e-9 relative, and its bucket times and markers exactly.
+//! * the full decode is every segment decoded whole
+//!   (`decode_segment_frames`) and folded as the live reader folds it;
+//!   `read_range`, which decodes only the blocks a range touches,
+//!   matches it sample for sample and marker for marker, bit for bit;
+//! * against the full decode, every engine's count, min and max agree
+//!   bit for bit, its sums, energies and downsampled means within 1e-9
+//!   relative, and its bucket times and markers exactly.
 
 use std::path::PathBuf;
 
 use powersensor3::analysis::Trace;
 use powersensor3::archive::format::SUMMARY_FRAMES;
 use powersensor3::archive::{
-    Archive, ArchiveError, ArchiveFrame, RangeStats, SegmentWriter, Tiers,
+    frame_total, Archive, ArchiveError, ArchiveFrame, RangeStats, SegmentWriter, Tiers,
 };
 use powersensor3::firmware::{SensorConfig, SENSOR_SLOTS};
 use powersensor3::tsdb::{PyramidConfig, Tsdb};
@@ -207,6 +212,11 @@ fn ranges(archive: &Archive) -> Vec<(&'static str, SimTime, SimTime)> {
             us(mid.last_us - 2_345),
         ),
         (
+            "block-straddling",
+            us(block(6, 1).first_us + 321),
+            us(block(6, 2).first_us + 456),
+        ),
+        (
             "block-aligned",
             us(block(7, 1).first_us),
             us(block(9, 3).first_us),
@@ -236,6 +246,22 @@ fn assert_same_trace(what: &str, a: &Trace, b: &Trace) {
         );
     }
     assert_eq!(a.markers(), b.markers(), "{what}: markers");
+}
+
+/// The reference: every sample in `[s, e)` of a whole-segment decode,
+/// pushed with its marker the way the live reader pushes it.
+fn full_decode(archive: &Archive, frames: &[ArchiveFrame], s: SimTime, e: SimTime) -> Trace {
+    let mut trace = Trace::new();
+    for frame in frames.iter().filter(|f| f.time >= s && f.time < e) {
+        trace.push(
+            frame.time,
+            frame_total(archive.configs(), archive.adc(), frame),
+        );
+        if let Some(label) = frame.marker {
+            trace.mark(frame.time, label);
+        }
+    }
+    trace
 }
 
 fn close(a: f64, b: f64) -> bool {
@@ -294,9 +320,22 @@ fn served_aggregates_equal_a_full_decode() {
     assert_matches_reference("tsdb", &tsdb, &ranges);
     assert_matches_reference("tsdb-small", &small, &ranges);
 
+    let frames: Vec<ArchiveFrame> = archive
+        .segments()
+        .iter()
+        .flat_map(|meta| archive.decode_segment_frames(meta).unwrap())
+        .collect();
+    let mut reused = Trace::new();
     for &(range, s, e) in &ranges {
         // The full decode: every sample in range, as the live trace had it.
-        let trace = archive.read_range(s, e).unwrap();
+        let trace = full_decode(&archive, &frames, s, e);
+        assert_same_trace(
+            &format!("read_range {range}"),
+            &archive.read_range(s, e).unwrap(),
+            &trace,
+        );
+        archive.read_range_into(s, e, &mut reused).unwrap();
+        assert_same_trace(&format!("read_range_into {range}"), &reused, &trace);
         let watts: Vec<f64> = trace.iter().map(|x| x.power.value()).collect();
         let flat = archive.stats(s, e).unwrap();
         assert_eq!(flat.count, trace.len() as u64, "{range}: count");
