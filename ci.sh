@@ -97,6 +97,9 @@ stage_archive() {
   # pass, and a torn tail (as a crash would leave) must fail verify
   # while the sealed prefix still opens.
   rm -rf target/ci-arc && mkdir -p target/ci-arc
+  # The word-at-a-time bit codec against its bit-at-a-time oracle, with
+  # far more random op sequences than the default 64 cases.
+  PROPTEST_CASES=4096 cargo test -q --release -p ps3-archive --test codec
   ./target/release/ps3-arc record --out target/ci-arc/cap.ps3a \
     --dump target/ci-arc/cap-live.txt --frames 4000 --seed 9 \
     --segment-frames 1024 >/dev/null

@@ -15,11 +15,11 @@
 //! decodes only the blocks a range cuts through.
 
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
+use std::io::Read;
 use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-use parking_lot::Mutex;
 use ps3_analysis::Trace;
 use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
 use ps3_sensors::AdcSpec;
@@ -69,7 +69,9 @@ impl VerifyReport {
 #[derive(Debug)]
 pub struct Archive {
     path: PathBuf,
-    file: Mutex<File>,
+    /// Read only through positioned reads ([`read_at`]), so concurrent
+    /// queries share it without a lock.
+    file: File,
     configs: [SensorConfig; SENSOR_SLOTS],
     adc: AdcSpec,
     segments: Vec<SegmentMeta>,
@@ -77,10 +79,11 @@ pub struct Archive {
     recovery: RecoveryReport,
 }
 
-fn read_at(file: &mut File, offset: u64, len: usize) -> Result<Vec<u8>, ArchiveError> {
-    file.seek(SeekFrom::Start(offset))?;
+/// Reads exactly `len` bytes at `offset`, leaving the file cursor
+/// alone.
+fn read_at(file: &File, offset: u64, len: usize) -> Result<Vec<u8>, ArchiveError> {
     let mut buf = vec![0u8; len];
-    file.read_exact(&mut buf)?;
+    file.read_exact_at(&mut buf, offset)?;
     Ok(buf)
 }
 
@@ -102,7 +105,7 @@ impl Archive {
             .read_to_end(&mut header)?;
         let configs = decode_file_header(&header)?;
 
-        let (segments, recovery) = match Self::try_index(&path, &mut file, file_len) {
+        let (segments, recovery) = match Self::try_index(&path, &file, file_len) {
             Some(segments) => (
                 segments,
                 RecoveryReport {
@@ -111,7 +114,7 @@ impl Archive {
                 },
             ),
             None => {
-                let (segments, sealed_len) = Self::scan(&mut file, file_len)?;
+                let (segments, sealed_len) = Self::scan(&file, file_len)?;
                 (
                     segments,
                     RecoveryReport {
@@ -127,7 +130,7 @@ impl Archive {
         }
         Ok(Self {
             path,
-            file: Mutex::new(file),
+            file,
             configs,
             adc: AdcSpec::POWERSENSOR3,
             segments,
@@ -141,7 +144,7 @@ impl Archive {
     /// index records that disagree with the file, a block layout that
     /// fails [`SegmentMeta::parse`]'s checks — returns `None` and the
     /// caller falls back to the CRC-checked scan.
-    fn try_index(path: &Path, file: &mut File, file_len: u64) -> Option<Vec<SegmentMeta>> {
+    fn try_index(path: &Path, file: &File, file_len: u64) -> Option<Vec<SegmentMeta>> {
         let bytes = std::fs::read(index_path_for(path)).ok()?;
         let index = ArchiveIndex::decode(&bytes).ok()?;
         if index.data_len != file_len {
@@ -173,7 +176,7 @@ impl Archive {
     /// Sequentially scans the archive, keeping every CRC-valid sealed
     /// segment and stopping at the first sign of damage. Returns the
     /// metadata plus the length of the valid sealed prefix.
-    fn scan(file: &mut File, file_len: u64) -> Result<(Vec<SegmentMeta>, u64), ArchiveError> {
+    fn scan(file: &File, file_len: u64) -> Result<(Vec<SegmentMeta>, u64), ArchiveError> {
         let mut segments = Vec::new();
         let mut offset = FILE_HEADER_SIZE as u64;
         while offset + (SEGMENT_HEADER_SIZE + SEGMENT_TRAILER_SIZE) as u64 <= file_len {
@@ -249,7 +252,7 @@ impl Archive {
         }
         let span = meta.block_bytes(&blocks);
         let bytes = read_at(
-            &mut self.file.lock(),
+            &self.file,
             meta.payload_offset() + span.start as u64,
             span.len(),
         )?;
@@ -422,14 +425,14 @@ impl Archive {
     /// report.
     pub fn verify(&self) -> Result<VerifyReport, ArchiveError> {
         let mut report = VerifyReport::default();
-        let mut file = self.file.lock();
+        let file = &self.file;
         let file_len = file.metadata()?.len();
         let mut offset = FILE_HEADER_SIZE as u64;
         while offset < file_len {
             if offset + (SEGMENT_HEADER_SIZE + SEGMENT_TRAILER_SIZE) as u64 > file_len {
                 break;
             }
-            let hdr = read_at(&mut file, offset, SEGMENT_HEADER_SIZE)?;
+            let hdr = read_at(file, offset, SEGMENT_HEADER_SIZE)?;
             let Ok(header) = SegmentHeader::parse(&hdr, offset) else {
                 break;
             };
@@ -437,7 +440,7 @@ impl Archive {
             if offset + size > file_len {
                 break;
             }
-            let bytes = read_at(&mut file, offset, size as usize)?;
+            let bytes = read_at(file, offset, size as usize)?;
             let body_len = size as usize - SEGMENT_TRAILER_SIZE;
             if read_u32(&bytes, body_len + 4) != SEAL_MAGIC {
                 break;

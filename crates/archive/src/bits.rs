@@ -6,6 +6,16 @@
 //! lands in bit 0 of byte 0. Multi-bit fields are written least
 //! significant bit first, so writer and reader agree without any
 //! byte-order bookkeeping.
+//!
+//! Both ends work a 64-bit word at a time over that same bit order.
+//! [`BitWriter`] ORs each field into a 64-bit accumulator and moves
+//! whole bytes out when the next field would not fit; a Rice codeword
+//! (unary prefix, stop bit, remainder) is a single field.
+//! [`BitReader`] loads the little-endian 64-bit window at its bit
+//! cursor (bits past the end read as 0), which holds at least 57 bits
+//! of the stream: a field is one shift and mask, a unary prefix one
+//! `trailing_ones`. A read that would reach past the end fails with
+//! [`BitStreamExhausted`] exactly where a bit-by-bit reader would.
 
 /// Number of unary `1` bits after which a Rice codeword escapes to a
 /// fixed-width raw value (keeps pathological deltas bounded).
@@ -14,6 +24,11 @@ pub const RICE_ESCAPE_Q: u32 = 16;
 /// Width of the escaped raw value: zigzagged 10-bit deltas span
 /// `0..=2046`, which fits in 11 bits.
 pub const RICE_ESCAPE_BITS: u8 = 11;
+
+/// The widest field a single window read or accumulator insert takes:
+/// a 64-bit window at a bit cursor up to 7 bits into its first byte
+/// still holds 57 bits of the stream.
+const WINDOW_BITS: u32 = 56;
 
 /// Maps a signed value onto the non-negative integers with small
 /// magnitudes first: `0, -1, 1, -2, 2, …` → `0, 1, 2, 3, 4, …`.
@@ -28,12 +43,19 @@ pub fn unzigzag64(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+/// The `n` low bits set, for `n <= 56`.
+fn low_mask(n: u32) -> u64 {
+    (1u64 << n) - 1
+}
+
 /// An append-only LSB-first bit stream.
 #[derive(Debug, Default)]
 pub struct BitWriter {
     out: Vec<u8>,
-    /// Bits already used in the final byte of `out` (0 when byte-aligned).
-    used: u8,
+    /// Pending bits not yet moved to `out`, LSB first.
+    acc: u64,
+    /// Bits held in `acc` (at most 64).
+    pending: u32,
 }
 
 impl BitWriter {
@@ -43,16 +65,33 @@ impl BitWriter {
         Self::default()
     }
 
+    /// Moves the whole bytes of the accumulator to `out`, leaving fewer
+    /// than 8 bits pending.
+    fn flush_bytes(&mut self) {
+        let whole = self.pending / 8;
+        self.out
+            .extend_from_slice(&self.acc.to_le_bytes()[..whole as usize]);
+        self.acc = self.acc.checked_shr(8 * whole).unwrap_or(0);
+        self.pending -= 8 * whole;
+    }
+
+    /// Appends the low `n <= 56` bits of `field`, which must be clear
+    /// above them.
+    fn push_field(&mut self, field: u64, n: u32) {
+        debug_assert!(n <= WINDOW_BITS && field >> n == 0);
+        if n == 0 {
+            return;
+        }
+        if self.pending + n > 64 {
+            self.flush_bytes();
+        }
+        self.acc |= field << self.pending;
+        self.pending += n;
+    }
+
     /// Appends a single bit.
     pub fn push_bit(&mut self, bit: bool) {
-        if self.used == 0 {
-            self.out.push(0);
-        }
-        if bit {
-            let last = self.out.last_mut().expect("pushed above");
-            *last |= 1 << self.used;
-        }
-        self.used = (self.used + 1) % 8;
+        self.push_field(u64::from(bit), 1);
     }
 
     /// Appends the `n` least significant bits of `value`, LSB first.
@@ -62,33 +101,45 @@ impl BitWriter {
     /// Panics if `n > 64`.
     pub fn push_bits(&mut self, value: u64, n: u8) {
         assert!(n <= 64, "at most 64 bits per field");
-        for i in 0..n {
-            self.push_bit(value >> i & 1 == 1);
+        let n = u32::from(n);
+        if n > WINDOW_BITS {
+            self.push_field(value & low_mask(32), 32);
+            self.push_field((value >> 32) & low_mask(n - 32), n - 32);
+        } else {
+            self.push_field(value & low_mask(n), n);
         }
     }
 
     /// Appends `count` one-bits followed by a terminating zero
     /// (classic unary).
     pub fn push_unary(&mut self, count: u32) {
-        for _ in 0..count {
-            self.push_bit(true);
+        let mut left = count;
+        while left >= WINDOW_BITS {
+            self.push_field(low_mask(WINDOW_BITS), WINDOW_BITS);
+            left -= WINDOW_BITS;
         }
-        self.push_bit(false);
+        // The remaining ones, then the stop bit above them.
+        self.push_field(low_mask(left), left + 1);
     }
 
-    /// Rice-codes `value` with parameter `k`. Values whose quotient
+    /// Rice-codes `value` with parameter `k` (at most 15, the width of
+    /// a segment header's per-slot field). Values whose quotient
     /// reaches [`RICE_ESCAPE_Q`] are written as the escape marker
     /// followed by the raw [`RICE_ESCAPE_BITS`]-bit value.
     pub fn push_rice(&mut self, value: u32, k: u8) {
+        debug_assert!(k <= 15, "Rice parameter {k} exceeds its 4-bit field");
+        let k = u32::from(k);
         let q = value >> k;
         if q >= RICE_ESCAPE_Q {
-            for _ in 0..RICE_ESCAPE_Q {
-                self.push_bit(true);
-            }
-            self.push_bits(u64::from(value), RICE_ESCAPE_BITS);
+            let raw = u64::from(value) & low_mask(u32::from(RICE_ESCAPE_BITS));
+            self.push_field(
+                low_mask(RICE_ESCAPE_Q) | raw << RICE_ESCAPE_Q,
+                RICE_ESCAPE_Q + u32::from(RICE_ESCAPE_BITS),
+            );
         } else {
-            self.push_unary(q);
-            self.push_bits(u64::from(value) & ((1 << k) - 1), k);
+            // `q` ones, the zero stop bit, then the `k`-bit remainder.
+            let rem = u64::from(value) & low_mask(k);
+            self.push_field(low_mask(q) | rem << (q + 1), q + 1 + k);
         }
     }
 
@@ -107,23 +158,26 @@ impl BitWriter {
     /// Zero-pads to the next byte boundary and returns the byte offset
     /// the next bit lands in.
     pub fn align(&mut self) -> usize {
-        self.used = 0;
+        self.flush_bytes();
+        if self.pending > 0 {
+            self.out.push(self.acc as u8);
+            self.acc = 0;
+            self.pending = 0;
+        }
         self.out.len()
     }
 
     /// Finishes the stream, zero-padding the final partial byte.
     #[must_use]
-    pub fn finish(self) -> Vec<u8> {
+    pub fn finish(mut self) -> Vec<u8> {
+        self.align();
         self.out
     }
 
     /// Bits written so far.
     #[must_use]
     pub fn bit_len(&self) -> usize {
-        match self.used {
-            0 => self.out.len() * 8,
-            used => (self.out.len() - 1) * 8 + used as usize,
-        }
+        self.out.len() * 8 + self.pending as usize
     }
 }
 
@@ -132,6 +186,7 @@ impl BitWriter {
 #[derive(Debug)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],
+    /// Bit cursor.
     pos: usize,
 }
 
@@ -145,6 +200,31 @@ impl<'a> BitReader<'a> {
     #[must_use]
     pub fn new(bytes: &'a [u8]) -> Self {
         Self { bytes, pos: 0 }
+    }
+
+    /// The stream from the bit cursor on, at least 57 bits of it, with
+    /// bits past the end read as 0.
+    fn window(&self) -> u64 {
+        let at = self.pos / 8;
+        let mut buf = [0u8; 8];
+        match self.bytes.get(at..at + 8) {
+            Some(eight) => buf.copy_from_slice(eight),
+            None => {
+                let tail = self.bytes.get(at..).unwrap_or_default();
+                buf[..tail.len()].copy_from_slice(tail);
+            }
+        }
+        u64::from_le_bytes(buf) >> (self.pos % 8)
+    }
+
+    /// Moves the cursor past `n` bits, or fails (without moving) if
+    /// the stream holds fewer.
+    fn consume(&mut self, n: usize) -> Result<(), BitStreamExhausted> {
+        if n > self.bytes.len() * 8 - self.pos {
+            return Err(BitStreamExhausted);
+        }
+        self.pos += n;
+        Ok(())
     }
 
     /// Reads one bit.
@@ -165,36 +245,44 @@ impl<'a> BitReader<'a> {
         self.pos.div_ceil(8)
     }
 
-    /// Reads `n` bits written by [`BitWriter::push_bits`].
+    /// Reads `n` bits written by [`BitWriter::push_bits`]: one window
+    /// for `n <= 56`, two above.
     ///
     /// # Errors
     ///
     /// [`BitStreamExhausted`] at end of input.
     pub fn read_bits(&mut self, n: u8) -> Result<u64, BitStreamExhausted> {
-        let mut value = 0u64;
-        for i in 0..n {
-            if self.read_bit()? {
-                value |= 1 << i;
-            }
+        let n = u32::from(n);
+        if n > WINDOW_BITS {
+            let lo = self.read_bits(32)?;
+            return Ok(lo | self.read_bits((n - 32) as u8)? << 32);
         }
+        let value = self.window() & low_mask(n);
+        self.consume(n as usize)?;
         Ok(value)
     }
 
-    /// Reads a Rice codeword written with parameter `k`.
+    /// Reads a Rice codeword written with parameter `k` (at most 15):
+    /// the unary quotient is the window's trailing ones, capped at
+    /// [`RICE_ESCAPE_Q`].
     ///
     /// # Errors
     ///
     /// [`BitStreamExhausted`] at end of input.
     pub fn read_rice(&mut self, k: u8) -> Result<u32, BitStreamExhausted> {
-        let mut q = 0u32;
-        while q < RICE_ESCAPE_Q {
-            if !self.read_bit()? {
-                let r = self.read_bits(k)? as u32;
-                return Ok((q << k) | r);
-            }
-            q += 1;
+        debug_assert!(k <= 15, "Rice parameter {k} exceeds its 4-bit field");
+        let k = u32::from(k);
+        let window = self.window();
+        let q = window.trailing_ones().min(RICE_ESCAPE_Q);
+        if q == RICE_ESCAPE_Q {
+            let escape_bits = u32::from(RICE_ESCAPE_BITS);
+            let value = (window >> RICE_ESCAPE_Q) & low_mask(escape_bits);
+            self.consume((RICE_ESCAPE_Q + escape_bits) as usize)?;
+            return Ok(value as u32);
         }
-        Ok(self.read_bits(RICE_ESCAPE_BITS)? as u32)
+        let rem = (window >> (q + 1)) & low_mask(k);
+        self.consume((q + 1 + k) as usize)?;
+        Ok((q << k) | rem as u32)
     }
 }
 

@@ -38,6 +38,11 @@
 //! Marker labels are stored natively (21 bits of Unicode scalar), so
 //! archived traces round-trip the host-side labels that the device
 //! wire protocol itself cannot carry.
+//!
+//! The decoder accepts only what the encoder can write: a raw code past
+//! 10 bits or a label code that is not a Unicode scalar value is
+//! [`ArchiveError::Corrupt`], since the sidecar fast path serves
+//! payloads whose CRC it has not checked.
 
 use core::ops::Range;
 
@@ -59,6 +64,9 @@ const DEFAULT_DELTA_US: u64 = 50;
 
 /// Unicode scalar values fit in 21 bits.
 const CHAR_BITS: u8 = 21;
+
+/// The largest raw sample code: the ADC is 10-bit.
+const MAX_RAW: u16 = 0x3FF;
 
 /// The latest timestamp a [`SimTime`] can hold, µs: a decoded time past
 /// it is corrupt data.
@@ -549,6 +557,7 @@ fn encode_block(w: &mut BitWriter, frames: &[ArchiveFrame], k: &[u8; SENSOR_SLOT
                 continue;
             }
             let v = frame.raw[slot];
+            debug_assert!(v <= MAX_RAW, "raw code {v:#x} in slot {slot} is not 10-bit");
             match prev_vals[slot] {
                 None => w.push_bits(u64::from(v), 10),
                 Some(p) => {
@@ -670,7 +679,10 @@ fn decode_block(
                         .read_rice(k[slot])
                         .map_err(|_| corrupt("payload ends mid-delta"))?;
                     let v = i64::from(p) + unzigzag64(u64::from(zz));
-                    u16::try_from(v).map_err(|_| corrupt("value delta out of range"))?
+                    u16::try_from(v)
+                        .ok()
+                        .filter(|&v| v <= MAX_RAW)
+                        .ok_or_else(|| corrupt("value delta out of range"))?
                 }
             };
             raw[slot] = v;
@@ -686,7 +698,7 @@ fn decode_block(
     let present = r
         .read_bits(8)
         .map_err(|_| corrupt("payload ends in a block's first frame"))? as u8;
-    let marker = read_marker(&mut r).map_err(|_| corrupt("payload ends mid-marker"))?;
+    let marker = read_marker(&mut r, &corrupt)?;
     let raw = read_values(&mut r, present)?;
     out.push(ArchiveFrame {
         time: SimTime::from_micros(first_us),
@@ -717,7 +729,7 @@ fn decode_block(
             } else {
                 prev_present
             };
-            let marker = read_marker(&mut r).map_err(|_| corrupt("payload ends mid-marker"))?;
+            let marker = read_marker(&mut r, &corrupt)?;
             (delta, present, marker)
         };
         let time = prev_time
@@ -741,12 +753,20 @@ fn decode_block(
     Ok(())
 }
 
-fn read_marker(r: &mut BitReader<'_>) -> Result<Option<char>, crate::bits::BitStreamExhausted> {
-    if !r.read_bit()? {
+/// Reads a marker flag bit plus, when set, the label; a label code
+/// that is not a Unicode scalar value is corrupt data.
+fn read_marker(
+    r: &mut BitReader<'_>,
+    corrupt: &dyn Fn(&str) -> ArchiveError,
+) -> Result<Option<char>, ArchiveError> {
+    let ends = |_| corrupt("payload ends mid-marker");
+    if !r.read_bit().map_err(ends)? {
         return Ok(None);
     }
-    let code = r.read_bits(CHAR_BITS)? as u32;
-    Ok(Some(char::from_u32(code).unwrap_or('?')))
+    let code = r.read_bits(CHAR_BITS).map_err(ends)? as u32;
+    char::from_u32(code)
+        .map(Some)
+        .ok_or_else(|| corrupt("marker label is not a Unicode scalar value"))
 }
 
 /// Reads a delta-of-delta class; `None` when the reconstructed delta
@@ -933,6 +953,65 @@ mod tests {
             let first_us = next() >> (next() % 64);
             let _ = decode_block(&k, first_us, SUMMARY_FRAMES, &bytes, 0, &mut Vec::new());
         }
+    }
+
+    /// A hand-made two-frame block on slot 0: the first frame carries
+    /// `label` as its marker code and raw value `first`, the second is
+    /// a fast-path frame whose value moves by `delta` (Rice, k = 0).
+    fn crafted_block(label: u32, first: u16, delta: i64) -> Vec<u8> {
+        let mut w = BitWriter::new();
+        w.push_bits(0b1, 8);
+        w.push_bit(true);
+        w.push_bits(u64::from(label), CHAR_BITS);
+        w.push_bits(u64::from(first), 10);
+        w.push_bit(true);
+        w.push_rice(zigzag64(delta) as u32, 0);
+        w.finish()
+    }
+
+    fn decode_crafted(bytes: &[u8]) -> Result<Vec<ArchiveFrame>, ArchiveError> {
+        let mut out = Vec::new();
+        decode_block(&[0; SENSOR_SLOTS], 25, 2, bytes, 0, &mut out).map(|()| out)
+    }
+
+    fn corrupt_reason(result: Result<Vec<ArchiveFrame>, ArchiveError>) -> String {
+        match result {
+            Err(ArchiveError::Corrupt { what, .. }) => what,
+            other => panic!("expected a corrupt block, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn crafted_blocks_decode_when_intact() {
+        let out = decode_crafted(&crafted_block('k' as u32, 1022, 1)).unwrap();
+        assert_eq!(out[0].marker, Some('k'));
+        assert_eq!((out[0].raw[0], out[1].raw[0]), (1022, 1023));
+        let out = decode_crafted(&crafted_block(0x10_FFFF, 1, -1)).unwrap();
+        assert_eq!(out[0].marker, char::from_u32(0x10_FFFF));
+        assert_eq!(out[1].raw[0], 0);
+    }
+
+    #[test]
+    fn a_marker_code_that_is_not_a_unicode_scalar_is_corrupt() {
+        // A surrogate and the first code past U+10FFFF both fit the
+        // 21-bit label field.
+        for label in [0xD800, 0xDFFF, 0x11_0000, 0x1F_FFFF] {
+            let reason = corrupt_reason(decode_crafted(&crafted_block(label, 500, 0)));
+            assert!(reason.contains("Unicode"), "{label:#x}: {reason}");
+        }
+    }
+
+    #[test]
+    fn a_raw_code_past_ten_bits_is_corrupt() {
+        for (first, delta) in [(1023, 1), (1000, 100), (1, 1023)] {
+            let reason = corrupt_reason(decode_crafted(&crafted_block('k' as u32, first, delta)));
+            assert!(
+                reason.contains("out of range"),
+                "{first}{delta:+}: {reason}"
+            );
+        }
+        let reason = corrupt_reason(decode_crafted(&crafted_block('k' as u32, 0, -1)));
+        assert!(reason.contains("out of range"), "{reason}");
     }
 
     #[test]

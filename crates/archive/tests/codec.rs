@@ -4,13 +4,20 @@
 //! empty segment, plus randomized sweeps over the whole input space —
 //! and for the block layout: every summary block decodes on its own to
 //! exactly its slice of the whole-segment decode.
+//!
+//! The word-at-a-time bit writer and reader are checked against a
+//! bit-at-a-time oracle (`mod oracle`): random sequences of fields,
+//! Rice codewords, unary runs and alignments must produce the oracle's
+//! bytes and read back the oracle's values, and every truncation of
+//! the stream must fail at the same read. CI runs this file with
+//! `PROPTEST_CASES=4096`.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use ps3_archive::bits::{
-    unzigzag64, zigzag64, BitReader, BitWriter, RICE_ESCAPE_BITS, RICE_ESCAPE_Q,
+    unzigzag64, zigzag64, BitReader, BitStreamExhausted, BitWriter, RICE_ESCAPE_BITS, RICE_ESCAPE_Q,
 };
 use ps3_archive::format::{SEGMENT_HEADER_SIZE, SUMMARY_FRAMES};
 use ps3_archive::{
@@ -365,5 +372,304 @@ proptest! {
             times.push(t);
         }
         dod_roundtrip(&times, "prop");
+    }
+}
+
+/// The bit-at-a-time codec the word-at-a-time [`BitWriter`] and
+/// [`BitReader`] replaced, kept as the reference they must agree with
+/// bit for bit: one bounds-checked bit per call.
+mod oracle {
+    use ps3_archive::bits::{BitStreamExhausted, RICE_ESCAPE_BITS, RICE_ESCAPE_Q};
+
+    #[derive(Default)]
+    pub struct Writer {
+        out: Vec<u8>,
+        used: u8,
+    }
+
+    impl Writer {
+        pub fn push_bit(&mut self, bit: bool) {
+            if self.used == 0 {
+                self.out.push(0);
+            }
+            if bit {
+                *self.out.last_mut().unwrap() |= 1 << self.used;
+            }
+            self.used = (self.used + 1) % 8;
+        }
+
+        pub fn push_bits(&mut self, value: u64, n: u8) {
+            for i in 0..n {
+                self.push_bit(value >> i & 1 == 1);
+            }
+        }
+
+        pub fn push_unary(&mut self, count: u32) {
+            for _ in 0..count {
+                self.push_bit(true);
+            }
+            self.push_bit(false);
+        }
+
+        pub fn push_rice(&mut self, value: u32, k: u8) {
+            let q = value >> k;
+            if q >= RICE_ESCAPE_Q {
+                for _ in 0..RICE_ESCAPE_Q {
+                    self.push_bit(true);
+                }
+                self.push_bits(u64::from(value), RICE_ESCAPE_BITS);
+            } else {
+                self.push_unary(q);
+                self.push_bits(u64::from(value) & ((1 << k) - 1), k);
+            }
+        }
+
+        pub fn align(&mut self) -> usize {
+            self.used = 0;
+            self.out.len()
+        }
+
+        pub fn bit_len(&self) -> usize {
+            match self.used {
+                0 => self.out.len() * 8,
+                used => (self.out.len() - 1) * 8 + used as usize,
+            }
+        }
+
+        pub fn finish(self) -> Vec<u8> {
+            self.out
+        }
+    }
+
+    pub struct Reader<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+    }
+
+    impl<'a> Reader<'a> {
+        pub fn new(bytes: &'a [u8]) -> Self {
+            Self { bytes, pos: 0 }
+        }
+
+        pub fn read_bit(&mut self) -> Result<bool, BitStreamExhausted> {
+            let byte = self.bytes.get(self.pos / 8).ok_or(BitStreamExhausted)?;
+            let bit = byte >> (self.pos % 8) & 1 == 1;
+            self.pos += 1;
+            Ok(bit)
+        }
+
+        pub fn bytes_read(&self) -> usize {
+            self.pos.div_ceil(8)
+        }
+
+        pub fn read_bits(&mut self, n: u8) -> Result<u64, BitStreamExhausted> {
+            let mut value = 0u64;
+            for i in 0..n {
+                if self.read_bit()? {
+                    value |= 1 << i;
+                }
+            }
+            Ok(value)
+        }
+
+        pub fn read_rice(&mut self, k: u8) -> Result<u32, BitStreamExhausted> {
+            let mut q = 0u32;
+            while q < RICE_ESCAPE_Q {
+                if !self.read_bit()? {
+                    let r = self.read_bits(k)? as u32;
+                    return Ok((q << k) | r);
+                }
+                q += 1;
+            }
+            Ok(self.read_bits(RICE_ESCAPE_BITS)? as u32)
+        }
+    }
+}
+
+/// One writer call in an oracle comparison.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Bits(u64, u8),
+    Rice(u32, u8),
+    Unary(u32),
+    Align,
+}
+
+/// Maps a proptest draw onto an [`Op`]: field widths 0..=64 (values
+/// carry stray high bits the writer must drop), Rice values of every
+/// magnitude the escape can carry at k 0..=10 (escapes included),
+/// unary runs longer than a 64-bit window, and byte alignment.
+fn op(kind: u8, value: u64, n: u8, k: u8) -> Op {
+    match kind {
+        0..=2 => Op::Bits(value, n),
+        3..=5 => Op::Rice(
+            ((value % u64::from(RICE_MAX + 1)) >> (value >> 60)) as u32,
+            k,
+        ),
+        6 => Op::Unary((value % 80) as u32),
+        _ => Op::Align,
+    }
+}
+
+/// The reads both bit readers offer.
+trait ReadBits {
+    fn bits(&mut self, n: u8) -> Result<u64, BitStreamExhausted>;
+    fn rice(&mut self, k: u8) -> Result<u32, BitStreamExhausted>;
+    fn bytes_read(&self) -> usize;
+}
+
+impl ReadBits for BitReader<'_> {
+    fn bits(&mut self, n: u8) -> Result<u64, BitStreamExhausted> {
+        if n == 1 {
+            // The single-bit read the decoder's flags use.
+            return self.read_bit().map(u64::from);
+        }
+        self.read_bits(n)
+    }
+    fn rice(&mut self, k: u8) -> Result<u32, BitStreamExhausted> {
+        self.read_rice(k)
+    }
+    fn bytes_read(&self) -> usize {
+        BitReader::bytes_read(self)
+    }
+}
+
+impl ReadBits for oracle::Reader<'_> {
+    fn bits(&mut self, n: u8) -> Result<u64, BitStreamExhausted> {
+        self.read_bits(n)
+    }
+    fn rice(&mut self, k: u8) -> Result<u32, BitStreamExhausted> {
+        self.read_rice(k)
+    }
+    fn bytes_read(&self) -> usize {
+        oracle::Reader::bytes_read(self)
+    }
+}
+
+/// Reads a unary run bit by bit, as the decoder reads its flags.
+fn read_unary(r: &mut dyn ReadBits) -> Result<u64, BitStreamExhausted> {
+    let mut count = 0;
+    while r.bits(1)? == 1 {
+        count += 1;
+    }
+    Ok(count)
+}
+
+/// Reads `ops` back, each as the value it wrote (`Ok`) or the end of
+/// the stream (`Err`), with the bytes consumed after every successful
+/// read. `starts` holds the bit offset of each op, from which an
+/// `Align`'s padding width follows. Stops at the first exhausted read,
+/// as the segment decoder does.
+fn read_back(
+    r: &mut dyn ReadBits,
+    ops: &[Op],
+    starts: &[usize],
+) -> Vec<Result<(u64, usize), BitStreamExhausted>> {
+    let mut reads = Vec::new();
+    for (&op, &start) in ops.iter().zip(starts) {
+        let got = match op {
+            Op::Bits(_, n) => r.bits(n),
+            Op::Rice(_, k) => r.rice(k).map(u64::from),
+            Op::Unary(_) => read_unary(r),
+            Op::Align => r.bits(((8 - start % 8) % 8) as u8),
+        };
+        let stop = got.is_err();
+        reads.push(got.map(|v| (v, r.bytes_read())));
+        if stop {
+            break;
+        }
+    }
+    reads
+}
+
+/// The value `op` should read back as.
+fn expected(op: Op) -> u64 {
+    match op {
+        Op::Bits(v, n) => v & u64::MAX.checked_shr(64 - u32::from(n)).unwrap_or(0),
+        Op::Rice(v, _) => u64::from(v),
+        Op::Unary(count) => u64::from(count),
+        Op::Align => 0,
+    }
+}
+
+/// Writes `ops` through the word-at-a-time writer and the oracle and
+/// checks identical bytes and bit lengths after every op; then reads
+/// them back, whole and at every truncation, through both readers.
+fn check_against_oracle(ops: &[Op]) {
+    let mut w = BitWriter::new();
+    let mut o = oracle::Writer::default();
+    let mut starts = Vec::with_capacity(ops.len());
+    for &op in ops {
+        starts.push(o.bit_len());
+        match op {
+            Op::Bits(v, n) => {
+                w.push_bits(v, n);
+                o.push_bits(v, n);
+            }
+            Op::Rice(v, k) => {
+                w.push_rice(v, k);
+                o.push_rice(v, k);
+            }
+            Op::Unary(count) => {
+                w.push_unary(count);
+                o.push_unary(count);
+            }
+            Op::Align => assert_eq!(w.align(), o.align(), "{ops:?}"),
+        }
+        assert_eq!(w.bit_len(), o.bit_len(), "{ops:?}");
+    }
+    let bytes = w.finish();
+    assert_eq!(bytes, o.finish(), "{ops:?}");
+
+    let whole = read_back(&mut BitReader::new(&bytes), ops, &starts);
+    assert_eq!(
+        whole,
+        read_back(&mut oracle::Reader::new(&bytes), ops, &starts)
+    );
+    assert_eq!(whole.len(), ops.len());
+    for (read, &op) in whole.iter().zip(ops) {
+        assert_eq!(read.map(|(v, _)| v), Ok(expected(op)), "{op:?}");
+    }
+    for len in 0..bytes.len() {
+        let cut = &bytes[..len];
+        assert_eq!(
+            read_back(&mut BitReader::new(cut), ops, &starts),
+            read_back(&mut oracle::Reader::new(cut), ops, &starts),
+            "truncated to {len} bytes: {ops:?}"
+        );
+    }
+}
+
+#[test]
+fn word_codec_matches_the_oracle_on_edge_cases() {
+    let mut ops = vec![Op::Bits(u64::MAX, 64), Op::Bits(0, 0), Op::Bits(!0x55, 57)];
+    for n in 0..=64 {
+        ops.push(Op::Bits(0xDEAD_BEEF_F00D_CAFE, n));
+    }
+    for k in 0..=10 {
+        for v in [0, 1, (RICE_ESCAPE_Q << k) - 1, RICE_ESCAPE_Q << k, RICE_MAX] {
+            ops.push(Op::Rice(v.min(RICE_MAX), k));
+        }
+        ops.push(Op::Align);
+    }
+    ops.extend([Op::Unary(0), Op::Unary(63), Op::Unary(64), Op::Unary(200)]);
+    check_against_oracle(&ops);
+    check_against_oracle(&[]);
+    check_against_oracle(&[Op::Align, Op::Bits(1, 1), Op::Align, Op::Align]);
+}
+
+proptest! {
+    /// Random op sequences: the word-at-a-time codec writes the
+    /// oracle's bytes and reads back the oracle's values, whole and
+    /// truncated at every byte.
+    #[test]
+    fn word_codec_matches_the_bit_oracle(
+        draws in proptest::collection::vec(
+            (0u8..8, proptest::prelude::any::<u64>(), 0u8..=64, 0u8..=10),
+            0..60,
+        ),
+    ) {
+        let ops: Vec<Op> = draws.iter().map(|&(kind, v, n, k)| op(kind, v, n, k)).collect();
+        check_against_oracle(&ops);
     }
 }
