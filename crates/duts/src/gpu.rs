@@ -197,6 +197,59 @@ enum Activity {
     },
 }
 
+/// An optional value whose payload bytes are always initialised.
+///
+/// `Option`'s `None` writes only the tag: the payload keeps whatever
+/// bytes the model was built over. The optimiser may do float work on
+/// that payload ahead of the tag check, and when those bytes read as a
+/// subnormal `f64` every such instruction takes a microcode assist, on
+/// every governor step. An empty `Slot` holds its fill or its last
+/// value instead, so every byte the step path reads is one the model
+/// wrote.
+#[derive(Debug)]
+struct Slot<T> {
+    value: T,
+    full: bool,
+}
+
+impl<T: Copy> Slot<T> {
+    fn empty(fill: T) -> Self {
+        Self {
+            value: fill,
+            full: false,
+        }
+    }
+
+    fn get(&self) -> Option<T> {
+        self.full.then_some(self.value)
+    }
+
+    fn is_some(&self) -> bool {
+        self.full
+    }
+
+    fn set(&mut self, value: Option<T>) {
+        if let Some(v) = value {
+            self.value = v;
+        }
+        self.full = value.is_some();
+    }
+
+    fn take(&mut self) -> Option<T> {
+        let value = self.get();
+        self.full = false;
+        value
+    }
+}
+
+/// The fill of an empty kernel slot.
+const NO_KERNEL: GpuKernel = GpuKernel {
+    waves: 0,
+    wave_duration: SimDuration::ZERO,
+    gap: SimDuration::ZERO,
+    utilization: 0.0,
+};
+
 /// The dynamic GPU model. Create one, wrap it in the testbed's shared
 /// DUT slot, and drive it through [`GpuModel::launch`].
 #[derive(Debug)]
@@ -206,8 +259,8 @@ pub struct GpuModel {
     /// Clock velocity for the AMD second-order controller.
     clock_vel: f64,
     activity: Activity,
-    pending: Option<GpuKernel>,
-    current: Option<GpuKernel>,
+    pending: Slot<GpuKernel>,
+    current: Slot<GpuKernel>,
     last_update: SimTime,
     noise: StdRng,
     noise_w: f64,
@@ -218,9 +271,10 @@ pub struct GpuModel {
     amd_dip_done: bool,
     /// Application-locked clock (nvidia-smi -lgc style); the governor
     /// still caps it to respect the power limit.
-    locked_mhz: Option<f64>,
-    /// Software power-limit override (nvidia-smi -pl style), in watts.
-    power_limit_override: Option<f64>,
+    locked_mhz: Slot<f64>,
+    /// Effective board power limit in watts: the factory limit, or a
+    /// lower software override (nvidia-smi -pl style).
+    power_limit_w: f64,
 }
 
 /// Maximum integration step for the governor dynamics.
@@ -231,6 +285,7 @@ impl GpuModel {
     #[must_use]
     pub fn new(spec: GpuSpec, seed: u64) -> Self {
         let clock = spec.base_mhz;
+        let power_limit_w = spec.power_limit_w;
         Self {
             spec,
             clock_mhz: clock,
@@ -239,16 +294,16 @@ impl GpuModel {
                 release_w: 0.0,
                 since: SimTime::ZERO,
             },
-            pending: None,
-            current: None,
+            pending: Slot::empty(NO_KERNEL),
+            current: Slot::empty(NO_KERNEL),
             last_update: SimTime::ZERO,
             noise: StdRng::seed_from_u64(seed),
             noise_w: 0.35,
             kernels_completed: 0,
             amd_cap_time_s: 0.0,
             amd_dip_done: false,
-            locked_mhz: None,
-            power_limit_override: None,
+            locked_mhz: Slot::empty(0.0),
+            power_limit_w,
         }
     }
 
@@ -268,15 +323,14 @@ impl GpuModel {
                 self.spec.idle_w
             );
         }
-        self.power_limit_override = watts;
+        self.power_limit_w =
+            watts.map_or(self.spec.power_limit_w, |w| w.min(self.spec.power_limit_w));
     }
 
     /// The currently effective board power limit.
     #[must_use]
     pub fn effective_power_limit(&self) -> f64 {
-        self.power_limit_override
-            .unwrap_or(self.spec.power_limit_w)
-            .min(self.spec.power_limit_w)
+        self.power_limit_w
     }
 
     /// Sustained clock under the effective (possibly capped) limit.
@@ -292,7 +346,7 @@ impl GpuModel {
     /// `nvidia-smi -lgc`); `None` restores governor control. A locked
     /// clock is still lowered when the power limit demands it.
     pub fn set_locked_clock(&mut self, mhz: Option<f64>) {
-        self.locked_mhz = mhz;
+        self.locked_mhz.set(mhz);
         if let Some(f) = mhz {
             // Clock switches take effect almost immediately.
             self.clock_mhz = f.min(self.spec.boost_mhz);
@@ -309,15 +363,15 @@ impl GpuModel {
     /// Queues a kernel for execution (starts at the current model
     /// time or as soon as the running kernel finishes).
     pub fn launch(&mut self, kernel: GpuKernel) {
-        if self.current.is_none() {
-            self.begin(kernel);
+        if self.current.is_some() {
+            self.pending.set(Some(kernel));
         } else {
-            self.pending = Some(kernel);
+            self.begin(kernel);
         }
     }
 
     fn begin(&mut self, kernel: GpuKernel) {
-        self.current = Some(kernel);
+        self.current.set(Some(kernel));
         self.activity = Activity::Wave {
             wave: 0,
             remaining_boost_s: kernel.wave_duration.as_secs_f64(),
@@ -381,14 +435,14 @@ impl GpuModel {
                 self.spec.idle_w + excess * (-dt / self.spec.idle_decay_tau_s).exp()
             }
             Activity::Wave { .. } => {
-                let util = self.current.map_or(0.0, |k| k.utilization);
+                let util = self.current.get().map_or(0.0, |k| k.utilization);
                 self.spec
                     .power_at(self.clock_mhz, util)
                     .min(self.effective_power_limit())
             }
             Activity::Gap { .. } => {
                 // Scheduling gap: SMs drain, utilisation collapses.
-                let util = self.current.map_or(0.0, |k| k.utilization) * 0.30;
+                let util = self.current.get().map_or(0.0, |k| k.utilization) * 0.30;
                 self.spec
                     .power_at(self.clock_mhz, util)
                     .min(self.effective_power_limit())
@@ -416,7 +470,7 @@ impl GpuModel {
                 let rate = self.clock_mhz / self.spec.boost_mhz;
                 *remaining_boost_s -= dt_s * rate;
                 if *remaining_boost_s <= 0.0 {
-                    let kernel = self.current.expect("wave implies kernel");
+                    let kernel = self.current.get().expect("wave implies kernel");
                     let next = *wave + 1;
                     if next < kernel.waves {
                         self.activity = Activity::Gap {
@@ -426,7 +480,7 @@ impl GpuModel {
                     } else {
                         self.kernels_completed += 1;
                         let release = self.power_now();
-                        self.current = None;
+                        self.current.set(None);
                         self.activity = Activity::Idle {
                             release_w: release,
                             since: self.last_update,
@@ -444,7 +498,7 @@ impl GpuModel {
                 if *remaining > dt {
                     *remaining -= dt;
                 } else {
-                    let kernel = self.current.expect("gap implies kernel");
+                    let kernel = self.current.get().expect("gap implies kernel");
                     self.activity = Activity::Wave {
                         wave: *next_wave,
                         remaining_boost_s: kernel.wave_duration.as_secs_f64(),
@@ -454,8 +508,8 @@ impl GpuModel {
         }
 
         // --- clock governor ---
-        let util = self.current.map_or(0.0, |k| k.utilization);
-        if let Some(locked) = self.locked_mhz {
+        let util = self.current.get().map_or(0.0, |k| k.utilization);
+        if let Some(locked) = self.locked_mhz.get() {
             // Locked clocks bypass the boost dynamics but still respect
             // the power limit.
             let cap = self.sustained_clock_capped(util.max(1e-6));
