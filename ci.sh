@@ -69,6 +69,13 @@ stage_lint() {
       | grep -v -e '^\./crates/sensors/' -e '^\./crates/firmware/src/convert\.rs:'; then
     echo "to_volts( outside crates/sensors/ and crates/firmware/src/convert.rs"; exit 1
   fi
+  # One timing instrument: perfbench times the layers, repro records
+  # its wall clock in BENCH_repro.json. No package may bring back a
+  # `cargo bench` target or a criterion dependency.
+  if grep -rnE --include=Cargo.toml --exclude-dir=target --exclude-dir=.git \
+      '^\[\[bench\]\]|(^|[.[])criterion([].= ]|$)' .; then
+    echo "[[bench]] target or criterion dependency in a Cargo.toml"; exit 1
+  fi
 }
 
 stage_bench() {

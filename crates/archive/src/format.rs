@@ -200,6 +200,19 @@ pub fn read_u64(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
 }
 
+/// Parses `count` marker entries (`u64` time µs, `u32` label code),
+/// the layout of a segment's marker table and of the sidecar's marker
+/// records; `None` when a label code is not a Unicode scalar value.
+pub(crate) fn parse_markers(bytes: &[u8], count: usize) -> Option<Vec<(u64, char)>> {
+    (0..count)
+        .map(|i| {
+            let at = i * MARKER_WIRE_SIZE;
+            let label = char::from_u32(read_u32(bytes, at + 8))?;
+            Some((read_u64(bytes, at), label))
+        })
+        .collect()
+}
+
 /// Reads a little-endian `f64` at `at` (caller guarantees bounds).
 #[must_use]
 pub fn read_f64(bytes: &[u8], at: usize) -> f64 {

@@ -15,7 +15,7 @@
 use std::path::{Path, PathBuf};
 
 use crate::crc::crc32;
-use crate::format::{read_u32, read_u64, ArchiveError};
+use crate::format::{parse_markers, read_u32, read_u64, ArchiveError, MARKER_WIRE_SIZE};
 
 /// Sidecar magic, first 8 bytes.
 pub const INDEX_MAGIC: [u8; 8] = *b"PS3XIDX1";
@@ -35,7 +35,6 @@ pub fn index_path_for(archive: &Path) -> PathBuf {
 
 const INDEX_HEADER_SIZE: usize = 8 + 8 + 4 + 4;
 const SEGMENT_RECORD_SIZE: usize = 8 + 4 + 4 + 8 + 8;
-const MARKER_RECORD_SIZE: usize = 8 + 4;
 
 /// One segment's entry in the index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +69,7 @@ impl ArchiveIndex {
         let mut out = Vec::with_capacity(
             INDEX_HEADER_SIZE
                 + self.segments.len() * SEGMENT_RECORD_SIZE
-                + self.markers.len() * MARKER_RECORD_SIZE
+                + self.markers.len() * MARKER_WIRE_SIZE
                 + 4,
         );
         out.extend_from_slice(&INDEX_MAGIC);
@@ -97,9 +96,9 @@ impl ArchiveIndex {
     ///
     /// # Errors
     ///
-    /// [`ArchiveError::Corrupt`] on wrong magic, truncation, or CRC
-    /// mismatch. Callers treat any error as "no usable index" and
-    /// rebuild from the archive.
+    /// [`ArchiveError::Corrupt`] on wrong magic, truncation, CRC
+    /// mismatch or a marker label that is no `char`. Callers treat any
+    /// error as "no usable index" and rebuild from the archive.
     pub fn decode(bytes: &[u8]) -> Result<Self, ArchiveError> {
         let corrupt = |what: &str| ArchiveError::Corrupt {
             offset: 0,
@@ -121,7 +120,7 @@ impl ArchiveIndex {
         let marker_count = read_u32(bytes, 20) as usize;
         let need = INDEX_HEADER_SIZE
             + seg_count * SEGMENT_RECORD_SIZE
-            + marker_count * MARKER_RECORD_SIZE
+            + marker_count * MARKER_WIRE_SIZE
             + 4;
         if bytes.len() != need {
             return Err(corrupt("length inconsistent with counts"));
@@ -138,12 +137,8 @@ impl ArchiveIndex {
             });
             at += SEGMENT_RECORD_SIZE;
         }
-        let mut markers = Vec::with_capacity(marker_count);
-        for _ in 0..marker_count {
-            let label = char::from_u32(read_u32(bytes, at + 8)).unwrap_or('?');
-            markers.push((read_u64(bytes, at), label));
-            at += MARKER_RECORD_SIZE;
-        }
+        let markers = parse_markers(&bytes[at..], marker_count)
+            .ok_or_else(|| corrupt("marker label is not a Unicode scalar value"))?;
         Ok(Self {
             data_len,
             segments,

@@ -52,8 +52,8 @@ use ps3_units::SimTime;
 use crate::bits::{unzigzag64, zigzag64, BitReader, BitWriter};
 use crate::crc::crc32;
 use crate::format::{
-    read_f64, read_u32, read_u64, ArchiveError, BLOCK_OFFSET_SIZE, MARKER_WIRE_SIZE, SEAL_MAGIC,
-    SEGMENT_HEADER_SIZE, SEGMENT_MAGIC, SUMMARY_FRAMES, SUMMARY_WIRE_SIZE,
+    parse_markers, read_f64, read_u32, read_u64, ArchiveError, BLOCK_OFFSET_SIZE, MARKER_WIRE_SIZE,
+    SEAL_MAGIC, SEGMENT_HEADER_SIZE, SEGMENT_MAGIC, SUMMARY_FRAMES, SUMMARY_WIRE_SIZE,
 };
 
 /// The inter-frame delta the delta-of-delta coder assumes before the
@@ -283,19 +283,6 @@ pub fn parse_summaries(bytes: &[u8], count: usize) -> Vec<SummaryBlock> {
         .collect()
 }
 
-/// Parses `count` marker-table entries from `bytes`.
-#[must_use]
-fn parse_markers(bytes: &[u8], count: usize) -> Vec<(u64, char)> {
-    (0..count)
-        .map(|i| {
-            let at = i * MARKER_WIRE_SIZE;
-            let time_us = read_u64(bytes, at);
-            let label = char::from_u32(read_u32(bytes, at + 8)).unwrap_or('?');
-            (time_us, label)
-        })
-        .collect()
-}
-
 /// Where a sealed segment lives and what it covers — everything a
 /// query needs short of the payload itself.
 #[derive(Debug, Clone)]
@@ -323,8 +310,8 @@ impl SegmentMeta {
     ///
     /// # Errors
     ///
-    /// [`ArchiveError::Corrupt`] (at `offset`) on short tables or a
-    /// layout that fails the checks.
+    /// [`ArchiveError::Corrupt`] (at `offset`) on short tables, a
+    /// layout that fails the checks or a marker label that is no `char`.
     pub fn parse(offset: u64, header: SegmentHeader, tables: &[u8]) -> Result<Self, ArchiveError> {
         let corrupt = |what: &str| ArchiveError::Corrupt {
             offset,
@@ -347,7 +334,8 @@ impl SegmentMeta {
         let markers = parse_markers(
             &tables[offsets_at + blocks * BLOCK_OFFSET_SIZE..],
             header.marker_count as usize,
-        );
+        )
+        .ok_or_else(|| corrupt("marker label is not a Unicode scalar value"))?;
         let meta = Self {
             offset,
             header,

@@ -5,7 +5,7 @@
 use std::ops::Range;
 use std::path::PathBuf;
 
-use ps3_archive::{index_path_for, Archive, ArchiveError, ArchiveFrame, SegmentWriter};
+use ps3_archive::{crc32, index_path_for, Archive, ArchiveError, ArchiveFrame, SegmentWriter};
 use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
 use ps3_units::SimTime;
 
@@ -258,4 +258,37 @@ fn flipped_block_offset_is_never_served() {
     }
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(index_path_for(&path)).ok();
+}
+
+#[test]
+fn marker_label_outside_unicode_is_refused() {
+    use ps3_archive::format::{MARKER_WIRE_SIZE as ENTRY, SEGMENT_TRAILER_SIZE};
+    let path = temp_path("marker-label");
+    let index_path = index_path_for(&path);
+    let (bytes, meta) = write_block_archive(&path);
+    let index = std::fs::read(&index_path).unwrap();
+    // Sets the label code of the marker entry at `at` to 0xD800 (a
+    // UTF-16 surrogate) and rewrites the CRC that follows `body`, so
+    // the code is the only fault.
+    let plant = |mut bytes: Vec<u8>, at: usize, body: Range<usize>| {
+        bytes[at + 8..at + 12].copy_from_slice(&0xD800u32.to_le_bytes());
+        let crc = crc32(&bytes[body.clone()]);
+        bytes[body.end..body.end + 4].copy_from_slice(&crc.to_le_bytes());
+        bytes
+    };
+    // Segment 0's first marker-table entry, under an intact sidecar.
+    let end = (meta.offset + meta.header.disk_size()) as usize - SEGMENT_TRAILER_SIZE;
+    let at = end - meta.header.payload_len as usize - meta.markers.len() * ENTRY;
+    std::fs::write(&path, plant(bytes.clone(), at, meta.offset as usize..end)).unwrap();
+    assert_damage_is_not_served(&path, 0..0, "segment marker label");
+    // The sidecar's first marker record, over an intact archive. Its
+    // marker records (segment 0's, times three) end at its CRC.
+    std::fs::write(&path, &bytes).unwrap();
+    let (end, markers) = (index.len() - 4, 3 * meta.markers.len());
+    std::fs::write(&index_path, plant(index, end - markers * ENTRY, 0..end)).unwrap();
+    let archive = Archive::open(&path).unwrap();
+    assert!(!archive.recovery().used_index, "sidecar trusted");
+    assert_eq!(archive.markers().len(), markers);
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&index_path).ok();
 }

@@ -2,9 +2,8 @@
 //!
 //! Every module exposes a `run(...)` function returning plain data
 //! (rows/series) plus a `render(...)` that formats the paper-style
-//! output. The `repro` binary drives them and writes CSV artifacts;
-//! the Criterion benches in `benches/` time reduced-scale versions so
-//! `cargo bench` regenerates every experiment.
+//! output. The `repro` binary drives them, writes CSV artifacts and
+//! records its own wall clock in `BENCH_repro.json`.
 //!
 //! | Paper item | Module |
 //! |---|---|

@@ -196,11 +196,8 @@ fn run_point(subs: usize, seed: u64) -> StreamPoint {
             }
         })
         .collect();
-    let registered = wait_for(Duration::from_secs(60), || {
-        for conn in &mut conns {
-            conn.pump();
-        }
-        daemon.stats().active_subscribers == subs as u64
+    let registered = daemon.wait_stats(Duration::from_secs(60), |s| {
+        s.active_subscribers == subs as u64
     });
     assert!(
         registered,
@@ -280,20 +277,6 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     }
     let rank = ((sorted.len() - 1) as f64 * q).round() as usize;
     sorted[rank.min(sorted.len() - 1)]
-}
-
-fn wait_for(timeout: Duration, mut done: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout; // ps3-lint: allow(determinism) reason="harness quiesce: waits on real OS subscriber registration, not simulated time"
-    loop {
-        if done() {
-            return true;
-        }
-        // ps3-lint: allow(determinism) reason="harness quiesce: waits on real OS subscriber registration, not simulated time"
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(1)); // ps3-lint: allow(determinism) reason="harness quiesce: waits on real OS subscriber registration, not simulated time"
-    }
 }
 
 /// Formats the report section (deterministic facts only — the latency
