@@ -76,6 +76,25 @@ stage_lint() {
       '^\[\[bench\]\]|(^|[.[])criterion([].= ]|$)' .; then
     echo "[[bench]] target or criterion dependency in a Cargo.toml"; exit 1
   fi
+  # Every manifest edge is used: each [dependencies] / [dev-dependencies]
+  # key of a crates/* or compat/* package (with - as _) must appear as a
+  # word in that package's Rust sources.
+  unused=0
+  for manifest in crates/*/Cargo.toml compat/*/Cargo.toml; do
+    pkg=$(dirname "$manifest")
+    dirs=()
+    for d in src tests examples benches; do
+      if test -d "$pkg/$d"; then dirs+=("$pkg/$d"); fi
+    done
+    for dep in $(awk '/^\[/ { on = ($0 == "[dependencies]" || $0 == "[dev-dependencies]"); next }
+        on && /^[A-Za-z0-9_-]+ *[.=]/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+      if ! grep -rqw --include='*.rs' "${dep//-/_}" "${dirs[@]}"; then
+        echo "$manifest: dependency \`$dep\` is never named in $pkg"
+        unused=1
+      fi
+    done
+  done
+  test "$unused" -eq 0 || exit 1
 }
 
 stage_bench() {

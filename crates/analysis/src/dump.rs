@@ -111,6 +111,11 @@ pub enum ParseDumpError {
         /// 1-based line number.
         line: usize,
     },
+    /// A data line's timestamp precedes the previous data line's.
+    TimeBackwards {
+        /// 1-based line number.
+        line: usize,
+    },
 }
 
 impl fmt::Display for ParseDumpError {
@@ -124,6 +129,9 @@ impl fmt::Display for ParseDumpError {
             }
             ParseDumpError::InconsistentColumns { line } => {
                 write!(f, "inconsistent column count on line {line}")
+            }
+            ParseDumpError::TimeBackwards { line } => {
+                write!(f, "timestamp goes backwards on line {line}")
             }
         }
     }
@@ -175,10 +183,11 @@ fn parse_line(trimmed: &str, line: usize) -> Result<DumpLine, ParseDumpError> {
 /// Parses a dump file's text.
 ///
 /// Comment lines (`#`) are skipped; marker lines attach to the total
-/// trace; blank lines are ignored. Both `\n` and `\r\n` line endings
-/// are accepted. If the text does not end in a newline, its final line
-/// is treated as a torn tail from an interrupted write: a parse
-/// failure there drops the fragment instead of failing the whole dump.
+/// trace; blank lines are ignored. Data timestamps must not decrease.
+/// Both `\n` and `\r\n` line endings are accepted. If the text does
+/// not end in a newline, its final line is treated as a torn tail from
+/// an interrupted write: a parse or ordering failure there drops the
+/// fragment instead of failing the whole dump.
 ///
 /// # Errors
 ///
@@ -201,19 +210,21 @@ pub fn parse_dump(text: &str) -> Result<ParsedDump, ParseDumpError> {
             DumpLine::Marker(t, label) => out.total.mark(SimTime::from_micros(t), label),
             DumpLine::Data(t, values) => {
                 let fields = values.len() + 1;
-                match columns {
-                    None => columns = Some(fields),
-                    Some(n) if n != fields => {
-                        // A data line torn mid-write looks like a line
-                        // with too few columns.
-                        if torn_tail {
-                            break;
-                        }
-                        return Err(ParseDumpError::InconsistentColumns { line });
-                    }
-                    _ => {}
-                }
                 let time = SimTime::from_micros(t);
+                let error = if columns.is_some_and(|n| n != fields) {
+                    // A data line torn mid-write looks like a line
+                    // with too few columns.
+                    Some(ParseDumpError::InconsistentColumns { line })
+                } else if out.total.samples().last().is_some_and(|s| s.time > time) {
+                    Some(ParseDumpError::TimeBackwards { line })
+                } else {
+                    None
+                };
+                match error {
+                    Some(_) if torn_tail => break,
+                    Some(e) => return Err(e),
+                    None => columns = Some(fields),
+                }
                 // Last column is the total; the rest are per-pair.
                 let total = *values.last().expect("len >= 1");
                 out.total.push(time, Watts::new(total));
@@ -272,6 +283,19 @@ M 75 k
     fn inconsistent_columns_rejected() {
         let err = parse_dump("25 1.0 2.0\n75 1.0 2.0 3.0\n").unwrap_err();
         assert_eq!(err, ParseDumpError::InconsistentColumns { line: 2 });
+    }
+
+    #[test]
+    fn backwards_timestamp_rejected() {
+        let err = parse_dump("75 1.0 2.0\n25 1.0 2.0\n").unwrap_err();
+        assert_eq!(err, ParseDumpError::TimeBackwards { line: 2 });
+        // Repeated timestamps are in order.
+        assert_eq!(
+            parse_dump("75 1.0 2.0\n75 1.0 2.0\n").unwrap().total.len(),
+            2
+        );
+        // An unterminated final line going backwards is a torn tail.
+        assert_eq!(parse_dump("75 1.0 2.0\n25 1.0 2.0").unwrap().total.len(), 1);
     }
 
     #[test]

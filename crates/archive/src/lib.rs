@@ -80,7 +80,6 @@ pub mod bits;
 mod crc;
 pub mod format;
 mod index;
-mod meter;
 mod query;
 mod segment;
 mod writer;
@@ -89,7 +88,6 @@ pub use archive::{Archive, RecoveryReport, VerifyReport};
 pub use crc::{crc32, Crc32};
 pub use format::ArchiveError;
 pub use index::{index_path_for, ArchiveIndex, IndexSegment};
-pub use meter::ArchiveMeter;
 pub use query::{build_tiers, RangeStats, TierNode, TierStore, Tiers};
 pub use segment::{
     build_segment, build_summaries, frame_total, parse_summaries, summarize_block, ArchiveFrame,

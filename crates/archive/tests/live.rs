@@ -5,11 +5,9 @@
 //! against the raw 2-byte wire stream.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
-use ps3_archive::{Archive, ArchiveMeter, ArchiveWriter, ArchiveWriterOptions};
+use ps3_archive::{Archive, ArchiveWriter, ArchiveWriterOptions};
 use ps3_duts::LoadProgram;
-use ps3_pmt::PowerMeter;
 use ps3_sensors::ModuleKind;
 use ps3_testbed::setups::accuracy_bench;
 use ps3_units::{Amps, SimDuration, SimTime};
@@ -171,31 +169,4 @@ fn live_counters_track_progress_during_capture() {
 
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(ps3_archive::index_path_for(&path)).ok();
-}
-
-#[test]
-fn archive_meter_replays_through_pmt() {
-    let cap = capture(8_192, 2_048, 99, "meter");
-    let archive = Arc::new(Archive::open(&cap.path).expect("open"));
-    let mut meter = ArchiveMeter::new(Arc::clone(&archive));
-    assert_eq!(meter.native_interval(), SimDuration::from_micros(50));
-
-    // Polling at each live sample time reproduces the live values
-    // exactly (hold-last semantics on a grid that hits every frame).
-    for sample in cap.live.samples().iter().step_by(257) {
-        let got = meter.read_watts(sample.time);
-        assert_eq!(
-            got.value().to_bits(),
-            sample.power.value().to_bits(),
-            "at {}",
-            sample.time
-        );
-    }
-    // Between frames, the previous frame's value holds.
-    let s = &cap.live.samples()[100];
-    let held = meter.read_watts(SimTime::from_micros(s.time.as_micros() + 10));
-    assert_eq!(held.value().to_bits(), s.power.value().to_bits());
-
-    std::fs::remove_file(&cap.path).ok();
-    std::fs::remove_file(ps3_archive::index_path_for(&cap.path)).ok();
 }

@@ -477,7 +477,7 @@ impl PowerSensor {
 /// A cheaply clonable, thread-shareable handle to a [`PowerSensor`].
 ///
 /// Subsystems that hand one sensor to several consumers (the streaming
-/// daemon's acquisition side, `Ps3Meter`, application threads) share
+/// daemon's acquisition side, fleet rigs, application threads) share
 /// this instead of threading `&PowerSensor` lifetimes through their
 /// APIs. Derefs to [`PowerSensor`], so all its methods are available
 /// directly.

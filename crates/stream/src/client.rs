@@ -4,9 +4,7 @@
 //! A [`StreamClient`] subscribes with a pair mask and a rate divisor,
 //! converts raw codes to physical readings locally (using the sensor
 //! configuration carried in the `Hello` message and the same
-//! [`ps3_firmware::fold_pairs`] the host library uses), and
-//! implements [`ps3_pmt::PowerMeter`] so a networked sensor plugs into
-//! everything PMT-based.
+//! [`ps3_firmware::fold_pairs`] the host library uses).
 //!
 //! Against a fleet coordinator the client can additionally route its
 //! subscription to one rig, a rig set, or the fleet-wide merged stream
@@ -38,9 +36,8 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use ps3_firmware::{fold_pairs, SensorConfig, SENSOR_SLOTS};
-use ps3_pmt::PowerMeter;
 use ps3_sensors::AdcSpec;
-use ps3_units::{SimDuration, SimTime, Watts};
+use ps3_units::Watts;
 
 use crate::proto::{
     read_msg_body, write_msg, ClientMsg, EvictReason, FleetHello, RigSelector, RigStatus,
@@ -143,8 +140,6 @@ pub struct StreamClient {
     reader: Option<JoinHandle<()>>,
     configs: Box<[SensorConfig; SENSOR_SLOTS]>,
     fleet: Option<FleetHello>,
-    frame_interval: SimDuration,
-    divisor: u32,
 }
 
 impl StreamClient {
@@ -161,7 +156,7 @@ impl StreamClient {
             rig: config.rig.clone(),
         }
         .encode();
-        let (stream, frame_interval_us, configs, fleet) = handshake(&addrs, &subscribe)?;
+        let (stream, configs, fleet) = handshake(&addrs, &subscribe)?;
 
         let shared = Arc::new(ClientShared {
             frames_received: AtomicU64::new(0),
@@ -203,8 +198,6 @@ impl StreamClient {
             reader: Some(reader),
             configs,
             fleet,
-            frame_interval: SimDuration::from_micros(u64::from(frame_interval_us)),
-            divisor: config.divisor,
         })
     }
 
@@ -419,29 +412,13 @@ impl core::fmt::Debug for StreamClient {
     }
 }
 
-impl PowerMeter for StreamClient {
-    fn name(&self) -> &str {
-        "PowerSensor3-stream"
-    }
-
-    fn read_watts(&mut self, _now: SimTime) -> Watts {
-        self.last_watts()
-    }
-
-    fn native_interval(&self) -> SimDuration {
-        SimDuration::from_nanos(self.frame_interval.as_nanos() * u64::from(self.divisor))
-    }
-}
-
 /// Dials the first address that answers and completes the
 /// Subscribe → Hello handshake.
-#[allow(clippy::type_complexity)]
 fn handshake(
     addrs: &[SocketAddr],
     subscribe: &[u8],
 ) -> io::Result<(
     TcpStream,
-    u32,
     Box<[SensorConfig; SENSOR_SLOTS]>,
     Option<FleetHello>,
 )> {
@@ -450,19 +427,14 @@ fn handshake(
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     write_msg(&mut stream, subscribe)?;
     let body = read_msg_body(&mut stream)?;
-    let ServerMsg::Hello {
-        frame_interval_us,
-        configs,
-        fleet,
-    } = ServerMsg::decode(&body)?
-    else {
+    let ServerMsg::Hello { configs, fleet, .. } = ServerMsg::decode(&body)? else {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "daemon did not send Hello",
         ));
     };
     stream.set_read_timeout(None)?;
-    Ok((stream, frame_interval_us, configs, fleet))
+    Ok((stream, configs, fleet))
 }
 
 /// How one reader session ended.
@@ -523,7 +495,7 @@ fn redial(
         {
             return None;
         }
-        if let Ok((stream, _, _, _)) = handshake(addrs, subscribe) {
+        if let Ok((stream, _, _)) = handshake(addrs, subscribe) {
             return Some(stream);
         }
         backoff = (backoff * 2).min(policy.max_backoff);

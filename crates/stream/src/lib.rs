@@ -21,9 +21,8 @@
 //! * [`StreamDaemon`] taps a [`ps3_core::SharedPowerSensor`] and
 //!   serves subscribers; a slow subscriber gets [`ServerMsg::Gap`]
 //!   messages, a persistently slow or stalled one is evicted.
-//! * [`StreamClient`] subscribes, converts raw codes with the sensor
-//!   configuration from the daemon's `Hello`, and implements
-//!   [`ps3_pmt::PowerMeter`].
+//! * [`StreamClient`] subscribes and converts raw codes with the sensor
+//!   configuration from the daemon's `Hello`.
 //! * The wire format ([`proto`]) reuses the device's native 2-byte
 //!   sensor packets inside length-prefixed messages.
 //!
