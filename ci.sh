@@ -77,10 +77,10 @@ stage_lint() {
     echo "[[bench]] target or criterion dependency in a Cargo.toml"; exit 1
   fi
   # Every manifest edge is used: each [dependencies] / [dev-dependencies]
-  # key of a crates/* or compat/* package (with - as _) must appear as a
-  # word in that package's Rust sources.
+  # key of the root package or a crates/* or compat/* package (with - as
+  # _) must appear as a word in that package's Rust sources.
   unused=0
-  for manifest in crates/*/Cargo.toml compat/*/Cargo.toml; do
+  for manifest in Cargo.toml crates/*/Cargo.toml compat/*/Cargo.toml; do
     pkg=$(dirname "$manifest")
     dirs=()
     for d in src tests examples benches; do

@@ -43,10 +43,7 @@ pub mod tools;
 pub use calibration::{calibrate_pair, CalibrationReport, DEFAULT_CALIBRATION_FRAMES};
 pub use error::PowerSensorError;
 pub use frame::{frame_total, FrameRecord};
-pub use offline::{
-    decode_stream, decode_stream_with_labels, parse_label_sidecar, write_label_sidecar,
-    OfflineDecode,
-};
+pub use offline::{decode_stream, OfflineDecode};
 pub use power_sensor::{FrameSink, PowerSensor, RawCapture, SharedPowerSensor, SENSOR_PAIRS};
 pub use ps3_firmware::pair_readings;
 pub use state::{interval, joules, pair_joules, seconds, watts, PairState, State};

@@ -21,9 +21,9 @@ use crate::state::SENSOR_PAIRS;
 /// Result of decoding a capture.
 #[derive(Debug, Clone)]
 pub struct OfflineDecode {
-    /// Total power over time. Markers carry the labels supplied to
-    /// [`decode_stream_with_labels`], or the placeholder `'?'` (the
-    /// wire carries only the marker bit — labels live host-side).
+    /// Total power over time. Markers carry the placeholder label
+    /// `'?'` (the wire carries only the marker bit — labels live
+    /// host-side).
     pub total: Trace,
     /// Per-pair power traces (enabled pairs only, in pair order). A
     /// pair gets a sample in every frame that carries both its codes.
@@ -45,27 +45,9 @@ pub struct OfflineDecode {
 /// samples missing (corrupted or lost bytes), in which case its total
 /// sums the pairs that are present. A frame the capture cuts off
 /// before it completes is not kept. Markers get the placeholder label
-/// `'?'`; use [`decode_stream_with_labels`] to restore the host-side
-/// labels from a sidecar.
+/// `'?'`: the wire carries only the marker bit.
 #[must_use]
 pub fn decode_stream(bytes: &[u8], configs: &[SensorConfig; SENSOR_SLOTS]) -> OfflineDecode {
-    decode_stream_with_labels(bytes, configs, &[])
-}
-
-/// Decodes a capture like [`decode_stream`], restoring marker labels
-/// from a host-side sidecar (see [`write_label_sidecar`]).
-///
-/// The wire protocol carries only a marker *bit*; the labels live on
-/// the host. `labels` is consumed in marker order — the first marked
-/// frame gets `labels[0]` and so on, falling back to `'?'` once the
-/// list is exhausted (mirroring the live reader when `mark` labels run
-/// out).
-#[must_use]
-pub fn decode_stream_with_labels(
-    bytes: &[u8],
-    configs: &[SensorConfig; SENSOR_SLOTS],
-    labels: &[char],
-) -> OfflineDecode {
     let adc = AdcSpec::POWERSENSOR3;
     let mut assembler = FrameAssembler::new(configs);
     let mut total = Trace::new();
@@ -73,7 +55,6 @@ pub fn decode_stream_with_labels(
     let mut energy = Joules::zero();
     let mut frames = 0u64;
     let mut prev_time: Option<SimTime> = None;
-    let mut next_label = labels.iter().copied();
 
     for frame in bytes.iter().filter_map(|&byte| assembler.push(byte)) {
         let time = frame.time;
@@ -87,7 +68,7 @@ pub fn decode_stream_with_labels(
         energy += watts * dt;
         total.push(time, watts);
         if frame.marker.is_some() {
-            total.mark(time, next_label.next().unwrap_or('?'));
+            total.mark(time, '?');
         }
         frames += 1;
     }
@@ -103,37 +84,6 @@ pub fn decode_stream_with_labels(
         frames,
         resyncs: assembler.resyncs(),
     }
-}
-
-/// Serialises marker labels into the text sidecar format: a header
-/// comment followed by one label per line, in marker order.
-///
-/// Written next to a raw capture, the sidecar lets
-/// [`decode_stream_with_labels`] round-trip the labels the wire
-/// protocol cannot carry.
-#[must_use]
-pub fn write_label_sidecar(labels: &[char]) -> String {
-    let mut out = String::from("# PowerSensor3 marker labels (one per line, marker order)\n");
-    for &label in labels {
-        out.push(label);
-        out.push('\n');
-    }
-    out
-}
-
-/// Parses a sidecar produced by [`write_label_sidecar`].
-///
-/// Blank lines and `#` comments are skipped; each remaining line
-/// contributes its first non-whitespace character. Unknown content
-/// never fails — a mangled line simply yields whatever character it
-/// starts with, keeping the label stream aligned.
-#[must_use]
-pub fn parse_label_sidecar(text: &str) -> Vec<char> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .filter_map(|l| l.chars().next())
-        .collect()
 }
 
 #[cfg(test)]
@@ -214,36 +164,11 @@ mod tests {
     }
 
     #[test]
-    fn labels_attach_in_marker_order_and_exhaust_to_placeholder() {
+    fn markers_decode_with_the_placeholder_label() {
         let bytes = synthetic_stream_with_markers(50, &[5, 20, 40]);
-        // Without labels: the legacy placeholder behaviour.
-        let plain = decode_stream(&bytes, &configs_one_pair());
-        let labels: Vec<char> = plain.total.markers().iter().map(|m| m.label).collect();
-        assert_eq!(labels, vec!['?', '?', '?']);
-
-        // With a sidecar: labels round-trip in order; the third marker
-        // falls back to '?' because only two labels were recorded.
-        let decoded = decode_stream_with_labels(&bytes, &configs_one_pair(), &['k', 'e']);
+        let decoded = decode_stream(&bytes, &configs_one_pair());
         let labels: Vec<char> = decoded.total.markers().iter().map(|m| m.label).collect();
-        assert_eq!(labels, vec!['k', 'e', '?']);
-        assert_eq!(decoded.frames, plain.frames);
-        assert_eq!(decoded.total.samples(), plain.total.samples());
-    }
-
-    #[test]
-    fn label_sidecar_round_trips() {
-        let labels = vec!['k', 'e', '#', 'x'];
-        let text = write_label_sidecar(&labels);
-        assert!(text.starts_with("# PowerSensor3 marker labels"));
-        // '#' as a *label* collides with the comment syntax: it is the
-        // one character the text sidecar cannot carry.
-        assert_eq!(parse_label_sidecar(&text), vec!['k', 'e', 'x']);
-        let clean = vec!['a', 'b', 'c'];
-        assert_eq!(parse_label_sidecar(&write_label_sidecar(&clean)), clean);
-        assert!(parse_label_sidecar("# only comments\n\n").is_empty());
-        // CRLF sidecars parse the same.
-        let dos = write_label_sidecar(&clean).replace('\n', "\r\n");
-        assert_eq!(parse_label_sidecar(&dos), clean);
+        assert_eq!(labels, vec!['?', '?', '?']);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use ps3_units::{Joules, SimDuration, Volts, Watts};
 
 use crate::error::PowerSensorError;
 use crate::power_sensor::PowerSensor;
-use crate::state::{joules, seconds, watts, State, SENSOR_PAIRS};
+use crate::state::{joules, seconds, watts, SENSOR_PAIRS};
 
 /// How long tools wait (in real time) for simulated frames to arrive.
 pub(crate) const TOOL_TIMEOUT: Duration = Duration::from_secs(30);
@@ -206,19 +206,6 @@ pub fn autocalibrate(
         )?);
     }
     Ok(reports)
-}
-
-/// Formats a state snapshot the way the `psinfo` footer does (used by
-/// several examples).
-#[must_use]
-pub fn format_state(state: &State) -> String {
-    format!(
-        "t={:.6}s total={:.3}W energy={:.4}J frames={}",
-        state.timestamp.as_secs_f64(),
-        state.total_watts().value(),
-        state.total_energy.value(),
-        state.frames
-    )
 }
 
 #[cfg(test)]

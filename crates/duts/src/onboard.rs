@@ -53,10 +53,11 @@ pub struct NvmlSensor {
     held: Option<OnboardReading>,
     /// History of instantaneous grid samples for the averaging window.
     history: VecDeque<(SimTime, f64)>,
-    /// Per-instance gain error: Yang et al. report significant NVML
-    /// inaccuracies; we default to a mild 2 %.
-    gain: f64,
 }
+
+/// Gain error of the NVML reading: Yang et al. report significant NVML
+/// inaccuracies; we model a mild 2 %.
+const NVML_GAIN: f64 = 1.02;
 
 /// Refresh interval of the NVML-held value (~10 Hz).
 const NVML_INTERVAL: SimDuration = SimDuration::from_millis(100);
@@ -73,7 +74,6 @@ impl NvmlSensor {
             mode: NvmlMode::Instant,
             held: None,
             history: VecDeque::new(),
-            gain: 1.02,
         }
     }
 
@@ -85,18 +85,11 @@ impl NvmlSensor {
             mode: NvmlMode::Average,
             held: None,
             history: VecDeque::new(),
-            gain: 1.02,
         }
     }
 
-    /// Overrides the gain error (Yang et al. found GPUs off by much
-    /// more than the default 2 %).
-    pub fn set_gain_error(&mut self, gain: f64) {
-        self.gain = gain;
-    }
-
     fn refresh(&mut self, grid: SimTime) {
-        let p = self.gpu.lock().power(grid).value() * self.gain;
+        let p = self.gpu.lock().power(grid).value() * NVML_GAIN;
         self.history.push_back((grid, p));
         while let Some(&(t, _)) = self.history.front() {
             if grid.saturating_duration_since(t) > NVML_WINDOW {

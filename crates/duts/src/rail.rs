@@ -113,11 +113,6 @@ impl ConstantDut {
             state: RailState { volts, amps },
         }
     }
-
-    /// Changes the constant current.
-    pub fn set_amps(&mut self, amps: Amps) {
-        self.state.amps = amps;
-    }
 }
 
 impl Dut for ConstantDut {

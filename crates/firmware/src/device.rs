@@ -134,25 +134,10 @@ impl<S: AnalogSource> Device<S> {
         &self.eeprom
     }
 
-    /// Mutable EEPROM access (factory provisioning before boot).
-    pub fn eeprom_mut(&mut self) -> &mut Eeprom {
-        &mut self.eeprom
-    }
-
     /// The status display.
     #[must_use]
     pub fn display(&self) -> &Display {
         &self.display
-    }
-
-    /// Mutable display access (ablation configuration).
-    pub fn display_mut(&mut self) -> &mut Display {
-        &mut self.display
-    }
-
-    /// Analog source access (testbeds poke DUT state through this).
-    pub fn source_mut(&mut self) -> &mut S {
-        &mut self.source
     }
 
     /// Number of sample frames emitted since boot.

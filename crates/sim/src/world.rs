@@ -22,12 +22,6 @@ pub const MEAN_AMPS: f64 = 2.0;
 /// Peak deviation of the sinusoidal load around [`MEAN_AMPS`].
 pub const RIPPLE_AMPS: f64 = 0.35;
 
-/// Mean power the deterministic source dissipates (watts).
-#[must_use]
-pub fn mean_watts() -> f64 {
-    RAIL_VOLTS * MEAN_AMPS
-}
-
 /// An EEPROM with one populated 12 V / 10 A pair (slots 0 and 1).
 #[must_use]
 pub fn sim_eeprom() -> Eeprom {

@@ -11,23 +11,12 @@
 //! (see [`RigSelector`]); merged frames arrive rig-tagged and the
 //! client keeps per-rig gap accounting alongside the totals.
 //!
-//! # Reconnect semantics
-//!
-//! With [`StreamClientConfig::reconnect`] set, a client whose
-//! connection is lost (network error, daemon restart, clean daemon
-//! shutdown) redials with exponential backoff and re-sends its
-//! original subscription. The new subscription attaches at the
-//! server's **live head** — there is no server-side replay cursor, so
-//! frames published while the client was disconnected are simply never
-//! seen: they are *not* counted in [`StreamClient::dropped_frames`]
-//! (that counter is reserved for ring laps the server reported). The
-//! discontinuity is visible to the application as a jump in frame
-//! timestamps and a bump of [`StreamClient::reconnects`]. An eviction
-//! *for cause* (too many gaps, stalled write) is not retried.
+//! A lost connection (eviction, daemon shutdown, network error) ends
+//! the stream.
 
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -45,27 +34,6 @@ use crate::proto::{
 };
 use crate::signal::Signal;
 
-/// Bounded-retry reconnect behaviour for [`StreamClientConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReconnectPolicy {
-    /// Redial attempts per disconnect before giving up.
-    pub max_retries: u32,
-    /// Delay before the first redial; doubles per failed attempt.
-    pub initial_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-}
-
-impl Default for ReconnectPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 5,
-            initial_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_secs(2),
-        }
-    }
-}
-
 /// Subscription parameters for [`StreamClient::connect`].
 #[derive(Debug, Clone)]
 pub struct StreamClientConfig {
@@ -78,9 +46,6 @@ pub struct StreamClientConfig {
     /// plain legacy subscription — a coordinator serves it from rig 0,
     /// a plain daemon ignores the distinction entirely.
     pub rig: Option<RigSelector>,
-    /// Redial on connection loss. `None` (default): a lost connection
-    /// ends the stream, as before.
-    pub reconnect: Option<ReconnectPolicy>,
 }
 
 impl Default for StreamClientConfig {
@@ -89,7 +54,6 @@ impl Default for StreamClientConfig {
             pair_mask: 0x0F,
             divisor: 1,
             rig: None,
-            reconnect: None,
         }
     }
 }
@@ -113,15 +77,11 @@ struct ClientShared {
     frames_received: AtomicU64,
     gap_events: AtomicU64,
     dropped_frames: AtomicU64,
-    reconnects: AtomicU64,
     evicted: AtomicBool,
     eviction: Mutex<Option<EvictReason>>,
     alive: AtomicBool,
-    /// Set by `close()` so the reader never redials a socket we shut
-    /// down on purpose.
-    closing: AtomicBool,
-    /// Latest frame with its converted total power.
-    last: Mutex<Option<(StreamFrame, Watts)>>,
+    /// Total power of the latest frame.
+    last_watts: Mutex<Watts>,
     callback: Mutex<Option<FrameCallback>>,
     rig_callback: Mutex<Option<RigFrameCallback>>,
     /// Per-rig counters, keyed by rig id (rig-tagged messages only).
@@ -129,13 +89,13 @@ struct ClientShared {
     stats_reply: Mutex<Option<StreamStats>>,
     fleet_reply: Mutex<Option<Vec<RigStatus>>>,
     /// Notified after every message (query replies included),
-    /// eviction, reconnect and reader exit, and by `close()`.
+    /// eviction and reader exit.
     changed: Signal,
 }
 
 /// A connected stream subscriber.
 pub struct StreamClient {
-    writer: Arc<Mutex<TcpStream>>,
+    writer: Mutex<TcpStream>,
     shared: Arc<ClientShared>,
     reader: Option<JoinHandle<()>>,
     configs: Box<[SensorConfig; SENSOR_SLOTS]>,
@@ -149,25 +109,22 @@ impl StreamClient {
     ///
     /// Connection failures, or a malformed daemon handshake.
     pub fn connect<A: ToSocketAddrs>(addr: A, config: StreamClientConfig) -> io::Result<Self> {
-        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
         let subscribe = ClientMsg::Subscribe {
             pair_mask: config.pair_mask,
             divisor: config.divisor,
-            rig: config.rig.clone(),
+            rig: config.rig,
         }
         .encode();
-        let (stream, configs, fleet) = handshake(&addrs, &subscribe)?;
+        let (stream, configs, fleet) = handshake(addr, &subscribe)?;
 
         let shared = Arc::new(ClientShared {
             frames_received: AtomicU64::new(0),
             gap_events: AtomicU64::new(0),
             dropped_frames: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
             evicted: AtomicBool::new(false),
             eviction: Mutex::new(None),
             alive: AtomicBool::new(true),
-            closing: AtomicBool::new(false),
-            last: Mutex::new(None),
+            last_watts: Mutex::new(Watts::zero()),
             callback: Mutex::new(None),
             rig_callback: Mutex::new(None),
             rig_counts: Mutex::new(BTreeMap::new()),
@@ -176,18 +133,16 @@ impl StreamClient {
             changed: Signal::default(),
         });
 
-        let writer = Arc::new(Mutex::new(stream.try_clone()?));
+        let writer = Mutex::new(stream.try_clone()?);
         let reader = {
             let shared = Arc::clone(&shared);
             let configs = configs.clone();
-            let writer = Arc::clone(&writer);
-            let reconnect = config.reconnect;
             std::thread::Builder::new()
                 .name("ps3-stream-client".into())
                 .spawn(move || {
-                    reader_thread(
-                        stream, &shared, &configs, &writer, &subscribe, &addrs, reconnect,
-                    );
+                    reader_loop(stream, &shared, &configs);
+                    shared.alive.store(false, Ordering::SeqCst);
+                    shared.changed.notify();
                 })
                 .expect("spawn client reader")
         };
@@ -248,13 +203,6 @@ impl StreamClient {
         self.shared.dropped_frames.load(Ordering::SeqCst)
     }
 
-    /// Successful redials so far (see the module docs for what a
-    /// reconnect means for the frame cursor).
-    #[must_use]
-    pub fn reconnects(&self) -> u64 {
-        self.shared.reconnects.load(Ordering::SeqCst)
-    }
-
     /// Per-rig delivery accounting, one entry per rig that has sent
     /// this subscriber a rig-tagged batch or gap, ordered by rig id.
     #[must_use]
@@ -279,8 +227,7 @@ impl StreamClient {
     }
 
     /// `false` once the connection is gone (eviction, daemon shutdown,
-    /// or network error) and any configured reconnect attempts have
-    /// been exhausted.
+    /// or network error).
     #[must_use]
     pub fn is_alive(&self) -> bool {
         self.shared.alive.load(Ordering::SeqCst)
@@ -288,25 +235,16 @@ impl StreamClient {
 
     /// Blocks until `done(self)` holds or `timeout` passes, and returns
     /// whether it held. `done` is re-tested after every message from
-    /// the server, on eviction, reconnect and connection loss — e.g.
+    /// the server, on eviction and on connection loss — e.g.
     /// `|c| c.frames_received() + c.dropped_frames() == published`.
     pub fn wait_until(&self, timeout: Duration, mut done: impl FnMut(&Self) -> bool) -> bool {
         self.shared.changed.wait_until(timeout, || done(self))
     }
 
-    /// The most recent frame, if any arrived yet.
-    #[must_use]
-    pub fn last_frame(&self) -> Option<StreamFrame> {
-        self.shared.last.lock().map(|(frame, _)| frame)
-    }
-
     /// Total power of the most recent frame (zero before any frame).
     #[must_use]
     pub fn last_watts(&self) -> Watts {
-        self.shared
-            .last
-            .lock()
-            .map_or(Watts::zero(), |(_, watts)| watts)
+        *self.shared.last_watts.lock()
     }
 
     /// Asks the daemon to inject a time-synced marker.
@@ -383,8 +321,6 @@ impl StreamClient {
 
     /// Says goodbye and closes the connection. Also runs on drop.
     pub fn close(&mut self) {
-        self.shared.closing.store(true, Ordering::SeqCst);
-        self.shared.changed.notify();
         {
             let mut writer = self.writer.lock();
             let _ = write_msg(&mut *writer, &ClientMsg::Bye.encode());
@@ -414,15 +350,15 @@ impl core::fmt::Debug for StreamClient {
 
 /// Dials the first address that answers and completes the
 /// Subscribe → Hello handshake.
-fn handshake(
-    addrs: &[SocketAddr],
+fn handshake<A: ToSocketAddrs>(
+    addr: A,
     subscribe: &[u8],
 ) -> io::Result<(
     TcpStream,
     Box<[SensorConfig; SENSOR_SLOTS]>,
     Option<FleetHello>,
 )> {
-    let mut stream = TcpStream::connect(addrs)?;
+    let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     write_msg(&mut stream, subscribe)?;
@@ -437,78 +373,14 @@ fn handshake(
     Ok((stream, configs, fleet))
 }
 
-/// How one reader session ended.
-enum SessionEnd {
-    /// For-cause eviction: never redialled.
-    Closed,
-    /// Network loss or clean server shutdown: redialled when a
-    /// [`ReconnectPolicy`] is configured.
-    Lost,
-}
-
-fn reader_thread(
-    mut stream: TcpStream,
-    shared: &Arc<ClientShared>,
-    configs: &[SensorConfig; SENSOR_SLOTS],
-    writer: &Arc<Mutex<TcpStream>>,
-    subscribe: &[u8],
-    addrs: &[SocketAddr],
-    reconnect: Option<ReconnectPolicy>,
-) {
-    loop {
-        let end = reader_loop(&mut stream, shared, configs);
-        let lost = matches!(end, SessionEnd::Lost) && !shared.closing.load(Ordering::SeqCst);
-        let Some(policy) = reconnect.filter(|_| lost) else {
-            break;
-        };
-        match redial(&policy, addrs, subscribe, shared) {
-            Some(new_stream) => {
-                let Ok(clone) = new_stream.try_clone() else {
-                    break;
-                };
-                *writer.lock() = clone;
-                stream = new_stream;
-                shared.reconnects.fetch_add(1, Ordering::SeqCst);
-                shared.changed.notify();
-            }
-            None => break,
-        }
-    }
-    shared.alive.store(false, Ordering::SeqCst);
-    shared.changed.notify();
-}
-
-/// Bounded exponential-backoff redial; `None` when retries are
-/// exhausted or the client is closing.
-fn redial(
-    policy: &ReconnectPolicy,
-    addrs: &[SocketAddr],
-    subscribe: &[u8],
-    shared: &ClientShared,
-) -> Option<TcpStream> {
-    let mut backoff = policy.initial_backoff;
-    for _ in 0..policy.max_retries {
-        // close() notifies, so it never waits out a long backoff.
-        if shared
-            .changed
-            .wait_until(backoff, || shared.closing.load(Ordering::SeqCst))
-        {
-            return None;
-        }
-        if let Ok((stream, _, _)) = handshake(addrs, subscribe) {
-            return Some(stream);
-        }
-        backoff = (backoff * 2).min(policy.max_backoff);
-    }
-    None
-}
-
+/// Reads server messages until the stream ends or the daemon closes
+/// the subscription.
 fn reader_loop(
-    stream: &mut TcpStream,
+    mut stream: TcpStream,
     shared: &ClientShared,
     configs: &[SensorConfig; SENSOR_SLOTS],
-) -> SessionEnd {
-    while let Ok(msg) = read_msg_body(stream).and_then(|b| ServerMsg::decode(&b)) {
+) {
+    while let Ok(msg) = read_msg_body(&mut stream).and_then(|b| ServerMsg::decode(&b)) {
         match msg {
             ServerMsg::Batch { frames } => {
                 deliver(shared, configs, None, &frames);
@@ -535,20 +407,15 @@ fn reader_loop(
             ServerMsg::FleetStatus { rigs } => *shared.fleet_reply.lock() = Some(rigs),
             ServerMsg::Evicted { reason } => {
                 *shared.eviction.lock() = Some(reason);
-                let end = if reason == EvictReason::Shutdown {
-                    SessionEnd::Lost
-                } else {
+                if reason != EvictReason::Shutdown {
                     shared.evicted.store(true, Ordering::SeqCst);
-                    SessionEnd::Closed
-                };
-                shared.changed.notify();
-                return end;
+                }
+                return;
             }
             ServerMsg::Hello { .. } => { /* duplicate hello: ignore */ }
         }
         shared.changed.notify();
     }
-    SessionEnd::Lost
 }
 
 /// Runs the callbacks and counters for one batch of frames.
@@ -578,7 +445,7 @@ fn deliver(
             frame.present,
             |_, _, _, _| {},
         );
-        *shared.last.lock() = Some((*frame, watts));
+        *shared.last_watts.lock() = watts;
     }
     if let Some(rig) = rig {
         let mut counts = shared.rig_counts.lock();

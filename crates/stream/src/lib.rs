@@ -43,9 +43,7 @@ pub mod proto;
 mod ring;
 mod signal;
 
-pub use client::{
-    FrameCallback, ReconnectPolicy, RigCounts, RigFrameCallback, StreamClient, StreamClientConfig,
-};
+pub use client::{FrameCallback, RigCounts, RigFrameCallback, StreamClient, StreamClientConfig};
 pub use daemon::{StreamDaemon, StreamDaemonConfig};
 pub use downsample::Downsampler;
 pub use event_loop::{

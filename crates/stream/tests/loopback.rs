@@ -387,77 +387,3 @@ fn replay_daemon_serves_archived_range_exactly() {
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(ps3_archive::index_path_for(&path)).ok();
 }
-
-/// Satellite: a client with a reconnect policy survives a daemon
-/// bounce (stop + restart on the same port) and resumes receiving
-/// frames from the new incarnation without counting the outage as
-/// dropped frames.
-#[test]
-fn reconnecting_client_survives_daemon_bounce() {
-    use ps3_stream::ReconnectPolicy;
-
-    let mut tb = bench_testbed();
-    let sensor = SharedPowerSensor::new(tb.connect().unwrap());
-    let daemon =
-        StreamDaemon::start(sensor.clone(), "127.0.0.1:0", StreamDaemonConfig::default()).unwrap();
-    let addr = daemon.local_addr();
-
-    let client = StreamClient::connect(
-        addr,
-        StreamClientConfig {
-            reconnect: Some(ReconnectPolicy {
-                max_retries: 50,
-                initial_backoff: Duration::from_millis(20),
-                max_backoff: Duration::from_millis(100),
-            }),
-            ..StreamClientConfig::default()
-        },
-    )
-    .unwrap();
-
-    tb.advance_and_sync(&sensor, SimDuration::from_millis(50))
-        .unwrap();
-    assert!(
-        client.wait_until(Duration::from_secs(10), |c| c.frames_received() > 0),
-        "first incarnation delivers frames"
-    );
-    let before_bounce = client.frames_received();
-
-    // Bounce: tear the daemon down (clients get a Shutdown notice) and
-    // start a fresh one on the same address.
-    drop(daemon);
-    let mut tb2 = bench_testbed();
-    let sensor2 = SharedPowerSensor::new(tb2.connect().unwrap());
-    let daemon2 =
-        StreamDaemon::start(sensor2.clone(), addr, StreamDaemonConfig::default()).unwrap();
-
-    // The client redials and resubscribes on its own.
-    assert!(
-        daemon2.wait_stats(Duration::from_secs(10), |s| s.active_subscribers == 1),
-        "client should reattach to the new daemon"
-    );
-    // The daemon counts the subscriber before the client has read its
-    // Hello and counted the reconnect.
-    client.wait_until(Duration::from_secs(10), |c| c.reconnects() == 1);
-    assert_eq!(client.reconnects(), 1);
-    assert!(client.is_alive());
-    assert!(!client.is_evicted(), "a bounce is not a for-cause eviction");
-
-    tb2.advance_and_sync(&sensor2, SimDuration::from_millis(50))
-        .unwrap();
-    assert!(
-        client.wait_until(Duration::from_secs(10), |c| c.frames_received()
-            > before_bounce),
-        "second incarnation delivers frames to the same client"
-    );
-    // The outage is a cursor jump, not a counted gap: dropped_frames
-    // only ever reports server-side ring laps.
-    assert_eq!(client.gap_events(), 0);
-    assert_eq!(client.dropped_frames(), 0);
-
-    drop(client);
-    assert!(
-        daemon2.wait_stats(Duration::from_secs(10), |s| s.active_subscribers == 0),
-        "client drains from the new daemon on close"
-    );
-}

@@ -32,12 +32,6 @@ impl<D: Dut> AnalogFrontend<D> {
         assert!(modules.len() <= 4, "the baseboard has four module slots");
         Self { dut, modules }
     }
-
-    /// Mutable access to an attached module (e.g. to inject an external
-    /// magnetic field in interference tests).
-    pub fn module_mut(&mut self, index: usize) -> Option<&mut SensorModule> {
-        self.modules.get_mut(index).map(|(m, _)| m)
-    }
 }
 
 /// Shared per-conversion math: rail state at the conversion instant

@@ -6,13 +6,10 @@
 //! with blocking reads, bounded buffering (backpressure, like a full
 //! USB endpoint), and explicit disconnect semantics.
 //!
-//! Two wrappers support testing:
-//!
-//! * [`FaultyTransport`] injects byte loss and bit corruption, used to
-//!   exercise the host library's stream resynchronisation.
-//! * [`RecordingTransport`] tees all traffic for protocol inspection.
-//! * [`ReplayTransport`] serves a recorded stream back to the host,
-//!   enabling capture-once/analyse-many workflows.
+//! [`RecordingTransport`] tees all traffic for protocol inspection.
+//! Link faults are injected by `ps3_sim::FaultInjector`, which wraps
+//! any [`Transport`]; recorded bytes are decoded offline by
+//! `ps3_core::decode_stream`.
 //!
 //! # Examples
 //!
@@ -28,18 +25,14 @@
 
 #![forbid(unsafe_code)]
 
-mod fault;
 mod recording;
-mod replay;
 mod serial;
 
 use std::error::Error;
 use std::fmt;
 use std::time::Duration;
 
-pub use fault::{FaultPlan, FaultyTransport};
 pub use recording::RecordingTransport;
-pub use replay::ReplayTransport;
 pub use serial::{ReadWaker, SerialEndpoint, VirtualSerial};
 
 /// Errors returned by transport operations.

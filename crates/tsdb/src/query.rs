@@ -115,12 +115,6 @@ impl Tsdb {
         self.from_sidecar
     }
 
-    /// Takes the archive back out, dropping the pyramid.
-    #[must_use]
-    pub fn into_archive(self) -> Archive {
-        self.archive
-    }
-
     /// The walk's view of the stored pyramid.
     fn stored<'a>(&'a self, fanouts: &'a [u32]) -> Tiers<'a> {
         Tiers::Stored {

@@ -21,15 +21,11 @@
 #![forbid(unsafe_code)]
 
 mod model;
-pub mod optimizer;
 mod strategy;
 mod tuner;
 
 pub use model::{BeamformerModel, BeamformerProblem, KernelEstimate};
-pub use optimizer::{hill_climb, neighbours, random_search, SearchResult};
-pub use strategy::{
-    measure_with_onboard, measure_with_powersensor, Measurement, MeasurementStrategy,
-};
+pub use strategy::{measure_with_onboard, measure_with_powersensor, Measurement};
 pub use tuner::{Tuner, TuningOutcome, TuningRecord};
 
 /// One point in the tunable-parameter space (the paper's 512 variants).

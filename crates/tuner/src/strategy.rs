@@ -19,15 +19,6 @@ use ps3_units::{SimDuration, SimTime};
 
 use crate::model::KernelEstimate;
 
-/// Which strategy produced a measurement (for labels).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MeasurementStrategy {
-    /// External PowerSensor3 through the host library.
-    PowerSensor3,
-    /// Built-in (vendor) sensor with extended kernel runs.
-    Onboard,
-}
-
 /// Result of measuring one configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Measurement {

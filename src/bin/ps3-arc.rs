@@ -29,6 +29,7 @@ use std::process::ExitCode;
 
 use powersensor3::analysis::DumpWriter;
 use powersensor3::archive::{Archive, ArchiveWriter, ArchiveWriterOptions, WriterStats};
+use powersensor3::cli::{flag, flag_value};
 use powersensor3::duts::LoadProgram;
 use powersensor3::firmware::{fold_pairs, SENSOR_SLOTS};
 use powersensor3::sensors::ModuleKind;
@@ -83,17 +84,6 @@ fn main() -> ExitCode {
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn flag_u64(args: &[String], flag: &str) -> Option<u64> {
-    flag_value(args, flag).and_then(|s| s.parse().ok())
-}
-
 /// The positional FILE argument: the first non-flag token that is not
 /// a flag's value.
 fn positional(args: &[String]) -> Option<String> {
@@ -129,25 +119,25 @@ fn pyramid_state(archive: &Archive) -> Option<(Pyramid, bool)> {
 
 /// The query range: `[--start US, --end US)`, defaulting to the whole
 /// archive (end exclusive, so the default end is last-frame + 1 µs).
-fn range(args: &[String], archive: &Archive) -> (SimTime, SimTime) {
-    let start = flag_u64(args, "--start")
+fn range(args: &[String], archive: &Archive) -> Result<(SimTime, SimTime), String> {
+    let start = flag(args, "--start")?
         .map(SimTime::from_micros)
         .or_else(|| archive.start_time())
         .unwrap_or(SimTime::ZERO);
-    let end = flag_u64(args, "--end")
+    let end = flag(args, "--end")?
         .map(SimTime::from_micros)
         .unwrap_or_else(|| {
             SimTime::from_micros(archive.end_time().map_or(0, |t| t.as_micros() + 1))
         });
-    (start, end)
+    Ok((start, end))
 }
 
 fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
-    let out = flag_value(args, "--out").ok_or("record needs --out FILE")?;
-    let dump = flag_value(args, "--dump");
-    let frames = flag_u64(args, "--frames").unwrap_or(12_000);
-    let seed = flag_u64(args, "--seed").unwrap_or(7);
-    let segment_frames = flag_u64(args, "--segment-frames").unwrap_or(4096) as usize;
+    let out = flag_value(args, "--out")?.ok_or("record needs --out FILE")?;
+    let dump = flag_value(args, "--dump")?;
+    let frames: u64 = flag(args, "--frames")?.unwrap_or(12_000);
+    let seed = flag(args, "--seed")?.unwrap_or(7);
+    let segment_frames: usize = flag(args, "--segment-frames")?.unwrap_or(4096);
     if segment_frames == 0 {
         return Err("--segment-frames must be positive".into());
     }
@@ -336,7 +326,7 @@ fn cmd_info(args: &[String]) -> Result<ExitCode, String> {
 /// the live sensor wrote at capture time.
 fn cmd_cat(args: &[String]) -> Result<ExitCode, String> {
     let archive = open(args)?;
-    let (start, end) = range(args, &archive);
+    let (start, end) = range(args, &archive)?;
     let (configs, adc) = (archive.configs(), archive.adc());
     let emit = (|| -> std::io::Result<()> {
         let mut dump = DumpWriter::new(std::io::BufWriter::new(std::io::stdout().lock()))?;
@@ -377,9 +367,9 @@ fn cmd_cat(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
     let archive = open(args)?;
-    let (start, end) = range(args, &archive);
+    let (start, end) = range(args, &archive)?;
     let tsdb = Tsdb::from_archive(archive, PyramidConfig::default());
-    let engine = flag_value(args, "--engine").unwrap_or_else(|| "fast".to_owned());
+    let engine = flag_value(args, "--engine")?.unwrap_or_else(|| "fast".to_owned());
     let (stats, energy) = match engine.as_str() {
         // The tiered walk over summary blocks and pyramid nodes.
         "fast" => (tsdb.stats(start, end), tsdb.energy(start, end)),
@@ -421,8 +411,8 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_export_csv(args: &[String]) -> Result<ExitCode, String> {
     let archive = open(args)?;
-    let (start, end) = range(args, &archive);
-    let divisor = flag_u64(args, "--divisor").unwrap_or(1);
+    let (start, end) = range(args, &archive)?;
+    let divisor = flag(args, "--divisor")?.unwrap_or(1);
     if divisor == 0 {
         return Err("--divisor must be positive".into());
     }
@@ -434,7 +424,7 @@ fn cmd_export_csv(args: &[String]) -> Result<ExitCode, String> {
     for s in trace.samples() {
         text.push_str(&format!("{},{:.6}\n", s.time.as_micros(), s.power.value()));
     }
-    match flag_value(args, "--out") {
+    match flag_value(args, "--out")? {
         Some(path) => {
             std::fs::write(&path, text).map_err(|e| e.to_string())?;
             eprintln!("wrote {} rows to {path}", trace.len());
@@ -446,8 +436,7 @@ fn cmd_export_csv(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_compact(args: &[String]) -> Result<ExitCode, String> {
     let path = positional(args).ok_or("missing archive path")?;
-    let target =
-        flag_u64(args, "--target-frames").map_or(DEFAULT_COMPACT_TARGET_FRAMES, |n| n as usize);
+    let target = flag(args, "--target-frames")?.unwrap_or(DEFAULT_COMPACT_TARGET_FRAMES);
     if target == 0 {
         return Err("--target-frames must be positive".into());
     }
@@ -469,7 +458,7 @@ fn cmd_compact(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_retain(args: &[String]) -> Result<ExitCode, String> {
     let path = positional(args).ok_or("missing archive path")?;
     let spec =
-        flag_value(args, "--retain").ok_or("retain needs --retain SPEC (e.g. 30m, 2h, 64mb)")?;
+        flag_value(args, "--retain")?.ok_or("retain needs --retain SPEC (e.g. 30m, 2h, 64mb)")?;
     let retention = Retention::parse(&spec)?;
     let report =
         retain_archive(&path, retention, PyramidConfig::default()).map_err(|e| e.to_string())?;

@@ -21,6 +21,7 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use powersensor3::cli::{flag, flag_value};
 use powersensor3::fleet::{testbed_rig_factory, Fleet, FleetConfig, FleetQuery};
 use powersensor3::stream::{
     bind_error, resolve_bind, RigSelector, StreamClient, StreamClientConfig,
@@ -43,34 +44,32 @@ fn main() -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    match cmd {
+    let result = match cmd {
         Some("serve") => serve(&args),
         Some("status") => status(&args),
         Some("watch") => watch(&args),
         Some("query") => query(&args),
         Some(other) => {
             eprintln!("unknown subcommand '{other}' (expected serve|status|watch|query)");
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
         None => unreachable!("handled above"),
-    }
+    };
+    result.unwrap_or_else(|e| {
+        eprintln!("ps3-fleet {}: {e}", args[0]);
+        ExitCode::FAILURE
+    })
 }
 
-fn serve(args: &[String]) -> ExitCode {
-    let rigs: u16 = flag_value(args, "--rigs")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
-    let addr = resolve_bind(flag_value(args, "--bind"), "127.0.0.1:9431");
-    let data = flag_value(args, "--data").unwrap_or_else(|| "fleet-data".to_owned());
-    let seed: u64 = flag_value(args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
-    let secs: u64 = flag_value(args, "--secs")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+fn serve(args: &[String]) -> Result<ExitCode, String> {
+    let rigs: u16 = flag(args, "--rigs")?.unwrap_or(4);
+    let addr = resolve_bind(flag_value(args, "--bind")?, "127.0.0.1:9431");
+    let data = flag_value(args, "--data")?.unwrap_or_else(|| "fleet-data".to_owned());
+    let seed: u64 = flag(args, "--seed")?.unwrap_or(42);
+    let secs: u64 = flag(args, "--secs")?.unwrap_or(0);
     if rigs == 0 {
         eprintln!("--rigs must be at least 1");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
 
     let mut fleet = match Fleet::start(
@@ -82,7 +81,7 @@ fn serve(args: &[String]) -> ExitCode {
         Ok(f) => f,
         Err(e) => {
             eprintln!("{}", bind_error(&addr, &e));
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     println!(
@@ -101,7 +100,7 @@ fn serve(args: &[String]) -> ExitCode {
         fleet.advance(SimDuration::from_nanos(TICK.as_nanos() as u64));
         if let Err(e) = fleet.supervise() {
             eprintln!("rig restart failed: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         ticks += 1;
         let target = TICK * u32::try_from(ticks).unwrap_or(u32::MAX);
@@ -139,11 +138,11 @@ fn serve(args: &[String]) -> ExitCode {
         s.evicted_stalled
     );
     fleet.shutdown();
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn status(args: &[String]) -> ExitCode {
-    let addr = flag_value(args, "--connect").unwrap_or_else(|| "127.0.0.1:9431".to_owned());
+fn status(args: &[String]) -> Result<ExitCode, String> {
+    let addr = flag_value(args, "--connect")?.unwrap_or_else(|| "127.0.0.1:9431".to_owned());
     // Any subscription works for control queries; pick the lightest
     // (one rig, heavily downsampled).
     let config = StreamClientConfig {
@@ -155,10 +154,10 @@ fn status(args: &[String]) -> ExitCode {
         Ok(c) => c,
         Err(e) => {
             eprintln!("cannot reach coordinator at {addr}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
-    match client.query_fleet(Duration::from_secs(5)) {
+    Ok(match client.query_fleet(Duration::from_secs(5)) {
         Ok(roster) => {
             print_roster(&roster);
             match client.query_stats(Duration::from_secs(5)) {
@@ -183,18 +182,13 @@ fn status(args: &[String]) -> ExitCode {
             eprintln!("fleet status query failed: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
-fn watch(args: &[String]) -> ExitCode {
-    let addr = flag_value(args, "--connect").unwrap_or_else(|| "127.0.0.1:9431".to_owned());
-    let secs: u64 = flag_value(args, "--secs")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
-    let divisor: u32 = flag_value(args, "--divisor")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20)
-        .max(1);
+fn watch(args: &[String]) -> Result<ExitCode, String> {
+    let addr = flag_value(args, "--connect")?.unwrap_or_else(|| "127.0.0.1:9431".to_owned());
+    let secs: u64 = flag(args, "--secs")?.unwrap_or(2);
+    let divisor: u32 = flag(args, "--divisor")?.unwrap_or(20).max(1);
     let config = StreamClientConfig {
         rig: Some(RigSelector::All),
         divisor,
@@ -204,7 +198,7 @@ fn watch(args: &[String]) -> ExitCode {
         Ok(c) => c,
         Err(e) => {
             eprintln!("cannot reach coordinator at {addr}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     std::thread::sleep(Duration::from_secs(secs));
@@ -225,9 +219,9 @@ fn watch(args: &[String]) -> ExitCode {
     }
     if client.is_evicted() {
         eprintln!("evicted by the coordinator: {:?}", client.eviction_reason());
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn print_roster(roster: &[powersensor3::stream::RigStatus]) {
@@ -246,31 +240,19 @@ fn print_roster(roster: &[powersensor3::stream::RigStatus]) {
     }
 }
 
-fn query(args: &[String]) -> ExitCode {
-    let data = flag_value(args, "--data").unwrap_or_else(|| "fleet-data".to_owned());
-    let start = SimTime::from_micros(
-        flag_value(args, "--start")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0),
-    );
-    let end = SimTime::from_micros(
-        flag_value(args, "--end")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(u64::MAX / 2_000),
-    );
-    let top: usize = flag_value(args, "--top")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
-    let divisor: u64 = flag_value(args, "--divisor")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+fn query(args: &[String]) -> Result<ExitCode, String> {
+    let data = flag_value(args, "--data")?.unwrap_or_else(|| "fleet-data".to_owned());
+    let start = SimTime::from_micros(flag(args, "--start")?.unwrap_or(0));
+    let end = SimTime::from_micros(flag(args, "--end")?.unwrap_or(u64::MAX / 2_000));
+    let top: usize = flag(args, "--top")?.unwrap_or(3);
+    let divisor: u64 = flag(args, "--divisor")?.unwrap_or(0);
     let json = args.iter().any(|a| a == "--json");
 
     let fq = match FleetQuery::open(&data) {
         Ok(q) => q,
         Err(e) => {
             eprintln!("cannot open fleet data dir {data}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let (energy, stats, hottest) = match (|| {
@@ -283,7 +265,7 @@ fn query(args: &[String]) -> ExitCode {
         Ok(r) => r,
         Err(e) => {
             eprintln!("query failed: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
 
@@ -315,7 +297,7 @@ fn query(args: &[String]) -> ExitCode {
             stats.min_w,
             stats.max_w,
         );
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     println!(
@@ -360,16 +342,9 @@ fn query(args: &[String]) -> ExitCode {
             }
             Err(e) => {
                 eprintln!("joined downsample failed: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
-    ExitCode::SUCCESS
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    Ok(ExitCode::SUCCESS)
 }

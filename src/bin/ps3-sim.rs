@@ -28,6 +28,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use powersensor3::cli::{flag, flag_value};
 use powersensor3::sim::{runner, Sabotage, ScenarioReport, SimPlan, SCENARIOS};
 
 fn main() -> ExitCode {
@@ -36,66 +37,62 @@ fn main() -> ExitCode {
         eprintln!("usage: ps3-sim <sweep|run|replay|list> [options]");
         return ExitCode::FAILURE;
     };
+    run(command, &args).unwrap_or_else(|e| {
+        eprintln!("ps3-sim: {e}");
+        ExitCode::FAILURE
+    })
+}
 
-    let scenario = flag_value(&args, "--scenario");
-    let plan = match flag_value(&args, "--plan").map(|p| SimPlan::parse(&p)) {
+fn run(command: &str, args: &[String]) -> Result<ExitCode, String> {
+    let scenario = flag_value(args, "--scenario")?;
+    let plan = match flag_value(args, "--plan")? {
         None => None,
-        Some(Ok(plan)) => Some(plan),
-        Some(Err(e)) => {
-            eprintln!("ps3-sim: bad --plan: {e}");
-            return ExitCode::FAILURE;
-        }
+        Some(p) => Some(SimPlan::parse(&p).map_err(|e| format!("bad --plan: {e}"))?),
     };
-    let sabotage = match flag_value(&args, "--sabotage") {
+    let sabotage = match flag_value(args, "--sabotage")? {
         None => Sabotage::None,
-        Some(name) => {
-            match Sabotage::parse(&name) {
-                Some(s) => s,
-                None => {
-                    eprintln!("ps3-sim: unknown --sabotage '{name}' (none, uncounted-drop, unsealed-tail)");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+        Some(name) => Sabotage::parse(&name).ok_or_else(|| {
+            format!("unknown --sabotage '{name}' (none, uncounted-drop, unsealed-tail)")
+        })?,
     };
 
-    match command {
+    Ok(match command {
         "list" => {
             println!("scenarios: {}", SCENARIOS.join(", "));
             println!("sabotage modes: none, uncounted-drop, unsealed-tail");
             ExitCode::SUCCESS
         }
-        "sweep" => cmd_sweep(&args, scenario.as_deref(), sabotage),
-        "run" => cmd_run(&args, scenario.as_deref(), plan.as_ref(), sabotage),
-        "replay" => cmd_replay(&args, scenario.as_deref(), plan.as_ref(), sabotage),
+        "sweep" => cmd_sweep(args, scenario.as_deref(), sabotage)?,
+        "run" => cmd_run(args, scenario.as_deref(), plan.as_ref(), sabotage)?,
+        "replay" => cmd_replay(args, scenario.as_deref(), plan.as_ref(), sabotage)?,
         other => {
             eprintln!("ps3-sim: unknown command '{other}' (sweep, run, replay, list)");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
-fn cmd_sweep(args: &[String], scenario: Option<&str>, sabotage: Sabotage) -> ExitCode {
-    let seeds: u64 = flag_value(args, "--seeds")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
-    let start: u64 = flag_value(args, "--start")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-    let out: Option<PathBuf> = flag_value(args, "--out").map(PathBuf::from);
+fn cmd_sweep(
+    args: &[String],
+    scenario: Option<&str>,
+    sabotage: Sabotage,
+) -> Result<ExitCode, String> {
+    let seeds: u64 = flag(args, "--seeds")?.unwrap_or(8);
+    let start: u64 = flag(args, "--start")?.unwrap_or(1);
+    let out: Option<PathBuf> = flag_value(args, "--out")?.map(PathBuf::from);
     let scenarios: Vec<&str> = scenario.map(|s| vec![s]).unwrap_or_default();
 
     let outcome = match runner::sweep(&scenarios, start..start + seeds, sabotage, out.as_deref()) {
         Ok(outcome) => outcome,
         Err(e) => {
             eprintln!("ps3-sim: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     if let Some(dir) = &out {
         if let Err(e) = runner::write_summary(&outcome, dir) {
             eprintln!("ps3-sim: write summary: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
     println!(
@@ -124,11 +121,11 @@ fn cmd_sweep(args: &[String], scenario: Option<&str>, sabotage: Sabotage) -> Exi
             println!("       {v}");
         }
     }
-    if outcome.failures.is_empty() {
+    Ok(if outcome.failures.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
 fn cmd_run(
@@ -136,13 +133,13 @@ fn cmd_run(
     scenario: Option<&str>,
     plan: Option<&SimPlan>,
     sabotage: Sabotage,
-) -> ExitCode {
-    let Some(seed) = flag_value(args, "--seed").and_then(|s| s.parse().ok()) else {
+) -> Result<ExitCode, String> {
+    let Some(seed) = flag(args, "--seed")? else {
         eprintln!("usage: ps3-sim run --seed N [--scenario NAME] [--plan P] [--sabotage X]");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
     let scenario = scenario.unwrap_or("pipeline");
-    match runner::run_one(scenario, seed, plan, sabotage) {
+    Ok(match runner::run_one(scenario, seed, plan, sabotage) {
         Ok(report) => {
             print_report(&report);
             if report.violations.is_empty() {
@@ -155,7 +152,7 @@ fn cmd_run(
             eprintln!("ps3-sim: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
 fn cmd_replay(
@@ -163,23 +160,23 @@ fn cmd_replay(
     scenario: Option<&str>,
     plan: Option<&SimPlan>,
     sabotage: Sabotage,
-) -> ExitCode {
-    let Some(seed) = flag_value(args, "--seed").and_then(|s| s.parse().ok()) else {
+) -> Result<ExitCode, String> {
+    let Some(seed) = flag(args, "--seed")? else {
         eprintln!("usage: ps3-sim replay --seed N [--scenario NAME] [--plan P] [--sabotage X]");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
     let scenario = scenario.unwrap_or("pipeline");
     let first = match runner::run_one(scenario, seed, plan, sabotage) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("ps3-sim: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let second =
         runner::run_one(scenario, seed, plan, sabotage).expect("scenario ran once already");
     print_report(&first);
-    if first.fingerprint == second.fingerprint {
+    Ok(if first.fingerprint == second.fingerprint {
         println!(
             "replay OK: fingerprint {:016x} is identical across two runs",
             first.fingerprint
@@ -191,7 +188,7 @@ fn cmd_replay(
             first.fingerprint, second.fingerprint
         );
         ExitCode::FAILURE
-    }
+    })
 }
 
 fn print_report(report: &ScenarioReport) {
@@ -209,11 +206,4 @@ fn print_report(report: &ScenarioReport) {
             println!("  VIOLATION {v}");
         }
     }
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }

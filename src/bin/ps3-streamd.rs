@@ -25,6 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use powersensor3::archive::{Archive, ArchiveWriter, ArchiveWriterOptions};
+use powersensor3::cli::{flag, flag_value};
 use powersensor3::core::SharedPowerSensor;
 use powersensor3::duts::{GpuKernel, GpuSpec, LoadProgram};
 use powersensor3::sensors::ModuleKind;
@@ -37,28 +38,33 @@ const TICK: Duration = Duration::from_millis(50);
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    run(&args).unwrap_or_else(|e| {
+        eprintln!("ps3-streamd: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+fn run(args: &[String]) -> Result<ExitCode, String> {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
             "usage: ps3-streamd [--bind HOST:PORT] [--setup bench|gpu] [--seed N] [--secs N]\n\
              \x20                  [--persist FILE] [--replay FILE [--speed X]]\n\
              the listen address falls back to $PS3_BIND, then 127.0.0.1:9421"
         );
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    let addr = resolve_bind(
-        flag_value(&args, "--bind").or_else(|| flag_value(&args, "--addr")),
-        "127.0.0.1:9421",
-    );
-    let setup = flag_value(&args, "--setup").unwrap_or_else(|| "bench".to_owned());
-    let seed: u64 = flag_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
-    let secs: u64 = flag_value(&args, "--secs")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    let bind = match flag_value(args, "--bind")? {
+        Some(bind) => Some(bind),
+        None => flag_value(args, "--addr")?,
+    };
+    let addr = resolve_bind(bind, "127.0.0.1:9421");
+    let setup = flag_value(args, "--setup")?.unwrap_or_else(|| "bench".to_owned());
+    let seed: u64 = flag(args, "--seed")?.unwrap_or(42);
+    let secs: u64 = flag(args, "--secs")?.unwrap_or(0);
 
-    if let Some(path) = flag_value(&args, "--replay") {
-        return run_replay(&path, &addr, &args, secs);
+    if let Some(path) = flag_value(args, "--replay")? {
+        let speed: f64 = flag(args, "--speed")?.unwrap_or(1.0);
+        return Ok(run_replay(&path, &addr, speed, secs));
     }
 
     // Build the simulated rig and a closure that paces its clock.
@@ -105,13 +111,13 @@ fn main() -> ExitCode {
         }
         other => {
             eprintln!("unknown setup '{other}' (expected bench|gpu)");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
 
     // Persist mode: archive every acquired frame to a .ps3a trace
     // store alongside serving the live stream.
-    let writer = match flag_value(&args, "--persist") {
+    let writer = match flag_value(args, "--persist")? {
         Some(path) => {
             match ArchiveWriter::spawn(&path, sensor.configs(), ArchiveWriterOptions::default()) {
                 Ok(w) => {
@@ -121,7 +127,7 @@ fn main() -> ExitCode {
                 }
                 Err(e) => {
                     eprintln!("cannot create archive {path}: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
         }
@@ -132,7 +138,7 @@ fn main() -> ExitCode {
         Ok(d) => d,
         Err(e) => {
             eprintln!("{}", powersensor3::stream::bind_error(&addr, &e));
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     println!("ps3-streamd: {label}");
@@ -192,19 +198,16 @@ fn main() -> ExitCode {
             ),
             Err(e) => {
                 eprintln!("archive finalisation failed: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Replay mode: serves an archived capture's frames over the same
 /// stream protocol, paced by `--speed` (1 = real rate, 0 = unpaced).
-fn run_replay(path: &str, addr: &str, args: &[String], secs: u64) -> ExitCode {
-    let speed: f64 = flag_value(args, "--speed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
+fn run_replay(path: &str, addr: &str, speed: f64, secs: u64) -> ExitCode {
     let archive = match Archive::open(path) {
         Ok(a) => Arc::new(a),
         Err(e) => {
@@ -260,10 +263,3 @@ fn run_replay(path: &str, addr: &str, args: &[String], secs: u64) -> ExitCode {
 }
 
 type AdvanceFn = Box<dyn FnMut(SimDuration)>;
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}

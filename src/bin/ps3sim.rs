@@ -21,6 +21,7 @@
 use std::process::ExitCode;
 
 use powersensor3::analysis::{parse_dump, SampleStats};
+use powersensor3::cli::{flag, flag_value};
 use powersensor3::core::{tools, PowerSensor};
 use powersensor3::duts::{
     BenchSetup, Dut, FioJob, GpuKernel, GpuSpec, IoPattern, JetsonSpec, LoadProgram, NicModel,
@@ -37,31 +38,34 @@ fn main() -> ExitCode {
         eprintln!("usage: ps3sim <info|test|run|dump|parse|calibrate|version> [options]");
         return ExitCode::FAILURE;
     };
-    let setup = flag_value(&args, "--setup").unwrap_or_else(|| "bench".to_owned());
-    let seed: u64 = flag_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
-    let millis: u64 = flag_value(&args, "--millis")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(500);
+    run(command, &args).unwrap_or_else(|e| {
+        eprintln!("ps3sim {command}: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+fn run(command: &str, args: &[String]) -> Result<ExitCode, String> {
+    let setup = flag_value(args, "--setup")?.unwrap_or_else(|| "bench".to_owned());
+    let seed: u64 = flag(args, "--seed")?.unwrap_or(42);
+    let millis: u64 = flag(args, "--millis")?.unwrap_or(500);
 
     match command {
         "parse" => {
             let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
                 eprintln!("usage: ps3sim parse <dump-file>");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             };
-            return cmd_parse(path);
+            return Ok(cmd_parse(path));
         }
-        "calibrate" => return cmd_calibrate(seed),
+        "calibrate" => return Ok(cmd_calibrate(seed)),
         _ => {}
     }
 
     let Some(mut rig) = Rig::build(&setup, seed) else {
         eprintln!("unknown setup '{setup}' (expected bench|gpu|amd|jetson|ssd|nic)");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
-    match command {
+    Ok(match command {
         "info" => {
             rig.warm_up();
             println!("{}", tools::info(&rig.ps));
@@ -70,7 +74,7 @@ fn main() -> ExitCode {
         "test" => cmd_test(&mut rig),
         "run" => cmd_run(&mut rig, millis),
         "dump" => {
-            let out = flag_value(&args, "--out").unwrap_or_else(|| "ps3sim_dump.txt".into());
+            let out = flag_value(args, "--out")?.unwrap_or_else(|| "ps3sim_dump.txt".into());
             cmd_dump(&mut rig, millis, &out)
         }
         "version" => match rig.ps.firmware_version() {
@@ -87,14 +91,7 @@ fn main() -> ExitCode {
             eprintln!("unknown command '{other}'");
             ExitCode::FAILURE
         }
-    }
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    })
 }
 
 /// Closure advancing a testbed and syncing the host.

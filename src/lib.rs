@@ -7,6 +7,8 @@
 
 #![forbid(unsafe_code)]
 
+pub mod cli;
+
 pub use ps3_analysis as analysis;
 pub use ps3_archive as archive;
 pub use ps3_core as core;

@@ -54,6 +54,13 @@ fn run_measures_a_workload() {
 }
 
 #[test]
+fn run_rejects_a_malformed_duration() {
+    let (out, err, ok) = ps3sim(&["run", "--setup", "bench", "--millis", "abc"]);
+    assert!(!ok, "--millis abc fell back to the default: {out}");
+    assert!(err.contains("--millis"), "{err}");
+}
+
+#[test]
 fn dump_then_parse_round_trips() {
     let dir = std::env::temp_dir().join("ps3sim_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
@@ -212,5 +219,35 @@ fn arc_stats_engines_print_identical_answers() {
     let (_, err, ok) = ps3arc(&["stats", arc_s, "--engine", "pyramid"]);
     assert!(!ok, "a removed engine must be rejected");
     assert!(err.contains("unknown --engine"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn arc_rejects_malformed_and_missing_flag_values() {
+    let dir = std::env::temp_dir().join(format!("ps3arc_cli_flags_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let arc = dir.join("capture.ps3a");
+    let arc_s = arc.to_str().unwrap();
+
+    // A malformed count must not record the default 12 000 frames.
+    let (out, err, ok) = ps3arc(&["record", "--out", arc_s, "--frames", "4k"]);
+    assert!(!ok, "record accepted --frames 4k: {out}");
+    assert!(err.contains("--frames"), "{err}");
+    assert!(!arc.exists(), "nothing is recorded on a bad flag");
+
+    let (out, err, ok) = ps3arc(&["record", "--out", arc_s, "--frames", "400"]);
+    assert!(ok, "record failed: {out} {err}");
+    // Neither bound may silently widen to the whole archive.
+    for (range, flag) in [
+        (&["--start", "50ms"][..], "--start"),
+        (&["--end", "1e5"][..], "--end"),
+        (&["--end"][..], "--end"),
+    ] {
+        let mut args = vec!["stats", arc_s];
+        args.extend_from_slice(range);
+        let (out, err, ok) = ps3arc(&args);
+        assert!(!ok, "stats accepted {range:?}: {out}");
+        assert!(err.contains(flag), "{range:?}: {err}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -9,8 +9,49 @@ use std::time::Duration;
 
 use powersensor3::core::PowerSensor;
 use powersensor3::firmware::{Device, DeviceThread, Eeprom, SensorConfig};
-use powersensor3::transport::{FaultPlan, FaultyTransport, SerialEndpoint, VirtualSerial};
+use powersensor3::sim::{FaultEvent, FaultInjector, FaultKind, PlanOptions, SimPlan};
+use powersensor3::transport::{SerialEndpoint, VirtualSerial};
 use powersensor3::units::{SimDuration, SimTime};
+
+/// Bytes between two planned faults.
+const SPACING: u64 = 1000;
+
+/// Planned faults per link: enough to cover the longest test's
+/// stream (1 s of 6-byte frames at 20 kHz).
+const EVENTS: u64 = 200;
+
+/// One fault every [`SPACING`] bytes of the device→host stream,
+/// starting past the connect handshake; `kind(k)` is the `k`-th fault.
+fn every_kb(kind: impl Fn(u64) -> FaultKind) -> SimPlan {
+    let guard = PlanOptions::default().guard;
+    SimPlan::from_events(
+        (1..=EVENTS)
+            .map(|k| FaultEvent {
+                offset: guard + k * SPACING,
+                kind: kind(k),
+            })
+            .collect(),
+    )
+}
+
+/// A noisy link: one flipped bit every kilobyte, cycling through all
+/// eight bit positions (bit 7 is the framing bit).
+fn noisy() -> SimPlan {
+    every_kb(|k| FaultKind::BitFlip((k % 8) as u8))
+}
+
+/// A lossy link: one dropped byte every kilobyte.
+fn lossy() -> SimPlan {
+    every_kb(|_| FaultKind::Drop)
+}
+
+/// Every planned fault below the last byte the host consumed fired.
+fn assert_all_fired(tap: &FaultInjector<SerialEndpoint>, plan: &SimPlan) {
+    let seen = tap.bytes_seen();
+    let due = plan.events().iter().filter(|e| e.offset < seen).count() as u64;
+    assert!(due > 0, "no fault was due in {seen} bytes");
+    assert_eq!(tap.faults_applied(), due, "{seen} bytes seen");
+}
 
 /// Spawns a device thread producing a 2 A / 12 V signal on pair 0,
 /// returning the host-side endpoint and the device handle.
@@ -39,9 +80,9 @@ fn wait_frames(ps: &PowerSensor, n: u64) {
 #[test]
 fn host_survives_corrupted_stream() {
     let (host_end, device) = spawn_device();
-    // One byte in a thousand gets a flipped bit.
-    let faulty = FaultyTransport::new(host_end, FaultPlan::NOISY, 42);
-    let ps = PowerSensor::connect(faulty).unwrap();
+    let plan = noisy();
+    let tap = FaultInjector::new(host_end, &plan);
+    let ps = PowerSensor::connect(tap.clone()).unwrap();
     device.advance(SimDuration::from_millis(500));
     wait_frames(&ps, 9_000);
     let state = ps.read();
@@ -56,13 +97,15 @@ fn host_survives_corrupted_stream() {
     assert!(ps.is_alive());
     drop(ps);
     drop(device);
+    assert_all_fired(&tap, &plan);
 }
 
 #[test]
 fn host_survives_byte_loss_and_keeps_time_monotonic() {
     let (host_end, device) = spawn_device();
-    let faulty = FaultyTransport::new(host_end, FaultPlan::LOSSY, 43);
-    let ps = PowerSensor::connect(faulty).unwrap();
+    let plan = lossy();
+    let tap = FaultInjector::new(host_end, &plan);
+    let ps = PowerSensor::connect(tap.clone()).unwrap();
     ps.begin_trace();
     device.advance(SimDuration::from_millis(500));
     wait_frames(&ps, 9_000);
@@ -74,13 +117,15 @@ fn host_survives_byte_loss_and_keeps_time_monotonic() {
     assert!((mean - 24.0).abs() < 2.0, "mean {mean}");
     drop(ps);
     drop(device);
+    assert_all_fired(&tap, &plan);
 }
 
 #[test]
 fn energy_accounting_tolerates_lossy_link() {
     let (host_end, device) = spawn_device();
-    let faulty = FaultyTransport::new(host_end, FaultPlan::LOSSY, 44);
-    let ps = PowerSensor::connect(faulty).unwrap();
+    let plan = lossy();
+    let tap = FaultInjector::new(host_end, &plan);
+    let ps = PowerSensor::connect(tap.clone()).unwrap();
     let first = ps.read();
     device.advance(SimDuration::from_secs(1));
     wait_frames(&ps, 19_000);
@@ -91,6 +136,7 @@ fn energy_accounting_tolerates_lossy_link() {
     assert!((energy - 24.0).abs() < 1.5, "energy {energy}");
     drop(ps);
     drop(device);
+    assert_all_fired(&tap, &plan);
 }
 
 #[test]
@@ -120,8 +166,9 @@ fn marker_commands_pass_through_fault_injector() {
     // Commands travel the (reliable) host→device direction even when
     // the device→host stream is noisy.
     let (host_end, device) = spawn_device();
-    let faulty = FaultyTransport::new(host_end, FaultPlan::NOISY, 45);
-    let ps = PowerSensor::connect(faulty).unwrap();
+    let plan = noisy();
+    let tap = FaultInjector::new(host_end, &plan);
+    let ps = PowerSensor::connect(tap.clone()).unwrap();
     ps.begin_trace();
     ps.mark('z').unwrap();
     device.advance(SimDuration::from_millis(100));
@@ -131,4 +178,5 @@ fn marker_commands_pass_through_fault_injector() {
     assert_eq!(trace.markers()[0].label, 'z');
     drop(ps);
     drop(device);
+    assert_all_fired(&tap, &plan);
 }

@@ -13,9 +13,8 @@ use powersensor3::firmware::protocol::{
 };
 use powersensor3::firmware::SensorConfig;
 use powersensor3::sensors::budget::power_error;
-use powersensor3::transport::{
-    FaultPlan, FaultyTransport, Transport, TransportError, VirtualSerial,
-};
+use powersensor3::sim::{FaultEvent, FaultInjector, FaultKind, SimPlan};
+use powersensor3::transport::{Transport, TransportError, VirtualSerial};
 use powersensor3::units::{Amps, SimTime, Volts, Watts};
 
 proptest! {
@@ -200,9 +199,7 @@ proptest! {
     #[test]
     fn decoder_survives_faulty_transport_and_resyncs(
         frames in proptest::collection::vec((0u16..1024, 0u16..1024), 1..80),
-        drop_p in 0.0f64..0.05,
-        corrupt_p in 0.0f64..0.05,
-        seed in 0u64..1_000_000,
+        faults in proptest::collection::vec((0u64..480, 0u8..16), 0..16),
         chunk in 1usize..64,
         tail in 0u16..1024,
     ) {
@@ -210,13 +207,19 @@ proptest! {
         // lossy, bit-flipping link and is read in arbitrary partial
         // chunks. The decoder must never panic, never invent more
         // packets than the byte count allows, and resynchronise once
-        // clean bytes resume.
+        // clean bytes resume. A fault is a dropped byte or one flipped
+        // bit (kinds 0..=7 flip that bit, 8..16 drop).
         let (host, device) = VirtualSerial::pair();
-        let plan = FaultPlan {
-            drop_probability: drop_p,
-            corrupt_probability: corrupt_p,
-        };
-        let faulty = FaultyTransport::new(host, plan, seed);
+        let plan = SimPlan::from_events(
+            faults
+                .iter()
+                .map(|&(offset, kind)| FaultEvent {
+                    offset,
+                    kind: if kind < 8 { FaultKind::BitFlip(kind) } else { FaultKind::Drop },
+                })
+                .collect(),
+        );
+        let faulty = FaultInjector::new(host, &plan);
         let mut bytes = Vec::new();
         for (i, &(v1, v2)) in frames.iter().enumerate() {
             let micros = (i as u64 * 50 % 1024) as u16;
@@ -249,7 +252,10 @@ proptest! {
         // Faults only remove or mangle bytes, never add: the decoder
         // can at most see the packets that were sent.
         prop_assert!(decoded <= frames.len() * 3);
-        if drop_p == 0.0 && corrupt_p == 0.0 {
+        prop_assert_eq!(faulty.bytes_seen(), bytes.len() as u64);
+        let due = plan.events().iter().filter(|e| e.offset < faulty.bytes_seen()).count();
+        prop_assert_eq!(faulty.faults_applied(), due as u64);
+        if plan.is_empty() {
             prop_assert_eq!(decoded, frames.len() * 3);
         }
 
