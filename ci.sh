@@ -78,7 +78,8 @@ stage_lint() {
   fi
   # Every manifest edge is used: each [dependencies] / [dev-dependencies]
   # key of the root package or a crates/* or compat/* package (with - as
-  # _) must appear as a word in that package's Rust sources.
+  # _) must appear as a word in that package's Rust sources, outside `//`
+  # comments (a doc line naming a crate does not use it).
   unused=0
   for manifest in Cargo.toml crates/*/Cargo.toml compat/*/Cargo.toml; do
     pkg=$(dirname "$manifest")
@@ -88,13 +89,21 @@ stage_lint() {
     done
     for dep in $(awk '/^\[/ { on = ($0 == "[dependencies]" || $0 == "[dev-dependencies]"); next }
         on && /^[A-Za-z0-9_-]+ *[.=]/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
-      if ! grep -rqw --include='*.rs' "${dep//-/_}" "${dirs[@]}"; then
+      if ! find "${dirs[@]}" -name '*.rs' -exec sed 's://.*$::' {} + \
+          | grep -w "${dep//-/_}" >/dev/null; then
         echo "$manifest: dependency \`$dep\` is never named in $pkg"
         unused=1
       fi
     done
   done
   test "$unused" -eq 0 || exit 1
+  # `unsafe` lives only in compat/mio, the readiness layer over the OS.
+  # crates/lint is exempt: its rule tests hold such code in strings.
+  if grep -rnE --include='*.rs' \
+      '(^|[^A-Za-z0-9_])unsafe([[:space:]]*\{|[[:space:]]+(fn|impl|extern|trait)([^A-Za-z0-9_]|$))' \
+      crates/*/src compat/*/src src | grep -v -e '^compat/mio/' -e '^crates/lint/'; then
+    echo "unsafe outside compat/mio"; exit 1
+  fi
 }
 
 stage_bench() {

@@ -28,9 +28,11 @@
 //!
 //! This is the **only crate in the workspace allowed `unsafe`**: the
 //! raw `epoll`/`poll`/`eventfd`/`pipe` and socket-option calls live
-//! here (see [`net`]), every block carries a `// SAFETY:` comment, and
+//! here (see [`net`]), every block carries a `// SAFETY:` comment,
 //! `ps3-lint`'s `forbid-unsafe` rule holds every other crate to
-//! `#![forbid(unsafe_code)]`.
+//! `#![forbid(unsafe_code)]`, and `ci.sh lint` fails on `unsafe` in
+//! any other `src/` tree. (Test code aside: `ps3-duts`'
+//! `float_hygiene` probe reads the MXCSR register with `asm!`.)
 
 pub mod net;
 pub mod sys;

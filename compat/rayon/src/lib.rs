@@ -1,733 +1,257 @@
-//! Offline stand-in for the `rayon` crate.
+//! Offline stand-in for the `rayon` crate: the one thing the workspace
+//! uses, an order-preserving parallel map, on `std` alone (crates.io is
+//! unavailable in the build environment).
 //!
-//! Implements the small slice of rayon's surface this workspace uses —
-//! a work-stealing scoped thread pool, a deterministic parallel map,
-//! and a configurable global pool — on top of `std` only, because
-//! crates.io is unavailable in the build environment.
+//! Each [`par_map`] call runs inside [`std::thread::scope`]. Every lane,
+//! the caller included, takes the next item from the call's queue and
+//! writes the result into the slot of the item's input index, so the
+//! output never depends on the lane count or on scheduling. While items
+//! remain, a lane may borrow a free lane from the process-wide budget
+//! set by [`configure_global`] and spawn one more helper thread.
 //!
-//! # Design
-//!
-//! A [`ThreadPool`] built for `n` jobs spawns `n - 1` worker threads;
-//! the thread that opens a [`scope`] is the n-th lane: while waiting
-//! for its spawned jobs it *helps*, draining the same queues the
-//! workers drain. That caller-helps rule is what makes the pool safe
-//! at any size: a pool built with `num_threads(1)` has zero workers
-//! and degenerates to strict in-order inline execution, and nested
-//! scopes (a job that itself opens a scope) can never deadlock because
-//! every blocked waiter is also an executor.
-//!
-//! Each worker owns a local deque (LIFO pop for cache locality) and
-//! falls back to the shared injector queue, then to stealing from
-//! sibling deques (FIFO steal). Panics inside spawned jobs are caught,
-//! stored, and re-thrown from the scope caller once all jobs in the
-//! scope have finished — matching rayon's contract.
-//!
-//! # Determinism
-//!
-//! [`par_map`] writes each result into the slot matching its input
-//! index, so the output order never depends on thread count or
-//! scheduling. Callers remain responsible for making each unit of work
-//! self-contained (own RNG seed, no shared mutable state) — the
-//! workspace convention documented in `DESIGN.md`.
+//! The caller always works its own call, so one lane is a plain
+//! in-order map on the caller, and a nested call (an item that itself
+//! calls `par_map`) cannot deadlock. Nested calls share the budget: at
+//! most `lanes - 1` helpers run at once, and a lane that one call hands
+//! back is picked up by another call at its next item. A panicking item
+//! is caught; the first payload is re-raised once every other item has
+//! finished, as rayon does.
+
+#![forbid(unsafe_code)]
 
 use std::any::Any;
-use std::collections::VecDeque;
+use std::iter::Enumerate;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::Mutex;
+use std::thread::Scope;
 
-/// A unit of queued work: the erased closure plus the scope it
-/// belongs to (for completion accounting and panic storage).
-struct Job {
-    state: Arc<ScopeState>,
-    run: Box<dyn FnOnce() + Send>,
+/// The process-wide lane budget.
+struct Budget {
+    /// Lanes per the last [`configure_global`]; 0 means available
+    /// parallelism, resolved on first use.
+    lanes: usize,
+    /// Helper threads running now, over every call.
+    helpers: usize,
 }
 
-/// Per-scope bookkeeping shared by the caller and every queued job.
-struct ScopeState {
-    /// Jobs spawned but not yet finished.
-    pending: AtomicUsize,
-    /// First panic payload from any job in this scope.
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Wakes the scope caller when `pending` may have hit zero.
-    done_lock: Mutex<()>,
-    done_cv: Condvar,
-}
-
-impl ScopeState {
-    fn new() -> Self {
-        Self {
-            pending: AtomicUsize::new(0),
-            panic: Mutex::new(None),
-            done_lock: Mutex::new(()),
-            done_cv: Condvar::new(),
+impl Budget {
+    fn lanes(&mut self) -> usize {
+        if self.lanes == 0 {
+            self.lanes =
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         }
-    }
-
-    /// Records a job's completion, waking the scope caller on the last
-    /// one.
-    fn complete(&self, panic: Option<Box<dyn Any + Send>>) {
-        if let Some(p) = panic {
-            let mut slot = self.panic.lock().expect("panic slot poisoned");
-            if slot.is_none() {
-                *slot = Some(p);
-            }
-        }
-        // ORDERING: AcqRel — the Release half publishes this job's
-        // writes to whoever observes pending hit zero; the Acquire
-        // half makes every prior job's writes visible to the thread
-        // that takes the count to zero and wakes the waiter.
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = self.done_lock.lock().expect("done lock poisoned");
-            self.done_cv.notify_all();
-        }
+        self.lanes
     }
 }
 
-/// Queues and worker coordination shared by all threads of one pool.
-struct PoolShared {
-    /// Overflow / external submission queue.
-    injector: Mutex<VecDeque<Job>>,
-    /// One local deque per worker thread.
-    locals: Vec<Mutex<VecDeque<Job>>>,
-    /// Parked workers wait here (paired with `injector`'s mutex).
-    wake_cv: Condvar,
-    shutdown: AtomicBool,
-}
+static GLOBAL: Mutex<Budget> = Mutex::new(Budget {
+    lanes: 0,
+    helpers: 0,
+});
 
-impl PoolShared {
-    /// Pushes a job, preferring the current worker's own deque.
-    fn push(&self, job: Job) {
-        let here = WORKER.with(std::cell::Cell::get);
-        if let Some((pool, index)) = here {
-            // `&self` of an `Arc<PoolShared>` is the allocation's data
-            // pointer, i.e. the same address workers registered.
-            if pool == std::ptr::from_ref(self) as usize {
-                self.locals[index]
-                    .lock()
-                    .expect("local deque poisoned")
-                    .push_back(job);
-                self.wake_cv.notify_all();
-                return;
-            }
-        }
-        self.injector
-            .lock()
-            .expect("injector poisoned")
-            .push_back(job);
-        self.wake_cv.notify_all();
-    }
+/// A helper lane borrowed from a budget, handed back on drop.
+struct Lent(&'static Mutex<Budget>);
 
-    /// Takes one job from anywhere: injector first (fairness for
-    /// externally submitted work), then steal the oldest job from a
-    /// sibling deque.
-    fn pop_any(&self, skip_local: Option<usize>) -> Option<Job> {
-        if let Some(job) = self.injector.lock().expect("injector poisoned").pop_front() {
-            return Some(job);
-        }
-        for (i, local) in self.locals.iter().enumerate() {
-            if Some(i) == skip_local {
-                continue;
-            }
-            if let Some(job) = local.lock().expect("local deque poisoned").pop_front() {
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// Takes the oldest queued job belonging to `state`, scanning the
-    /// injector and every local deque. Used by scope waiters, which
-    /// only help with their own scope's jobs — helping with arbitrary
-    /// work would charge unrelated jobs' runtime to the waiter (and
-    /// nest scopes without bound).
-    fn pop_scoped(&self, state: &Arc<ScopeState>) -> Option<Job> {
-        let take = |queue: &Mutex<VecDeque<Job>>| {
-            let mut q = queue.lock().expect("job queue poisoned");
-            q.iter()
-                .position(|job| Arc::ptr_eq(&job.state, state))
-                .and_then(|i| q.remove(i))
-        };
-        take(&self.injector).or_else(|| self.locals.iter().find_map(take))
+impl Lent {
+    fn borrow(budget: &'static Mutex<Budget>) -> Option<Self> {
+        let mut b = budget.lock().expect("lane budget poisoned");
+        (b.helpers + 1 < b.lanes()).then(|| {
+            b.helpers += 1;
+            Self(budget)
+        })
     }
 }
 
-thread_local! {
-    /// Identity of the current thread within a pool: the pool's shared
-    /// state pointer plus this worker's index, if the thread is a pool
-    /// worker.
-    static WORKER: std::cell::Cell<Option<(usize, usize)>> = const { std::cell::Cell::new(None) };
-}
-
-/// Runs one job, catching panics and reporting completion.
-fn run_job(job: Job) {
-    let Job { state, run } = job;
-    let result = catch_unwind(AssertUnwindSafe(run));
-    state.complete(result.err());
-}
-
-fn worker_loop(shared: &Arc<PoolShared>, index: usize) {
-    WORKER.with(|w| w.set(Some((Arc::as_ptr(shared) as usize, index))));
-    loop {
-        // Own deque first: newest job (LIFO) for locality.
-        let job = shared.locals[index]
-            .lock()
-            .expect("local deque poisoned")
-            .pop_back();
-        if let Some(job) = job {
-            run_job(job);
-            continue;
-        }
-        if let Some(job) = shared.pop_any(Some(index)) {
-            run_job(job);
-            continue;
-        }
-        // ORDERING: Acquire pairs with the Release store in
-        // `ThreadPool::drop`; it orders the flag read before the
-        // worker exits so no queued job published before shutdown is
-        // missed.
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        // Park until new work is pushed; the timeout is belt and
-        // braces against a missed wakeup, not a correctness
-        // requirement.
-        let guard = shared.injector.lock().expect("injector poisoned");
-        // ORDERING: Acquire pairs with the Release store in
-        // `ThreadPool::drop`, re-checked under the injector lock so a
-        // shutdown signalled between the first check and parking is
-        // not slept through.
-        if guard.is_empty() && !shared.shutdown.load(Ordering::Acquire) {
-            let _ = shared
-                .wake_cv
-                .wait_timeout(guard, Duration::from_millis(10))
-                .expect("injector poisoned");
-        }
-    }
-}
-
-/// A work-stealing thread pool with scoped spawning.
-pub struct ThreadPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<JoinHandle<()>>,
-    num_threads: usize,
-}
-
-impl std::fmt::Debug for ThreadPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadPool")
-            .field("num_threads", &self.num_threads)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ThreadPool {
-    /// Builds a pool that executes work on `num_threads` lanes: the
-    /// scope caller plus `num_threads - 1` background workers.
-    ///
-    /// `num_threads == 1` spawns no threads at all and runs every job
-    /// inline, in spawn order, on the caller.
-    #[must_use]
-    pub fn new(num_threads: usize) -> Self {
-        let num_threads = num_threads.max(1);
-        let workers = num_threads - 1;
-        let shared = Arc::new(PoolShared {
-            injector: Mutex::new(VecDeque::new()),
-            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            wake_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        });
-        let handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("rayon-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
-                    .expect("failed to spawn pool worker")
-            })
-            .collect();
-        Self {
-            shared,
-            handles,
-            num_threads,
-        }
-    }
-
-    /// Number of execution lanes (workers + the helping caller).
-    #[must_use]
-    pub fn current_num_threads(&self) -> usize {
-        self.num_threads
-    }
-
-    /// Creates a scope in which borrowed work can be spawned onto the
-    /// pool. Blocks (helping with queued work) until every job spawned
-    /// in the scope has finished; re-throws the first job panic.
-    pub fn scope<'env, F, R>(&self, f: F) -> R
-    where
-        F: FnOnce(&Scope<'env>) -> R,
-    {
-        let state = Arc::new(ScopeState::new());
-        let scope = Scope {
-            shared: Arc::clone(&self.shared),
-            state: Arc::clone(&state),
-            _env: std::marker::PhantomData,
-        };
-        // Run the scope body. If it panics we must still wait for
-        // already-spawned jobs — they borrow from the caller's stack.
-        let body = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        self.wait_scope(&state);
-        let job_panic = state.panic.lock().expect("panic slot poisoned").take();
-        match body {
-            Err(p) => resume_unwind(p),
-            Ok(r) => {
-                if let Some(p) = job_panic {
-                    resume_unwind(p);
-                }
-                r
-            }
-        }
-    }
-
-    /// Caller-helps wait: drain this scope's queued jobs until its
-    /// count is zero. Every queued job of the scope is reachable from
-    /// here (injector or any local deque), so the wait makes progress
-    /// even on a pool with no worker threads; jobs of *other* scopes
-    /// are left to the workers so a waiter's wall clock measures its
-    /// own scope.
-    fn wait_scope(&self, state: &Arc<ScopeState>) {
-        loop {
-            // ORDERING: Acquire pairs with the AcqRel fetch_sub in
-            // `ScopeState::complete`; seeing zero here makes every
-            // completed job's writes visible to the waiter.
-            if state.pending.load(Ordering::Acquire) == 0 {
-                return;
-            }
-            if let Some(job) = self.shared.pop_scoped(state) {
-                run_job(job);
-                continue;
-            }
-            // Nothing queued but jobs still in flight on workers.
-            let guard = state.done_lock.lock().expect("done lock poisoned");
-            // ORDERING: Acquire, same pairing as above — re-checked
-            // under done_lock so a completion signalled between the
-            // first check and the wait cannot be slept through.
-            if state.pending.load(Ordering::Acquire) == 0 {
-                return;
-            }
-            let _ = state
-                .done_cv
-                .wait_timeout(guard, Duration::from_millis(1))
-                .expect("done lock poisoned");
-        }
-    }
-
-    /// Deterministic parallel map: applies `f` to every item, writing
-    /// each result into the slot matching its input index. Output is
-    /// identical for any thread count.
-    pub fn par_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-        slots.resize_with(items.len(), || None);
-        let f = &f;
-        self.scope(|s| {
-            for (slot, item) in slots.iter_mut().zip(items) {
-                s.spawn(move |_| {
-                    *slot = Some(f(item));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|r| r.expect("par_map job completed without a result"))
-            .collect()
-    }
-
-    /// Chunked parallel map over a slice: `f` sees `(start_index,
-    /// chunk)` and returns one result per element. Chunk boundaries
-    /// depend only on `chunk_size`, never on thread count, so results
-    /// are deterministic.
-    pub fn par_chunk_map<T, R, F>(&self, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> Vec<R> + Sync,
-    {
-        let chunk_size = chunk_size.max(1);
-        let chunks: Vec<(usize, &[T])> = items
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(i, c)| (i * chunk_size, c))
-            .collect();
-        let nested = self.par_map(chunks, |(start, chunk)| {
-            let out = f(start, chunk);
-            assert_eq!(
-                out.len(),
-                chunk.len(),
-                "par_chunk_map closure must return one result per element"
-            );
-            out
-        });
-        nested.into_iter().flatten().collect()
-    }
-}
-
-impl Drop for ThreadPool {
+impl Drop for Lent {
     fn drop(&mut self) {
-        // ORDERING: Release pairs with the Acquire loads in
-        // `worker_loop`; everything enqueued before shutdown is
-        // visible to workers that observe the flag.
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.wake_cv.notify_all();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
+        if let Ok(mut b) = self.0.lock() {
+            b.helpers -= 1;
         }
     }
 }
 
-/// Builder mirroring `rayon::ThreadPoolBuilder`.
-#[derive(Debug, Default)]
-pub struct ThreadPoolBuilder {
-    num_threads: Option<usize>,
+/// One `par_map` call, shared by its lanes.
+struct Call<T, R, F> {
+    budget: &'static Mutex<Budget>,
+    state: Mutex<State<T, R>>,
+    f: F,
 }
 
-impl ThreadPoolBuilder {
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the number of execution lanes (0 = auto).
-    #[must_use]
-    pub fn num_threads(mut self, n: usize) -> Self {
-        self.num_threads = if n == 0 { None } else { Some(n) };
-        self
-    }
-
-    /// Builds the pool. Infallible here (kept `Result` for API
-    /// compatibility with the real crate).
-    ///
-    /// # Errors
-    ///
-    /// Never fails in this stand-in.
-    pub fn build(self) -> Result<ThreadPool, std::convert::Infallible> {
-        Ok(ThreadPool::new(
-            self.num_threads.unwrap_or_else(default_num_threads),
-        ))
-    }
+struct State<T, R> {
+    items: Enumerate<std::vec::IntoIter<T>>,
+    slots: Vec<Option<R>>,
+    panic: Option<Box<dyn Any + Send>>,
 }
 
-/// A scope handle: lets jobs borrow from the enclosing stack frame.
-///
-/// `'env` is invariant (crossbeam-style) so a scope can never be
-/// smuggled into a longer-lived context.
-pub struct Scope<'env> {
-    shared: Arc<PoolShared>,
-    state: Arc<ScopeState>,
-    _env: std::marker::PhantomData<&'env mut &'env ()>,
+/// Sets the process-wide lane budget (0 = available parallelism);
+/// helpers already running stay until their call's queue is empty.
+pub fn configure_global(lanes: usize) {
+    GLOBAL.lock().expect("lane budget poisoned").lanes = lanes;
 }
 
-impl std::fmt::Debug for Scope<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scope").finish_non_exhaustive()
-    }
-}
-
-impl<'env> Scope<'env> {
-    /// Spawns a job that may borrow from `'env`. The job may itself
-    /// spawn further jobs via the `&Scope` argument.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'env>) + Send + 'env,
-    {
-        // ORDERING: AcqRel — the increment is published before the
-        // job is pushed (Release), and pairs with the Acquire loads
-        // in `wait_scope` so the waiter can never observe the queue
-        // push without the count.
-        self.state.pending.fetch_add(1, Ordering::AcqRel);
-        let child = Scope {
-            shared: Arc::clone(&self.shared),
-            state: Arc::clone(&self.state),
-            _env: std::marker::PhantomData,
-        };
-        let run: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-            // Hand the job its own Scope handle over the same state so
-            // nested spawns join the same completion count.
-            f(&child);
-        });
-        // SAFETY: `ThreadPool::scope` does not return until
-        // `state.pending` reaches zero, i.e. until this closure (and
-        // every nested spawn, each counted in the same state) has run
-        // to completion. All `'env` borrows therefore strictly outlive
-        // the closure's execution, so erasing the lifetime to
-        // `'static` for queue storage cannot produce a dangling
-        // reference.
-        let run: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(run) };
-        self.shared.push(Job {
-            state: Arc::clone(&self.state),
-            run,
-        });
-    }
-}
-
-/// Default lane count: `PS3_JOBS` if set and valid, else available
-/// parallelism, else 1.
-#[must_use]
-pub fn default_num_threads() -> usize {
-    if let Ok(v) = std::env::var("PS3_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// The global pool, replaceable at runtime so a process can switch
-/// between serial and parallel execution (the determinism tests do).
-static GLOBAL: Mutex<Option<Arc<ThreadPool>>> = Mutex::new(None);
-
-/// Returns the global pool, creating it with [`default_num_threads`]
-/// lanes on first use.
-#[must_use]
-pub fn global() -> Arc<ThreadPool> {
-    let mut guard = GLOBAL.lock().expect("global pool poisoned");
-    Arc::clone(guard.get_or_insert_with(|| Arc::new(ThreadPool::new(default_num_threads()))))
-}
-
-/// Replaces the global pool with one of `num_threads` lanes
-/// (0 = auto). In-flight scopes on the old pool finish normally — they
-/// hold their own `Arc`.
-pub fn configure_global(num_threads: usize) {
-    let n = if num_threads == 0 {
-        default_num_threads()
-    } else {
-        num_threads
-    };
-    let mut guard = GLOBAL.lock().expect("global pool poisoned");
-    *guard = Some(Arc::new(ThreadPool::new(n)));
-}
-
-/// Lane count of the global pool.
+/// Lanes [`par_map`] may use, the caller's included.
 #[must_use]
 pub fn current_num_threads() -> usize {
-    global().current_num_threads()
+    GLOBAL.lock().expect("lane budget poisoned").lanes()
 }
 
-/// Scoped spawning on the global pool.
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: FnOnce(&Scope<'env>) -> R,
-{
-    global().scope(f)
-}
-
-/// [`ThreadPool::par_map`] on the global pool.
+/// Deterministic parallel map: applies `f` to every item and returns
+/// the results in input order, for any lane count.
+///
+/// # Panics
+///
+/// Re-raises the first panic of `f`, after every other item finished.
 pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    global().par_map(items, f)
+    map_on(&GLOBAL, items, f)
 }
 
-/// [`ThreadPool::par_chunk_map`] on the global pool.
-pub fn par_chunk_map<T, R, F>(items: &[T], chunk_size: usize, f: F) -> Vec<R>
+fn map_on<T, R, F>(budget: &'static Mutex<Budget>, items: Vec<T>, f: F) -> Vec<R>
 where
-    T: Sync,
+    T: Send,
     R: Send,
-    F: Fn(usize, &[T]) -> Vec<R> + Sync,
+    F: Fn(T) -> R + Sync,
 {
-    global().par_chunk_map(items, chunk_size, f)
+    let mut slots = Vec::with_capacity(items.len());
+    slots.resize_with(items.len(), || None);
+    let state = Mutex::new(State {
+        items: items.into_iter().enumerate(),
+        slots,
+        panic: None,
+    });
+    let call = Call { budget, state, f };
+    std::thread::scope(|scope| lane(scope, &call));
+    let state = call.state.into_inner().expect("par_map state poisoned");
+    if let Some(payload) = state.panic {
+        resume_unwind(payload);
+    }
+    let result = |slot: Option<R>| slot.expect("par_map item finished without a result");
+    state.slots.into_iter().map(result).collect()
+}
+
+/// Runs items of `call` until its queue is empty, recruiting a helper
+/// whenever an item remains and the budget has a free lane.
+fn lane<'scope, 'env, T, R, F>(scope: &'scope Scope<'scope, 'env>, call: &'env Call<T, R, F>)
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    loop {
+        let (next, more) = {
+            let mut state = call.state.lock().expect("par_map state poisoned");
+            (state.items.next(), state.items.len() > 0)
+        };
+        let Some((index, item)) = next else {
+            return;
+        };
+        if let Some(lent) = more.then(|| Lent::borrow(call.budget)).flatten() {
+            // A failed spawn drops the closure, and with it the lent
+            // lane: the items left run on the lanes already working.
+            let _ = std::thread::Builder::new().spawn_scoped(scope, move || {
+                let _lent = lent;
+                lane(scope, call);
+            });
+        }
+        let result = catch_unwind(AssertUnwindSafe(|| (call.f)(item)));
+        let mut state = call.state.lock().expect("par_map state poisoned");
+        match result {
+            Ok(r) => state.slots[index] = Some(r),
+            Err(payload) => {
+                state.panic.get_or_insert(payload);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+    use std::time::Duration;
 
-    #[test]
-    fn serial_pool_runs_inline_in_order() {
-        let pool = ThreadPool::new(1);
-        let order = Mutex::new(Vec::new());
-        pool.scope(|s| {
-            for i in 0..8 {
-                let order = &order;
-                s.spawn(move |_| order.lock().unwrap().push(i));
-            }
-        });
-        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3, 4, 5, 6, 7]);
+    /// A budget of its own, so tests running at once do not share one.
+    fn budget(lanes: usize) -> &'static Mutex<Budget> {
+        Box::leak(Box::new(Mutex::new(Budget { lanes, helpers: 0 })))
     }
 
     #[test]
     fn par_map_preserves_input_order() {
-        for threads in [1, 2, 8] {
-            let pool = ThreadPool::new(threads);
-            let items: Vec<u64> = (0..100).collect();
-            let out = pool.par_map(items, |x| x * x);
-            let expected: Vec<u64> = (0..100).map(|x| x * x).collect();
-            assert_eq!(out, expected, "threads {threads}");
+        for (lanes, n) in [(1, 100), (2, 100), (8, 100), (4, 0), (8, 10_000)] {
+            let out = map_on(budget(lanes), (0..n).collect(), |x: u64| x * x);
+            let expected = (0..n).map(|x| x * x);
+            assert!(out.into_iter().eq(expected), "lanes {lanes}");
         }
     }
 
     #[test]
-    fn par_map_empty_input() {
-        let pool = ThreadPool::new(4);
-        let out: Vec<u32> = pool.par_map(Vec::<u32>::new(), |x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn par_chunk_map_matches_serial() {
-        let pool = ThreadPool::new(3);
-        let items: Vec<u64> = (0..37).collect();
-        let out = pool.par_chunk_map(&items, 5, |start, chunk| {
-            chunk
-                .iter()
-                .enumerate()
-                .map(|(i, x)| x + (start + i) as u64)
-                .collect()
+    fn one_lane_runs_in_order_on_the_caller() {
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        map_on(budget(1), (0..8).collect(), |i| {
+            assert_eq!(std::thread::current().id(), caller);
+            order.lock().unwrap().push(i);
         });
-        let expected: Vec<u64> = (0..37).map(|x| x * 2).collect();
-        assert_eq!(out, expected);
+        assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
     }
 
     #[test]
-    fn panic_in_job_propagates_after_all_jobs_finish() {
-        let pool = ThreadPool::new(4);
-        let done = AtomicU64::new(0);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                for i in 0..16 {
-                    let done = &done;
-                    s.spawn(move |_| {
-                        if i == 7 {
-                            panic!("job seven exploded");
-                        }
-                        done.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
+    fn panic_propagates_after_every_other_item_finishes() {
+        for lanes in [1, 4] {
+            let done = AtomicUsize::new(0);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                map_on(budget(lanes), (0..16).collect(), |i| {
+                    assert_ne!(i, 7, "item seven exploded");
+                    done.fetch_add(1, SeqCst);
+                })
+            }));
+            let payload = result.expect_err("par_map should re-raise the item panic");
+            let msg = payload.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("item seven"), "payload {msg:?}");
+            assert_eq!(done.load(SeqCst), 15, "lanes {lanes}");
+        }
+    }
+
+    /// Nested calls finish (no deadlock), and however they nest, no more
+    /// than `lanes` items run at once.
+    #[test]
+    fn nested_calls_finish_with_at_most_lanes_items_at_once() {
+        for lanes in [1, 2, 4] {
+            let b = budget(lanes);
+            let (active, peak, done) = (
+                AtomicUsize::new(0),
+                AtomicUsize::new(0),
+                AtomicUsize::new(0),
+            );
+            let leaf = |_: u32| {
+                peak.fetch_max(active.fetch_add(1, SeqCst) + 1, SeqCst);
+                std::thread::sleep(Duration::from_millis(1));
+                active.fetch_sub(1, SeqCst);
+                done.fetch_add(1, SeqCst);
+            };
+            map_on(b, (0..16).collect(), leaf);
+            map_on(b, (0..4).collect(), |_: u32| {
+                map_on(b, (0..8).collect(), leaf)
             });
-        }));
-        let payload = result.expect_err("scope should rethrow the job panic");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .unwrap_or("non-str payload");
-        assert!(msg.contains("job seven"), "payload {msg:?}");
-        // All non-panicking jobs ran to completion before the rethrow.
-        assert_eq!(done.load(Ordering::Relaxed), 15);
-    }
-
-    #[test]
-    fn panic_propagates_on_single_thread_pool_too() {
-        let pool = ThreadPool::new(1);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| s.spawn(|_| panic!("inline boom")));
-        }));
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn nested_scopes_do_not_deadlock() {
-        for threads in [1, 2, 4] {
-            let pool = ThreadPool::new(threads);
-            let total = AtomicU64::new(0);
-            pool.scope(|s| {
-                for _ in 0..4 {
-                    let total = &total;
-                    let pool = &pool;
-                    s.spawn(move |_| {
-                        // A nested scope opened from inside a job.
-                        pool.scope(|inner| {
-                            for _ in 0..4 {
-                                inner.spawn(|_| {
-                                    total.fetch_add(1, Ordering::Relaxed);
-                                });
-                            }
-                        });
-                    });
-                }
-            });
-            assert_eq!(total.load(Ordering::Relaxed), 16, "threads {threads}");
+            assert_eq!(done.load(SeqCst), 16 + 4 * 8, "lanes {lanes}");
+            let peak = peak.load(SeqCst);
+            assert!((1..=lanes).contains(&peak), "lanes {lanes}: peak {peak}");
+            assert_eq!(b.lock().unwrap().helpers, 0, "lanes {lanes}");
         }
     }
 
     #[test]
-    fn nested_spawn_via_scope_argument() {
-        let pool = ThreadPool::new(2);
-        let total = AtomicU64::new(0);
-        pool.scope(|s| {
-            let total = &total;
-            s.spawn(move |s| {
-                s.spawn(move |_| {
-                    total.fetch_add(1, Ordering::Relaxed);
-                });
-                total.fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn stress_many_small_jobs() {
-        let pool = ThreadPool::new(8);
-        let total = AtomicU64::new(0);
-        pool.scope(|s| {
-            for i in 0..10_000u64 {
-                let total = &total;
-                s.spawn(move |_| {
-                    total.fetch_add(i, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 10_000 * 9_999 / 2);
-    }
-
-    #[test]
-    fn global_pool_is_reconfigurable() {
-        configure_global(3);
-        assert_eq!(current_num_threads(), 3);
-        let out = par_map(vec![1u32, 2, 3], |x| x + 1);
-        assert_eq!(out, vec![2, 3, 4]);
-        configure_global(1);
-        assert_eq!(current_num_threads(), 1);
-        let out = par_map(vec![1u32, 2, 3], |x| x + 1);
-        assert_eq!(out, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn scope_body_panic_still_waits_for_jobs() {
-        let pool = ThreadPool::new(4);
-        let done = AtomicU64::new(0);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                for _ in 0..8 {
-                    let done = &done;
-                    s.spawn(move |_| {
-                        std::thread::sleep(Duration::from_millis(1));
-                        done.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-                panic!("body panic");
-            });
-        }));
-        assert!(result.is_err());
-        assert_eq!(done.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    fn builder_defaults_and_explicit() {
-        let pool = ThreadPoolBuilder::new().num_threads(5).build().unwrap();
-        assert_eq!(pool.current_num_threads(), 5);
-        let auto = ThreadPoolBuilder::new().build().unwrap();
-        assert!(auto.current_num_threads() >= 1);
+    fn global_budget_is_reconfigurable() {
+        for lanes in [3, 1] {
+            configure_global(lanes);
+            assert_eq!(current_num_threads(), lanes);
+            assert_eq!(par_map(vec![1u32, 2, 3], |x| x + 1), vec![2, 3, 4]);
+        }
+        configure_global(0);
+        assert!(current_num_threads() >= 1);
     }
 }

@@ -593,7 +593,7 @@ impl Archive {
         end: SimTime,
     ) -> Vec<Result<F, ArchiveError>> {
         let spans = tiers.spans();
-        rayon::global().par_map(self.overlapping(start, end).collect(), |seg| {
+        rayon::par_map(self.overlapping(start, end).collect(), |seg| {
             let mut fold = F::default();
             self.walk_segment(seg, tiers, &spans, start, end, &mut fold)
                 .map(|()| fold)

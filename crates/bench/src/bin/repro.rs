@@ -15,8 +15,9 @@
 //!
 //! Experiments run in parallel on `--jobs` threads (default: the
 //! `PS3_JOBS` environment variable, else all cores; `--jobs 1` is the
-//! legacy serial mode). Output is bit-identical for every thread
-//! count. `--compare-serial` first times a serial pass, so the emitted
+//! legacy serial mode). Both take a positive integer; anything else
+//! exits 1. Output is bit-identical for every thread count.
+//! `--compare-serial` first times a serial pass, so the emitted
 //! `BENCH_repro.json` carries a measured speedup instead of only the
 //! parallel wall times.
 
@@ -26,10 +27,25 @@ use std::time::Instant;
 use ps3_bench::driver::{self, ExperimentRun, Scale};
 use ps3_bench::report;
 
+/// The rule for `--jobs` and `PS3_JOBS`: a positive integer.
+fn positive(value: &str) -> Option<usize> {
+    value.parse().ok().filter(|&n| n >= 1)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::reduced();
-    let mut jobs: Option<usize> = None;
+    // --jobs beats PS3_JOBS beats all cores (configure_global(0)).
+    let mut jobs = match std::env::var("PS3_JOBS") {
+        Err(std::env::VarError::NotPresent) => None,
+        v => match v.ok().as_deref().and_then(positive) {
+            Some(n) => Some(n),
+            None => {
+                eprintln!("PS3_JOBS needs a positive integer");
+                return ExitCode::FAILURE;
+            }
+        },
+    };
     let mut compare_serial = false;
     let mut wanted: Vec<String> = Vec::new();
     let mut it = args.into_iter();
@@ -38,9 +54,9 @@ fn main() -> ExitCode {
             "--full" => scale = Scale::full(),
             "--smoke" => scale = Scale::smoke(),
             "--compare-serial" => compare_serial = true,
-            "--jobs" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => jobs = Some(n),
-                _ => {
+            "--jobs" => match it.next().as_deref().and_then(positive) {
+                Some(n) => jobs = Some(n),
+                None => {
                     eprintln!("--jobs needs a positive integer");
                     return ExitCode::FAILURE;
                 }
@@ -60,7 +76,6 @@ fn main() -> ExitCode {
     }
     let names: Vec<&str> = wanted.iter().map(String::as_str).collect();
 
-    // --jobs beats PS3_JOBS beats all cores (configure_global(0)).
     rayon::configure_global(jobs.unwrap_or(0));
     let jobs_used = rayon::current_num_threads();
 

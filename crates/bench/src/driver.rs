@@ -3,12 +3,12 @@
 //! Every experiment is a pure function of `(Scale, seed)`: it builds
 //! its own testbeds, returns its rendered report and CSV rows as data,
 //! and performs no I/O. That makes the set of experiments trivially
-//! parallel — [`run_all`] farms them over the global thread pool while
-//! the binary prints reports and writes artifacts in request order, so
-//! the observable output is bit-identical for any `--jobs` value.
+//! parallel — [`run_all`] maps them with [`rayon::par_map`] while the
+//! binary prints reports and writes artifacts in request order, so the
+//! observable output is bit-identical for any `--jobs` value.
 //! Sweep-style experiments (fig4, table2, the fig8/fig10 tuner runs)
-//! additionally parallelise *within* themselves; the pool's nested
-//! scopes make the two levels compose.
+//! additionally parallelise *within* themselves; nested `par_map`
+//! calls share one lane budget, so the two levels compose.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -180,13 +180,13 @@ pub struct ExperimentRun {
     pub wall_s: f64,
 }
 
-/// Runs the named experiments in parallel over the global thread pool
+/// Runs the named experiments in parallel with [`rayon::par_map`]
 /// and returns their results in request order. Use
 /// [`rayon::configure_global`] first to pick the thread count.
 #[must_use]
 pub fn run_all(names: &[&str], scale: &Scale, seed: u64) -> Vec<ExperimentRun> {
     let units: Vec<String> = names.iter().map(|n| (*n).to_owned()).collect();
-    rayon::global().par_map(units, |name| {
+    rayon::par_map(units, |name| {
         let start = Instant::now(); // ps3-lint: allow(determinism) reason="wall-clock speedup metric: measures real elapsed time of the parallel run, outside the simulated timeline"
         let output = run_experiment(&name, scale, seed);
         ExperimentRun {

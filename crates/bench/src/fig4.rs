@@ -57,7 +57,7 @@ pub fn run(samples_per_point: usize, seed: u64) -> Vec<Fig4Series> {
         .enumerate()
         .flat_map(|(mi, _)| STEPS.map(move |step| (mi, step)))
         .collect();
-    let points = rayon::global().par_map(units, |(mi, step)| {
+    let points = rayon::par_map(units, |(mi, step)| {
         measure_point(
             MODULES[mi],
             step,

@@ -104,7 +104,7 @@ fn run_parallel(
     let model = BeamformerModel::new(spec, BeamformerProblem::paper());
     let tuner = Tuner::new(model.clone()).subset(stride, clock_stride);
     let chunks = tuner.split(CHUNK_PARAMS);
-    let outcomes = rayon::global().par_map(chunks, |chunk| run_chunk(&chunk));
+    let outcomes = rayon::par_map(chunks, |chunk| run_chunk(&chunk));
     let mut records = Vec::with_capacity(tuner.configurations());
     let mut total = SimDuration::ZERO;
     for o in outcomes {

@@ -99,7 +99,7 @@ pub fn run(freqs: &[u64]) -> Vec<OverheadCell> {
         .iter()
         .flat_map(|&k| freqs.iter().map(move |&f| (k, f)))
         .collect();
-    rayon::global().par_map(cells, |(kind, freq)| run_cell(kind, freq))
+    rayon::par_map(cells, |(kind, freq)| run_cell(kind, freq))
 }
 
 fn run_cell(kind: ProbeKind, freq_hz: u64) -> OverheadCell {

@@ -41,7 +41,7 @@ const BLOCKS: [(f64, usize); 5] = [(20.0, 1), (10.0, 2), (5.0, 4), (1.0, 20), (0
 /// so the two runs parallelise with output identical to a serial pass.
 #[must_use]
 pub fn run(samples: usize, seed: u64) -> Vec<Table2Load> {
-    rayon::global().par_map(vec![0.5, 1.0], |amps| run_load(amps, samples, seed))
+    rayon::par_map(vec![0.5, 1.0], |amps| run_load(amps, samples, seed))
 }
 
 fn run_load(amps: f64, samples: usize, seed: u64) -> Table2Load {

@@ -1,13 +1,13 @@
 //! The parallel engine's core guarantee: `repro` output is
 //! bit-identical for any thread count. Every parallel unit owns a
 //! testbed and RNG stream derived purely from its identity, so runs on
-//! a 1-thread pool and an 8-thread pool must produce byte-for-byte
-//! equal reports and CSV rows.
+//! 1 lane and on 8 lanes must produce byte-for-byte equal reports and
+//! CSV rows.
 //!
 //! The experiments here run at smoke scale; the cross-check covers
 //! every parallel code path: the experiment-level fan-out, the fig4
 //! per-point sweep, the table2 per-load runs, and the fig8/fig10
-//! chunked tuner sweeps (with their nested scopes).
+//! chunked tuner sweeps (nested `par_map` calls).
 
 use ps3_bench::driver::{run_all, Scale};
 
@@ -33,7 +33,7 @@ fn outputs_identical_for_one_and_eight_jobs() {
     assert_eq!(rayon::current_num_threads(), 8);
     let parallel = run_all(&NAMES, &scale, SEED);
 
-    // Leave the global pool in its default state for other tests in
+    // Leave the lane budget in its default state for other tests in
     // this binary (none today, but cheap insurance).
     rayon::configure_global(0);
 

@@ -114,7 +114,7 @@ impl FleetQuery {
         // Shard order is the fold order for every aggregate below.
         found.sort_by_key(|&(rig, generation, _)| (rig, generation));
 
-        let opened = rayon::global().par_map(found, |(rig, generation, path)| {
+        let opened = rayon::par_map(found, |(rig, generation, path)| {
             Tsdb::open(&path).map(|tsdb| Shard {
                 rig,
                 generation,
@@ -159,7 +159,7 @@ impl FleetQuery {
         start: SimTime,
         end: SimTime,
     ) -> Result<Vec<ShardEnergy>, ArchiveError> {
-        let per_shard = rayon::global().par_map(self.shards.iter().collect(), |shard: &Shard| {
+        let per_shard = rayon::par_map(self.shards.iter().collect(), |shard: &Shard| {
             shard.tsdb.energy(start, end).map(|energy| ShardEnergy {
                 rig: shard.rig,
                 generation: shard.generation,
@@ -191,7 +191,7 @@ impl FleetQuery {
     ///
     /// Decode errors from any shard.
     pub fn fleet_stats(&self, start: SimTime, end: SimTime) -> Result<RangeStats, ArchiveError> {
-        let per_shard = rayon::global().par_map(self.shards.iter().collect(), |shard: &Shard| {
+        let per_shard = rayon::par_map(self.shards.iter().collect(), |shard: &Shard| {
             shard.tsdb.stats(start, end)
         });
         let mut out = RangeStats::empty();
@@ -222,7 +222,7 @@ impl FleetQuery {
         start: SimTime,
         end: SimTime,
     ) -> Result<Vec<RigPower>, ArchiveError> {
-        let per_shard = rayon::global().par_map(self.shards.iter().collect(), |shard: &Shard| {
+        let per_shard = rayon::par_map(self.shards.iter().collect(), |shard: &Shard| {
             shard.tsdb.stats(start, end).map(|s| (shard.rig, s))
         });
         let mut per_rig: Vec<RigPower> = self
@@ -313,7 +313,7 @@ impl FleetQuery {
         divisor: u64,
     ) -> Result<JoinedTrace, ArchiveError> {
         assert!(divisor > 0, "divisor must be at least 1");
-        let traces = rayon::global().par_map(self.rigs.clone(), |rig| {
+        let traces = rayon::par_map(self.rigs.clone(), |rig| {
             self.downsample_rig(rig, start, end, divisor)
         });
         let traces = traces.into_iter().collect::<Result<Vec<_>, _>>()?;

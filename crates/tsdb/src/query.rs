@@ -23,9 +23,9 @@
 //!   and counts are exact); only the mean's low bits may differ when a
 //!   tier node is consumed whole.
 //!
-//! Per-segment work for `stats` and `energy` fans out over the
-//! `compat/rayon` pool; the fold across segments is sequential in
-//! segment order, so results never depend on thread count.
+//! The walk folds `stats` and `energy` per segment in parallel and
+//! merges the partials in segment order (see `ps3_archive`'s query
+//! module), so results never depend on thread count.
 
 use ps3_analysis::Trace;
 use ps3_archive::{Archive, ArchiveError, RangeStats, Tiers};
