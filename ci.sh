@@ -69,6 +69,12 @@ stage_lint() {
       | grep -v -e '^\./crates/sensors/' -e '^\./crates/firmware/src/convert\.rs:'; then
     echo "to_volts( outside crates/sensors/ and crates/firmware/src/convert.rs"; exit 1
   fi
+  # Its one entry point is called only there too: other layers fold
+  # through fold_pairs, archive reads through its PairTable.
+  if grep -rn --include='*.rs' --exclude-dir=target --exclude-dir=.git 'pair_readings(' . \
+      | grep -v '^\./crates/firmware/src/convert\.rs:'; then
+    echo "pair_readings( outside crates/firmware/src/convert.rs"; exit 1
+  fi
   # One timing instrument: perfbench times the layers, repro records
   # its wall clock in BENCH_repro.json. No package may bring back a
   # `cargo bench` target or a criterion dependency.

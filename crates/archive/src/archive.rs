@@ -8,8 +8,9 @@
 //!
 //! [`Archive::read_range`] re-derives physical units from the stored
 //! raw codes with the stored sensor configuration, using the same
-//! operations in the same order as the live acquisition path, so the
-//! result is byte-identical to the live [`Trace`] (markers included).
+//! operations in the same order as the live acquisition path (looked
+//! up per code in a [`PairTable`] built at open), so the result is
+//! byte-identical to the live [`Trace`] (markers included).
 //! The aggregate queries (`stats`, `energy`, `downsample`, …) live in
 //! the `query` module: one tiered walk over the summary blocks that
 //! decodes only the blocks a range cuts through.
@@ -21,17 +22,17 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use ps3_analysis::Trace;
-use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
+use ps3_firmware::{PairTable, SensorConfig, SENSOR_SLOTS};
 use ps3_sensors::AdcSpec;
 use ps3_units::SimTime;
 
 use crate::crc::crc32;
 use crate::format::{
     decode_file_header, read_u32, ArchiveError, FILE_HEADER_SIZE, SEAL_MAGIC, SEGMENT_HEADER_SIZE,
-    SEGMENT_TRAILER_SIZE,
+    SEGMENT_TRAILER_SIZE, SUMMARY_FRAMES,
 };
 use crate::index::{index_path_for, ArchiveIndex};
-use crate::segment::{build_summaries, frame_total, ArchiveFrame, SegmentHeader, SegmentMeta};
+use crate::segment::{build_summaries, ArchiveFrame, SegmentHeader, SegmentMeta};
 
 /// How an archive was opened and what, if anything, was left behind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,6 +75,9 @@ pub struct Archive {
     file: File,
     configs: [SensorConfig; SENSOR_SLOTS],
     adc: AdcSpec,
+    /// `configs`' conversion of every code: the watts of every frame
+    /// this handle reads.
+    table: PairTable,
     segments: Vec<SegmentMeta>,
     markers: Vec<(u64, char)>,
     recovery: RecoveryReport,
@@ -82,9 +86,22 @@ pub struct Archive {
 /// Reads exactly `len` bytes at `offset`, leaving the file cursor
 /// alone.
 fn read_at(file: &File, offset: u64, len: usize) -> Result<Vec<u8>, ArchiveError> {
-    let mut buf = vec![0u8; len];
-    file.read_exact_at(&mut buf, offset)?;
+    let mut buf = Vec::new();
+    read_at_into(file, offset, len, &mut buf)?;
     Ok(buf)
+}
+
+/// [`read_at`] into `buf`, which then holds exactly those bytes.
+fn read_at_into(
+    file: &File,
+    offset: u64,
+    len: usize,
+    buf: &mut Vec<u8>,
+) -> Result<(), ArchiveError> {
+    buf.clear();
+    buf.resize(len, 0);
+    file.read_exact_at(buf, offset)?;
+    Ok(())
 }
 
 impl Archive {
@@ -128,11 +145,13 @@ impl Archive {
         for seg in &segments {
             markers.extend_from_slice(&seg.markers);
         }
+        let adc = AdcSpec::POWERSENSOR3;
         Ok(Self {
             path,
             file,
+            table: PairTable::new(&configs, &adc),
             configs,
-            adc: AdcSpec::POWERSENSOR3,
+            adc,
             segments,
             markers,
             recovery,
@@ -216,6 +235,13 @@ impl Archive {
         &self.adc
     }
 
+    /// The conversion table of [`Archive::configs`] and
+    /// [`Archive::adc`]: every read-side frame total comes from it.
+    #[must_use]
+    pub(crate) fn table(&self) -> &PairTable {
+        &self.table
+    }
+
     /// Decodes one segment's payload into frames (for replay-style
     /// consumers that want raw frames rather than a [`Trace`]).
     ///
@@ -247,16 +273,40 @@ impl Archive {
         blocks: Range<usize>,
         out: &mut Vec<ArchiveFrame>,
     ) -> Result<(), ArchiveError> {
+        out.reserve(blocks.len() * SUMMARY_FRAMES);
+        self.decode_blocks_to(meta, blocks, &mut Vec::new(), |frame| out.push(frame))
+    }
+
+    /// Decodes summary blocks `blocks` of one segment, handing each
+    /// frame to `sink`, with one read of exactly their payload bytes
+    /// into `buf`.
+    ///
+    /// # Errors
+    ///
+    /// I/O or corruption errors from block decoding; `sink` may have
+    /// taken frames before the damage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `blocks` reaches past the segment's last block.
+    pub(crate) fn decode_blocks_to(
+        &self,
+        meta: &SegmentMeta,
+        blocks: Range<usize>,
+        buf: &mut Vec<u8>,
+        sink: impl FnMut(ArchiveFrame),
+    ) -> Result<(), ArchiveError> {
         if blocks.is_empty() {
             return Ok(());
         }
         let span = meta.block_bytes(&blocks);
-        let bytes = read_at(
+        read_at_into(
             &self.file,
             meta.payload_offset() + span.start as u64,
             span.len(),
+            buf,
         )?;
-        meta.decode_blocks(blocks, &bytes, out)
+        meta.decode_blocks_to(blocks, buf, sink)
     }
 
     /// The archive file path.
@@ -357,11 +407,13 @@ impl Archive {
 
     /// [`Archive::read_range`] into a caller-owned trace, which is
     /// cleared first; repeated reads reuse its allocations. Only the
-    /// summary blocks holding frames in range are read and decoded.
+    /// summary blocks holding frames in range are read and decoded,
+    /// each frame straight into the trace.
     ///
     /// # Errors
     ///
-    /// I/O or corruption errors from segment decoding.
+    /// I/O or corruption errors from segment decoding; `out` then
+    /// holds an unspecified prefix of the range.
     pub fn read_range_into(
         &self,
         start: SimTime,
@@ -370,22 +422,21 @@ impl Archive {
     ) -> Result<(), ArchiveError> {
         out.clear();
         let (start_us, end_us) = (start.as_micros(), end.as_micros());
-        let mut frames = Vec::new();
+        let mut bytes = Vec::new();
         for i in self.overlapping(start, end) {
             let meta = &self.segments[i];
-            frames.clear();
-            self.decode_blocks_into(meta, meta.blocks_overlapping(start_us, end_us), &mut frames)?;
-            for frame in &frames {
+            let blocks = meta.blocks_overlapping(start_us, end_us);
+            self.decode_blocks_to(meta, blocks, &mut bytes, |frame| {
                 if frame.time < start || frame.time >= end {
-                    continue;
+                    return;
                 }
                 // Same call order as the live acquisition path:
                 // sample first, then its marker.
-                out.push(frame.time, frame_total(&self.configs, &self.adc, frame));
+                out.push(frame.time, self.table.total(&frame.raw, frame.present));
                 if let Some(label) = frame.marker {
                     out.mark(frame.time, label);
                 }
-            }
+            })?;
         }
         Ok(())
     }
@@ -491,7 +542,7 @@ impl Archive {
         }
         let watts: Vec<f64> = frames
             .iter()
-            .map(|f| frame_total(&self.configs, &self.adc, f).value())
+            .map(|f| self.table.total(&f.raw, f.present).value())
             .collect();
         if build_summaries(&frames, &watts) != meta.summaries {
             report.errors.push(format!(

@@ -11,11 +11,12 @@
 //! [`BitWriter`] ORs each field into a 64-bit accumulator and moves
 //! whole bytes out when the next field would not fit; a Rice codeword
 //! (unary prefix, stop bit, remainder) is a single field.
-//! [`BitReader`] loads the little-endian 64-bit window at its bit
-//! cursor (bits past the end read as 0), which holds at least 57 bits
-//! of the stream: a field is one shift and mask, a unary prefix one
-//! `trailing_ones`. A read that would reach past the end fails with
-//! [`BitStreamExhausted`] exactly where a bit-by-bit reader would.
+//! [`BitReader`] keeps the stream from its bit cursor on in a 64-bit
+//! buffer (bits past the end read as 0) and refills it a word at a
+//! time only when a read needs more bits than it holds: a field is one
+//! shift and mask, a unary prefix one `trailing_ones`. A read that
+//! would reach past the end fails with [`BitStreamExhausted`] exactly
+//! where a bit-by-bit reader would.
 
 /// Number of unary `1` bits after which a Rice codeword escapes to a
 /// fixed-width raw value (keeps pathological deltas bounded).
@@ -26,8 +27,9 @@ pub const RICE_ESCAPE_Q: u32 = 16;
 pub const RICE_ESCAPE_BITS: u8 = 11;
 
 /// The widest field a single window read or accumulator insert takes:
-/// a 64-bit window at a bit cursor up to 7 bits into its first byte
-/// still holds 57 bits of the stream.
+/// whole bytes move between the streams and 64-bit words, so a refill
+/// leaves at least 56 bits in the reader's buffer unless the stream
+/// ends first, and a flush leaves at most 7 bits in the writer's.
 const WINDOW_BITS: u32 = 56;
 
 /// Maps a signed value onto the non-negative integers with small
@@ -186,8 +188,13 @@ impl BitWriter {
 #[derive(Debug)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],
-    /// Bit cursor.
-    pos: usize,
+    /// Next byte of `bytes` to load into `buf`.
+    next: usize,
+    /// The stream from the bit cursor on, LSB first: `avail` loaded
+    /// bits, then either more stream bits or zeros past the end.
+    buf: u64,
+    /// Bits of `buf` counted as loaded.
+    avail: u32,
 }
 
 /// The payload bit stream ended before the decoder was done — the
@@ -199,31 +206,55 @@ impl<'a> BitReader<'a> {
     /// A reader over `bytes`, starting at bit 0 of byte 0.
     #[must_use]
     pub fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
+        Self {
+            bytes,
+            next: 0,
+            buf: 0,
+            avail: 0,
+        }
     }
 
-    /// The stream from the bit cursor on, at least 57 bits of it, with
-    /// bits past the end read as 0.
-    fn window(&self) -> u64 {
-        let at = self.pos / 8;
-        let mut buf = [0u8; 8];
-        match self.bytes.get(at..at + 8) {
-            Some(eight) => buf.copy_from_slice(eight),
-            None => {
-                let tail = self.bytes.get(at..).unwrap_or_default();
-                buf[..tail.len()].copy_from_slice(tail);
+    /// Loads whole bytes into the buffer until it holds at least
+    /// [`WINDOW_BITS`] bits or the stream ends. Called with fewer than
+    /// `WINDOW_BITS` loaded; a word load's bits above the counted ones
+    /// are the stream's own, so the next load ORs the same bits there.
+    fn refill(&mut self) {
+        if let Some(eight) = self.bytes.get(self.next..self.next + 8) {
+            let word = u64::from_le_bytes(eight.try_into().expect("eight bytes"));
+            self.buf |= word << self.avail;
+            let whole = (63 - self.avail) / 8;
+            self.next += whole as usize;
+            self.avail += 8 * whole;
+        } else {
+            while self.avail <= WINDOW_BITS {
+                let Some(&byte) = self.bytes.get(self.next) else {
+                    break;
+                };
+                self.buf |= u64::from(byte) << self.avail;
+                self.next += 1;
+                self.avail += 8;
             }
         }
-        u64::from_le_bytes(buf) >> (self.pos % 8)
     }
 
-    /// Moves the cursor past `n` bits, or fails (without moving) if
-    /// the stream holds fewer.
-    fn consume(&mut self, n: usize) -> Result<(), BitStreamExhausted> {
-        if n > self.bytes.len() * 8 - self.pos {
+    /// At least `n <= 56` bits of the stream from the cursor on, with
+    /// bits past the end read as 0; or, when the stream holds fewer,
+    /// every bit it has left.
+    fn window(&mut self, n: u32) -> u64 {
+        if self.avail < n {
+            self.refill();
+        }
+        self.buf
+    }
+
+    /// Moves the cursor past `n` bits of a [`BitReader::window`] of at
+    /// least `n`, or fails (without moving) if the stream holds fewer.
+    fn consume(&mut self, n: u32) -> Result<(), BitStreamExhausted> {
+        if n > self.avail {
             return Err(BitStreamExhausted);
         }
-        self.pos += n;
+        self.buf >>= n;
+        self.avail -= n;
         Ok(())
     }
 
@@ -233,16 +264,15 @@ impl<'a> BitReader<'a> {
     ///
     /// [`BitStreamExhausted`] at end of input.
     pub fn read_bit(&mut self) -> Result<bool, BitStreamExhausted> {
-        let byte = self.bytes.get(self.pos / 8).ok_or(BitStreamExhausted)?;
-        let bit = byte >> (self.pos % 8) & 1 == 1;
-        self.pos += 1;
+        let bit = self.window(1) & 1 == 1;
+        self.consume(1)?;
         Ok(bit)
     }
 
     /// Bytes consumed so far, a partly read final byte included.
     #[must_use]
     pub fn bytes_read(&self) -> usize {
-        self.pos.div_ceil(8)
+        (8 * self.next - self.avail as usize).div_ceil(8)
     }
 
     /// Reads `n` bits written by [`BitWriter::push_bits`]: one window
@@ -257,8 +287,8 @@ impl<'a> BitReader<'a> {
             let lo = self.read_bits(32)?;
             return Ok(lo | self.read_bits((n - 32) as u8)? << 32);
         }
-        let value = self.window() & low_mask(n);
-        self.consume(n as usize)?;
+        let value = self.window(n) & low_mask(n);
+        self.consume(n)?;
         Ok(value)
     }
 
@@ -272,16 +302,18 @@ impl<'a> BitReader<'a> {
     pub fn read_rice(&mut self, k: u8) -> Result<u32, BitStreamExhausted> {
         debug_assert!(k <= 15, "Rice parameter {k} exceeds its 4-bit field");
         let k = u32::from(k);
-        let window = self.window();
+        // The longest codeword: 15 ones, the stop bit and 15 remainder
+        // bits (an escape is 16 + 11).
+        let window = self.window(RICE_ESCAPE_Q + 16);
         let q = window.trailing_ones().min(RICE_ESCAPE_Q);
         if q == RICE_ESCAPE_Q {
             let escape_bits = u32::from(RICE_ESCAPE_BITS);
             let value = (window >> RICE_ESCAPE_Q) & low_mask(escape_bits);
-            self.consume((RICE_ESCAPE_Q + escape_bits) as usize)?;
+            self.consume(RICE_ESCAPE_Q + escape_bits)?;
             return Ok(value as u32);
         }
         let rem = (window >> (q + 1)) & low_mask(k);
-        self.consume((q + 1 + k) as usize)?;
+        self.consume(q + 1 + k)?;
         Ok((q << k) | rem as u32)
     }
 }

@@ -21,8 +21,8 @@
 //! * **downsample** — `divisor`-frame buckets, where a node is only
 //!   consumed whole while it fits the open bucket.
 //!
-//! `stats` and `energy` fold each segment into a partial on the
-//! `compat/rayon` pool and merge the partials sequentially in segment
+//! `stats` and `energy` fold each segment into a partial with
+//! `rayon::par_map` and merge the partials sequentially in segment
 //! order, so answers never depend on thread count; `downsample` carries
 //! its open bucket across segments and walks them in order.
 //!
@@ -41,7 +41,7 @@ use ps3_units::{Joules, SimTime, Watts};
 
 use crate::archive::Archive;
 use crate::format::{ArchiveError, SUMMARY_FRAMES};
-use crate::segment::{build_summaries, frame_total, SummaryBlock};
+use crate::segment::{build_summaries, ArchiveFrame, SummaryBlock};
 
 /// Aggregate statistics over a time range.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -584,8 +584,8 @@ impl Archive {
         Ok(())
     }
 
-    /// One fold per overlapping segment, computed on the rayon pool and
-    /// returned in segment order.
+    /// One fold per overlapping segment, computed by `rayon::par_map`
+    /// and returned in segment order.
     fn segment_partials<F: Fold + Default + Send>(
         &self,
         tiers: Tiers<'_>,
@@ -618,7 +618,7 @@ impl Archive {
                 let frames = self.decode_segment_frames(meta)?;
                 let watts: Vec<f64> = frames
                     .iter()
-                    .map(|f| frame_total(self.configs(), self.adc(), f).value())
+                    .map(|f| self.table().total(&f.raw, f.present).value())
                     .collect();
                 let summaries = build_summaries(&frames, &watts);
                 let nodes = build_tiers(&summaries, fanouts);
@@ -635,7 +635,7 @@ impl Archive {
         let f_lo = summaries.partition_point(|b| b.first_us < start_us);
         let f_hi = summaries.partition_point(|b| b.last_us < end_us);
         let mut bi = summaries.partition_point(|b| b.last_us < start_us);
-        let mut block = Vec::new();
+        let mut bytes = Vec::new();
         while bi < o_hi {
             if (f_lo..f_hi).contains(&bi) {
                 if let Some((node, next)) = pick(summaries, nodes, spans, bi, f_hi, fold.room()) {
@@ -645,24 +645,19 @@ impl Archive {
                 }
             }
             // A range edge, or a block too large for the fold's room:
-            // decode that block alone.
-            let frames = match whole {
-                Some(frames) => {
-                    &frames[bi * SUMMARY_FRAMES..((bi + 1) * SUMMARY_FRAMES).min(frames.len())]
-                }
-                None => {
-                    block.clear();
-                    self.decode_blocks_into(meta, bi..bi + 1, &mut block)?;
-                    &block
+            // decode that block alone, folding each frame as it comes.
+            let mut edge = |frame: &ArchiveFrame| {
+                if frame.time >= start && frame.time < end {
+                    let w = self.table().total(&frame.raw, frame.present);
+                    fold.frame(frame.time, w.value());
                 }
             };
-            for frame in frames {
-                if frame.time >= start && frame.time < end {
-                    fold.frame(
-                        frame.time,
-                        frame_total(self.configs(), self.adc(), frame).value(),
-                    );
-                }
+            match whole {
+                Some(frames) => frames
+                    [bi * SUMMARY_FRAMES..((bi + 1) * SUMMARY_FRAMES).min(frames.len())]
+                    .iter()
+                    .for_each(edge),
+                None => self.decode_blocks_to(meta, bi..bi + 1, &mut bytes, |f| edge(&f))?,
             }
             fold.end_block();
             bi += 1;

@@ -20,8 +20,10 @@
 //! The payload is a run of independently decodable blocks, one per
 //! summary block (the Gorilla block layout), each starting on a byte
 //! boundary at its stored offset. A query decodes only the blocks its
-//! range cuts through; a whole-segment decode is the same block loop
-//! over every block ([`SegmentMeta::decode_blocks`]).
+//! range cuts through, handing each frame to its fold as it is decoded
+//! (`SegmentMeta::decode_blocks_to`); a whole-segment decode is the
+//! same block loop over every block, collecting the frames
+//! ([`SegmentMeta::decode_blocks`]).
 //!
 //! Within a block, timestamps are delta-of-delta coded (Gorilla-style):
 //! at 20 kHz the inter-frame delta is a constant 50 µs, so the common
@@ -75,7 +77,7 @@ const MAX_TIME_US: u64 = u64::MAX / 1000;
 /// One archived sample frame: the host's frame type, stored as is —
 /// raw codes plus presence, so reads re-derive physical units
 /// bit-identically with the stored sensor configuration
-/// ([`frame_total`]).
+/// ([`frame_total`], or its per-code table `ps3_firmware::PairTable`).
 pub use ps3_core::FrameRecord as ArchiveFrame;
 
 pub use ps3_core::frame_total;
@@ -387,8 +389,7 @@ impl SegmentMeta {
     }
 
     /// Decodes `blocks` from `bytes`, their payload bytes
-    /// ([`SegmentMeta::block_bytes`]), appending the frames to `out`:
-    /// the one decoder, block by block.
+    /// ([`SegmentMeta::block_bytes`]), appending the frames to `out`.
     ///
     /// # Errors
     ///
@@ -404,12 +405,34 @@ impl SegmentMeta {
         bytes: &[u8],
         out: &mut Vec<ArchiveFrame>,
     ) -> Result<(), ArchiveError> {
+        out.reserve(blocks.len() * SUMMARY_FRAMES);
+        self.decode_blocks_to(blocks, bytes, |frame| out.push(frame))
+    }
+
+    /// Decodes `blocks` from `bytes`, their payload bytes
+    /// ([`SegmentMeta::block_bytes`]), handing each frame to `sink` in
+    /// order: the one decoder, block by block. A block that fails has
+    /// already handed over the frames before the damage.
+    ///
+    /// # Errors
+    ///
+    /// [`ArchiveError::Corrupt`] when a block does not decode to
+    /// exactly its frames and bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `blocks` reaches past the last summary block.
+    pub(crate) fn decode_blocks_to(
+        &self,
+        blocks: Range<usize>,
+        bytes: &[u8],
+        mut sink: impl FnMut(ArchiveFrame),
+    ) -> Result<(), ArchiveError> {
         if blocks.is_empty() {
             return Ok(());
         }
         let k: [u8; SENSOR_SLOTS] = core::array::from_fn(|s| self.header.k_for(s));
         let base = self.block_bytes(&blocks).start;
-        out.reserve(blocks.len() * SUMMARY_FRAMES);
         for i in blocks {
             let span = self.block_bytes(&(i..i + 1));
             let block = bytes
@@ -424,7 +447,7 @@ impl SegmentMeta {
                 self.block_frames(i),
                 block,
                 self.offset,
-                out,
+                &mut sink,
             )?;
         }
         Ok(())
@@ -629,7 +652,7 @@ fn push_dod(w: &mut BitWriter, dod: i128, delta: u64) {
 }
 
 /// Decodes one block of `count` frames whose first frame is at
-/// `first_us`, appending them to `out`. `bytes` must be exactly the
+/// `first_us`, handing them to `sink`. `bytes` must be exactly the
 /// block's payload bytes.
 ///
 /// # Errors
@@ -644,38 +667,40 @@ fn decode_block(
     count: usize,
     bytes: &[u8],
     abs_offset: u64,
-    out: &mut Vec<ArchiveFrame>,
+    sink: &mut impl FnMut(ArchiveFrame),
 ) -> Result<(), ArchiveError> {
     let corrupt = |what: &str| ArchiveError::Corrupt {
         offset: abs_offset,
         what: what.into(),
     };
     let mut r = BitReader::new(bytes);
-    let mut prev_vals: [Option<u16>; SENSOR_SLOTS] = [None; SENSOR_SLOTS];
+    // Each slot's previous value, valid where its bit of `seen` is set.
+    let mut prev_vals = [0u16; SENSOR_SLOTS];
+    let mut seen = 0u8;
     let mut read_values = |r: &mut BitReader<'_>, present: u8| -> Result<_, ArchiveError> {
         let mut raw = [0u16; SENSOR_SLOTS];
-        for slot in 0..SENSOR_SLOTS {
-            if present & (1 << slot) == 0 {
-                continue;
-            }
-            let v = match prev_vals[slot] {
-                None => r
-                    .read_bits(10)
-                    .map_err(|_| corrupt("payload ends mid-value"))? as u16,
-                Some(p) => {
-                    let zz = r
-                        .read_rice(k[slot])
-                        .map_err(|_| corrupt("payload ends mid-delta"))?;
-                    let v = i64::from(p) + unzigzag64(u64::from(zz));
-                    u16::try_from(v)
-                        .ok()
-                        .filter(|&v| v <= MAX_RAW)
-                        .ok_or_else(|| corrupt("value delta out of range"))?
-                }
+        let mut slots = present;
+        while slots != 0 {
+            let slot = slots.trailing_zeros() as usize;
+            let bit = slots & slots.wrapping_neg();
+            slots ^= bit;
+            let v = if seen & bit == 0 {
+                r.read_bits(10)
+                    .map_err(|_| corrupt("payload ends mid-value"))? as u16
+            } else {
+                let zz = r
+                    .read_rice(k[slot])
+                    .map_err(|_| corrupt("payload ends mid-delta"))?;
+                let v = i64::from(prev_vals[slot]) + unzigzag64(u64::from(zz));
+                u16::try_from(v)
+                    .ok()
+                    .filter(|&v| v <= MAX_RAW)
+                    .ok_or_else(|| corrupt("value delta out of range"))?
             };
             raw[slot] = v;
-            prev_vals[slot] = Some(v);
+            prev_vals[slot] = v;
         }
+        seen |= present;
         Ok(raw)
     };
 
@@ -688,7 +713,7 @@ fn decode_block(
         .map_err(|_| corrupt("payload ends in a block's first frame"))? as u8;
     let marker = read_marker(&mut r, &corrupt)?;
     let raw = read_values(&mut r, present)?;
-    out.push(ArchiveFrame {
+    sink(ArchiveFrame {
         time: SimTime::from_micros(first_us),
         raw,
         present,
@@ -725,7 +750,7 @@ fn decode_block(
             .filter(|&t| t <= MAX_TIME_US)
             .ok_or_else(|| corrupt("timestamp overflow"))?;
         let raw = read_values(&mut r, present)?;
-        out.push(ArchiveFrame {
+        sink(ArchiveFrame {
             time: SimTime::from_micros(time),
             raw,
             present,
@@ -939,7 +964,7 @@ mod tests {
             let bytes: Vec<u8> = (0..1 + next() % 600).map(|_| next() as u8).collect();
             let k: [u8; SENSOR_SLOTS] = core::array::from_fn(|_| (next() % 11) as u8);
             let first_us = next() >> (next() % 64);
-            let _ = decode_block(&k, first_us, SUMMARY_FRAMES, &bytes, 0, &mut Vec::new());
+            let _ = decode_block(&k, first_us, SUMMARY_FRAMES, &bytes, 0, &mut |_| {});
         }
     }
 
@@ -959,7 +984,7 @@ mod tests {
 
     fn decode_crafted(bytes: &[u8]) -> Result<Vec<ArchiveFrame>, ArchiveError> {
         let mut out = Vec::new();
-        decode_block(&[0; SENSOR_SLOTS], 25, 2, bytes, 0, &mut out).map(|()| out)
+        decode_block(&[0; SENSOR_SLOTS], 25, 2, bytes, 0, &mut |f| out.push(f)).map(|()| out)
     }
 
     fn corrupt_reason(result: Result<Vec<ArchiveFrame>, ArchiveError>) -> String {

@@ -179,7 +179,9 @@ fn unrelated_file_is_rejected() {
 /// sidecar is still the intact one) and checks that nothing is
 /// answered from the damage: either the sidecar is refused and the
 /// CRC scan stops before segment 0, or every read of segment 0's
-/// `damaged` blocks fails.
+/// `damaged` blocks fails — a range read, and the query walk wherever
+/// it decodes the block as a range edge (a 7-frame downsample, and
+/// stats and energy over a range that starts or ends mid-block).
 fn assert_damage_is_not_served(path: &PathBuf, damaged: Range<usize>, what: &str) {
     let archive = Archive::open(path).unwrap_or_else(|e| panic!("{what}: {e}"));
     if !archive.recovery().used_index {
@@ -195,7 +197,14 @@ fn assert_damage_is_not_served(path: &PathBuf, damaged: Range<usize>, what: &str
             SimTime::from_micros(block.first_us),
             SimTime::from_micros(block.last_us + 1),
         );
+        let mid = SimTime::from_micros(block.first_us + (block.last_us - block.first_us) / 2);
         assert!(archive.read_range(s, e).is_err(), "{what}: block {i} read");
+        assert!(
+            archive.downsample(s, e, 7).is_err(),
+            "{what}: block {i} downsample"
+        );
+        assert!(archive.stats(mid, e).is_err(), "{what}: block {i} stats");
+        assert!(archive.energy(s, mid).is_err(), "{what}: block {i} energy");
     }
     assert!(archive.read_all().is_err(), "{what}: full read");
 }

@@ -48,7 +48,7 @@ const STEPS: std::ops::RangeInclusive<i32> = -10..=10;
 ///
 /// Every (module, step) pair is an independent unit of work with its
 /// own testbed and a seed derived purely from `(seed, module, step)`,
-/// so the sweep parallelises across the global thread pool with output
+/// so the sweep parallelises through `rayon::par_map` with output
 /// bit-identical to a serial run.
 #[must_use]
 pub fn run(samples_per_point: usize, seed: u64) -> Vec<Fig4Series> {

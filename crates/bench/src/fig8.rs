@@ -90,8 +90,8 @@ pub fn run_jetson(stride: usize, clock_stride: usize, seed: u64) -> TuningFigure
 }
 
 /// Shared sweep driver: splits the (possibly subsampled) sweep into
-/// [`CHUNK_PARAMS`]-variant chunks and farms the chunks out over the
-/// global pool. Every chunk builds its own testbed with the *same*
+/// [`CHUNK_PARAMS`]-variant chunks and farms the chunks out through
+/// `rayon::par_map`. Every chunk builds its own testbed with the *same*
 /// seed, so each is a pure function of `(chunk, seed)` and the merged
 /// record list is bit-identical no matter how many threads run it.
 fn run_parallel(

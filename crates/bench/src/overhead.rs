@@ -17,8 +17,8 @@
 //! baseline: measuring from *outside* the package, its only DUT cost
 //! is the host USB client. Every cell is a pure function of
 //! `(kind, freq)` — no wall-clock, no randomness — so the CSV and
-//! report are bit-identical across `--jobs` values; cells fan out over
-//! the global pool.
+//! report are bit-identical across `--jobs` values; cells fan out
+//! through `rayon::par_map`.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -91,7 +91,7 @@ pub fn workload() -> CpuWorkload {
 }
 
 /// Runs the full sweep: every probe kind at every frequency, fanned
-/// over the global pool (cells are independent and pure, so the result
+/// out through `rayon::par_map` (cells are independent and pure, so the result
 /// order — kind-major, frequency-minor — is deterministic).
 #[must_use]
 pub fn run(freqs: &[u64]) -> Vec<OverheadCell> {

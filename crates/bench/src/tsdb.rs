@@ -133,7 +133,8 @@ fn ranges(frames: u64, seed: u64) -> Vec<(SimTime, SimTime)> {
 }
 
 /// Runs the latency curve: one capture per frame count, sequentially
-/// (each query batch already fans segment scans over the pool).
+/// (each query batch already fans segment scans out through
+/// `rayon::par_map`).
 #[must_use]
 pub fn run(frame_counts: &[u64], seed: u64) -> Vec<TsdbPoint> {
     frame_counts

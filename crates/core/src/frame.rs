@@ -4,8 +4,9 @@
 //! The live reader and the offline decoder both turn device bytes into
 //! frames through [`FrameAssembler`], and every layer that needs a
 //! frame's power — live trace, offline trace, archive, tsdb — takes it
-//! from [`fold_pairs`] ([`frame_total`] is its sum), so all of them
-//! agree bit for bit on the same bytes.
+//! from [`fold_pairs`] ([`frame_total`] is its sum), or on archive
+//! reads from its cached twin `ps3_firmware::PairTable`, so all of
+//! them agree bit for bit on the same bytes.
 
 use ps3_firmware::protocol::{Packet, StreamDecoder, TimestampUnwrapper};
 use ps3_firmware::{fold_pairs, SensorConfig, SENSOR_SLOTS};

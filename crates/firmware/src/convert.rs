@@ -2,10 +2,11 @@
 //! sensor pair's 10-bit ADC codes become volts, amps and watts.
 //!
 //! The host library's live reader and offline decoder, the archive's
-//! frame totals, `ps3-stream` clients (which convert on their side of
-//! the wire) and the firmware's own status display all fold their
-//! frames through [`fold_pairs`], so every layer reports the same
-//! bits for the same codes.
+//! writer, `ps3-stream` clients (which convert on their side of the
+//! wire) and the firmware's own status display all fold their frames
+//! through [`fold_pairs`], so every layer reports the same bits for
+//! the same codes. Archive reads, which refold millions of stored
+//! frames, look the same conversion up in a [`PairTable`].
 
 use ps3_sensors::AdcSpec;
 use ps3_units::{Amps, Volts, Watts};
@@ -57,6 +58,82 @@ pub fn fold_pairs(
     total
 }
 
+/// The codes a 10-bit ADC produces.
+const CODES: usize = 1 << 10;
+
+/// One enabled pair's [`pair_readings`] of every code.
+#[derive(Debug)]
+struct PairCodes {
+    /// Slot of the current sensor; the voltage sensor is the next.
+    i: usize,
+    /// Amps of each current-sensor code.
+    amps: Vec<Amps>,
+    /// Volts of each voltage-sensor code.
+    volts: Vec<Volts>,
+}
+
+/// [`fold_pairs`]' frame total with every conversion looked up: each
+/// enabled pair's volts and amps of all 1024 codes, each computed once
+/// by [`pair_readings`]. A pair's watts depend on its current code
+/// only through its amps and on its voltage code only through its
+/// volts, so the table's product is bit-identical to the fold's.
+#[derive(Debug)]
+pub struct PairTable {
+    pairs: Vec<PairCodes>,
+    /// For codes past 10 bits, which the table does not hold.
+    configs: [SensorConfig; SENSOR_SLOTS],
+    adc: AdcSpec,
+}
+
+impl PairTable {
+    /// The table of `configs`' enabled pairs.
+    #[must_use]
+    pub fn new(configs: &[SensorConfig; SENSOR_SLOTS], adc: &AdcSpec) -> Self {
+        let pairs = (0..SENSOR_SLOTS / 2)
+            .map(|pair| 2 * pair)
+            .filter(|&i| configs[i].enabled && configs[i + 1].enabled)
+            .map(|i| {
+                let (i_cfg, u_cfg) = (&configs[i], &configs[i + 1]);
+                let (volts, amps) = (0..CODES as u16)
+                    .map(|code| {
+                        let (volts, amps, _) = pair_readings(i_cfg, u_cfg, adc, code, code);
+                        (volts, amps)
+                    })
+                    .unzip();
+                PairCodes { i, amps, volts }
+            })
+            .collect();
+        Self {
+            pairs,
+            configs: configs.clone(),
+            adc: *adc,
+        }
+    }
+
+    /// The frame's total power: bit-identical to [`fold_pairs`] over
+    /// the same configuration, raw codes and `present` mask.
+    #[must_use]
+    #[inline]
+    pub fn total(&self, raw: &[u16; SENSOR_SLOTS], present: u8) -> Watts {
+        let mut total = Watts::zero();
+        for pair in &self.pairs {
+            let (i, u) = (pair.i, pair.i + 1);
+            if present >> i & 0b11 != 0b11 {
+                continue;
+            }
+            let (raw_i, raw_u) = (raw[i], raw[u]);
+            total += match (
+                pair.volts.get(raw_u as usize),
+                pair.amps.get(raw_i as usize),
+            ) {
+                (Some(&volts), Some(&amps)) => volts * amps,
+                _ => pair_readings(&self.configs[i], &self.configs[u], &self.adc, raw_i, raw_u).2,
+            };
+        }
+        total
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,6 +177,113 @@ mod tests {
         assert_eq!(
             fold_pairs(&configs, &adc, &raw, 0, |_, _, _, _| {}),
             Watts::zero()
+        );
+    }
+
+    /// A splitmix64 step: seeded raws without a dependency.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// The GPU riser's factory-calibrated EEPROM: the 3.3 V slot, 12 V
+    /// slot and 8-pin modules, configured as the testbed does.
+    fn gpu_riser_configs() -> [SensorConfig; SENSOR_SLOTS] {
+        use ps3_sensors::{ModuleKind, SensorModule};
+        let mut configs: [SensorConfig; SENSOR_SLOTS] =
+            core::array::from_fn(|_| SensorConfig::unpopulated());
+        let kinds = [
+            ModuleKind::Slot10A3V3,
+            ModuleKind::Slot10A12V,
+            ModuleKind::Pcie8Pin20A,
+        ];
+        for (pair, kind) in kinds.into_iter().enumerate() {
+            let module = SensorModule::new(kind, 12 + pair as u64);
+            let (sens, gain, vref) = (
+                module.nominal_sensitivity(),
+                module.nominal_gain(),
+                SensorModule::VREF,
+            );
+            let vref_cal = vref + 2.0 * sens * module.hall().factory_offset().value();
+            let gain_cal = gain / module.voltage_sensor().factory_gain();
+            configs[2 * pair] = SensorConfig::new(kind.label(), vref_cal as f32, sens as f32, true);
+            configs[2 * pair + 1] =
+                SensorConfig::new(kind.label(), vref as f32, gain_cal as f32, true);
+        }
+        configs
+    }
+
+    /// Two GPU-riser-like pairs, a disabled pair (both sides
+    /// configured but the voltage side off) and a pair with only its
+    /// current side enabled.
+    fn mixed_configs() -> [SensorConfig; SENSOR_SLOTS] {
+        let mut configs: [SensorConfig; SENSOR_SLOTS] =
+            core::array::from_fn(|_| SensorConfig::unpopulated());
+        configs[0] = SensorConfig::new("I0", 3.3, 0.105, true);
+        configs[1] = SensorConfig::new("U0", 3.3, 0.2171, true);
+        configs[2] = SensorConfig::new("I1", 3.3, 0.063, true);
+        configs[3] = SensorConfig::new("U1", 3.3, 1.0, true);
+        configs[4] = SensorConfig::new("I2", 3.3, 0.12, false);
+        configs[5] = SensorConfig::new("U2", 3.3, 5.0, false);
+        configs[6] = SensorConfig::new("I3", 3.3, 0.12, true);
+        configs[7] = SensorConfig::new("U3", 3.3, 5.0, false);
+        configs
+    }
+
+    fn assert_table_matches_fold(configs: &[SensorConfig; SENSOR_SLOTS]) {
+        let adc = AdcSpec::POWERSENSOR3;
+        let table = PairTable::new(configs, &adc);
+        let check = |raw: &[u16; SENSOR_SLOTS], present: u8| {
+            let want = fold_pairs(configs, &adc, raw, present, |_, _, _, _| {});
+            let got = table.total(raw, present);
+            assert_eq!(
+                got.value().to_bits(),
+                want.value().to_bits(),
+                "raw {raw:?} present {present:#010b}"
+            );
+        };
+        // Every code of every slot, the other slots at mid-scale.
+        for slot in 0..SENSOR_SLOTS {
+            for code in 0..CODES as u16 {
+                let mut raw = [512u16; SENSOR_SLOTS];
+                raw[slot] = code;
+                check(&raw, 0xFF);
+            }
+        }
+        // Every present mask over seeded raws.
+        let mut state = 0x7AB1E;
+        for _ in 0..64 {
+            let raw: [u16; SENSOR_SLOTS] =
+                core::array::from_fn(|_| (mix(&mut state) % CODES as u64) as u16);
+            for present in 0..=u8::MAX {
+                check(&raw, present);
+            }
+        }
+        // Codes past 10 bits fall back to the conversion itself.
+        for code in [CODES as u16, 0x7FF, u16::MAX] {
+            for slot in 0..SENSOR_SLOTS {
+                let mut raw = [300u16; SENSOR_SLOTS];
+                raw[slot] = code;
+                check(&raw, 0xFF);
+            }
+        }
+    }
+
+    #[test]
+    fn pair_table_equals_fold_pairs_bit_for_bit() {
+        assert_table_matches_fold(&gpu_riser_configs());
+        assert_table_matches_fold(&mixed_configs());
+        assert_eq!(
+            PairTable::new(&mixed_configs(), &AdcSpec::POWERSENSOR3)
+                .pairs
+                .iter()
+                .map(|p| p.i)
+                .collect::<Vec<_>>(),
+            [0, 2],
+            "only the two fully enabled pairs are tabled"
         );
     }
 }

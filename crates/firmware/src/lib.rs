@@ -15,7 +15,8 @@
 //!   per-sensor conversion values (§III-B1).
 //! * [`fold_pairs`] / [`pair_readings`] — the §III-C conversion from
 //!   raw codes to volts, amps and watts: the one copy every host-side
-//!   layer and the status display use.
+//!   layer and the status display use. [`PairTable`] caches it per
+//!   code for archive reads.
 //! * [`AdcSequencer`] — 10-bit conversions at 25 ADC clocks each
 //!   (24 MHz clock), eight channels, six-fold averaging → one frame
 //!   every 50 µs, i.e. the paper's 20 kHz sampling rate.
@@ -44,7 +45,7 @@ pub mod font;
 pub mod protocol;
 
 pub use adc::{AdcSequencer, AnalogSource, Frame, FRAME_INTERVAL};
-pub use convert::{fold_pairs, pair_readings};
+pub use convert::{fold_pairs, pair_readings, PairTable};
 pub use device::{Device, DeviceMode, COMMAND_POLL_FRAMES, FIRMWARE_VERSION};
 pub use display::{Display, Framebuffer, PairReadout, DISPLAY_H, DISPLAY_W};
 pub use driver::DeviceThread;

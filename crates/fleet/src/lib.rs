@@ -12,8 +12,8 @@
 //!   (legacy single-rig clients keep working and see rig 0).
 //! * [`FleetQuery`] answers cross-rig aggregates off the shards:
 //!   fleet-wide energy and power stats, top-k hottest rigs, rig-join
-//!   aligned downsampling — per-shard scans fan out over the
-//!   `compat/rayon` pool with a deterministic, documented fold order.
+//!   aligned downsampling — per-shard scans fan out through
+//!   `rayon::par_map` with a deterministic, documented fold order.
 //! * [`RigFactory`] abstracts rig construction so the simulation
 //!   harness can inject crashing rigs without this crate knowing.
 //!

@@ -4,7 +4,7 @@
 //! (`rig-{id:03}-g{gen}.ps3a`); a rig that crashed and restarted owns
 //! several. [`FleetQuery`] opens every shard (recovering torn tails
 //! the same way `ps3-arc` does) and answers fleet-wide questions by
-//! fanning the per-shard scans over the `compat/rayon` pool and then
+//! fanning the per-shard scans out through `rayon::par_map` and then
 //! folding the per-shard results **sequentially in shard order**
 //! (sorted by rig id, then generation).
 //!

@@ -1,6 +1,6 @@
 //! atomics: weak atomic orderings (`Relaxed` / `Acquire` / `Release`
 //! / `AcqRel`) are only allowed in the approved lock-free modules
-//! (seqlock ring, rayon pool, archive writer counters), and every
+//! (seqlock ring, archive writer counters), and every
 //! such site needs an `// ORDERING:` comment explaining why the
 //! weaker ordering is sound. `SeqCst` is always fine.
 
@@ -94,7 +94,7 @@ mod tests {
     #[test]
     fn trailing_ordering_comment_counts() {
         let src = "fn t() { x.load(Ordering::Acquire); } // ORDERING: pairs with store\n";
-        assert!(run("compat/rayon/src/lib.rs", src).is_empty());
+        assert!(run("crates/stream/src/ring.rs", src).is_empty());
     }
 
     #[test]
