@@ -148,6 +148,8 @@ stage_archive() {
   ./target/release/ps3-arc record --out target/ci-arc/cap.ps3a \
     --dump target/ci-arc/cap-live.txt --frames 4000 --seed 9 \
     --segment-frames 1024 >/dev/null
+  # verify decodes every run and checks every stored summary and run
+  # sum and time against the decoded frames.
   ./target/release/ps3-arc verify target/ci-arc/cap.ps3a >/dev/null \
     || { echo "verify failed on intact archive"; exit 1; }
   ./target/release/ps3-arc cat target/ci-arc/cap.ps3a >target/ci-arc/cap-cat.txt
@@ -156,13 +158,15 @@ stage_archive() {
   ./target/release/ps3-arc export-csv target/ci-arc/cap.ps3a \
     --divisor 100 --out target/ci-arc/cap.csv 2>/dev/null
   test -s target/ci-arc/cap.csv || { echo "export-csv produced nothing"; exit 1; }
-  # Queries decode only the summary blocks a range cuts through. On
-  # ranges inside a block, across a block boundary (segment 0's block 0
-  # into its 24-frame tail block), inside that tail block and across
-  # segments, the fast engine must print exactly what the decode engine
-  # (whole-segment decodes) prints.
-  for range in "10025 30025" "51000 53000" "52100 53100" "52500 60000" \
-      "40000 110000"; do
+  # Queries decode only the 200-frame runs a range cuts through
+  # (frame i is at 2025 + 50 i us). On ranges inside one run (segment
+  # 0's run 1), starting and ending mid-run across three runs of one
+  # block (runs 1-3, and runs 0-2), across a block boundary (segment
+  # 0's block 0 into its 24-frame tail block), inside that tail block
+  # and across segments, the fast engine must print exactly what the
+  # decode engine (whole-segment decodes) prints.
+  for range in "14025 19025" "17025 37025" "10025 30025" "51000 53000" \
+      "52100 53100" "52500 60000" "40000 110000"; do
     set -- $range
     ./target/release/ps3-arc stats target/ci-arc/cap.ps3a --engine fast \
       --start "$1" --end "$2" >target/ci-arc/stats-fast.txt

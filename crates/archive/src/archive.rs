@@ -13,7 +13,7 @@
 //! byte-identical to the live [`Trace`] (markers included).
 //! The aggregate queries (`stats`, `energy`, `downsample`, …) live in
 //! the `query` module: one tiered walk over the summary blocks that
-//! decodes only the blocks a range cuts through.
+//! decodes only the runs a range cuts through.
 
 use std::fs::File;
 use std::io::Read;
@@ -29,7 +29,7 @@ use ps3_units::SimTime;
 use crate::crc::crc32;
 use crate::format::{
     decode_file_header, read_u32, ArchiveError, FILE_HEADER_SIZE, SEAL_MAGIC, SEGMENT_HEADER_SIZE,
-    SEGMENT_TRAILER_SIZE, SUMMARY_FRAMES,
+    SEGMENT_TRAILER_SIZE,
 };
 use crate::index::{index_path_for, ArchiveIndex};
 use crate::segment::{build_summaries, ArchiveFrame, SegmentHeader, SegmentMeta};
@@ -160,9 +160,11 @@ impl Archive {
 
     /// Loads segment metadata through the sidecar index. Any
     /// inconsistency — missing or damaged sidecar, stale `data_len`,
-    /// index records that disagree with the file, a block layout that
-    /// fails [`SegmentMeta::parse`]'s checks — returns `None` and the
-    /// caller falls back to the CRC-checked scan.
+    /// index records that disagree with the file, segment tables whose
+    /// CRC or block layout fails [`SegmentMeta::parse`]'s checks —
+    /// returns `None` and the caller falls back to the CRC-checked
+    /// scan. The payloads are not read: their run tables carry their
+    /// own CRCs, checked on every decode.
     fn try_index(path: &Path, file: &File, file_len: u64) -> Option<Vec<SegmentMeta>> {
         let bytes = std::fs::read(index_path_for(path)).ok()?;
         let index = ArchiveIndex::decode(&bytes).ok()?;
@@ -243,7 +245,8 @@ impl Archive {
     }
 
     /// Decodes one segment's payload into frames (for replay-style
-    /// consumers that want raw frames rather than a [`Trace`]).
+    /// consumers that want raw frames rather than a [`Trace`]), checking
+    /// every stored run sum and time against them.
     ///
     /// # Errors
     ///
@@ -252,9 +255,25 @@ impl Archive {
         &self,
         meta: &SegmentMeta,
     ) -> Result<Vec<ArchiveFrame>, ArchiveError> {
+        self.decode_segment(meta).map(|(frames, _)| frames)
+    }
+
+    /// [`Archive::decode_segment_frames`] plus each frame's total power.
+    pub(crate) fn decode_segment(
+        &self,
+        meta: &SegmentMeta,
+    ) -> Result<(Vec<ArchiveFrame>, Vec<f64>), ArchiveError> {
+        let blocks = 0..meta.summaries.len();
+        let mut payload = Vec::new();
+        self.read_blocks(meta, &blocks, &mut payload)?;
         let mut frames = Vec::new();
-        self.decode_blocks_into(meta, 0..meta.summaries.len(), &mut frames)?;
-        Ok(frames)
+        meta.decode_blocks(blocks, &payload, &mut frames)?;
+        let watts: Vec<f64> = frames
+            .iter()
+            .map(|f| self.table.total(&f.raw, f.present).value())
+            .collect();
+        meta.check_runs(&payload, &frames, &watts)?;
+        Ok((frames, watts))
     }
 
     /// Decodes summary blocks `blocks` of one segment, appending their
@@ -273,40 +292,38 @@ impl Archive {
         blocks: Range<usize>,
         out: &mut Vec<ArchiveFrame>,
     ) -> Result<(), ArchiveError> {
-        out.reserve(blocks.len() * SUMMARY_FRAMES);
-        self.decode_blocks_to(meta, blocks, &mut Vec::new(), |frame| out.push(frame))
+        let mut buf = Vec::new();
+        self.read_blocks(meta, &blocks, &mut buf)?;
+        meta.decode_blocks(blocks, &buf, out)
     }
 
-    /// Decodes summary blocks `blocks` of one segment, handing each
-    /// frame to `sink`, with one read of exactly their payload bytes
-    /// into `buf`.
+    /// Reads exactly the payload bytes of summary blocks `blocks` of
+    /// one segment into `buf` ([`SegmentMeta::block_bytes`]).
     ///
     /// # Errors
     ///
-    /// I/O or corruption errors from block decoding; `sink` may have
-    /// taken frames before the damage.
+    /// I/O errors.
     ///
     /// # Panics
     ///
     /// Panics if `blocks` reaches past the segment's last block.
-    pub(crate) fn decode_blocks_to(
+    pub(crate) fn read_blocks(
         &self,
         meta: &SegmentMeta,
-        blocks: Range<usize>,
+        blocks: &Range<usize>,
         buf: &mut Vec<u8>,
-        sink: impl FnMut(ArchiveFrame),
     ) -> Result<(), ArchiveError> {
         if blocks.is_empty() {
+            buf.clear();
             return Ok(());
         }
-        let span = meta.block_bytes(&blocks);
+        let span = meta.block_bytes(blocks);
         read_at_into(
             &self.file,
             meta.payload_offset() + span.start as u64,
             span.len(),
             buf,
-        )?;
-        meta.decode_blocks_to(blocks, buf, sink)
+        )
     }
 
     /// The archive file path.
@@ -407,8 +424,9 @@ impl Archive {
 
     /// [`Archive::read_range`] into a caller-owned trace, which is
     /// cleared first; repeated reads reuse its allocations. Only the
-    /// summary blocks holding frames in range are read and decoded,
-    /// each frame straight into the trace.
+    /// summary blocks holding frames in range are read, and only their
+    /// runs holding frames in range decoded, each frame straight into
+    /// the trace.
     ///
     /// # Errors
     ///
@@ -426,7 +444,9 @@ impl Archive {
         for i in self.overlapping(start, end) {
             let meta = &self.segments[i];
             let blocks = meta.blocks_overlapping(start_us, end_us);
-            self.decode_blocks_to(meta, blocks, &mut bytes, |frame| {
+            self.read_blocks(meta, &blocks, &mut bytes)?;
+            // Runs with no frame in range are skipped undecoded.
+            meta.decode_blocks_to(blocks, &bytes, start_us..end_us, |frame| {
                 if frame.time < start || frame.time >= end {
                     return;
                 }
@@ -466,7 +486,8 @@ impl Archive {
 
     /// Full integrity check: re-reads every segment from disk,
     /// verifies CRCs and seals, decodes every payload, and recomputes
-    /// summary blocks and marker tables from the decoded frames. A
+    /// summary blocks, run tables and marker tables from the decoded
+    /// frames. A
     /// torn tail is reported in `trailing_bytes`, not as an error —
     /// it is the expected state after a crash.
     ///
@@ -517,11 +538,11 @@ impl Archive {
         offset: u64,
         report: &mut VerifyReport,
     ) {
-        // The block loop yields exactly `frame_count` frames or fails.
+        // The run loop yields exactly `frame_count` frames or fails.
+        let payload_at = SEGMENT_HEADER_SIZE + header.tables_len();
+        let payload = &bytes[payload_at..payload_at + header.payload_len as usize];
         let decoded =
             SegmentMeta::parse(offset, *header, &bytes[SEGMENT_HEADER_SIZE..]).and_then(|meta| {
-                let payload_at = SEGMENT_HEADER_SIZE + header.tables_len();
-                let payload = &bytes[payload_at..payload_at + header.payload_len as usize];
                 let mut frames = Vec::new();
                 meta.decode_blocks(0..meta.summaries.len(), payload, &mut frames)?;
                 Ok((meta, frames))
@@ -548,6 +569,9 @@ impl Archive {
             report.errors.push(format!(
                 "segment at byte {offset}: summary blocks disagree with payload"
             ));
+        }
+        if let Err(e) = meta.check_runs(payload, &frames, &watts) {
+            report.errors.push(e.to_string());
         }
         let expect_markers: Vec<(u64, char)> = frames
             .iter()

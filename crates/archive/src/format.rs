@@ -7,8 +7,8 @@
 //! │              · header CRC-32                                 │
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ segment 0: header · summary blocks · block offsets ·         │
-//! │            marker table · compressed payload · CRC-32 ·      │
-//! │            seal "PS3e"                                       │
+//! │            marker table · tables CRC-32 · compressed         │
+//! │            payload · CRC-32 · seal "PS3e"                    │
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ segment 1: …                                                 │
 //! ├──────────────────────────────────────────────────────────────┤
@@ -21,11 +21,19 @@
 //! valid archive: appending is crash-safe by construction and a kill
 //! mid-write loses at most the unsealed tail.
 //!
+//! The tables CRC covers the segment header and the tables after it,
+//! so the sidecar fast path, which trusts a segment without reading its
+//! payload, still never serves a damaged summary.
+//!
 //! Version 2 made the payload block-addressable: each
 //! [`SUMMARY_FRAMES`]-frame block is coded on its own, starts on a
 //! byte boundary, and has its payload byte offset in the segment's
 //! block-offset table, so a query decodes only the blocks it touches.
-//! Version 1 files (one bit stream per segment) are refused as
+//! Version 3 splits each block into independently decodable runs of
+//! [`SUB_FRAMES`] frames behind an in-block run table (each run's byte
+//! offset, first and last time and power sum, under its own CRC-32),
+//! so a range or bucket edge decodes only the run it cuts, and added
+//! the tables CRC. Version 1 and 2 files are refused as
 //! [`ArchiveError::NotAnArchive`].
 
 use core::fmt;
@@ -40,7 +48,7 @@ use crate::crc::crc32;
 pub const FILE_MAGIC: [u8; 8] = *b"PS3ARCH1";
 
 /// Format version written by this crate.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Magic opening every segment header ("PS3s").
 pub const SEGMENT_MAGIC: u32 = u32::from_le_bytes(*b"PS3s");
@@ -51,6 +59,13 @@ pub const SEAL_MAGIC: u32 = u32::from_le_bytes(*b"PS3e");
 
 /// Frames per pre-aggregated summary block (50 ms at 20 kHz).
 pub const SUMMARY_FRAMES: usize = 1000;
+
+/// Frames per independently decodable run inside a summary block
+/// (10 ms at 20 kHz): the most a range or bucket edge decodes. Each
+/// run restart costs about 7 bytes of codec state.
+pub const SUB_FRAMES: usize = 200;
+
+const _: () = assert!(SUMMARY_FRAMES.is_multiple_of(SUB_FRAMES));
 
 /// Default frames per segment (1 s at 20 kHz).
 pub const DEFAULT_SEGMENT_FRAMES: usize = 20_000;
@@ -66,6 +81,9 @@ pub const BLOCK_OFFSET_SIZE: usize = 4;
 
 /// Size of one marker-table entry on disk, bytes.
 pub const MARKER_WIRE_SIZE: usize = 8 + 4;
+
+/// Size of the CRC-32 closing a segment's tables, bytes.
+pub const TABLES_CRC_SIZE: usize = 4;
 
 /// Size of the file header on disk, bytes.
 pub const FILE_HEADER_SIZE: usize = 8 + 4 + SENSOR_SLOTS * CONFIG_WIRE_SIZE + 4;
@@ -252,16 +270,18 @@ mod tests {
     }
 
     #[test]
-    fn version_1_files_are_refused() {
-        let mut header = encode_file_header(&configs());
-        header[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let body_len = FILE_HEADER_SIZE - 4;
-        let crc = crc32(&header[..body_len]);
-        header[body_len..].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            decode_file_header(&header),
-            Err(ArchiveError::NotAnArchive)
-        ));
+    fn version_1_and_2_files_are_refused() {
+        for version in [1u32, 2] {
+            let mut header = encode_file_header(&configs());
+            header[8..12].copy_from_slice(&version.to_le_bytes());
+            let body_len = FILE_HEADER_SIZE - 4;
+            let crc = crc32(&header[..body_len]);
+            header[body_len..].copy_from_slice(&crc.to_le_bytes());
+            assert!(matches!(
+                decode_file_header(&header),
+                Err(ArchiveError::NotAnArchive)
+            ));
+        }
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! * **`.ps3a` archive** — a file header carrying the sensor
 //!   configuration, followed by sealed segments of delta-of-delta
 //!   timestamps and Rice-coded 10-bit sample deltas, each closed by a
-//!   CRC-32 and a seal word. A segment's payload is a run of
-//!   independently decodable 1000-frame blocks, so reads decode only
-//!   the blocks they touch. Any prefix ending in a sealed segment is
+//!   CRC-32 and a seal word. A segment's payload is a sequence of
+//!   independently decodable 1000-frame blocks, each split into
+//!   independently decodable 200-frame runs, so reads decode only the
+//!   runs they touch. Any prefix ending in a sealed segment is
 //!   a valid archive, so a crash mid-write loses at most the unsealed
 //!   tail ([`format`] has the layout).
 //! * **`.ps3x` sidecar index** — derived data mapping time ranges and
@@ -90,8 +91,8 @@ pub use format::ArchiveError;
 pub use index::{index_path_for, ArchiveIndex, IndexSegment};
 pub use query::{build_tiers, RangeStats, TierNode, TierStore, Tiers};
 pub use segment::{
-    build_segment, build_summaries, frame_total, parse_summaries, summarize_block, ArchiveFrame,
-    SegmentHeader, SegmentMeta, SummaryBlock,
+    build_runs, build_segment, build_summaries, frame_total, parse_summaries, summarize_block,
+    ArchiveFrame, Run, RunTable, SegmentHeader, SegmentMeta, SummaryBlock,
 };
 pub use writer::{
     stats_path_for, ArchiveWriter, ArchiveWriterOptions, Maintenance, SegmentWriter, WriterStats,

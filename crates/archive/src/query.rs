@@ -10,16 +10,24 @@
 //! for the overlap and the fully covered core. In the core it consumes
 //! the coarsest aligned node that ends inside the core and fits the
 //! fold's room, falling through the tiers down to a single block; at
-//! the range edges (and for a block too large for the room) it decodes
-//! that one block — segment payloads are block-addressable — and feeds
-//! its frames one by one. Three folds consume that stream:
+//! the range edges (and for a block too large for the room) it reads
+//! that one block's run table — segment payloads are block- and
+//! run-addressable — and walks its [`SUB_FRAMES`]-frame runs: a run
+//! with no frame in range is skipped, a run wholly in range that the
+//! fold can take from its table entry is consumed whole, and any other
+//! run is decoded and its frames fed one by one. Three folds consume
+//! that stream:
 //!
 //! * **stats** — count/sum/min/max; edge frames accumulate per block,
 //!   mirroring the writer's per-block summation order;
 //! * **energy** — trapezoid energy: node interiors plus the junction
 //!   terms between consecutive nodes and frames;
-//! * **downsample** — `divisor`-frame buckets, where a node is only
-//!   consumed whole while it fits the open bucket.
+//! * **downsample** — `divisor`-frame buckets, where a node or a run is
+//!   only consumed whole while it fits the open bucket.
+//!
+//! Stats and energy need each edge frame (min, max, trapezoid
+//! endpoints), so they decode every in-range run of an edge block and
+//! only skip the runs outside the range.
 //!
 //! `stats` and `energy` fold each segment into a partial with
 //! `rayon::par_map` and merge the partials sequentially in segment
@@ -32,16 +40,17 @@
 //! stored tiers (none for [`Archive`], the pyramid for `ps3-tsdb`).
 //! [`Tiers::Rebuilt`] is the one reference mode: it decodes every
 //! overlapping segment and rebuilds its summary blocks and tiers from
-//! the frames before walking the same decomposition. Because nodes fold
-//! strictly left to right, a stored node is bit-identical to its
-//! rebuilt twin, so stored and reference answers agree to the last bit.
+//! the frames before walking the same decomposition, run tables
+//! included. Because nodes and runs fold strictly left to right, a
+//! stored node or run is bit-identical to its rebuilt twin, so stored
+//! and reference answers agree to the last bit.
 
 use ps3_analysis::Trace;
 use ps3_units::{Joules, SimTime, Watts};
 
 use crate::archive::Archive;
-use crate::format::{ArchiveError, SUMMARY_FRAMES};
-use crate::segment::{build_summaries, ArchiveFrame, SummaryBlock};
+use crate::format::{ArchiveError, SUB_FRAMES, SUMMARY_FRAMES};
+use crate::segment::{build_runs, build_summaries, ArchiveFrame, Run, SummaryBlock};
 
 /// Aggregate statistics over a time range.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -270,14 +279,29 @@ fn pick(
     (node.count <= room).then_some((node, bi + 1))
 }
 
-/// What the walk feeds: whole nodes in the covered core, single frames
-/// at the range edges.
+/// Whether the walk must decode `run` of an edge block: a run with no
+/// frame in `[start_us, end_us)` is skipped, and one wholly inside it
+/// that `fold` takes from its table entry is consumed here.
+fn needs_frames(run: &Run, start_us: u64, end_us: u64, fold: &mut impl Fold) -> bool {
+    if run.last_us < start_us || run.first_us >= end_us {
+        return false;
+    }
+    !(run.first_us >= start_us && run.last_us < end_us && fold.run(run))
+}
+
+/// What the walk feeds: whole nodes in the covered core, whole runs or
+/// single frames at the range edges.
 trait Fold {
     /// Frames the fold can take as one node right now.
     fn room(&self) -> u64 {
         u64::MAX
     }
     fn node(&mut self, node: &TierNode);
+    /// Takes a run wholly in range from its table entry, or returns
+    /// `false` when the fold needs its frames.
+    fn run(&mut self, _run: &Run) -> bool {
+        false
+    }
     fn frame(&mut self, time: SimTime, w: f64);
     /// Closes the in-range frames of one decoded block.
     fn end_block(&mut self) {}
@@ -385,6 +409,15 @@ impl Fold for Buckets<'_> {
         self.add(node.count, node.sum_w, SimTime::from_micros(node.last_us));
     }
 
+    fn run(&mut self, run: &Run) -> bool {
+        let count = u64::from(run.count);
+        if count > self.room() {
+            return false;
+        }
+        self.add(count, run.sum_w, SimTime::from_micros(run.last_us));
+        true
+    }
+
     fn frame(&mut self, time: SimTime, w: f64) {
         self.add(1, w, time);
     }
@@ -392,7 +425,7 @@ impl Fold for Buckets<'_> {
 
 impl Archive {
     /// Statistics over `[start, end)` from the summary blocks, decoding
-    /// only the blocks the range cuts through. Bit-identical to
+    /// only the runs the range cuts through. Bit-identical to
     /// [`Archive::stats_decoded`].
     ///
     /// # Errors
@@ -462,8 +495,10 @@ impl Archive {
     /// time (the same convention as the streaming `Downsampler`); a
     /// partial tail bucket is dropped. Buckets that align with whole
     /// summary blocks (e.g. a 10 Hz read over 50 ms blocks) are served
-    /// from the summaries without touching the payload. Markers in
-    /// range are carried over at their original times.
+    /// from the summaries without touching the payload; elsewhere a
+    /// bucket takes each whole run it holds from its block's run table
+    /// and decodes only the runs its edges cut. Markers in range are
+    /// carried over at their original times.
     ///
     /// # Errors
     ///
@@ -601,32 +636,28 @@ impl Archive {
     }
 
     /// Feeds segment `seg`'s share of `[start, end)` to `fold`.
-    fn walk_segment(
+    fn walk_segment<F: Fold>(
         &self,
         seg: usize,
         tiers: Tiers<'_>,
         spans: &[usize],
         start: SimTime,
         end: SimTime,
-        fold: &mut impl Fold,
+        fold: &mut F,
     ) -> Result<(), ArchiveError> {
         let meta = &self.segments()[seg];
         let rebuilt;
         let (summaries, nodes, whole) = match tiers {
             Tiers::Stored { store, .. } => (meta.summaries.as_slice(), store.tiers(seg), None),
             Tiers::Rebuilt(fanouts) => {
-                let frames = self.decode_segment_frames(meta)?;
-                let watts: Vec<f64> = frames
-                    .iter()
-                    .map(|f| self.table().total(&f.raw, f.present).value())
-                    .collect();
+                let (frames, watts) = self.decode_segment(meta)?;
                 let summaries = build_summaries(&frames, &watts);
                 let nodes = build_tiers(&summaries, fanouts);
-                rebuilt = (summaries, nodes, frames);
+                rebuilt = (summaries, nodes, frames, watts);
                 (
                     rebuilt.0.as_slice(),
                     rebuilt.1.as_slice(),
-                    Some(rebuilt.2.as_slice()),
+                    Some((rebuilt.2.as_slice(), rebuilt.3.as_slice())),
                 )
             }
         };
@@ -645,19 +676,36 @@ impl Archive {
                 }
             }
             // A range edge, or a block too large for the fold's room:
-            // decode that block alone, folding each frame as it comes.
-            let mut edge = |frame: &ArchiveFrame| {
+            // walk its runs, decoding only those whose frames the fold
+            // needs and folding each frame as it comes.
+            let edge = |fold: &mut F, frame: &ArchiveFrame| {
                 if frame.time >= start && frame.time < end {
                     let w = self.table().total(&frame.raw, frame.present);
                     fold.frame(frame.time, w.value());
                 }
             };
             match whole {
-                Some(frames) => frames
-                    [bi * SUMMARY_FRAMES..((bi + 1) * SUMMARY_FRAMES).min(frames.len())]
-                    .iter()
-                    .for_each(edge),
-                None => self.decode_blocks_to(meta, bi..bi + 1, &mut bytes, |f| edge(&f))?,
+                Some((frames, watts)) => {
+                    let block = bi * SUMMARY_FRAMES..((bi + 1) * SUMMARY_FRAMES).min(frames.len());
+                    let (frames, watts) = (&frames[block.clone()], &watts[block]);
+                    for (run, run_frames) in build_runs(frames, watts)
+                        .iter()
+                        .zip(frames.chunks(SUB_FRAMES))
+                    {
+                        if needs_frames(run, start_us, end_us, fold) {
+                            run_frames.iter().for_each(|f| edge(fold, f));
+                        }
+                    }
+                }
+                None => {
+                    self.read_blocks(meta, &(bi..bi + 1), &mut bytes)?;
+                    let table = meta.runs(bi, &bytes)?;
+                    for (j, run) in table.runs().iter().enumerate() {
+                        if needs_frames(run, start_us, end_us, fold) {
+                            meta.decode_run(run, &bytes[table.bytes(j)], |f| edge(fold, &f))?;
+                        }
+                    }
+                }
             }
             fold.end_block();
             bi += 1;

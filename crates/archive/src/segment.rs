@@ -11,6 +11,7 @@
 //! offsets  per summary block, the payload byte offset of its frames
 //! markers  (time, label) table — marker queries never touch the
 //!          payload
+//! crc      CRC-32 over the header and the three tables above
 //! payload  the compressed frames, block by block (see below)
 //! trailer  CRC-32 over everything above · seal word
 //! ```
@@ -19,13 +20,32 @@
 //!
 //! The payload is a run of independently decodable blocks, one per
 //! summary block (the Gorilla block layout), each starting on a byte
-//! boundary at its stored offset. A query decodes only the blocks its
-//! range cuts through, handing each frame to its fold as it is decoded
-//! (`SegmentMeta::decode_blocks_to`); a whole-segment decode is the
-//! same block loop over every block, collecting the frames
+//! boundary at its stored offset. A block is itself a run table
+//! followed by up to `SUMMARY_FRAMES / SUB_FRAMES` runs of
+//! [`SUB_FRAMES`] frames (the last run of a partial block holds the
+//! rest), each run starting on a byte boundary and restarting every
+//! coder:
+//!
+//! ```text
+//! run table  per run i: Σ power (f64, a sequential sum from 0.0);
+//!            for i > 0, run i's byte offset as a varint delta from
+//!            run i−1's and its first time as a varint delta from run
+//!            i−1's last; for all but the last run, its last time as a
+//!            varint delta from its first
+//! table crc  CRC-32 over the run table
+//! runs       the runs' coded frames, run 0 right after the table crc
+//! ```
+//!
+//! Run 0's first time is the block summary's `first_us` and the last
+//! run's last time its `last_us`; a run's frame count follows from the
+//! block's. A range or bucket edge decodes only the runs it cuts,
+//! handing each frame to its fold as it is decoded
+//! ([`SegmentMeta::decode_run`]); a bucket that holds a whole run takes
+//! it from the table without decoding it. A whole-segment decode is the
+//! same run loop over every block, collecting the frames
 //! ([`SegmentMeta::decode_blocks`]).
 //!
-//! Within a block, timestamps are delta-of-delta coded (Gorilla-style):
+//! Within a run, timestamps are delta-of-delta coded (Gorilla-style):
 //! at 20 kHz the inter-frame delta is a constant 50 µs, so the common
 //! case is a single bit. Raw 10-bit sample values are coded per slot as
 //! a Rice-coded zigzag delta from the slot's previous value, with the
@@ -33,18 +53,20 @@
 //! minimisation over the segment's actual deltas. A steady frame
 //! (regular cadence, unchanged slot set, no marker) spends one flag
 //! bit plus its value codes — ~10 bits/frame for one active pair
-//! against 48 bits on the wire. A block's first frame restarts both
+//! against 48 bits on the wire. A run's first frame restarts both
 //! coders: its slot set and raw values are stored whole, and its
-//! timestamp is the block summary's `first_us`.
+//! timestamp is the run table's first time.
 //!
 //! Marker labels are stored natively (21 bits of Unicode scalar), so
 //! archived traces round-trip the host-side labels that the device
 //! wire protocol itself cannot carry.
 //!
 //! The decoder accepts only what the encoder can write: a raw code past
-//! 10 bits or a label code that is not a Unicode scalar value is
+//! 10 bits, a label code that is not a Unicode scalar value, a run
+//! table whose CRC, offsets or times do not check out, or a run that
+//! does not end exactly where the next one starts is
 //! [`ArchiveError::Corrupt`], since the sidecar fast path serves
-//! payloads whose CRC it has not checked.
+//! payloads whose segment CRC it has not checked.
 
 use core::ops::Range;
 
@@ -55,7 +77,8 @@ use crate::bits::{unzigzag64, zigzag64, BitReader, BitWriter};
 use crate::crc::crc32;
 use crate::format::{
     parse_markers, read_f64, read_u32, read_u64, ArchiveError, BLOCK_OFFSET_SIZE, MARKER_WIRE_SIZE,
-    SEAL_MAGIC, SEGMENT_HEADER_SIZE, SEGMENT_MAGIC, SUMMARY_FRAMES, SUMMARY_WIRE_SIZE,
+    SEAL_MAGIC, SEGMENT_HEADER_SIZE, SEGMENT_MAGIC, SUB_FRAMES, SUMMARY_FRAMES, SUMMARY_WIRE_SIZE,
+    TABLES_CRC_SIZE,
 };
 
 /// The inter-frame delta the delta-of-delta coder assumes before the
@@ -73,6 +96,12 @@ const MAX_RAW: u16 = 0x3FF;
 /// The latest timestamp a [`SimTime`] can hold, µs: a decoded time past
 /// it is corrupt data.
 const MAX_TIME_US: u64 = u64::MAX / 1000;
+
+/// The most runs a summary block holds.
+const RUNS_PER_BLOCK: usize = SUMMARY_FRAMES / SUB_FRAMES;
+
+/// Bytes of a run-table CRC.
+const RUN_TABLE_CRC_SIZE: usize = 4;
 
 /// One archived sample frame: the host's frame type, stored as is —
 /// raw codes plus presence, so reads re-derive physical units
@@ -187,6 +216,107 @@ pub fn summarize_block(frames: &[ArchiveFrame], watts: &[f64]) -> SummaryBlock {
     }
 }
 
+/// One run's entry in its block's run table: enough for a fold that
+/// needs only count, sum and last time to take the run whole.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Run {
+    /// Frames in the run: [`SUB_FRAMES`], or the rest of a partial
+    /// block.
+    pub count: u32,
+    /// Timestamp of the first frame (µs).
+    pub first_us: u64,
+    /// Timestamp of the last frame (µs).
+    pub last_us: u64,
+    /// Sequential sum from 0.0 of the run's total power (W).
+    pub sum_w: f64,
+}
+
+impl Run {
+    /// `true` when every field, `sum_w` bit for bit, equals `other`'s.
+    #[must_use]
+    pub fn same(&self, other: &Run) -> bool {
+        self.count == other.count
+            && self.first_us == other.first_us
+            && self.last_us == other.last_us
+            && self.sum_w.to_bits() == other.sum_w.to_bits()
+    }
+}
+
+/// The runs of consecutive frames from a block start on, one per
+/// [`SUB_FRAMES`] frames, built from their (write-time) total-power
+/// values with the writer's own sequential sum.
+#[must_use]
+pub fn build_runs(frames: &[ArchiveFrame], watts: &[f64]) -> Vec<Run> {
+    debug_assert_eq!(frames.len(), watts.len());
+    frames
+        .chunks(SUB_FRAMES)
+        .zip(watts.chunks(SUB_FRAMES))
+        .map(|(fs, ws)| Run {
+            count: fs.len() as u32,
+            first_us: fs[0].time.as_micros(),
+            last_us: fs[fs.len() - 1].time.as_micros(),
+            sum_w: ws.iter().fold(0.0, |sum, &w| sum + w),
+        })
+        .collect()
+}
+
+/// A block's parsed and checked run table: each run's entry and where
+/// its frames are in the block's bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct RunTable {
+    len: usize,
+    runs: [Run; RUNS_PER_BLOCK],
+    /// Each run's byte offset in the block's bytes, then the block's
+    /// length.
+    bounds: [usize; RUNS_PER_BLOCK + 1],
+}
+
+impl RunTable {
+    /// The block's runs, in order.
+    #[must_use]
+    pub fn runs(&self) -> &[Run] {
+        &self.runs[..self.len]
+    }
+
+    /// The byte range of run `i` in its block's bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a run of the block.
+    #[must_use]
+    pub fn bytes(&self, i: usize) -> Range<usize> {
+        assert!(i < self.len, "run {i} of {}", self.len);
+        self.bounds[i]..self.bounds[i + 1]
+    }
+}
+
+/// Appends `v` as a LEB128 varint.
+fn push_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Reads a LEB128 varint at `*at`, advancing it; `None` past the end
+/// of `bytes` or past 64 bits.
+fn read_varint(bytes: &[u8], at: &mut usize) -> Option<u64> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let b = *bytes.get(*at)?;
+        *at += 1;
+        if shift == 63 && b > 1 {
+            return None;
+        }
+        v |= u64::from(b & 0x7F) << shift;
+        if b & 0x80 == 0 {
+            return Some(v);
+        }
+    }
+    None
+}
+
 /// The fixed per-segment header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentHeader {
@@ -216,11 +346,12 @@ impl SegmentHeader {
     }
 
     /// Bytes of the tables between the fixed header and the payload:
-    /// summary blocks, block offsets and markers.
+    /// summary blocks, block offsets, markers and the CRC closing them.
     #[must_use]
     pub fn tables_len(&self) -> usize {
         self.summary_count as usize * (SUMMARY_WIRE_SIZE + BLOCK_OFFSET_SIZE)
             + self.marker_count as usize * MARKER_WIRE_SIZE
+            + TABLES_CRC_SIZE
     }
 
     /// Total on-disk size of the segment this header describes,
@@ -304,16 +435,18 @@ pub struct SegmentMeta {
 
 impl SegmentMeta {
     /// Parses the tables that follow `header` (the first
-    /// [`SegmentHeader::tables_len`] bytes of `tables`) and checks the
-    /// block layout: one summary block per [`SUMMARY_FRAMES`] frames,
-    /// each holding its share of them, and block offsets that start at
-    /// 0 and rise strictly inside the payload. Only a segment that
-    /// passes is ever decoded, so stored offsets never index unchecked.
+    /// [`SegmentHeader::tables_len`] bytes of `tables`) and checks
+    /// their CRC and the block layout: one summary block per
+    /// [`SUMMARY_FRAMES`] frames, each holding its share of them, and
+    /// block offsets that start at 0 and rise strictly inside the
+    /// payload. Only a segment that passes is ever decoded, so stored
+    /// offsets never index unchecked.
     ///
     /// # Errors
     ///
-    /// [`ArchiveError::Corrupt`] (at `offset`) on short tables, a
-    /// layout that fails the checks or a marker label that is no `char`.
+    /// [`ArchiveError::Corrupt`] (at `offset`) on short tables, a CRC
+    /// mismatch, a layout that fails the checks or a marker label that
+    /// is no `char`.
     pub fn parse(offset: u64, header: SegmentHeader, tables: &[u8]) -> Result<Self, ArchiveError> {
         let corrupt = |what: &str| ArchiveError::Corrupt {
             offset,
@@ -327,6 +460,10 @@ impl SegmentMeta {
         }
         if tables.len() < header.tables_len() {
             return Err(corrupt("segment tables truncated"));
+        }
+        let crc_at = header.tables_len() - TABLES_CRC_SIZE;
+        if tables_crc(&header, &tables[..crc_at]) != read_u32(tables, crc_at) {
+            return Err(corrupt("segment tables CRC mismatch"));
         }
         let summaries = parse_summaries(tables, blocks);
         let offsets_at = blocks * SUMMARY_WIRE_SIZE;
@@ -388,13 +525,125 @@ impl SegmentMeta {
         self.block_offsets[blocks.start] as usize..end as usize
     }
 
+    /// Parses and checks block `block`'s run table from `bytes`, the
+    /// block's payload bytes: its CRC, run offsets that rise strictly
+    /// inside the block, and run times that rise inside the block
+    /// summary's span.
+    ///
+    /// # Errors
+    ///
+    /// [`ArchiveError::Corrupt`] when the table is short or fails a
+    /// check.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is past the last summary block.
+    pub fn runs(&self, block: usize, bytes: &[u8]) -> Result<RunTable, ArchiveError> {
+        let corrupt = |what: &str| ArchiveError::Corrupt {
+            offset: self.offset,
+            what: what.into(),
+        };
+        let summary = &self.summaries[block];
+        let frames = self.block_frames(block);
+        let len = frames.div_ceil(SUB_FRAMES);
+        let short = || corrupt("run table truncated");
+        let mut table = RunTable {
+            len,
+            runs: [Run::default(); RUNS_PER_BLOCK],
+            bounds: [0; RUNS_PER_BLOCK + 1],
+        };
+        // Byte offsets relative to run 0 until the table's end is known.
+        let mut at = 0;
+        let mut time = summary.first_us;
+        for i in 0..len {
+            let sum = bytes.get(at..at + 8).ok_or_else(short)?;
+            at += 8;
+            let mut first = summary.first_us;
+            if i > 0 {
+                let run_len = read_varint(bytes, &mut at).ok_or_else(short)?;
+                let gap = read_varint(bytes, &mut at).ok_or_else(short)?;
+                table.bounds[i] = usize::try_from(run_len)
+                    .ok()
+                    .filter(|&l| l > 0)
+                    .and_then(|l| table.bounds[i - 1].checked_add(l))
+                    .ok_or_else(|| corrupt("run offsets out of order"))?;
+                first = time
+                    .checked_add(gap)
+                    .ok_or_else(|| corrupt("run times outside the block"))?;
+            }
+            let last = if i + 1 == len {
+                summary.last_us
+            } else {
+                let span = read_varint(bytes, &mut at).ok_or_else(short)?;
+                first
+                    .checked_add(span)
+                    .ok_or_else(|| corrupt("run times outside the block"))?
+            };
+            if first > last || last > summary.last_us {
+                return Err(corrupt("run times outside the block"));
+            }
+            table.runs[i] = Run {
+                count: (frames - i * SUB_FRAMES).min(SUB_FRAMES) as u32,
+                first_us: first,
+                last_us: last,
+                sum_w: read_f64(sum, 0),
+            };
+            time = last;
+        }
+        let stored = bytes.get(at..at + RUN_TABLE_CRC_SIZE).ok_or_else(short)?;
+        if crc32(&bytes[..at]) != read_u32(stored, 0) {
+            return Err(corrupt("run table CRC mismatch"));
+        }
+        let runs_at = at + RUN_TABLE_CRC_SIZE;
+        for bound in &mut table.bounds[..len] {
+            *bound += runs_at;
+        }
+        if table.bounds[len - 1] >= bytes.len() {
+            return Err(corrupt("run offsets past the block"));
+        }
+        table.bounds[len] = bytes.len();
+        Ok(table)
+    }
+
+    /// Decodes one run of this segment from `bytes`, exactly its bytes
+    /// ([`RunTable::bytes`]), handing each frame to `sink` in order.
+    ///
+    /// # Errors
+    ///
+    /// [`ArchiveError::Corrupt`] when the run does not decode to
+    /// exactly its frames and bytes, or its last frame is not at the
+    /// run's `last_us`; `sink` may have taken frames before the damage.
+    pub fn decode_run(
+        &self,
+        run: &Run,
+        bytes: &[u8],
+        mut sink: impl FnMut(ArchiveFrame),
+    ) -> Result<(), ArchiveError> {
+        let k: [u8; SENSOR_SLOTS] = core::array::from_fn(|s| self.header.k_for(s));
+        let last_us = decode_run(
+            &k,
+            run.first_us,
+            run.count as usize,
+            bytes,
+            self.offset,
+            &mut sink,
+        )?;
+        if last_us != run.last_us {
+            return Err(ArchiveError::Corrupt {
+                offset: self.offset,
+                what: "run times disagree with its frames".into(),
+            });
+        }
+        Ok(())
+    }
+
     /// Decodes `blocks` from `bytes`, their payload bytes
     /// ([`SegmentMeta::block_bytes`]), appending the frames to `out`.
     ///
     /// # Errors
     ///
-    /// [`ArchiveError::Corrupt`] when a block does not decode to
-    /// exactly its frames and bytes.
+    /// [`ArchiveError::Corrupt`] when a block's run table fails its
+    /// checks or a run does not decode to exactly its frames and bytes.
     ///
     /// # Panics
     ///
@@ -406,18 +655,19 @@ impl SegmentMeta {
         out: &mut Vec<ArchiveFrame>,
     ) -> Result<(), ArchiveError> {
         out.reserve(blocks.len() * SUMMARY_FRAMES);
-        self.decode_blocks_to(blocks, bytes, |frame| out.push(frame))
+        self.decode_blocks_to(blocks, bytes, 0..u64::MAX, |frame| out.push(frame))
     }
 
-    /// Decodes `blocks` from `bytes`, their payload bytes
-    /// ([`SegmentMeta::block_bytes`]), handing each frame to `sink` in
-    /// order: the one decoder, block by block. A block that fails has
-    /// already handed over the frames before the damage.
+    /// Decodes the runs of `blocks` that hold frames in `window` (µs)
+    /// from `bytes`, their payload bytes ([`SegmentMeta::block_bytes`]),
+    /// handing each frame of those runs to `sink` in order: the one
+    /// decoder, run by run. A run that fails has already handed over
+    /// the frames before the damage.
     ///
     /// # Errors
     ///
-    /// [`ArchiveError::Corrupt`] when a block does not decode to
-    /// exactly its frames and bytes.
+    /// [`ArchiveError::Corrupt`] when a block's run table fails its
+    /// checks or a run does not decode to exactly its frames and bytes.
     ///
     /// # Panics
     ///
@@ -426,12 +676,12 @@ impl SegmentMeta {
         &self,
         blocks: Range<usize>,
         bytes: &[u8],
+        window: Range<u64>,
         mut sink: impl FnMut(ArchiveFrame),
     ) -> Result<(), ArchiveError> {
         if blocks.is_empty() {
             return Ok(());
         }
-        let k: [u8; SENSOR_SLOTS] = core::array::from_fn(|s| self.header.k_for(s));
         let base = self.block_bytes(&blocks).start;
         for i in blocks {
             let span = self.block_bytes(&(i..i + 1));
@@ -441,17 +691,64 @@ impl SegmentMeta {
                     offset: self.offset,
                     what: "payload shorter than its block offsets".into(),
                 })?;
-            decode_block(
-                &k,
-                self.summaries[i].first_us,
-                self.block_frames(i),
-                block,
-                self.offset,
-                &mut sink,
-            )?;
+            let table = self.runs(i, block)?;
+            for (j, run) in table.runs().iter().enumerate() {
+                if run.last_us >= window.start && run.first_us < window.end {
+                    self.decode_run(run, &block[table.bytes(j)], &mut sink)?;
+                }
+            }
         }
         Ok(())
     }
+
+    /// Checks every stored run of the segment against `frames`, its
+    /// whole decode from `payload`, with `watts` their total powers:
+    /// counts, times and sums, bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// [`ArchiveError::Corrupt`] on a run table that fails its checks
+    /// or a run that disagrees with its frames.
+    pub(crate) fn check_runs(
+        &self,
+        payload: &[u8],
+        frames: &[ArchiveFrame],
+        watts: &[f64],
+    ) -> Result<(), ArchiveError> {
+        for (i, (fs, ws)) in frames
+            .chunks(SUMMARY_FRAMES)
+            .zip(watts.chunks(SUMMARY_FRAMES))
+            .enumerate()
+        {
+            let block = payload.get(self.block_bytes(&(i..i + 1))).ok_or_else(|| {
+                ArchiveError::Corrupt {
+                    offset: self.offset,
+                    what: "payload shorter than its block offsets".into(),
+                }
+            })?;
+            let table = self.runs(i, block)?;
+            let built = build_runs(fs, ws);
+            if built.len() != table.runs().len()
+                || built.iter().zip(table.runs()).any(|(a, b)| !a.same(b))
+            {
+                return Err(ArchiveError::Corrupt {
+                    offset: self.offset,
+                    what: "run table disagrees with its frames".into(),
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// CRC-32 over a segment header's bytes and the `tables` after it.
+fn tables_crc(header: &SegmentHeader, tables: &[u8]) -> u32 {
+    let mut bytes = Vec::with_capacity(SEGMENT_HEADER_SIZE);
+    header.encode_into(&mut bytes);
+    let mut crc = crate::crc::Crc32::new();
+    crc.update(&bytes);
+    crc.update(tables);
+    crc.finish()
 }
 
 /// Builds the complete on-disk bytes of one sealed segment from its
@@ -470,7 +767,7 @@ pub fn build_segment(seq: u32, frames: &[ArchiveFrame], watts: &[f64]) -> Vec<u8
         "segment frames must be in time order"
     );
     let k_params = choose_rice_params(frames);
-    let (payload, block_offsets) = encode_payload(frames, k_params);
+    let (payload, block_offsets) = encode_payload(frames, watts, k_params);
     let summaries = build_summaries(frames, watts);
     let markers: Vec<(u64, char)> = frames
         .iter()
@@ -499,6 +796,8 @@ pub fn build_segment(seq: u32, frames: &[ArchiveFrame], watts: &[f64]) -> Vec<u8
         out.extend_from_slice(&time_us.to_le_bytes());
         out.extend_from_slice(&(label as u32).to_le_bytes());
     }
+    let crc = tables_crc(&header, &out[SEGMENT_HEADER_SIZE..]);
+    out.extend_from_slice(&crc.to_le_bytes());
     out.extend_from_slice(&payload);
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
@@ -508,11 +807,11 @@ pub fn build_segment(seq: u32, frames: &[ArchiveFrame], watts: &[f64]) -> Vec<u8
 
 /// Picks the Rice parameter per slot by exact cost minimisation over
 /// the segment's zigzagged value deltas (ties go to the smaller `k`).
-/// The first value of each block is stored raw, so only in-block
-/// deltas count.
+/// The first value of each run is stored raw, so only in-run deltas
+/// count.
 fn choose_rice_params(frames: &[ArchiveFrame]) -> u32 {
     let mut deltas: [Vec<u32>; SENSOR_SLOTS] = core::array::from_fn(|_| Vec::new());
-    for block in frames.chunks(SUMMARY_FRAMES) {
+    for block in frames.chunks(SUB_FRAMES) {
         let mut prev: [Option<u16>; SENSOR_SLOTS] = [None; SENSOR_SLOTS];
         for frame in block {
             for slot in 0..SENSOR_SLOTS {
@@ -541,26 +840,55 @@ fn choose_rice_params(frames: &[ArchiveFrame]) -> u32 {
     packed
 }
 
-/// Codes each [`SUMMARY_FRAMES`]-frame block on its own, starting on a
-/// byte boundary. Returns the payload and each block's byte offset.
-fn encode_payload(frames: &[ArchiveFrame], k_params: u32) -> (Vec<u8>, Vec<u32>) {
+/// Codes each [`SUMMARY_FRAMES`]-frame block on its own: its run
+/// table, then its runs. Returns the payload and each block's byte
+/// offset.
+fn encode_payload(frames: &[ArchiveFrame], watts: &[f64], k_params: u32) -> (Vec<u8>, Vec<u32>) {
     let k: [u8; SENSOR_SLOTS] = core::array::from_fn(|s| (k_params >> (4 * s) & 0xF) as u8);
-    let mut w = BitWriter::new();
+    let mut payload = Vec::new();
     let offsets = frames
         .chunks(SUMMARY_FRAMES)
-        .map(|block| {
-            let offset = w.align() as u32;
-            encode_block(&mut w, block, &k);
+        .zip(watts.chunks(SUMMARY_FRAMES))
+        .map(|(block, block_watts)| {
+            let offset = payload.len() as u32;
+            encode_block(&mut payload, block, block_watts, &k);
             offset
         })
         .collect();
-    (w.finish(), offsets)
+    (payload, offsets)
 }
 
-/// Codes one block. Its first frame restarts every coder: no
-/// timestamp (the block summary's `first_us` holds it), raw values,
-/// and the assumed 20 kHz cadence for the delta-of-delta.
-fn encode_block(w: &mut BitWriter, frames: &[ArchiveFrame], k: &[u8; SENSOR_SLOTS]) {
+/// Appends one block: its run table and the table's CRC, then each
+/// [`SUB_FRAMES`]-frame run on its own, starting on a byte boundary.
+fn encode_block(out: &mut Vec<u8>, frames: &[ArchiveFrame], watts: &[f64], k: &[u8; SENSOR_SLOTS]) {
+    let mut w = BitWriter::new();
+    let mut starts = Vec::with_capacity(RUNS_PER_BLOCK);
+    for run in frames.chunks(SUB_FRAMES) {
+        starts.push(w.align());
+        encode_run(&mut w, run, k);
+    }
+    let coded = w.finish();
+    let runs = build_runs(frames, watts);
+    let table_at = out.len();
+    for (i, run) in runs.iter().enumerate() {
+        out.extend_from_slice(&run.sum_w.to_bits().to_le_bytes());
+        if i > 0 {
+            push_varint(out, (starts[i] - starts[i - 1]) as u64);
+            push_varint(out, run.first_us - runs[i - 1].last_us);
+        }
+        if i + 1 < runs.len() {
+            push_varint(out, run.last_us - run.first_us);
+        }
+    }
+    let crc = crc32(&out[table_at..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out.extend_from_slice(&coded);
+}
+
+/// Codes one run. Its first frame restarts every coder: no timestamp
+/// (the run table holds it), raw values, and the assumed 20 kHz cadence
+/// for the delta-of-delta.
+fn encode_run(w: &mut BitWriter, frames: &[ArchiveFrame], k: &[u8; SENSOR_SLOTS]) {
     let mut prev_vals: [Option<u16>; SENSOR_SLOTS] = [None; SENSOR_SLOTS];
     let mut push_values = |w: &mut BitWriter, frame: &ArchiveFrame| {
         for slot in 0..SENSOR_SLOTS {
@@ -651,24 +979,24 @@ fn push_dod(w: &mut BitWriter, dod: i128, delta: u64) {
     }
 }
 
-/// Decodes one block of `count` frames whose first frame is at
-/// `first_us`, handing them to `sink`. `bytes` must be exactly the
-/// block's payload bytes.
+/// Decodes one run of `count` frames whose first frame is at
+/// `first_us`, handing them to `sink`, and returns the last frame's
+/// time (µs). `bytes` must be exactly the run's bytes.
 ///
 /// # Errors
 ///
 /// [`ArchiveError::Corrupt`] (at `abs_offset`) if the bit stream ends
-/// early, decodes to impossible values, or does not end in the block's
+/// early, decodes to impossible values, or does not end in the run's
 /// last byte — only reachable on logically damaged data (a CRC-valid
 /// segment, or an unchecked sidecar open) or a codec bug.
-fn decode_block(
+fn decode_run(
     k: &[u8; SENSOR_SLOTS],
     first_us: u64,
     count: usize,
     bytes: &[u8],
     abs_offset: u64,
     sink: &mut impl FnMut(ArchiveFrame),
-) -> Result<(), ArchiveError> {
+) -> Result<u64, ArchiveError> {
     let corrupt = |what: &str| ArchiveError::Corrupt {
         offset: abs_offset,
         what: what.into(),
@@ -704,13 +1032,13 @@ fn decode_block(
         Ok(raw)
     };
 
-    // First frame: its timestamp is the block summary's `first_us`.
+    // First frame: its timestamp is the run table's first time.
     if first_us > MAX_TIME_US {
         return Err(corrupt("timestamp overflow"));
     }
     let present = r
         .read_bits(8)
-        .map_err(|_| corrupt("payload ends in a block's first frame"))? as u8;
+        .map_err(|_| corrupt("payload ends in a run's first frame"))? as u8;
     let marker = read_marker(&mut r, &corrupt)?;
     let raw = read_values(&mut r, present)?;
     sink(ArchiveFrame {
@@ -761,9 +1089,9 @@ fn decode_block(
         prev_present = present;
     }
     if r.bytes_read() != bytes.len() {
-        return Err(corrupt("block length disagrees with the block offsets"));
+        return Err(corrupt("run length disagrees with the run offsets"));
     }
-    Ok(())
+    Ok(prev_time)
 }
 
 /// Reads a marker flag bit plus, when set, the label; a label code
@@ -923,6 +1251,31 @@ mod tests {
     }
 
     #[test]
+    fn varints_round_trip_and_refuse_overflow() {
+        for v in [
+            0,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            u64::from(u32::MAX),
+            u64::MAX,
+        ] {
+            let mut out = Vec::new();
+            push_varint(&mut out, v);
+            let mut at = 0;
+            assert_eq!(read_varint(&out, &mut at), Some(v));
+            assert_eq!(at, out.len());
+            assert_eq!(read_varint(&out[..out.len() - 1], &mut 0), None);
+        }
+        let mut too_wide = vec![0xFF; 9];
+        too_wide.push(0x02);
+        assert_eq!(read_varint(&too_wide, &mut 0), None);
+        assert_eq!(read_varint(&[0x80; 11], &mut 0), None);
+    }
+
+    #[test]
     fn blocks_start_on_byte_boundaries_and_decode_alone() {
         let frames = steady_frames(2500);
         let watts = vec![0.0; frames.len()];
@@ -952,6 +1305,75 @@ mod tests {
     }
 
     #[test]
+    fn a_run_one_byte_too_long_is_detected() {
+        let frames = steady_frames(2500);
+        let watts = vec![0.0; frames.len()];
+        let bytes = build_segment(0, &frames, &watts);
+        let (meta, payload) = parse(&bytes);
+        let block = &payload[meta.block_bytes(&(0..1))];
+        let mut table = meta.runs(0, block).unwrap();
+        assert!(meta
+            .decode_run(&table.runs()[1], &block[table.bytes(1)], |_| {})
+            .is_ok());
+        table.bounds[2] += 1;
+        assert!(meta
+            .decode_run(&table.runs()[1], &block[table.bytes(1)], |_| {})
+            .is_err());
+    }
+
+    #[test]
+    fn runs_decode_alone_and_match_their_table() {
+        let frames = steady_frames(2500);
+        let watts: Vec<f64> = (0..frames.len()).map(|i| 10.0 + (i % 3) as f64).collect();
+        let bytes = build_segment(0, &frames, &watts);
+        let (meta, payload) = parse(&bytes);
+        let runs = build_runs(&frames, &watts);
+        assert_eq!(runs.len(), 2500usize.div_ceil(SUB_FRAMES));
+        let mut next = 0;
+        for i in 0..meta.summaries.len() {
+            let block = &payload[meta.block_bytes(&(i..i + 1))];
+            let table = meta.runs(i, block).unwrap();
+            for (j, run) in table.runs().iter().enumerate() {
+                assert!(run.same(&runs[next]), "block {i} run {j}");
+                let mut out = Vec::new();
+                meta.decode_run(run, &block[table.bytes(j)], |f| out.push(f))
+                    .unwrap();
+                let at = next * SUB_FRAMES;
+                assert_eq!(
+                    out,
+                    frames[at..at + run.count as usize],
+                    "block {i} run {j}"
+                );
+                next += 1;
+            }
+        }
+        assert_eq!(next, runs.len());
+        meta.check_runs(payload, &frames, &watts).unwrap();
+        let mut other = watts.clone();
+        other[777] += 1.0;
+        assert!(meta.check_runs(payload, &frames, &other).is_err());
+    }
+
+    #[test]
+    fn every_run_table_byte_is_checked() {
+        let frames = steady_frames(2500);
+        let watts = vec![1.5; frames.len()];
+        let bytes = build_segment(0, &frames, &watts);
+        let (meta, payload) = parse(&bytes);
+        for i in 0..meta.summaries.len() {
+            let block = &payload[meta.block_bytes(&(i..i + 1))];
+            let table_len = meta.runs(i, block).unwrap().bytes(0).start;
+            for at in 0..table_len {
+                for bit in [0x01, 0x80] {
+                    let mut damaged = block.to_vec();
+                    damaged[at] ^= bit;
+                    assert!(meta.runs(i, &damaged).is_err(), "block {i} byte {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn garbage_blocks_fail_without_panicking() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = || {
@@ -964,7 +1386,7 @@ mod tests {
             let bytes: Vec<u8> = (0..1 + next() % 600).map(|_| next() as u8).collect();
             let k: [u8; SENSOR_SLOTS] = core::array::from_fn(|_| (next() % 11) as u8);
             let first_us = next() >> (next() % 64);
-            let _ = decode_block(&k, first_us, SUMMARY_FRAMES, &bytes, 0, &mut |_| {});
+            let _ = decode_run(&k, first_us, SUB_FRAMES, &bytes, 0, &mut |_| {});
         }
     }
 
@@ -984,7 +1406,7 @@ mod tests {
 
     fn decode_crafted(bytes: &[u8]) -> Result<Vec<ArchiveFrame>, ArchiveError> {
         let mut out = Vec::new();
-        decode_block(&[0; SENSOR_SLOTS], 25, 2, bytes, 0, &mut |f| out.push(f)).map(|()| out)
+        decode_run(&[0; SENSOR_SLOTS], 25, 2, bytes, 0, &mut |f| out.push(f)).map(|_| out)
     }
 
     fn corrupt_reason(result: Result<Vec<ArchiveFrame>, ArchiveError>) -> String {
@@ -1046,5 +1468,90 @@ mod tests {
         let mut damaged = tables.to_vec();
         damaged[0] ^= 1; // block 0's count
         assert!(SegmentMeta::parse(0, header, &damaged).is_err());
+    }
+
+    /// The layout checks behind the tables CRC: damage with the CRC
+    /// rewritten to match is still refused.
+    #[test]
+    fn damaged_layouts_under_a_valid_crc_are_refused() {
+        let frames = steady_frames(2500);
+        let watts = vec![0.0; frames.len()];
+        let bytes = build_segment(0, &frames, &watts);
+        let header = SegmentHeader::parse(&bytes, 0).unwrap();
+        let crc_at = header.tables_len() - TABLES_CRC_SIZE;
+        let recrc = |mut tables: Vec<u8>| {
+            let crc = tables_crc(&header, &tables[..crc_at]);
+            tables[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+            tables
+        };
+        let tables = bytes[SEGMENT_HEADER_SIZE..].to_vec();
+        assert!(SegmentMeta::parse(0, header, &recrc(tables.clone())).is_ok());
+        let offsets_at = 3 * SUMMARY_WIRE_SIZE;
+        for (at, value) in [(0, 1u32), (4, 0), (8, header.payload_len)] {
+            let mut damaged = tables.clone();
+            damaged[offsets_at + at..offsets_at + at + 4].copy_from_slice(&value.to_le_bytes());
+            assert!(
+                SegmentMeta::parse(0, header, &recrc(damaged)).is_err(),
+                "{at}"
+            );
+        }
+        let mut damaged = tables.clone();
+        damaged[0] ^= 1; // block 0's count
+        assert!(SegmentMeta::parse(0, header, &recrc(damaged)).is_err());
+        let mut damaged = tables;
+        damaged[crc_at] ^= 1;
+        assert!(SegmentMeta::parse(0, header, &damaged).is_err());
+    }
+
+    /// The run-table checks behind the run-table CRC: offsets that do
+    /// not rise inside the block and times outside the block summary's
+    /// span are refused with the CRC rewritten to match.
+    #[test]
+    fn damaged_run_tables_under_a_valid_crc_are_refused() {
+        let frames = steady_frames(1000);
+        let watts = vec![0.0; frames.len()];
+        let bytes = build_segment(0, &frames, &watts);
+        let (meta, payload) = parse(&bytes);
+        let block = &payload[meta.block_bytes(&(0..1))];
+        let table_len = meta.runs(0, block).unwrap().bytes(0).start - RUN_TABLE_CRC_SIZE;
+        let runs = build_runs(&frames, &watts);
+        let lens: Vec<u64> = {
+            let t = meta.runs(0, block).unwrap();
+            (0..runs.len()).map(|j| t.bytes(j).len() as u64).collect()
+        };
+        // Rebuilds block 0 with a hand-made table over the same runs.
+        let rebuilt = |lens: &[u64], gaps: &[u64], spans: &[u64]| {
+            let mut out = Vec::new();
+            for i in 0..runs.len() {
+                out.extend_from_slice(&0f64.to_bits().to_le_bytes());
+                if i > 0 {
+                    push_varint(&mut out, lens[i - 1]);
+                    push_varint(&mut out, gaps[i - 1]);
+                }
+                if i + 1 < runs.len() {
+                    push_varint(&mut out, spans[i]);
+                }
+            }
+            let crc = crc32(&out);
+            out.extend_from_slice(&crc.to_le_bytes());
+            out.extend_from_slice(&block[table_len + RUN_TABLE_CRC_SIZE..]);
+            out
+        };
+        let gaps = vec![50u64; runs.len() - 1];
+        let spans = vec![199 * 50u64; runs.len()];
+        assert!(meta.runs(0, &rebuilt(&lens, &gaps, &spans)).is_ok());
+        let mut zero = lens.clone();
+        zero[1] = 0;
+        let mut past = lens.clone();
+        past[3] = 1 << 20;
+        for lens in [zero, past] {
+            assert!(meta.runs(0, &rebuilt(&lens, &gaps, &spans)).is_err());
+        }
+        let mut late = spans.clone();
+        late[3] = 1 << 20;
+        assert!(meta.runs(0, &rebuilt(&lens, &gaps, &late)).is_err());
+        let mut far = gaps.clone();
+        far[3] = u64::MAX;
+        assert!(meta.runs(0, &rebuilt(&lens, &far, &spans)).is_err());
     }
 }

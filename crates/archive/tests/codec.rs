@@ -2,8 +2,9 @@
 //! coder (per-slot sample deltas) and the delta-of-delta timestamp
 //! scheme — max deltas, all-equal runs, alternating extremes, and the
 //! empty segment, plus randomized sweeps over the whole input space —
-//! and for the block layout: every summary block decodes on its own to
-//! exactly its slice of the whole-segment decode.
+//! and for the block layout: every summary block, and every run inside
+//! one, decodes on its own to exactly its slice of the whole-segment
+//! decode, and every run-table entry matches the frames it covers.
 //!
 //! The word-at-a-time bit writer and reader are checked against a
 //! bit-at-a-time oracle (`mod oracle`): random sequences of fields,
@@ -19,9 +20,9 @@ use proptest::prelude::*;
 use ps3_archive::bits::{
     unzigzag64, zigzag64, BitReader, BitStreamExhausted, BitWriter, RICE_ESCAPE_BITS, RICE_ESCAPE_Q,
 };
-use ps3_archive::format::{SEGMENT_HEADER_SIZE, SUMMARY_FRAMES};
+use ps3_archive::format::{SEGMENT_HEADER_SIZE, SUB_FRAMES, SUMMARY_FRAMES};
 use ps3_archive::{
-    build_segment, Archive, ArchiveFrame, SegmentHeader, SegmentMeta, SegmentWriter,
+    build_runs, build_segment, Archive, ArchiveFrame, SegmentHeader, SegmentMeta, SegmentWriter,
 };
 use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
 use ps3_units::SimTime;
@@ -190,15 +191,15 @@ fn dod_adversarial_timestamp_patterns_roundtrip() {
     std::fs::remove_file(ps3_archive::index_path_for(&path)).ok();
 }
 
-/// Things that can happen on a block's first frame, as bits of an
-/// event mask.
+/// Things that can happen at a run boundary, as bits of an event mask.
 const MARKER: u8 = 1;
 const PRESENCE: u8 = 2;
 const TIME_JUMP: u8 = 4;
 const ESCAPE: u8 = 8;
 
 /// `n` frames at the 20 kHz cadence with a noisy two-slot code walk,
-/// and `events[i - 1]` applied to the first frame of block `i`.
+/// and `events[i - 1]` applied to the last frame of run `i - 1` and to
+/// the first frame of run `i` (every block boundary is a run boundary).
 fn boundary_frames(n: usize, events: &[u8], seed: u64) -> Vec<ArchiveFrame> {
     let mut state = seed | 1;
     let mut time_us = 25u64;
@@ -224,36 +225,45 @@ fn boundary_frames(n: usize, events: &[u8], seed: u64) -> Vec<ArchiveFrame> {
         })
         .collect();
     for (i, &mask) in events.iter().enumerate() {
-        let b = (i + 1) * SUMMARY_FRAMES;
+        let b = (i + 1) * SUB_FRAMES;
         if b >= n {
             break;
         }
-        if mask & MARKER != 0 {
-            frames[b].marker = Some('β');
-        }
-        if mask & PRESENCE != 0 {
-            frames[b].present = 0b1101;
-            frames[b].raw[1] = 0;
-            frames[b].raw[2] = 1023;
-            frames[b].raw[3] = 1;
-        }
-        if mask & TIME_JUMP != 0 {
-            for f in &mut frames[b..] {
-                f.time += ps3_units::SimDuration::from_micros(1 << 33);
+        for at in [b - 1, b] {
+            if mask & MARKER != 0 {
+                frames[at].marker = Some('β');
             }
-        }
-        if mask & ESCAPE != 0 {
-            // A full-scale swing into and out of the block's first
-            // frame: the delta after it takes the Rice escape.
-            frames[b].raw[0] = if frames[b - 1].raw[0] < 512 { 1023 } else { 0 };
+            if mask & PRESENCE != 0 {
+                frames[at].present = 0b1101;
+                frames[at].raw[1] = 0;
+                frames[at].raw[2] = 1023;
+                frames[at].raw[3] = 1;
+            }
+            if mask & TIME_JUMP != 0 {
+                for f in &mut frames[at..] {
+                    f.time += ps3_units::SimDuration::from_micros(1 << 33);
+                }
+            }
+            if mask & ESCAPE != 0 {
+                // A full-scale swing into and out of the frame: the
+                // delta after it takes the Rice escape.
+                frames[at].raw[0] = if frames[at - 1].raw[0] < 512 { 1023 } else { 0 };
+            }
         }
     }
     frames
 }
 
+/// Events for every run boundary of an `n`-frame segment.
+fn every_boundary(n: usize, mask: u8) -> Vec<u8> {
+    vec![mask; n / SUB_FRAMES]
+}
+
 /// Builds one segment from `frames` and checks that the whole-segment
-/// decode returns them, and that every block, and every run of
-/// blocks, decoded alone equals its slice of it.
+/// decode returns them, that every block, every span of blocks and
+/// every run inside a block, decoded alone, equals its slice of it,
+/// and that every run-table entry equals the run rebuilt from its
+/// frames.
 fn check_blocks_decode_alone(frames: &[ArchiveFrame]) {
     let watts: Vec<f64> = frames.iter().map(|f| f64::from(f.raw[0])).collect();
     let bytes = build_segment(0, frames, &watts);
@@ -277,6 +287,26 @@ fn check_blocks_decode_alone(frames: &[ArchiveFrame]) {
             assert_eq!(alone, whole[lo * SUMMARY_FRAMES..end], "blocks {lo}..{hi}");
         }
     }
+    let built = build_runs(frames, &watts);
+    let mut next = 0;
+    for i in 0..blocks {
+        let block = &payload[meta.block_bytes(&(i..i + 1))];
+        let table = meta.runs(i, block).unwrap();
+        for (j, run) in table.runs().iter().enumerate() {
+            assert!(run.same(&built[next]), "block {i} run {j}: {run:?}");
+            let mut alone = Vec::new();
+            meta.decode_run(run, &block[table.bytes(j)], |f| alone.push(f))
+                .unwrap();
+            let at = next * SUB_FRAMES;
+            assert_eq!(
+                alone,
+                whole[at..at + run.count as usize],
+                "block {i} run {j}"
+            );
+            next += 1;
+        }
+    }
+    assert_eq!(next, built.len());
 }
 
 #[test]
@@ -284,20 +314,28 @@ fn every_block_decodes_alone_at_its_boundaries() {
     // Each event alone, then all of them at once, on a 3.5-block
     // segment: the last block is partial.
     for mask in [0, MARKER, PRESENCE, TIME_JUMP, ESCAPE, 15] {
-        check_blocks_decode_alone(&boundary_frames(3500, &[mask; 3], 7));
+        check_blocks_decode_alone(&boundary_frames(3500, &every_boundary(3500, mask), 7));
     }
-    // A single-frame segment, a single full block, and one frame past.
-    for n in [1, SUMMARY_FRAMES, SUMMARY_FRAMES + 1] {
-        check_blocks_decode_alone(&boundary_frames(n, &[15], 7));
+    // A single frame, a single run and one frame past, a single full
+    // block and one frame past.
+    for n in [
+        1,
+        SUB_FRAMES,
+        SUB_FRAMES + 1,
+        SUMMARY_FRAMES,
+        SUMMARY_FRAMES + 1,
+    ] {
+        check_blocks_decode_alone(&boundary_frames(n, &every_boundary(n, 15), 7));
     }
 }
 
 /// The file path: `Archive::decode_blocks_into` reads one block's bytes
-/// and decodes the same frames as the whole-segment decode.
+/// and decodes the same frames as the whole-segment decode, and a range
+/// read of one run's span returns exactly that run's frames.
 #[test]
 fn archive_reads_each_block_alone() {
     let path = temp_path("blocks");
-    let frames = boundary_frames(5000, &[15, 3, 12, 0], 11);
+    let frames = boundary_frames(5000, &[15, 3, 12, 0].repeat(6), 11);
     let mut writer = SegmentWriter::create_with(&path, test_configs(), 2500).unwrap();
     for &frame in &frames {
         writer.push(frame).unwrap();
@@ -316,6 +354,15 @@ fn archive_reads_each_block_alone() {
             let end = ((i + 1) * SUMMARY_FRAMES).min(whole.len());
             assert_eq!(alone, whole[i * SUMMARY_FRAMES..end]);
         }
+        for run in whole.chunks(SUB_FRAMES) {
+            let (first, last) = (run[0].time, run[run.len() - 1].time);
+            let trace = archive
+                .read_range(first, last + ps3_units::SimDuration::from_micros(1))
+                .unwrap();
+            let times: Vec<SimTime> = trace.iter().map(|s| s.time).collect();
+            let expect: Vec<SimTime> = run.iter().map(|f| f.time).collect();
+            assert_eq!(times, expect);
+        }
         decoded.extend(whole);
     }
     assert_eq!(decoded, frames);
@@ -324,12 +371,13 @@ fn archive_reads_each_block_alone() {
 }
 
 proptest! {
-    /// Random segment lengths (partial last blocks and single frames
-    /// included) with random events on every block's first frame.
+    /// Random segment lengths (partial last blocks and runs, and single
+    /// frames, included) with random events on the first and last
+    /// frames of every run.
     #[test]
     fn blocks_decode_alone_under_random_boundary_events(
         n in 1usize..=3600,
-        events in proptest::collection::vec(0u8..16, 3),
+        events in proptest::collection::vec(0u8..16, 3600 / SUB_FRAMES),
         seed in proptest::prelude::any::<u64>(),
     ) {
         check_blocks_decode_alone(&boundary_frames(n, &events, seed));

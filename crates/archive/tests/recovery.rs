@@ -271,7 +271,7 @@ fn flipped_block_offset_is_never_served() {
 
 #[test]
 fn marker_label_outside_unicode_is_refused() {
-    use ps3_archive::format::{MARKER_WIRE_SIZE as ENTRY, SEGMENT_TRAILER_SIZE};
+    use ps3_archive::format::{MARKER_WIRE_SIZE as ENTRY, SEGMENT_TRAILER_SIZE, TABLES_CRC_SIZE};
     let path = temp_path("marker-label");
     let index_path = index_path_for(&path);
     let (bytes, meta) = write_block_archive(&path);
@@ -285,10 +285,15 @@ fn marker_label_outside_unicode_is_refused() {
         bytes[body.end..body.end + 4].copy_from_slice(&crc.to_le_bytes());
         bytes
     };
-    // Segment 0's first marker-table entry, under an intact sidecar.
+    // Segment 0's first marker-table entry, under an intact sidecar,
+    // with the tables CRC that closes the marker table and the segment
+    // CRC both rewritten.
     let end = (meta.offset + meta.header.disk_size()) as usize - SEGMENT_TRAILER_SIZE;
-    let at = end - meta.header.payload_len as usize - meta.markers.len() * ENTRY;
-    std::fs::write(&path, plant(bytes.clone(), at, meta.offset as usize..end)).unwrap();
+    let tables_end = end - meta.header.payload_len as usize - TABLES_CRC_SIZE;
+    let at = tables_end - meta.markers.len() * ENTRY;
+    let planted = plant(bytes.clone(), at, meta.offset as usize..tables_end);
+    let planted = plant(planted, at, meta.offset as usize..end);
+    std::fs::write(&path, planted).unwrap();
     assert_damage_is_not_served(&path, 0..0, "segment marker label");
     // The sidecar's first marker record, over an intact archive. Its
     // marker records (segment 0's, times three) end at its CRC.
@@ -300,4 +305,52 @@ fn marker_label_outside_unicode_is_refused() {
     assert_eq!(archive.markers().len(), markers);
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&index_path).ok();
+}
+
+#[test]
+fn flipped_summary_sum_falls_back_to_the_scan() {
+    let path = temp_path("summary-sum");
+    let (bytes, meta) = write_block_archive(&path);
+    // Block 0's `sum_w` is the f64 at byte 20 of the first summary.
+    let sum_at = meta.offset as usize + ps3_archive::format::SEGMENT_HEADER_SIZE + 20;
+    for byte in [0, 3, 7] {
+        let mut damaged = bytes.clone();
+        damaged[sum_at + byte] ^= 0x01;
+        std::fs::write(&path, &damaged).unwrap();
+        let archive = Archive::open(&path).unwrap();
+        assert!(
+            !archive.recovery().used_index,
+            "byte {byte}: sidecar trusted"
+        );
+        assert_damage_is_not_served(&path, 0..0, &format!("sum_w byte {byte}"));
+    }
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(index_path_for(&path)).ok();
+}
+
+#[test]
+fn flipped_run_table_is_never_served() {
+    let path = temp_path("run-table");
+    let (bytes, meta) = write_block_archive(&path);
+    let archive = Archive::open(&path).unwrap();
+    let block = meta.block_bytes(&(2..3));
+    let payload = meta.payload_offset() as usize;
+    let table = meta
+        .runs(2, &bytes[payload + block.start..payload + block.end])
+        .unwrap();
+    drop(archive);
+    // Every byte of block 2's run table and its CRC: the sidecar is
+    // still trusted (it never reads payloads), so every read of block
+    // 2 must fail on the table, and verify must flag the segment.
+    for byte in 0..table.bytes(0).start {
+        let mut damaged = bytes.clone();
+        damaged[payload + block.start + byte] ^= 0x10;
+        std::fs::write(&path, &damaged).unwrap();
+        let archive = Archive::open(&path).unwrap();
+        assert!(archive.recovery().used_index, "byte {byte}");
+        assert!(!archive.verify().unwrap().is_clean(), "byte {byte}");
+        assert_damage_is_not_served(&path, 2..3, &format!("run table byte {byte}"));
+    }
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(index_path_for(&path)).ok();
 }

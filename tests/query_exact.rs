@@ -11,23 +11,24 @@
 //!
 //! * every served answer (stats, energy, energy_between, downsample) is
 //!   bit-identical to the walk's reference mode, which rebuilds every
-//!   tier from decoded frames;
+//!   tier and run table from decoded frames;
 //! * the full decode is every segment decoded whole
 //!   (`decode_segment_frames`) and folded as the live reader folds it;
-//!   `read_range`, which decodes only the blocks a range touches,
+//!   `read_range`, which decodes only the runs a range touches,
 //!   matches it sample for sample and marker for marker, bit for bit;
 //! * against the full decode, every engine's count, min and max agree
 //!   bit for bit, its sums, energies and downsampled means within 1e-9
 //!   relative, and its bucket times and markers exactly;
-//! * a divisor below [`SUMMARY_FRAMES`] never fits a whole block in a
+//! * a divisor below [`SUB_FRAMES`] never fits a whole run in a
 //!   bucket, so every bucket is folded frame by frame from decoded
-//!   edge blocks: its mean equals a left-to-right sum from 0.0 over the
-//!   full decode bit for bit.
+//!   edge runs: its mean equals a left-to-right sum from 0.0 over the
+//!   full decode bit for bit. Divisors 450 and 649 are no multiple of
+//!   a run, so their buckets take whole runs and also end mid-run.
 
 use std::path::PathBuf;
 
 use powersensor3::analysis::Trace;
-use powersensor3::archive::format::SUMMARY_FRAMES;
+use powersensor3::archive::format::{SUB_FRAMES, SUMMARY_FRAMES};
 use powersensor3::archive::{
     frame_total, Archive, ArchiveError, ArchiveFrame, RangeStats, SegmentWriter, Tiers,
 };
@@ -41,7 +42,7 @@ const SMALL: PyramidConfig = PyramidConfig {
     tier1_blocks: 2,
     tier2_nodes: 2,
 };
-const DIVISORS: [u64; 4] = [7, 1000, 2000, 5000];
+const DIVISORS: [u64; 7] = [7, 199, 450, 649, 1000, 2000, 5000];
 const MARKER_PAIRS: [(char, char); 3] = [('a', 'c'), ('b', 'b'), ('d', 'a')];
 
 fn mix(mut z: u64) -> u64 {
@@ -372,7 +373,7 @@ fn served_aggregates_equal_a_full_decode() {
                     (c[c.len() - 1].time, sum / divisor as f64)
                 })
                 .collect();
-            let edge_only = divisor < SUMMARY_FRAMES as u64;
+            let edge_only = divisor < SUB_FRAMES as u64;
             for (name, got) in [
                 ("archive", archive.downsample(s, e, divisor).unwrap()),
                 ("tsdb", tsdb.downsample(s, e, divisor).unwrap()),

@@ -1,4 +1,5 @@
-//! Pins the on-disk segment format (v2) byte for byte.
+//! Pins the on-disk segment format (v3) byte for byte, and the refusal
+//! of the format it replaced.
 //!
 //! Round-trip tests only prove that the writer and the reader agree
 //! with each other; a codec change that emits different bytes which
@@ -15,19 +16,26 @@
 //! * Rice escapes (full-scale value swings) next to ordinary codes;
 //! * markers, in the payload and in the marker table;
 //! * presence changes (slots appearing and disappearing);
-//! * a partial tail block (2 500 frames: 1 000 + 1 000 + 500).
+//! * a partial tail block (2 500 frames: 1 000 + 1 000 + 500) whose
+//!   last run is partial too (500 frames: 200 + 200 + 100), so every
+//!   run table holds several runs and one ends early.
 
-use powersensor3::archive::format::{SEGMENT_HEADER_SIZE, SEGMENT_TRAILER_SIZE, SUMMARY_FRAMES};
-use powersensor3::archive::{build_segment, crc32, ArchiveFrame, SegmentHeader, SegmentMeta};
-use powersensor3::firmware::SENSOR_SLOTS;
+use powersensor3::archive::format::{
+    encode_file_header, FILE_HEADER_SIZE, SEGMENT_HEADER_SIZE, SEGMENT_TRAILER_SIZE, SUB_FRAMES,
+    SUMMARY_FRAMES,
+};
+use powersensor3::archive::{
+    build_segment, crc32, Archive, ArchiveError, ArchiveFrame, SegmentHeader, SegmentMeta,
+};
+use powersensor3::firmware::{SensorConfig, SENSOR_SLOTS};
 use powersensor3::units::SimTime;
 
 const FRAMES: usize = 2_500;
 
 /// Byte length of the pinned segment.
-const PINNED_LEN: usize = 4_711;
+const PINNED_LEN: usize = 4_915;
 /// CRC-32 of the pinned segment's bytes before its trailer.
-const PINNED_CRC: u32 = 0x3C2B_85D2;
+const PINNED_CRC: u32 = 0x0397_24F2;
 
 /// Time step (µs) before frame `i`: mostly the 20 kHz cadence, with
 /// steps that land in each delta-of-delta class.
@@ -122,6 +130,17 @@ fn the_frame_set_walks_every_codec_path() {
         .windows(2)
         .any(|w| w[0].raw[0].abs_diff(w[1].raw[0]) > 900));
     assert_ne!(FRAMES % SUMMARY_FRAMES, 0, "the tail block is partial");
+    assert_ne!(
+        FRAMES % SUMMARY_FRAMES % SUB_FRAMES,
+        0,
+        "the tail run is partial"
+    );
+    const {
+        assert!(
+            FRAMES % SUMMARY_FRAMES > SUB_FRAMES,
+            "the tail block has runs"
+        )
+    };
 }
 
 #[test]
@@ -147,4 +166,29 @@ fn segment_bytes_match_the_pinned_format() {
     )
     .unwrap();
     assert_eq!(decoded, frames);
+}
+
+/// A version-2 file (1000-frame blocks with no run tables) is refused
+/// as not an archive, header CRC intact, rather than misread.
+#[test]
+fn a_version_2_file_is_not_an_archive() {
+    let mut configs: [SensorConfig; SENSOR_SLOTS] =
+        core::array::from_fn(|_| SensorConfig::unpopulated());
+    configs[0] = SensorConfig::new("I0", 3.3, 0.105, true);
+    configs[1] = SensorConfig::new("U0", 3.3, 0.2171, true);
+    let mut header = encode_file_header(&configs);
+    header[8..12].copy_from_slice(&2u32.to_le_bytes());
+    let body = FILE_HEADER_SIZE - 4;
+    let crc = crc32(&header[..body]);
+    header[body..].copy_from_slice(&crc.to_le_bytes());
+    let frames = frames();
+    header.extend(build_segment(0, &frames, &watts(&frames)));
+    let path = std::env::temp_dir().join(format!("ps3-v2-{}.ps3a", std::process::id()));
+    std::fs::write(&path, &header).unwrap();
+    let opened = Archive::open(&path);
+    std::fs::remove_file(&path).ok();
+    assert!(
+        matches!(opened, Err(ArchiveError::NotAnArchive)),
+        "{opened:?}"
+    );
 }
