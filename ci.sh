@@ -75,6 +75,11 @@ stage_lint() {
       | grep -v '^\./crates/firmware/src/convert\.rs:'; then
     echo "pair_readings( outside crates/firmware/src/convert.rs"; exit 1
   fi
+  # Library taps take frames a read chunk at a time (add_chunk_sink):
+  # the per-frame adapter is for tests, examples and perfbench.
+  if grep -rn --include='*.rs' '\.add_frame_sink(' crates/*/src | grep -v '^crates/core/'; then
+    echo ".add_frame_sink( in a library crate outside crates/core"; exit 1
+  fi
   # One timing instrument: perfbench times the layers, repro records
   # its wall clock in BENCH_repro.json. No package may bring back a
   # `cargo bench` target or a criterion dependency.

@@ -7,7 +7,6 @@
 //! index is rewritten to cover it. A crash at any point leaves a file
 //! whose sealed prefix is a complete, valid archive.
 
-use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -18,12 +17,12 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 use ps3_core::{FrameRecord, PowerSensor};
-use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
+use ps3_firmware::{PairTable, SensorConfig, SENSOR_SLOTS};
 use ps3_sensors::AdcSpec;
 
 use crate::format::{encode_file_header, ArchiveError, DEFAULT_SEGMENT_FRAMES, FILE_HEADER_SIZE};
 use crate::index::{index_path_for, ArchiveIndex, IndexSegment};
-use crate::segment::{build_segment, frame_total, ArchiveFrame};
+use crate::segment::{build_segment, ArchiveFrame};
 
 /// Counters reported when a writer finishes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -101,8 +100,9 @@ pub struct SegmentWriter {
     file: File,
     index_path: PathBuf,
     stats_path: PathBuf,
-    configs: [SensorConfig; SENSOR_SLOTS],
-    adc: AdcSpec,
+    /// Each frame's total power at push, bit-identical to
+    /// [`frame_total`](crate::segment::frame_total).
+    table: PairTable,
     index: ArchiveIndex,
     pending: Vec<ArchiveFrame>,
     pending_watts: Vec<f64>,
@@ -166,8 +166,7 @@ impl SegmentWriter {
             file,
             index_path: index_path_for(path),
             stats_path,
-            configs,
-            adc: AdcSpec::POWERSENSOR3,
+            table: PairTable::new(&configs, &AdcSpec::POWERSENSOR3),
             index: ArchiveIndex {
                 data_len: FILE_HEADER_SIZE as u64,
                 segments: Vec::new(),
@@ -247,7 +246,7 @@ impl SegmentWriter {
     ///
     /// Propagates filesystem errors from sealing.
     pub fn push(&mut self, frame: ArchiveFrame) -> Result<(), ArchiveError> {
-        let watts = frame_total(&self.configs, &self.adc, &frame).value();
+        let watts = self.table.total(&frame.raw, frame.present).value();
         self.pending.push(frame);
         self.pending_watts.push(watts);
         if self.pending.len() >= self.segment_frames {
@@ -359,7 +358,7 @@ impl Default for ArchiveWriterOptions {
 }
 
 struct QueueState {
-    queue: VecDeque<ArchiveFrame>,
+    queue: Vec<ArchiveFrame>,
     closed: bool,
 }
 
@@ -379,8 +378,9 @@ struct WriterShared {
 /// queue into a [`SegmentWriter`], so the 20 kHz acquisition path
 /// never blocks on disk I/O. Feed it through [`ArchiveWriter::sink`]
 /// (attachable to a live sensor via
-/// [`PowerSensor::add_frame_sink`]) and close it with
-/// [`ArchiveWriter::finish`].
+/// [`PowerSensor::add_chunk_sink`]) and close it with
+/// [`ArchiveWriter::finish`]. Frames arrive a chunk at a time: one
+/// queue lock and at most one worker wake-up per chunk.
 pub struct ArchiveWriter {
     shared: Arc<WriterShared>,
     worker: Option<JoinHandle<Result<WriterStats, ArchiveError>>>,
@@ -431,7 +431,7 @@ impl ArchiveWriter {
         }
         let shared = Arc::new(WriterShared {
             state: Mutex::new(QueueState {
-                queue: VecDeque::with_capacity(options.queue_capacity.min(65_536)),
+                queue: Vec::with_capacity(options.queue_capacity.min(65_536)),
                 closed: false,
             }),
             cond: Condvar::new(),
@@ -456,18 +456,22 @@ impl ArchiveWriter {
         shared: &WriterShared,
         mut writer: SegmentWriter,
     ) -> Result<WriterStats, ArchiveError> {
+        // The queue and this spare trade places on every wake, so
+        // neither is reallocated once both have grown.
+        let mut batch = Vec::new();
         loop {
-            let (batch, closed) = {
+            let closed = {
                 let mut st = shared.state.lock();
                 while st.queue.is_empty() && !st.closed {
                     shared.cond.wait_for(&mut st, Duration::from_millis(100));
                 }
-                (st.queue.drain(..).collect::<Vec<_>>(), st.closed)
+                std::mem::swap(&mut st.queue, &mut batch);
+                st.closed
             };
             if batch.is_empty() && closed {
                 break;
             }
-            for frame in batch {
+            for frame in batch.drain(..) {
                 if let Err(e) = writer.push(frame) {
                     // ORDERING: Relaxed — advisory fail-fast flag;
                     // producers only use it to stop enqueueing, the
@@ -502,15 +506,17 @@ impl ArchiveWriter {
         }
     }
 
-    /// Enqueues one frame directly (the sink does the same). Returns
-    /// `false` once the writer has failed or been closed.
-    pub fn push(&self, frame: ArchiveFrame) -> bool {
-        Self::enqueue(&self.shared, frame)
+    /// Enqueues a chunk of frames directly (the sink does the same):
+    /// the frames that fit under `queue_capacity`, in order, and the
+    /// rest dropped and counted. Returns `false` once the writer has
+    /// failed or been closed.
+    pub fn push(&self, frames: &[ArchiveFrame]) -> bool {
+        Self::enqueue(&self.shared, frames)
     }
 
-    fn enqueue(shared: &WriterShared, frame: ArchiveFrame) -> bool {
+    fn enqueue(shared: &WriterShared, frames: &[ArchiveFrame]) -> bool {
         // ORDERING: Relaxed — advisory: a stale read here only means
-        // one extra frame is queued and discarded by the worker.
+        // one extra chunk is queued and discarded by the worker.
         if shared.failed.load(Ordering::Relaxed) {
             return false;
         }
@@ -518,28 +524,34 @@ impl ArchiveWriter {
         if st.closed {
             return false;
         }
-        if st.queue.len() >= shared.capacity {
+        let fit = frames
+            .len()
+            .min(shared.capacity.saturating_sub(st.queue.len()));
+        if fit < frames.len() {
             // ORDERING: Relaxed — monotonic drop counter; the final
             // value is read only after the close handshake.
-            shared.dropped.fetch_add(1, Ordering::Relaxed);
-        } else {
-            st.queue.push_back(frame);
+            shared
+                .dropped
+                .fetch_add((frames.len() - fit) as u64, Ordering::Relaxed);
+        }
+        if fit > 0 {
+            st.queue.extend_from_slice(&frames[..fit]);
             shared.cond.notify_one();
         }
         true
     }
 
-    /// A frame sink that feeds this writer; pass it to
-    /// [`PowerSensor::add_frame_sink`]. The sink detaches itself (by
+    /// A chunk sink that feeds this writer; pass it to
+    /// [`PowerSensor::add_chunk_sink`]. The sink detaches itself (by
     /// returning `false`) once the writer fails or is finished.
-    pub fn sink(&self) -> impl FnMut(&FrameRecord) -> bool + Send + 'static {
+    pub fn sink(&self) -> impl FnMut(&[FrameRecord]) -> bool + Send + 'static {
         let shared = Arc::clone(&self.shared);
-        move |record: &FrameRecord| Self::enqueue(&shared, *record)
+        move |frames: &[FrameRecord]| Self::enqueue(&shared, frames)
     }
 
     /// Attaches this writer to a live sensor's acquisition path.
     pub fn attach(&self, sensor: &PowerSensor) {
-        sensor.add_frame_sink(self.sink());
+        sensor.add_chunk_sink(self.sink());
     }
 
     /// Frames dropped so far because the queue was full. Live and

@@ -145,12 +145,12 @@ fn live_counters_track_progress_during_capture() {
         let mut raw = [0u16; SENSOR_SLOTS];
         raw[0] = 500 + (i % 7) as u16;
         raw[1] = 600;
-        assert!(writer.push(ArchiveFrame {
+        assert!(writer.push(&[ArchiveFrame {
             time: SimTime::from_micros(25 + 50 * i),
             raw,
             present: 0b11,
             marker: None,
-        }));
+        }]));
     }
     // The worker drains asynchronously; the live counters converge on
     // everything fed so far while the writer is still open.

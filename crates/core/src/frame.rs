@@ -16,7 +16,7 @@ use ps3_units::{SimTime, Watts};
 /// One assembled 20 kHz sample frame: raw codes plus presence, so any
 /// consumer re-derives physical units bit-identically with the sensor
 /// configuration. Frame sinks (see
-/// [`PowerSensor::add_frame_sink`](crate::PowerSensor::add_frame_sink))
+/// [`PowerSensor::add_chunk_sink`](crate::PowerSensor::add_chunk_sink))
 /// receive it live; the archive stores it as is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameRecord {
@@ -81,6 +81,7 @@ impl FrameAssembler {
     /// whose slot-0 marker bit was set carries the placeholder label
     /// `'?'` — the wire has no labels; callers holding host-side labels
     /// substitute their own.
+    #[inline]
     pub(crate) fn push(&mut self, byte: u8) -> Option<FrameRecord> {
         match self.decoder.push(byte)? {
             Packet::Timestamp { micros } => {

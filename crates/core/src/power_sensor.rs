@@ -22,9 +22,9 @@ use crate::state::{PairState, State};
 
 pub use crate::state::SENSOR_PAIRS;
 
-/// Callback receiving every assembled frame; return `false` to
-/// deregister.
-pub type FrameSink = Box<dyn FnMut(&FrameRecord) -> bool + Send>;
+/// Callback receiving the frames assembled from one read chunk, in
+/// order; return `false` to deregister.
+pub type FrameSink = Box<dyn FnMut(&[FrameRecord]) -> bool + Send>;
 
 /// How long connect-time handshakes may take before we give up.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
@@ -77,6 +77,9 @@ struct Inner {
     dump: Option<DumpWriter<std::io::BufWriter<Box<dyn Write + Send>>>>,
     raw_capture: Option<RawCaptureState>,
     sinks: Vec<FrameSink>,
+    /// The frames of the read chunk being decoded, handed to the sinks
+    /// once the chunk is done.
+    chunk: Vec<FrameRecord>,
     /// Bumped each time the reader, with a drain waiter registered,
     /// holds no undecoded bytes and finds the transport empty.
     drained: u64,
@@ -193,6 +196,7 @@ impl PowerSensor {
                 dump: None,
                 raw_capture: None,
                 sinks: Vec::new(),
+                chunk: Vec::new(),
                 drained: 0,
             }),
             changed: Condvar::new(),
@@ -435,17 +439,32 @@ impl PowerSensor {
         Ok(())
     }
 
-    /// Registers a callback invoked with every assembled frame, on the
-    /// reader thread. Keep it fast — it runs inside the 50 µs sample
-    /// cadence. Return `false` from the callback to deregister it.
+    /// Registers a callback invoked, on the reader thread, with the
+    /// frames assembled from each read chunk, in order. Keep it fast —
+    /// the reader decodes nothing while it runs. Return `false` from
+    /// the callback to deregister it.
     ///
-    /// This is the tap the `ps3-stream` daemon uses to feed its
-    /// broadcast ring without a second decode of the wire stream.
-    pub fn add_frame_sink<F>(&self, sink: F)
+    /// The frame count ([`PowerSensor::frames_received`],
+    /// [`PowerSensor::wait_for_frames`]) is published only after every
+    /// sink has seen the chunk, so a sink has seen every counted frame.
+    ///
+    /// This is the tap the `ps3-stream` daemon and the archive writer
+    /// use to take frames without a second decode of the wire stream.
+    pub fn add_chunk_sink<F>(&self, sink: F)
+    where
+        F: FnMut(&[FrameRecord]) -> bool + Send + 'static,
+    {
+        self.shared.inner.lock().sinks.push(Box::new(sink));
+    }
+
+    /// [`PowerSensor::add_chunk_sink`] one frame at a time: `sink` sees
+    /// every frame in order, and a `false` from it deregisters it before
+    /// the next frame, even inside one chunk.
+    pub fn add_frame_sink<F>(&self, mut sink: F)
     where
         F: FnMut(&FrameRecord) -> bool + Send + 'static,
     {
-        self.shared.inner.lock().sinks.push(Box::new(sink));
+        self.add_chunk_sink(move |frames| frames.iter().all(&mut sink));
     }
 
     /// Requests the firmware version string.
@@ -644,8 +663,18 @@ fn reader_loop(transport: &dyn Transport, shared: &Shared) {
                 let byte = bytes[0];
                 bytes = &bytes[1..];
                 if let Some(frame) = inner.assembler.push(byte) {
-                    finalize_frame(shared, &mut inner, frame);
+                    finalize_frame(&mut inner, frame);
                 }
+            }
+            // The sinks see the chunk before its frames are counted, so
+            // a waiter released by the count finds them in every sink.
+            let Inner { sinks, chunk, .. } = &mut *inner;
+            if !chunk.is_empty() {
+                sinks.retain_mut(|sink| sink(chunk));
+                shared
+                    .frames
+                    .fetch_add(chunk.len() as u64, Ordering::SeqCst);
+                chunk.clear();
             }
             // Every byte read is decoded: for a registered drain
             // waiter, an empty transport means an empty pipeline.
@@ -659,9 +688,9 @@ fn reader_loop(transport: &dyn Transport, shared: &Shared) {
     shared.changed.notify_all();
 }
 
-/// Folds one assembled frame into the live state and hands it to every
-/// continuous-mode consumer: trace, dump and frame sinks.
-fn finalize_frame(shared: &Shared, inner: &mut Inner, mut frame: FrameRecord) {
+/// Folds one assembled frame into the live state, hands it to the
+/// trace and dump, and queues it in the chunk for the frame sinks.
+fn finalize_frame(inner: &mut Inner, mut frame: FrameRecord) {
     let time = frame.time;
     let dt = inner
         .prev_frame_time
@@ -696,7 +725,6 @@ fn finalize_frame(shared: &Shared, inner: &mut Inner, mut frame: FrameRecord) {
     state.total_energy += delta_energy;
     state.timestamp = time;
     state.frames += 1;
-    shared.frames.fetch_add(1, Ordering::SeqCst);
 
     // Raw-capture accumulation.
     if let Some(cap) = &mut inner.raw_capture {
@@ -730,9 +758,9 @@ fn finalize_frame(shared: &Shared, inner: &mut Inner, mut frame: FrameRecord) {
         let pairs = inner.state.pairs.iter().filter(|p| p.enabled);
         let _ = dump.frame(time, pairs.map(|p| p.watts), total_power, frame.marker);
     }
-    inner.sinks.retain_mut(|sink| sink(&frame));
-    // Waiters are woken once per read chunk (in `reader_loop`), not
-    // per frame here.
+    inner.chunk.push(frame);
+    // Sinks run and waiters are woken once per read chunk (in
+    // `reader_loop`), not per frame here.
 }
 
 #[cfg(test)]

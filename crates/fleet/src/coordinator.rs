@@ -390,11 +390,13 @@ fn build_rig(
         let ring = Arc::clone(&shared.rigs[usize::from(id)].ring);
         let alive = Arc::clone(&tap_alive);
         let waker = Arc::clone(&shared.waker);
-        sensor.add_frame_sink(move |record| {
+        sensor.add_chunk_sink(move |frames| {
             if !alive.load(Ordering::SeqCst) || ring.is_closed() {
                 return false;
             }
-            ring.publish(&StreamFrame::from(record));
+            for record in frames {
+                ring.publish(&StreamFrame::from(record));
+            }
             waker.wake();
             true
         });

@@ -342,13 +342,17 @@ fn run_pipeline(seed: u64, plan: &SimPlan, sabotage: Sabotage) -> ScenarioReport
     if sabotage == Sabotage::UncountedDrop {
         let mut inner = writer.sink();
         let mut count = 0u64;
-        ps.add_frame_sink(move |record| {
-            count += 1;
-            if count.is_multiple_of(5) {
-                true // swallow the frame without telling anyone
-            } else {
-                inner(record)
+        let mut kept = Vec::new();
+        ps.add_chunk_sink(move |frames| {
+            kept.clear();
+            for record in frames {
+                count += 1;
+                // Swallow every fifth frame without telling anyone.
+                if !count.is_multiple_of(5) {
+                    kept.push(*record);
+                }
             }
+            inner(&kept)
         });
     } else {
         writer.attach(&ps);
@@ -1318,7 +1322,7 @@ fn run_tsdb(seed: u64, plan: &SimPlan) -> ScenarioReport {
         if let Some(label) = frame.marker {
             live.mark(frame.time, label);
         }
-        checker.expect("archive-accounting", writer.push(frame), || {
+        checker.expect("archive-accounting", writer.push(&[frame]), || {
             format!("tsdb writer queue rejected frame {i}")
         });
     }
@@ -1525,12 +1529,12 @@ fn run_tsdb(seed: u64, plan: &SimPlan) -> ScenarioReport {
         let mut raw = [0u16; SENSOR_SLOTS];
         raw[0] = (splitmix64(&mut replay) % 1024) as u16;
         raw[1] = (splitmix64(&mut replay) % 1024) as u16;
-        writer.push(ArchiveFrame {
+        writer.push(&[ArchiveFrame {
             time: SimTime::from_micros(25 + 50 * i),
             raw,
             present: 0b11,
             marker: i.is_multiple_of(127).then_some('m'),
-        });
+        }]);
     }
     writer.finish().expect("finish retained tsdb writer");
 

@@ -126,19 +126,21 @@ impl StreamDaemon {
             launch(addr, config, hello, FrameSource::Live(sensor.clone()))?;
 
         // The acquisition tap: runs on the sensor's reader thread, so
-        // it must only do the (non-blocking) ring publish plus a
-        // coalesced waker nudge.
+        // it must only do the (non-blocking) ring publishes plus one
+        // coalesced waker nudge per read chunk.
         {
             let ring = Arc::clone(&shared.ring);
             let shutdown = Arc::clone(&shared.shutdown);
             let waker = Arc::clone(&shared.waker);
-            sensor.add_frame_sink(move |record| {
+            sensor.add_chunk_sink(move |frames| {
                 if shutdown.load(Ordering::SeqCst) {
                     ring.close();
                     waker.wake();
                     return false;
                 }
-                ring.publish(&StreamFrame::from(record));
+                for record in frames {
+                    ring.publish(&StreamFrame::from(record));
+                }
                 waker.wake();
                 true
             });

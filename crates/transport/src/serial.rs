@@ -70,9 +70,13 @@ impl Pipe {
         loop {
             if !state.data.is_empty() {
                 let n = buf.len().min(state.data.len());
-                for b in buf.iter_mut().take(n) {
-                    *b = state.data.pop_front().expect("checked non-empty");
-                }
+                // The ring holds at most two runs: its front, then the
+                // part wrapped to the start of its storage.
+                let (front, back) = state.data.as_slices();
+                let head = n.min(front.len());
+                buf[..head].copy_from_slice(&front[..head]);
+                buf[head..n].copy_from_slice(&back[..n - head]);
+                state.data.drain(..n);
                 drop(state);
                 self.writable.notify_one();
                 return Ok(n);
@@ -251,6 +255,45 @@ mod tests {
         assert_eq!(&buf, b"hello");
         a.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"world");
+    }
+
+    /// Reads that cross the ring's wrap point, and reads shorter than
+    /// what is buffered, deliver every byte in order.
+    #[test]
+    fn reads_across_the_ring_wrap_deliver_every_byte() {
+        let (a, b) = VirtualSerial::pair_with_capacity(1000);
+        let (mut written, mut read) = (0usize, 0usize);
+        let (mut wrapped, mut partial) = (0, 0);
+        let byte = |i: usize| (i * 7 % 251) as u8;
+        let mut buf = [0u8; 300];
+        for round in 0..400usize {
+            let room = 1000 - (written - read);
+            let chunk: Vec<u8> = (written..written + (round * 37 % 211).min(room))
+                .map(byte)
+                .collect();
+            a.write_all(&chunk).unwrap();
+            written += chunk.len();
+            let buffered = written - read;
+            if buffered == 0 {
+                continue;
+            }
+            if !b.rx.buf.lock().data.as_slices().1.is_empty() {
+                wrapped += 1;
+            }
+            let want = 1 + round * 53 % 300;
+            partial += usize::from(want < buffered);
+            let n = b.read(&mut buf[..want], Some(Duration::ZERO)).unwrap();
+            assert_eq!(n, want.min(buffered), "round {round}");
+            for (k, &got) in buf[..n].iter().enumerate() {
+                assert_eq!(got, byte(read + k), "round {round}, byte {}", read + k);
+            }
+            read += n;
+        }
+        assert!(
+            wrapped > 10 && partial > 10,
+            "{wrapped} wrapped, {partial} partial"
+        );
+        assert_eq!(b.available(), written - read);
     }
 
     #[test]

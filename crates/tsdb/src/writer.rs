@@ -133,8 +133,8 @@ impl TsdbWriter {
         Ok(Self { inner })
     }
 
-    /// A frame sink for [`PowerSensor::add_frame_sink`].
-    pub fn sink(&self) -> impl FnMut(&FrameRecord) -> bool + Send + 'static {
+    /// A chunk sink for [`PowerSensor::add_chunk_sink`].
+    pub fn sink(&self) -> impl FnMut(&[FrameRecord]) -> bool + Send + 'static {
         self.inner.sink()
     }
 
@@ -143,10 +143,10 @@ impl TsdbWriter {
         self.inner.attach(sensor);
     }
 
-    /// Enqueues one frame; `false` when the queue was full (the frame
-    /// is dropped and counted).
-    pub fn push(&self, frame: ps3_archive::ArchiveFrame) -> bool {
-        self.inner.push(frame)
+    /// Enqueues a chunk of frames (see [`ArchiveWriter::push`]);
+    /// `false` once the writer has failed or been closed.
+    pub fn push(&self, frames: &[ps3_archive::ArchiveFrame]) -> bool {
+        self.inner.push(frames)
     }
 
     /// Frames dropped so far. Live and lock-free.

@@ -258,8 +258,8 @@ fn live_writer_compacts_and_retains_between_seals() {
         },
     )
     .unwrap();
-    for &frame in &frames {
-        assert!(writer.push(frame));
+    for chunk in frames.chunks(64) {
+        assert!(writer.push(chunk));
     }
     let stats = writer.finish().unwrap();
     assert_eq!(stats.frames, 1000);
@@ -297,8 +297,8 @@ fn live_writer_enforces_the_retention_window() {
         },
     )
     .unwrap();
-    for &frame in &frames {
-        assert!(writer.push(frame));
+    for chunk in frames.chunks(64) {
+        assert!(writer.push(chunk));
     }
     writer.finish().unwrap();
 

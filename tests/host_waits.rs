@@ -2,13 +2,13 @@
 //! round ends exactly when the counters balance, with no sleep and no
 //! settle anywhere in this file.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use powersensor3::core::{PowerSensor, SharedPowerSensor};
 use powersensor3::sim::spawn_device;
 use powersensor3::stream::{StreamClient, StreamClientConfig, StreamDaemon, StreamDaemonConfig};
-use powersensor3::units::SimDuration;
+use powersensor3::units::{SimDuration, SimTime};
 
 /// Generous bound for a wait the counters end; the assertions are on
 /// the counters, never on how long a wait took.
@@ -104,4 +104,111 @@ fn counted_subscribers_need_no_settle() {
         assert_eq!(client.dropped_frames(), 0, "divisor {divisor}");
         assert!(!client.is_evicted(), "divisor {divisor}");
     }
+}
+
+/// Frame times a sink saw, and where each chunk it saw ended.
+#[derive(Default)]
+struct Seen {
+    times: Vec<SimTime>,
+    chunk_ends: Vec<usize>,
+}
+
+/// The reader counts a chunk's frames only after every sink has seen
+/// them: whenever `frames_received` reads n, a chunk sink and a
+/// per-frame sink have each seen exactly the first n frames, in order,
+/// and a per-frame sink that declines frame k never sees frame k + 1,
+/// even inside one chunk.
+#[test]
+fn sinks_see_every_frame_before_it_is_counted() {
+    const QUITS: [usize; 7] = [10, 50, 100, 200, 500, 1000, 2000];
+    let (device, host) = spawn_device(13, None);
+    let ps = PowerSensor::connect(host).unwrap();
+    // Registered first, so it runs before the observers: it pauses the
+    // reader at the start of a chunk's hand-off until told to go on.
+    let (entered_tx, entered) = mpsc::channel();
+    let (go, go_rx) = mpsc::channel::<()>();
+    ps.add_chunk_sink(move |frames| {
+        entered_tx.send(frames.len()).ok();
+        go_rx.recv().is_ok()
+    });
+    let chunks = Arc::new(Mutex::new(Seen::default()));
+    {
+        let chunks = Arc::clone(&chunks);
+        ps.add_chunk_sink(move |frames| {
+            let mut seen = chunks.lock().unwrap();
+            seen.times.extend(frames.iter().map(|f| f.time));
+            let end = seen.times.len();
+            seen.chunk_ends.push(end);
+            true
+        });
+    }
+    let single = Arc::new(Mutex::new(Vec::new()));
+    {
+        let single = Arc::clone(&single);
+        ps.add_frame_sink(move |f| {
+            single.lock().unwrap().push(f.time);
+            true
+        });
+    }
+    let quitters: Vec<Arc<Mutex<Vec<SimTime>>>> = QUITS
+        .iter()
+        .map(|&k| {
+            let got = Arc::new(Mutex::new(Vec::new()));
+            let sink = Arc::clone(&got);
+            ps.add_frame_sink(move |f| {
+                let mut got = sink.lock().unwrap();
+                got.push(f.time);
+                got.len() <= k
+            });
+            got
+        })
+        .collect();
+    let seen_by_both = || {
+        let n = chunks.lock().unwrap().times.len();
+        assert_eq!(
+            single.lock().unwrap().len(),
+            n,
+            "per-frame against chunk sink"
+        );
+        n as u64
+    };
+
+    // Gated: while the reader waits inside a chunk's hand-off, none of
+    // that chunk's frames is counted yet. A second of 6-byte frames is
+    // at least 30 reads of 4 KiB.
+    device.advance(SimDuration::from_secs(1));
+    for chunk in 0..10 {
+        let len = entered.recv_timeout(WAIT).unwrap();
+        assert!(len > 0, "chunk {chunk} is empty");
+        assert_eq!(ps.frames_received(), seen_by_both(), "gated chunk {chunk}");
+        go.send(()).unwrap();
+    }
+    drop(go); // the gate declines its next chunk and is gone
+    assert!(device.wait_parked(Instant::now() + WAIT));
+
+    // Ungated: after each wait, every counted frame is in every sink.
+    for round in 0..20 {
+        device.advance(SimDuration::from_micros(1 + 7919 * round));
+        assert!(device.wait_parked(Instant::now() + WAIT), "round {round}");
+        ps.wait_for_frames(device.frames_emitted(), WAIT).unwrap();
+        assert_eq!(ps.frames_received(), device.frames_emitted());
+        assert_eq!(ps.frames_received(), seen_by_both(), "round {round}");
+    }
+
+    let seen = chunks.lock().unwrap();
+    assert!(
+        seen.times.windows(2).all(|w| w[0] < w[1]),
+        "frames out of order"
+    );
+    assert_eq!(*single.lock().unwrap(), seen.times);
+    let mut inside = 0;
+    for (&k, got) in QUITS.iter().zip(&quitters) {
+        assert_eq!(
+            *got.lock().unwrap(),
+            seen.times[..=k],
+            "sink declining frame {k}"
+        );
+        inside += usize::from(!seen.chunk_ends.contains(&(k + 1)));
+    }
+    assert!(inside > 0, "no declined frame fell inside a chunk");
 }

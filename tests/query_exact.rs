@@ -23,14 +23,18 @@
 //!   bucket, so every bucket is folded frame by frame from decoded
 //!   edge runs: its mean equals a left-to-right sum from 0.0 over the
 //!   full decode bit for bit. Divisors 450 and 649 are no multiple of
-//!   a run, so their buckets take whole runs and also end mid-run.
+//!   a run, so their buckets take whole runs and also end mid-run;
+//! * at every divisor, the archive's downsample equals bit for bit an
+//!   independent fold of the full decode with the walk's greedy
+//!   grouping ([`grouped_downsample`]), so a wrong whole-block or
+//!   whole-run sum shows however small it is.
 
 use std::path::PathBuf;
 
 use powersensor3::analysis::Trace;
 use powersensor3::archive::format::{SUB_FRAMES, SUMMARY_FRAMES};
 use powersensor3::archive::{
-    frame_total, Archive, ArchiveError, ArchiveFrame, RangeStats, SegmentWriter, Tiers,
+    build_runs, frame_total, Archive, ArchiveError, ArchiveFrame, RangeStats, SegmentWriter, Tiers,
 };
 use powersensor3::firmware::{SensorConfig, SENSOR_SLOTS};
 use powersensor3::tsdb::{PyramidConfig, Tsdb};
@@ -269,6 +273,76 @@ fn full_decode(archive: &Archive, frames: &[ArchiveFrame], s: SimTime, e: SimTim
     trace
 }
 
+/// Downsample buckets as `(time, mean)`, folded from the full decode
+/// in time order with the walk's greedy grouping: a 1000-frame block
+/// wholly in `[s, e)` goes in as its sequential sum when it fits the
+/// bucket's room, otherwise each 200-frame run wholly in range goes in
+/// as its [`build_runs`] sum when it fits, and any other frame in
+/// range on its own.
+fn grouped_downsample(
+    archive: &Archive,
+    frames: &[ArchiveFrame],
+    watts: &[f64],
+    s: SimTime,
+    e: SimTime,
+    divisor: u64,
+) -> Vec<(SimTime, f64)> {
+    let mut out = Vec::new();
+    let (mut count, mut sum) = (0u64, 0.0f64);
+    let mut add = |n: usize, part: f64, last: SimTime| {
+        count += n as u64;
+        sum += part;
+        assert!(count <= divisor, "a group overran its bucket");
+        if count == divisor {
+            out.push((last, sum / divisor as f64));
+            (count, sum) = (0, 0.0);
+        }
+        divisor - count
+    };
+    // The bucket's room for the next group.
+    let mut room = divisor;
+    let in_range = |f: &ArchiveFrame| f.time >= s && f.time < e;
+    let mut at = 0;
+    for meta in archive.segments() {
+        let seg = at..at + meta.header.frame_count as usize;
+        at = seg.end;
+        let (frames, watts) = (&frames[seg.clone()], &watts[seg]);
+        for (block, block_w) in frames
+            .chunks(SUMMARY_FRAMES)
+            .zip(watts.chunks(SUMMARY_FRAMES))
+        {
+            let last = block[block.len() - 1];
+            if in_range(&block[0]) && in_range(&last) && block.len() as u64 <= room {
+                room = add(
+                    block.len(),
+                    block_w.iter().fold(0.0, |t, &w| t + w),
+                    last.time,
+                );
+                continue;
+            }
+            let runs = build_runs(block, block_w);
+            let parts = block.chunks(SUB_FRAMES).zip(block_w.chunks(SUB_FRAMES));
+            for (run, (run_frames, run_w)) in runs.iter().zip(parts) {
+                let whole = in_range(&run_frames[0]) && in_range(&run_frames[run_frames.len() - 1]);
+                if whole && u64::from(run.count) <= room {
+                    room = add(
+                        run_frames.len(),
+                        run.sum_w,
+                        SimTime::from_micros(run.last_us),
+                    );
+                    continue;
+                }
+                for (frame, &w) in run_frames.iter().zip(run_w) {
+                    if in_range(frame) {
+                        room = add(1, w, frame.time);
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
 }
@@ -330,6 +404,10 @@ fn served_aggregates_equal_a_full_decode() {
         .iter()
         .flat_map(|meta| archive.decode_segment_frames(meta).unwrap())
         .collect();
+    let frame_watts: Vec<f64> = frames
+        .iter()
+        .map(|f| frame_total(archive.configs(), archive.adc(), f).value())
+        .collect();
     let mut reused = Trace::new();
     for &(range, s, e) in &ranges {
         // The full decode: every sample in range, as the live trace had it.
@@ -365,6 +443,18 @@ fn served_aggregates_equal_a_full_decode() {
             assert!(close(energy, flat_energy), "{what}: energy");
         }
         for divisor in DIVISORS {
+            let grouped = grouped_downsample(&archive, &frames, &frame_watts, s, e, divisor);
+            let served = archive.downsample(s, e, divisor).unwrap();
+            let what = format!("archive {range} /{divisor}");
+            assert_eq!(served.len(), grouped.len(), "{what}: grouped bucket count");
+            for (x, &(time, mean)) in served.samples().iter().zip(&grouped) {
+                assert_eq!(x.time, time, "{what}: grouped bucket time");
+                assert_eq!(
+                    x.power.value().to_bits(),
+                    mean.to_bits(),
+                    "{what}: grouped mean at {time:?}"
+                );
+            }
             let buckets: Vec<_> = trace
                 .samples()
                 .chunks_exact(divisor as usize)
