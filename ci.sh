@@ -30,13 +30,55 @@ stage_clippy() {
   cargo clippy --workspace --all-targets -q -- -D warnings
 }
 
+# Runs clippy over crates/lint/compiler-fixtures with
+# CLIPPY_CONF_DIR=<conf dir> and reconciles what it refused in
+# <module files...> against their `//~ lint` markers (`//~^` points one
+# line up): each marker must be refused by exactly that lint, and every
+# refused line must carry a marker.
+check_plants() {  # <label> <clippy.toml dir> <module files...>
+  local label=$1 conf=$2 plants=crates/lint/compiler-fixtures
+  shift 2
+  CLIPPY_CONF_DIR="$PWD/$conf" cargo clippy -q --keep-going --all-targets \
+    --manifest-path "$plants/Cargo.toml" --target-dir "target/ci-plants/$label" \
+    --message-format=json -- -D warnings \
+    >"target/ci-lint/plants-$label.json" 2>"target/ci-lint/plants-$label.log" || true
+  python3 - "$plants" "target/ci-lint/plants-$label.json" "$@" <<'EOF'
+import json, sys
+plants, report, files = sys.argv[1], sys.argv[2], sys.argv[3:]
+refused = set()
+for raw in open(report):
+    msg = json.loads(raw)
+    if msg.get("reason") != "compiler-message":
+        continue
+    msg = msg["message"]
+    lint = (msg.get("code") or {}).get("code") or msg["level"]
+    for span in msg["spans"]:
+        if span["is_primary"] and span["file_name"] in files:
+            refused.add((span["file_name"], span["line_start"], lint))
+planted = set()
+for name in files:
+    for n, text in enumerate(open(f"{plants}/{name}"), 1):
+        if "//~" in text:
+            marker = text.split("//~", 1)[1]
+            up = len(marker) - len(marker.lstrip("^"))
+            planted |= {(name, n - up, lint) for lint in marker.lstrip("^").split()}
+for name, line, lint in sorted(planted - refused):
+    print(f"MISSING    {name}:{line} {lint} (planted violation not refused)")
+for name, line, lint in sorted(refused - planted):
+    print(f"UNEXPECTED {name}:{line} {lint} (refused line with no //~ marker)")
+print(f"{report}: {len(planted & refused)} of {len(planted)} planted violations refused")
+sys.exit(1 if planted != refused or not planted else 0)
+EOF
+}
+
 stage_lint() {
-  echo "==> lint-smoke: ps3-lint workspace audit + fixture assertions"
-  # The workspace must be clean under the project's own static analysis
-  # (determinism, lock-order, unsafe/atomics, panic-path rules), and
-  # every rule must demonstrably fire on its planted fixture so a rule
-  # can't silently rot. Findings land in target/ci-lint/ for artifact
-  # upload.
+  echo "==> lint-smoke: ps3-lint audit + planted violations for ps3-lint and clippy"
+  # rustc and clippy enforce the unsafe, wall-clock, panic-path and
+  # blocking-I/O conventions (stage_clippy). ps3-lint keeps the two rules
+  # no lint expresses: the workspace must be clean under them. Every rule
+  # of both kinds must demonstrably fire on its planted violations, so a
+  # rule can't silently rot. Findings land in target/ci-lint/ for
+  # artifact upload.
   rm -rf target/ci-lint && mkdir -p target/ci-lint
   if ! ./target/release/ps3-lint check --json >target/ci-lint/findings.json; then
     echo "ps3-lint found violations:"
@@ -44,8 +86,8 @@ stage_lint() {
     exit 1
   fi
   ./target/release/ps3-lint list-rules >target/ci-lint/rules.txt
-  for rule in determinism unsafe-safety forbid-unsafe atomics lock-order \
-              panic-path allow-syntax blocking-io; do
+  rules=(atomics lock-order)
+  for rule in "${rules[@]}"; do
     grep -q "^$rule " target/ci-lint/rules.txt \
       || { echo "rule catalog lost \`$rule\`"; exit 1; }
   done
@@ -55,11 +97,25 @@ stage_lint() {
   grep -q '"missing":0,"unexpected":0' target/ci-lint/fixtures.json \
     || { echo "fixture report not clean"; cat target/ci-lint/fixtures.json; exit 1; }
   matched=$(grep -o '"matched":[0-9]*' target/ci-lint/fixtures.json | cut -d: -f2)
-  test "$matched" -ge 8 \
+  test "$matched" -ge "${#rules[@]}" \
     || { echo "only $matched fixture expectations matched (< 1 per rule)"; exit 1; }
+  # The compiler-enforced conventions, under the real clippy.toml files:
+  # clippy over crates/lint/compiler-fixtures (a package outside the
+  # workspace) must refuse each `//~ <lint>` line with that lint and
+  # nothing else, so the `#[expect]`-ed and `#[cfg(test)]` lines pass.
+  # The package carries a copy of the root lint levels, which must match.
+  lints_table() { awk '/^\[/ { on = ($0 ~ /^\[workspace\.lints\./) } on && NF && !/^#/' "$1"; }
+  diff <(lints_table Cargo.toml) <(lints_table crates/lint/compiler-fixtures/Cargo.toml) \
+    || { echo "compiler-fixtures: [workspace.lints] differs from the root's"; exit 1; }
+  check_plants root . src/determinism.rs src/panic_path.rs src/unsafety.rs src/unsafe_opt_out.rs \
+    || { echo "clippy under ./clippy.toml did not refuse exactly the planted lines"; exit 1; }
+  for conf in crates/stream crates/fleet; do
+    check_plants "${conf#crates/}" "$conf" src/blocking_io.rs \
+      || { echo "clippy under $conf/clippy.toml did not refuse exactly the planted lines"; exit 1; }
+  done
   # The sim harness waits on counters, never on the clock: its only
-  # sleeps are the stalls inject.rs injects as faults. An allow
-  # directive would silence the determinism rule, so grep instead.
+  # sleeps are the stalls inject.rs injects as faults. An `#[expect]` on
+  # a new sleep would satisfy clippy, so grep as well.
   if grep -rn 'thread::sleep' crates/sim/src | grep -v '^crates/sim/src/inject.rs:'; then
     echo "thread::sleep in crates/sim/src outside inject.rs's injected stalls"; exit 1
   fi

@@ -28,11 +28,16 @@
 //!
 //! This is the **only crate in the workspace allowed `unsafe`**: the
 //! raw `epoll`/`poll`/`eventfd`/`pipe` and socket-option calls live
-//! here (see [`net`]), every block carries a `// SAFETY:` comment,
-//! `ps3-lint`'s `forbid-unsafe` rule holds every other crate to
-//! `#![forbid(unsafe_code)]`, and `ci.sh lint` fails on `unsafe` in
-//! any other `src/` tree. (Test code aside: `ps3-duts`'
+//! here (see [`net`]), and every block carries a `// SAFETY:` comment
+//! (`clippy::undocumented_unsafe_blocks`). The workspace denies
+//! `unsafe_code`, this crate opts out below, and `ci.sh lint` fails on
+//! `unsafe` in any other `src/` tree. (Test code aside: `ps3-duts`'
 //! `float_hygiene` probe reads the MXCSR register with `asm!`.)
+
+#![expect(
+    unsafe_code,
+    reason = "the readiness layer over the OS: raw epoll/poll/eventfd/pipe and socket-option calls"
+)]
 
 pub mod net;
 pub mod sys;

@@ -66,9 +66,9 @@ impl Selector {
         if fd < 0 {
             return Err(io::Error::last_os_error());
         }
-        // SAFETY: fd was just returned by epoll_create1 and is owned
-        // by nobody else; OwnedFd closes it.
         Ok(Selector {
+            // SAFETY: fd was just returned by epoll_create1 and is owned
+            // by nobody else; OwnedFd closes it.
             epfd: unsafe { OwnedFd::from_raw_fd(fd) },
         })
     }
@@ -177,9 +177,9 @@ impl WakerFd {
         if fd < 0 {
             return Err(io::Error::last_os_error());
         }
-        // SAFETY: fd was just returned by eventfd and is owned by
-        // nobody else; OwnedFd closes it.
         Ok(WakerFd {
+            // SAFETY: fd was just returned by eventfd and is owned by
+            // nobody else; OwnedFd closes it.
             fd: unsafe { OwnedFd::from_raw_fd(fd) },
         })
     }

@@ -93,7 +93,7 @@ macro_rules! impl_tuple_strategy {
     ($($name:ident),+) => {
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
-            #[allow(non_snake_case)]
+            #[allow(non_snake_case, reason = "the type parameters double as the binding names")]
             fn sample(&self, rng: &mut TestRng) -> Self::Value {
                 let ($($name,)+) = self;
                 ($($name.sample(rng),)+)
@@ -301,11 +301,17 @@ macro_rules! proptest {
             while completed < $crate::cases() {
                 // An immediately-called closure so `prop_assume!` can
                 // early-return out of the case body via `?`-style flow.
-                #[allow(clippy::redundant_closure_call)]
+                #[allow(
+                    clippy::redundant_closure_call,
+                    reason = "the closure gives the case body an early return"
+                )]
                 let outcome: ::core::result::Result<(), $crate::TestCaseError> = (|| {
                     $crate::__proptest_bind!(rng; $($params)*);
                     $body
-                    #[allow(unreachable_code)]
+                    #[allow(
+                        unreachable_code,
+                        reason = "a body that always returns early leaves this unreached"
+                    )]
                     Ok(())
                 })();
                 match outcome {

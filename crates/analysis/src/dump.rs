@@ -144,9 +144,9 @@ enum DumpLine {
     /// Blank line or `#` comment.
     Skip,
     /// `M t_us <label>` marker line.
-    Marker(u64, char),
+    Marker(SimTime, char),
     /// Data line: timestamp plus per-pair and total power columns.
-    Data(u64, Vec<f64>),
+    Data(SimTime, Vec<f64>),
 }
 
 fn parse_line(trimmed: &str, line: usize) -> Result<DumpLine, ParseDumpError> {
@@ -155,9 +155,10 @@ fn parse_line(trimmed: &str, line: usize) -> Result<DumpLine, ParseDumpError> {
     }
     if let Some(rest) = trimmed.strip_prefix("M ") {
         let mut parts = rest.split_whitespace();
-        let t: u64 = parts
+        let t = parts
             .next()
             .and_then(|s| s.parse().ok())
+            .and_then(SimTime::checked_from_micros)
             .ok_or(ParseDumpError::BadMarker { line })?;
         let label = parts
             .next()
@@ -169,9 +170,11 @@ fn parse_line(trimmed: &str, line: usize) -> Result<DumpLine, ParseDumpError> {
     if fields.len() < 2 {
         return Err(ParseDumpError::BadNumber { line });
     }
-    let t: u64 = fields[0]
+    let t = fields[0]
         .parse()
-        .map_err(|_| ParseDumpError::BadNumber { line })?;
+        .ok()
+        .and_then(SimTime::checked_from_micros)
+        .ok_or(ParseDumpError::BadNumber { line })?;
     let mut values = Vec::with_capacity(fields.len() - 1);
     for f in &fields[1..] {
         let v: f64 = f.parse().map_err(|_| ParseDumpError::BadNumber { line })?;
@@ -207,10 +210,9 @@ pub fn parse_dump(text: &str) -> Result<ParsedDump, ParseDumpError> {
         };
         match parsed {
             DumpLine::Skip => {}
-            DumpLine::Marker(t, label) => out.total.mark(SimTime::from_micros(t), label),
-            DumpLine::Data(t, values) => {
+            DumpLine::Marker(time, label) => out.total.mark(time, label),
+            DumpLine::Data(time, values) => {
                 let fields = values.len() + 1;
-                let time = SimTime::from_micros(t);
                 let error = if columns.is_some_and(|n| n != fields) {
                     // A data line torn mid-write looks like a line
                     // with too few columns.
@@ -302,6 +304,27 @@ M 75 k
     fn malformed_marker_rejected() {
         let err = parse_dump("M nope\n").unwrap_err();
         assert_eq!(err, ParseDumpError::BadMarker { line: 1 });
+    }
+
+    #[test]
+    fn timestamp_past_the_clock_range_is_refused() {
+        // u64::MAX / 1000 + 1 µs does not fit in u64 nanoseconds.
+        let err = parse_dump("18446744073709552 1.0 2.0\n").unwrap_err();
+        assert_eq!(err, ParseDumpError::BadNumber { line: 1 });
+        let err = parse_dump("M 18446744073709552 k\n").unwrap_err();
+        assert_eq!(err, ParseDumpError::BadMarker { line: 1 });
+        // In order, so not `TimeBackwards`: the number itself is bad.
+        let err = parse_dump("25 1.0 2.0\n18446744073709552 1.0 2.0\n").unwrap_err();
+        assert_eq!(err, ParseDumpError::BadNumber { line: 2 });
+        // The torn-tail rule still drops it as an unterminated last line.
+        let dump = parse_dump("25 1.0 2.0\n18446744073709552 1.0 2.0").unwrap();
+        assert_eq!(dump.total.len(), 1);
+        // The last representable microsecond still parses.
+        let dump = parse_dump("18446744073709551 1.0 2.0\n").unwrap();
+        assert_eq!(
+            dump.total.samples()[0].time,
+            SimTime::from_micros(18_446_744_073_709_551)
+        );
     }
 
     #[test]

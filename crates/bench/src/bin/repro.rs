@@ -21,6 +21,8 @@
 //! `BENCH_repro.json` carries a measured speedup instead of only the
 //! parallel wall times.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -81,7 +83,11 @@ fn main() -> ExitCode {
 
     let serial_wall_s = if compare_serial && jobs_used > 1 {
         rayon::configure_global(1);
-        let start = Instant::now(); // ps3-lint: allow(determinism) reason="wall-clock speedup metric: measures real elapsed time of the parallel run, outside the simulated timeline"
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock speedup metric: measures real elapsed time of the parallel run, outside the simulated timeline"
+        )]
+        let start = Instant::now();
         let _ = driver::run_all(&names, &scale, driver::SEED);
         let serial = start.elapsed().as_secs_f64();
         rayon::configure_global(jobs.unwrap_or(0));
@@ -90,7 +96,11 @@ fn main() -> ExitCode {
         None
     };
 
-    let start = Instant::now(); // ps3-lint: allow(determinism) reason="wall-clock speedup metric: measures real elapsed time of the parallel run, outside the simulated timeline"
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock speedup metric: measures real elapsed time of the parallel run, outside the simulated timeline"
+    )]
+    let start = Instant::now();
     let runs = driver::run_all(&names, &scale, driver::SEED);
     let total_wall_s = start.elapsed().as_secs_f64();
 

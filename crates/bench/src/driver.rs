@@ -187,7 +187,11 @@ pub struct ExperimentRun {
 pub fn run_all(names: &[&str], scale: &Scale, seed: u64) -> Vec<ExperimentRun> {
     let units: Vec<String> = names.iter().map(|n| (*n).to_owned()).collect();
     rayon::par_map(units, |name| {
-        let start = Instant::now(); // ps3-lint: allow(determinism) reason="wall-clock speedup metric: measures real elapsed time of the parallel run, outside the simulated timeline"
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock speedup metric: measures real elapsed time of the parallel run, outside the simulated timeline"
+        )]
+        let start = Instant::now();
         let output = run_experiment(&name, scale, seed);
         ExperimentRun {
             output,

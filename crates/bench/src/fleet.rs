@@ -105,7 +105,11 @@ fn run_point(rigs: u16, seed: u64) -> FleetPoint {
     .expect("connect merged subscriber");
     fleet.wait_stats(Duration::from_secs(5), |s| s.active_subscribers == 1);
 
-    let start = Instant::now(); // ps3-lint: allow(determinism) reason="wall-clock speedup metric: measures real elapsed time of the parallel run, outside the simulated timeline"
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock speedup metric: measures real elapsed time of the parallel run, outside the simulated timeline"
+    )]
+    let start = Instant::now();
     for _ in 0..CAPTURE_TICKS {
         fleet.advance(TICK);
     }
@@ -128,7 +132,11 @@ fn run_point(rigs: u16, seed: u64) -> FleetPoint {
     drop(merged);
 
     let (span_start, span_end) = (SimTime::from_micros(0), SimTime::from_micros(10_000_000));
-    let start = Instant::now(); // ps3-lint: allow(determinism) reason="wall-clock speedup metric: measures real elapsed time of the parallel run, outside the simulated timeline"
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock speedup metric: measures real elapsed time of the parallel run, outside the simulated timeline"
+    )]
+    let start = Instant::now();
     let query = FleetQuery::open(&dir).expect("open fleet shards");
     let energy = query
         .total_energy(span_start, span_end)

@@ -25,6 +25,7 @@
 //! | C10k stream daemon scaling (beyond the paper) | [`stream`] |
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 /// Renders a trace as a 72×12 ASCII chart (shared by the `repro`
 /// binary's figure output).

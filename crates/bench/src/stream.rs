@@ -156,7 +156,6 @@ pub fn run(sub_counts: &[usize], seed: u64) -> Vec<StreamPoint> {
         .collect()
 }
 
-#[allow(clippy::too_many_lines)]
 fn run_point(subs: usize, seed: u64) -> StreamPoint {
     let mut tb = bench_testbed(seed);
     let sensor = SharedPowerSensor::new(tb.connect().expect("connect bench testbed"));
@@ -179,7 +178,11 @@ fn run_point(subs: usize, seed: u64) -> StreamPoint {
         rig: None,
     }
     .encode();
-    let start = Instant::now(); // ps3-lint: allow(determinism) reason="wall-clock latency/throughput metric of the real event loop, outside the simulated timeline"
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock latency/throughput metric of the real event loop, outside the simulated timeline"
+    )]
+    let start = Instant::now();
     let mut conns: Vec<ClientConn> = (0..subs)
         .map(|_| {
             let mut sock = TcpStream::connect(addr).expect("connect bench subscriber");
@@ -211,10 +214,18 @@ fn run_point(subs: usize, seed: u64) -> StreamPoint {
     // from burst start to its final frame.
     let expected_per_tick = FRAMES_PER_TICK / DIVISOR;
     let mut latencies_ms: Vec<f64> = Vec::with_capacity(subs * TICKS as usize);
-    let start = Instant::now(); // ps3-lint: allow(determinism) reason="wall-clock latency/throughput metric of the real event loop, outside the simulated timeline"
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock latency/throughput metric of the real event loop, outside the simulated timeline"
+    )]
+    let start = Instant::now();
     for tick in 0..TICKS {
         let target = (tick + 1) * expected_per_tick;
-        let burst = Instant::now(); // ps3-lint: allow(determinism) reason="wall-clock latency/throughput metric of the real event loop, outside the simulated timeline"
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock latency/throughput metric of the real event loop, outside the simulated timeline"
+        )]
+        let burst = Instant::now();
         tb.advance_and_sync(&sensor, TICK).expect("advance testbed");
         let mut done = 0usize;
         let mut reached = vec![false; subs];
@@ -229,12 +240,19 @@ fn run_point(subs: usize, seed: u64) -> StreamPoint {
                     latencies_ms.push(burst.elapsed().as_secs_f64() * 1e3);
                 }
             }
-            // ps3-lint: allow(determinism) reason="wall-clock latency/throughput metric of the real event loop, outside the simulated timeline"
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock latency/throughput metric of the real event loop, outside the simulated timeline"
+            )]
             if done < subs && Instant::now() >= deadline {
                 break;
             }
             if !progressed {
-                std::thread::sleep(Duration::from_micros(200)); // ps3-lint: allow(determinism) reason="harness pacing: yields while the daemon thread fills subscriber sockets"
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "harness pacing: yields while the daemon thread fills subscriber sockets"
+                )]
+                std::thread::sleep(Duration::from_micros(200));
             }
         }
         assert_eq!(

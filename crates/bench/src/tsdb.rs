@@ -171,7 +171,11 @@ fn run_point(frames: u64, seed: u64) -> TsdbPoint {
         }
     }
 
-    let start = Instant::now(); // ps3-lint: allow(determinism) reason="wall-clock latency metric: measures real elapsed query time, outside the simulated timeline"
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock latency metric: measures real elapsed query time, outside the simulated timeline"
+    )]
+    let start = Instant::now();
     for _ in 0..REPS {
         for &(lo, hi) in &batch {
             let _ = tsdb.stats(lo, hi).expect("pyramid stats");
@@ -179,7 +183,11 @@ fn run_point(frames: u64, seed: u64) -> TsdbPoint {
     }
     let pyramid_wall_s = start.elapsed().as_secs_f64();
 
-    let start = Instant::now(); // ps3-lint: allow(determinism) reason="wall-clock latency metric: measures real elapsed query time, outside the simulated timeline"
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock latency metric: measures real elapsed query time, outside the simulated timeline"
+    )]
+    let start = Instant::now();
     for _ in 0..REPS {
         for &(lo, hi) in &batch {
             let _ = tsdb.archive().stats_decoded(lo, hi).expect("decoded");

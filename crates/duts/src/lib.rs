@@ -28,6 +28,7 @@
 //!   study's subject; see `ps3-pmt`'s probe family).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 mod bench_load;
 mod cpu;

@@ -21,6 +21,10 @@
 //! the tag check, so there it passes whatever the storage.
 
 #![cfg(target_arch = "x86_64")]
+#![expect(
+    unsafe_code,
+    reason = "MXCSR is reachable only through `asm!` (stmxcsr / ldmxcsr)"
+)]
 
 use std::arch::asm;
 use std::hint::black_box;

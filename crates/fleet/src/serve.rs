@@ -20,6 +20,19 @@
 //! what is queued is complete for the current window and is emitted
 //! without waiting on the blocked rigs.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::Ordering;
@@ -146,7 +159,6 @@ impl Handler for FleetHandler {
         ))
     }
 
-    #[allow(clippy::too_many_lines)]
     fn pump(&self, s: &mut MergeSession, out: &mut OutQueue) -> Pump {
         let shared = &self.shared;
         let k = s.rig_ids.len();

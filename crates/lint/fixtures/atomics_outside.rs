@@ -11,8 +11,3 @@ fn counter_bump(count: &AtomicU64, flag: &AtomicBool) {
 fn seqcst_is_always_fine(count: &AtomicU64) {
     count.fetch_add(1, Ordering::SeqCst);
 }
-
-fn allowed_relaxed(count: &AtomicU64) {
-    // ps3-lint: allow(atomics) reason="fixture: monotonic stat counter, no ordering required"
-    count.fetch_add(1, Ordering::Relaxed);
-}

@@ -9,7 +9,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Stable rule id, e.g. `determinism`, `lock-order`.
+    /// Stable rule id, e.g. `atomics`, `lock-order`.
     pub rule: String,
     pub message: String,
 }
@@ -86,12 +86,12 @@ mod tests {
         let f = Finding::new(
             "crates/x/src/lib.rs",
             7,
-            "determinism",
-            "Instant::now in sim path".into(),
+            "atomics",
+            "Ordering::Relaxed outside the approved modules".into(),
         );
         assert_eq!(
             f.to_string(),
-            "crates/x/src/lib.rs:7 determinism Instant::now in sim path"
+            "crates/x/src/lib.rs:7 atomics Ordering::Relaxed outside the approved modules"
         );
     }
 

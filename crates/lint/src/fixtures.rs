@@ -104,20 +104,20 @@ mod tests {
 
     #[test]
     fn markers_are_extracted_with_lines() {
-        let src = "fn t() {\n    x.unwrap(); //~ panic-path\n}\n";
-        let f = SourceFile::parse("panic_t.rs", src);
+        let src = "fn t() {\n    x.load(Ordering::Relaxed); //~ atomics\n}\n";
+        let f = SourceFile::parse("atomics_t.rs", src);
         let mut out = Vec::new();
         collect_expectations(&f, &mut out);
         assert_eq!(
             out,
-            vec![("panic_t.rs".to_owned(), 2, "panic-path".to_owned())]
+            vec![("atomics_t.rs".to_owned(), 2, "atomics".to_owned())]
         );
     }
 
     #[test]
     fn own_line_marker_keeps_its_line() {
-        let src = "//~ forbid-unsafe\npub fn a() {}\n";
-        let f = SourceFile::parse("forbidcrate/src/lib.rs", src);
+        let src = "//~ lock-order\npub fn a() {}\n";
+        let f = SourceFile::parse("lock_t.rs", src);
         let mut out = Vec::new();
         collect_expectations(&f, &mut out);
         assert_eq!(out[0].1, 1);

@@ -2,8 +2,8 @@
 //!
 //! Produces a token stream (identifiers, punctuation, literals,
 //! lifetimes) plus the comments, which ordinary lexers throw away but
-//! this tool lives on: `// SAFETY:` / `// ORDERING:` justifications
-//! and `// ps3-lint: allow(...)` directives are all comment-borne.
+//! this tool lives on: `// ORDERING:` justifications and the
+//! fixtures' `//~` expectation markers are comment-borne.
 //!
 //! The lexer understands everything that can *hide* tokens from a
 //! naive scanner: nested block comments, string and raw-string
@@ -54,8 +54,6 @@ pub struct Comment {
 pub struct Lexed {
     pub tokens: Vec<Token>,
     pub comments: Vec<Comment>,
-    /// `lines_with_tokens[line]` (1-based) — line carries code.
-    pub lines_with_tokens: Vec<bool>,
     /// Total line count.
     pub line_count: u32,
 }
@@ -95,7 +93,6 @@ fn is_ident_continue(b: u8) -> bool {
 
 /// Lexes `src`, returning tokens and merged comment blocks.
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn lex(src: &str) -> Lexed {
     let mut cur = Cursor {
         src: src.as_bytes(),
@@ -241,7 +238,6 @@ pub fn lex(src: &str) -> Lexed {
     }
 
     out.comments = merge_comments(raw_comments, &line_has_token);
-    out.lines_with_tokens = line_has_token;
     out
 }
 
@@ -253,7 +249,7 @@ fn mark(lines: &mut [bool], line: u32) {
 
 /// Merges consecutive own-line `//` comments into one block, so a
 /// multi-line justification counts as a single comment whose marker
-/// (`SAFETY:`, ...) may sit on any of its lines.
+/// (`ORDERING:`) may sit on any of its lines.
 fn merge_comments(raw: Vec<(u32, u32, String)>, line_has_token: &[bool]) -> Vec<Comment> {
     let mut out: Vec<Comment> = Vec::new();
     for (line, end_line, text) in raw {
@@ -428,14 +424,5 @@ fn real() {}
         assert!(lexed.comments[0].text.contains("SAFETY:"));
         assert!(!lexed.comments[0].trailing);
         assert!(lexed.comments[1].trailing);
-    }
-
-    #[test]
-    fn token_lines_are_tracked() {
-        let src = "fn a() {}\n\nfn b() {}\n";
-        let lexed = lex(src);
-        assert!(lexed.lines_with_tokens[1]);
-        assert!(!lexed.lines_with_tokens[2]);
-        assert!(lexed.lines_with_tokens[3]);
     }
 }

@@ -1,14 +1,13 @@
-//! ps3-lint: workspace-specific static analysis for PowerSensor3.
+//! ps3-lint: the workspace checks the compiler cannot make.
 //!
-//! The runtime test suite can't see a stray `Instant::now()` in
-//! sim-clocked code, a reordered lock acquisition, or a weakened
-//! atomic ordering — those regressions pass tier-1 green and fail
-//! probabilistically at scale. This crate makes the project's
-//! concurrency and determinism invariants machine-checked on every
-//! PR: a hand-rolled lexer (std only, same vendoring playbook as
-//! `compat/`) feeds rule classes for determinism, unsafe/atomics
-//! auditing, lock-order cycles and panic-paths, with a mandatory-
-//! reason allowlist and JSON output for CI.
+//! rustc and clippy enforce the project's unsafe, wall-clock,
+//! panic-path and blocking-I/O conventions (see DESIGN.md § "Static
+//! analysis"). Two invariants are left that no lint expresses: a weak
+//! atomic ordering needs an approved module and an `// ORDERING:`
+//! comment at the site, and nested lock acquisitions must not form a
+//! cycle across files. A hand-rolled lexer (std only, same vendoring
+//! playbook as `compat/`) feeds those two rules, with JSON output for
+//! CI.
 //!
 //! See DESIGN.md § "Static analysis" for the rule catalog and how to
 //! add a rule.

@@ -19,7 +19,7 @@ pub fn check(f: &SourceFile, cfg: &Config, out: &mut Vec<Finding>) {
             continue;
         };
         let line = f.tokens[i].line;
-        if f.is_test_line(line) || f.is_allowed(RULE, line) {
+        if f.is_test_line(line) {
             continue;
         }
         if !approved {

@@ -78,17 +78,9 @@ pub fn check(files: &[SourceFile], cfg: &Config, out: &mut Vec<Finding>) {
         *scc_size.entry(s).or_insert(0usize) += 1;
     }
 
-    let by_path: HashMap<&str, &SourceFile> =
-        in_scope.iter().map(|f| (f.rel_path.as_str(), *f)).collect();
     for ((a, b), e) in &edges {
         let (ia, ib) = (index[a], index[b]);
         if scc_of[ia] != scc_of[ib] || scc_size[&scc_of[ia]] < 2 {
-            continue;
-        }
-        if by_path
-            .get(e.file.as_str())
-            .is_some_and(|f| f.is_allowed(RULE, e.line))
-        {
             continue;
         }
         let mut cycle: Vec<&str> = nodes

@@ -2,57 +2,22 @@
 //! rule over the file set and returns findings sorted by location.
 
 pub mod atomics;
-pub mod blocking_io;
-pub mod determinism;
 pub mod lock_order;
-pub mod panic_path;
-pub mod unsafety;
 
-use crate::config::{known_rule, Config};
+use crate::config::Config;
 use crate::findings::Finding;
 use crate::source::SourceFile;
 
-/// Runs every rule class over `files` (plus allow-directive syntax
-/// checks) and returns findings sorted by file/line/rule.
+/// Runs every rule class over `files` and returns findings sorted by
+/// file/line/rule.
 #[must_use]
 pub fn run_all(files: &[SourceFile], cfg: &Config) -> Vec<Finding> {
     let mut out = Vec::new();
     for f in files {
-        determinism::check(f, cfg, &mut out);
-        panic_path::check(f, cfg, &mut out);
-        blocking_io::check(f, cfg, &mut out);
         atomics::check(f, cfg, &mut out);
-        unsafety::check_safety_comments(f, &mut out);
-        allow_syntax(f, &mut out);
     }
-    unsafety::check_forbid_unsafe(files, cfg, &mut out);
     lock_order::check(files, cfg, &mut out);
     out.sort();
     out.dedup();
     out
-}
-
-/// Reports malformed allow directives and unknown rule ids. Not
-/// suppressible (an allow can't vouch for itself).
-fn allow_syntax(f: &SourceFile, out: &mut Vec<Finding>) {
-    for bad in &f.bad_allows {
-        out.push(Finding::new(
-            &f.rel_path,
-            bad.line,
-            "allow-syntax",
-            bad.message.clone(),
-        ));
-    }
-    for a in &f.allows {
-        for rule in &a.rules {
-            if !known_rule(rule) {
-                out.push(Finding::new(
-                    &f.rel_path,
-                    a.line,
-                    "allow-syntax",
-                    format!("unknown rule id `{rule}` in allow directive"),
-                ));
-            }
-        }
-    }
 }

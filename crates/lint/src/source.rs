@@ -1,35 +1,13 @@
 //! Per-file analysis model: lexed tokens plus the derived views every
-//! rule needs — test-code regions, allow directives, and comment
-//! look-ups for `// SAFETY:` / `// ORDERING:` justifications.
-
-use std::collections::HashMap;
+//! rule needs — test-code regions and comment look-ups for
+//! `// ORDERING:` justifications.
 
 use crate::lexer::{lex, Comment, TokKind, Token};
 
-/// How far above a site a justification comment (`SAFETY:`,
-/// `ORDERING:`) may end and still cover it. Generous enough for a
-/// `let x =` line between the comment and the keyword.
+/// How far above a site a justification comment (`ORDERING:`) may
+/// end and still cover it. Generous enough for a `let x =` line
+/// between the comment and the keyword.
 const JUSTIFY_REACH_LINES: u32 = 3;
-
-/// A parsed `// ps3-lint: allow(rule-id, ...) reason="..."` directive.
-#[derive(Debug, Clone)]
-pub struct AllowDirective {
-    /// Rule ids the directive suppresses.
-    pub rules: Vec<String>,
-    /// The mandatory human reason.
-    pub reason: String,
-    /// Line the directive suppresses findings on.
-    pub target_line: u32,
-    /// Line the directive itself sits on.
-    pub line: u32,
-}
-
-/// A malformed allow directive (reported by the `allow-syntax` rule).
-#[derive(Debug, Clone)]
-pub struct BadAllow {
-    pub line: u32,
-    pub message: String,
-}
 
 /// One source file, lexed and indexed for the rules.
 pub struct SourceFile {
@@ -37,15 +15,9 @@ pub struct SourceFile {
     pub rel_path: String,
     pub tokens: Vec<Token>,
     pub comments: Vec<Comment>,
-    /// 1-based: line carries code tokens.
-    pub lines_with_tokens: Vec<bool>,
     /// 1-based: line is test code (`#[cfg(test)]` module, or the whole
     /// file when under a `tests/`, `benches/` or `examples/` tree).
     pub test_lines: Vec<bool>,
-    pub allows: Vec<AllowDirective>,
-    pub bad_allows: Vec<BadAllow>,
-    /// rule-id -> suppressed lines.
-    allow_index: HashMap<String, Vec<u32>>,
 }
 
 impl SourceFile {
@@ -58,35 +30,12 @@ impl SourceFile {
         if !whole_file_test {
             mark_cfg_test_regions(&lexed.tokens, &mut test_lines);
         }
-        let (allows, bad_allows) = parse_allows(&lexed.comments, &lexed.lines_with_tokens);
-        let mut allow_index: HashMap<String, Vec<u32>> = HashMap::new();
-        for a in &allows {
-            for rule in &a.rules {
-                allow_index
-                    .entry(rule.clone())
-                    .or_default()
-                    .push(a.target_line);
-            }
-        }
         Self {
             rel_path: rel_path.to_owned(),
             tokens: lexed.tokens,
             comments: lexed.comments,
-            lines_with_tokens: lexed.lines_with_tokens,
             test_lines,
-            allows,
-            bad_allows,
-            allow_index,
         }
-    }
-
-    /// `true` when a finding of `rule` at `line` is suppressed by an
-    /// allow directive.
-    #[must_use]
-    pub fn is_allowed(&self, rule: &str, line: u32) -> bool {
-        self.allow_index
-            .get(rule)
-            .is_some_and(|lines| lines.contains(&line))
     }
 
     /// `true` when `line` is inside test code.
@@ -98,7 +47,7 @@ impl SourceFile {
     /// `true` when a justification comment covers the site at `line`:
     /// trailing on the same line, or an own-line block ending within
     /// [`JUSTIFY_REACH_LINES`] above it. To count, a comment line must
-    /// *start* with `marker` — prose that merely mentions `SAFETY:`
+    /// *start* with `marker` — prose that merely mentions `ORDERING:`
     /// does not justify anything.
     #[must_use]
     pub fn has_justification(&self, marker: &str, line: u32) -> bool {
@@ -231,89 +180,6 @@ pub fn match_brace(tokens: &[Token], open: usize) -> usize {
     tokens.len().saturating_sub(1)
 }
 
-/// Extracts allow directives (and syntax errors) from the comments.
-/// A directive is a comment line that *starts* with `ps3-lint:` —
-/// prose or doc examples that merely mention the marker mid-line are
-/// not directives.
-fn parse_allows(
-    comments: &[Comment],
-    lines_with_tokens: &[bool],
-) -> (Vec<AllowDirective>, Vec<BadAllow>) {
-    const PREFIX: &str = "ps3-lint:";
-    let mut allows = Vec::new();
-    let mut bad = Vec::new();
-    for c in comments {
-        for (off, line_text) in c.text.split('\n').enumerate() {
-            let Some(directive) = line_text.trim_start().strip_prefix(PREFIX) else {
-                continue;
-            };
-            let line = c.line + off as u32;
-            match parse_one_allow(directive.trim()) {
-                Ok((rules, reason)) => {
-                    let target_line = if c.trailing {
-                        c.line
-                    } else {
-                        // Own-line directive: covers the next code line.
-                        let mut l = c.end_line + 1;
-                        while (l as usize) < lines_with_tokens.len()
-                            && !lines_with_tokens[l as usize]
-                        {
-                            l += 1;
-                        }
-                        l
-                    };
-                    allows.push(AllowDirective {
-                        rules,
-                        reason,
-                        target_line,
-                        line,
-                    });
-                }
-                Err(message) => bad.push(BadAllow { line, message }),
-            }
-        }
-    }
-    (allows, bad)
-}
-
-/// Parses `allow(rule-a, rule-b) reason="why"`.
-fn parse_one_allow(s: &str) -> Result<(Vec<String>, String), String> {
-    let s = s.trim();
-    let Some(rest) = s.strip_prefix("allow") else {
-        return Err(format!(
-            "unknown ps3-lint directive: `{s}` (expected `allow(...)`)"
-        ));
-    };
-    let rest = rest.trim_start();
-    let Some(rest) = rest.strip_prefix('(') else {
-        return Err("allow directive missing `(rule-id, ...)`".to_owned());
-    };
-    let Some(close) = rest.find(')') else {
-        return Err("allow directive missing closing `)`".to_owned());
-    };
-    let rules: Vec<String> = rest[..close]
-        .split(',')
-        .map(|r| r.trim().to_owned())
-        .filter(|r| !r.is_empty())
-        .collect();
-    if rules.is_empty() {
-        return Err("allow directive lists no rule ids".to_owned());
-    }
-    let tail = rest[close + 1..].trim();
-    let Some(tail) = tail.strip_prefix("reason=") else {
-        return Err("allow directive missing mandatory `reason=\"...\"`".to_owned());
-    };
-    let tail = tail.trim();
-    let reason = tail
-        .strip_prefix('"')
-        .and_then(|t| t.find('"').map(|end| t[..end].trim().to_owned()))
-        .ok_or_else(|| "allow reason must be quoted: reason=\"...\"".to_owned())?;
-    if reason.is_empty() {
-        return Err("allow reason must not be empty".to_owned());
-    }
-    Ok((rules, reason))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,43 +201,10 @@ mod tests {
     }
 
     #[test]
-    fn allow_directive_targets_next_code_line() {
-        let src = "// ps3-lint: allow(determinism) reason=\"harness quiesce\"\n\nfn f() {}\n";
-        let f = SourceFile::parse("x.rs", src);
-        assert!(f.is_allowed("determinism", 3));
-        assert!(!f.is_allowed("determinism", 1));
-        assert!(f.bad_allows.is_empty());
-    }
-
-    #[test]
-    fn trailing_allow_targets_its_own_line() {
-        let src = "fn f() {} // ps3-lint: allow(panic-path) reason=\"test shim\"\n";
-        let f = SourceFile::parse("x.rs", src);
-        assert!(f.is_allowed("panic-path", 1));
-    }
-
-    #[test]
-    fn allow_without_reason_is_reported() {
-        let src = "// ps3-lint: allow(determinism)\nfn f() {}\n";
-        let f = SourceFile::parse("x.rs", src);
-        assert!(!f.is_allowed("determinism", 2));
-        assert_eq!(f.bad_allows.len(), 1);
-        assert!(f.bad_allows[0].message.contains("reason"));
-    }
-
-    #[test]
-    fn multi_rule_allow() {
-        let src = "// ps3-lint: allow(determinism, panic-path) reason=\"both\"\nfn f() {}\n";
-        let f = SourceFile::parse("x.rs", src);
-        assert!(f.is_allowed("determinism", 2));
-        assert!(f.is_allowed("panic-path", 2));
-    }
-
-    #[test]
     fn justification_reaches_over_a_let_line() {
-        let src = "// SAFETY: fd is valid\n// and owned here.\nlet rc =\n    unsafe { x() };\n";
+        let src = "// ORDERING: pairs with the Release\n// store in publish().\nlet seq =\n    s.load(Ordering::Acquire);\n";
         let f = SourceFile::parse("x.rs", src);
-        assert!(f.has_justification("SAFETY:", 4));
-        assert!(!f.has_justification("ORDERING:", 4));
+        assert!(f.has_justification("ORDERING:", 4));
+        assert!(!f.has_justification("SAFETY:", 4));
     }
 }

@@ -10,6 +10,7 @@
 //! `overhead` bench experiment and the `probes` sim scenario.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 pub mod probe;
 

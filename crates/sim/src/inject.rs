@@ -260,6 +260,10 @@ impl<T: Transport> Transport for FaultInjector<T> {
                 state.pending.extend(produced);
             }
             if stall_ms > 0 {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "fault injection: a transport stall is a real sleep of the thread carrying the bytes"
+                )]
                 std::thread::sleep(Duration::from_millis(stall_ms));
             }
             // All bytes of this chunk may have been dropped (or held
@@ -371,6 +375,10 @@ fn forward_faulted(mut from: TcpStream, mut to: TcpStream, plan: &SimPlan) {
         produced.clear();
         let fx = channel.apply(&buf[..n], &mut produced);
         if fx.stall_ms > 0 {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "fault injection: a transport stall is a real sleep of the thread carrying the bytes"
+            )]
             std::thread::sleep(Duration::from_millis(fx.stall_ms));
         }
         // TCP has no read-boundary to cut at; a short read degrades to

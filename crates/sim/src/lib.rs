@@ -32,6 +32,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 pub mod inject;
 pub mod invariant;

@@ -80,7 +80,11 @@ pub fn spawn_device(seed: u64, crash_at: Option<SimTime>) -> (DeviceThread, Seri
 /// timeout (the run is then not trustworthy for bit-exact comparison).
 #[must_use]
 pub fn quiesce(ps: &PowerSensor, device: &DeviceThread, timeout: Duration) -> bool {
-    let deadline = Instant::now() + timeout; // ps3-lint: allow(determinism) reason="harness quiesce: bounds the blocking waits on real OS reader/device threads; the simulated timeline itself is SimTime-driven"
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "harness quiesce: bounds the blocking waits on real OS reader/device threads; the simulated timeline itself is SimTime-driven"
+    )]
+    let deadline = Instant::now() + timeout;
     device.wait_parked(deadline)
         && matches!(
             ps.wait_drained(timeout),

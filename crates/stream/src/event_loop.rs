@@ -40,6 +40,19 @@
 //!   `Evicted { reason: Shutdown }` and drains the connection within
 //!   a `write_timeout` grace window.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -285,6 +298,10 @@ pub fn bring_up<A: ToSocketAddrs>(addr: A) -> io::Result<LoopParts> {
 /// # Errors
 ///
 /// Thread spawn failures.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "spawns the one event-loop thread itself; connections are multiplexed onto it, never given threads"
+)]
 pub fn spawn_loop<H: Handler>(
     thread_name: &str,
     component: &'static str,
@@ -309,7 +326,7 @@ pub fn spawn_loop<H: Handler>(
     };
     std::thread::Builder::new()
         .name(thread_name.into())
-        .spawn(move || reactor.run()) // ps3-lint: allow(blocking-io) reason="spawns the one event-loop thread itself; connections are multiplexed onto it, never given threads"
+        .spawn(move || reactor.run())
 }
 
 /// Extracts one complete length-prefixed message body from the front

@@ -9,6 +9,18 @@
 //! stays `#![forbid(unsafe_code)]` and existing callers keep their
 //! import paths.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::io;
 
 pub use mio::net::{bind_reusable, set_send_buffer};

@@ -439,8 +439,10 @@ fn decode_frame(bytes: &[u8]) -> io::Result<(StreamFrame, &[u8])> {
         return Err(malformed("too many packets in frame"));
     }
     let (packet_bytes, rest) = split(bytes, 2 * n)?;
+    let time = SimTime::checked_from_micros(t_us)
+        .ok_or_else(|| malformed("frame timestamp past the clock range"))?;
     let mut frame = StreamFrame {
-        time: SimTime::from_micros(t_us),
+        time,
         raw: [0; SENSOR_SLOTS],
         present: 0,
         marker: false,
@@ -1006,6 +1008,25 @@ mod tests {
         // packet): the flag is dropped, never mis-decoded.
         assert_eq!(frames[2].present, 0b1000_0000);
         assert!(!frames[2].marker);
+    }
+
+    #[test]
+    fn batch_with_timestamp_past_the_clock_range_is_malformed() {
+        let batch = |t_us: u64| {
+            let mut body = vec![tag::BATCH];
+            put_u32(&mut body, 1);
+            put_u64(&mut body, t_us);
+            body.push(0); // no sensor packets
+            body
+        };
+        let err = ServerMsg::decode(&batch(u64::MAX)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(ServerMsg::decode(&batch(u64::MAX / 1_000 + 1)).is_err());
+        let ServerMsg::Batch { frames } = ServerMsg::decode(&batch(u64::MAX / 1_000)).unwrap()
+        else {
+            panic!("wrong message kind");
+        };
+        assert_eq!(frames[0].time.as_micros(), u64::MAX / 1_000);
     }
 
     #[test]

@@ -8,6 +8,18 @@
 //! under concurrent overwrite are detected with a per-slot sequence
 //! check (seqlock style) and reported as laps, never as corrupt data.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 

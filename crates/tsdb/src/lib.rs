@@ -27,6 +27,7 @@
 //!   drop whole expired segments without blocking acquisition.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 pub mod compactor;
 pub mod pyramid;

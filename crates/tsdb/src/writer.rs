@@ -10,6 +10,18 @@
 //! deterministic function of the frame sequence — which is what lets
 //! the simulator replay compaction and retention under crash plans.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::path::Path;
 
 use ps3_archive::{

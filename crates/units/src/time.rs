@@ -43,6 +43,18 @@ impl SimTime {
         Self(micros * 1_000)
     }
 
+    /// Constructs an instant from microseconds since the epoch, or
+    /// `None` when the instant is past the last representable
+    /// nanosecond (about 584 years). For microsecond counts read from
+    /// untrusted input: [`SimTime::from_micros`] overflows on them.
+    #[must_use]
+    pub const fn checked_from_micros(micros: u64) -> Option<Self> {
+        match micros.checked_mul(1_000) {
+            Some(nanos) => Some(Self(nanos)),
+            None => None,
+        }
+    }
+
     /// Nanoseconds since the epoch.
     #[must_use]
     pub const fn as_nanos(self) -> u64 {
@@ -271,6 +283,17 @@ mod tests {
             SimDuration::from_secs_f64(0.5),
             SimDuration::from_millis(500)
         );
+    }
+
+    #[test]
+    fn checked_micros_refuses_overflow() {
+        let last = u64::MAX / 1_000;
+        assert_eq!(
+            SimTime::checked_from_micros(last),
+            Some(SimTime::from_micros(last))
+        );
+        assert_eq!(SimTime::checked_from_micros(last + 1), None);
+        assert_eq!(SimTime::checked_from_micros(u64::MAX), None);
     }
 
     #[test]

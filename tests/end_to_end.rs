@@ -208,6 +208,22 @@ fn dump_round_trips_through_parser() {
     assert!((window.energy().value() - 1.8).abs() < 0.1);
 }
 
+#[test]
+fn dump_parser_refuses_timestamps_past_the_clock_range() {
+    // `ps3sim parse` hands a user's file straight to the parser: a
+    // microsecond count whose nanoseconds overflow u64 is a bad number,
+    // not a panic or a wrapped time.
+    use powersensor3::analysis::{parse_dump, ParseDumpError};
+    assert_eq!(
+        parse_dump("25 1.0 2.0\n18446744073709552 1.0 2.0\n").unwrap_err(),
+        ParseDumpError::BadNumber { line: 2 }
+    );
+    assert_eq!(
+        parse_dump("M 18446744073709552 k\n").unwrap_err(),
+        ParseDumpError::BadMarker { line: 1 }
+    );
+}
+
 /// std's Mutex under a name that does not clash with parking_lot in
 /// other tests.
 mod parking_lot_stub {
