@@ -136,6 +136,13 @@ stage_lint() {
   if grep -rn --include='*.rs' '\.add_frame_sink(' crates/*/src | grep -v '^crates/core/'; then
     echo ".add_frame_sink( in a library crate outside crates/core"; exit 1
   fi
+  # One subscriber pump: Session::pump (crates/stream/src/session.rs) is
+  # the only library code that handles a ring lap, so a second pump
+  # cannot creep back.
+  if grep -rn --include='*.rs' 'ReadOutcome::Lapped' crates/*/src \
+      | grep -v -e '^crates/stream/src/session\.rs:' -e '^crates/stream/src/ring\.rs:'; then
+    echo "ReadOutcome::Lapped outside crates/stream/src/{session,ring}.rs"; exit 1
+  fi
   # One timing instrument: perfbench times the layers, repro records
   # its wall clock in BENCH_repro.json. No package may bring back a
   # `cargo bench` target or a criterion dependency.

@@ -6,8 +6,8 @@
 //! a crash never appends to a possibly-torn file). The coordinator
 //! taps every rig into a per-rig broadcast ring and serves rig-routed
 //! subscriptions off those rings through the same single-thread event
-//! loop the stream daemon uses (see `serve.rs` for the merge
-//! personality):
+//! loop and the same subscriber `Session` the stream daemon uses
+//! (`serve.rs` resolves the rig selection):
 //!
 //! * a legacy subscription (no [`RigSelector`]) streams rig 0 with
 //!   plain `Batch`/`Gap` messages — old clients work unchanged;
@@ -15,12 +15,10 @@
 //!   `RigBatch`/`RigGap` messages, k-way merged on sample timestamps
 //!   across the selected rigs with per-rig gap propagation.
 //!
-//! Merge ordering: a frame is emitted once every other selected,
-//! alive, non-closed rig has a frame queued (so the true minimum
-//! timestamp is known); ties break toward the lowest rig id. A rig
-//! restart starts a fresh device timeline, which appears as a
-//! documented timestamp discontinuity in the merged stream — frames
-//! are still delivered and accounted, never silently skipped.
+//! The merge rule is `Session::pump`'s; a rig marked dead stops holding
+//! it back. A rig restart starts a fresh device timeline, which appears
+//! as a documented timestamp discontinuity in the merged stream —
+//! frames are still delivered and accounted, never silently skipped.
 //!
 //! Supervision is poll-driven and deterministic: [`Fleet::advance`]
 //! moves every healthy rig's virtual clock, [`Fleet::supervise`]
@@ -54,7 +52,7 @@ use parking_lot::Mutex;
 use ps3_archive::{ArchiveWriter, ArchiveWriterOptions};
 use ps3_firmware::FRAME_INTERVAL;
 use ps3_stream::{
-    bring_up, spawn_loop, BroadcastRing, FleetHello, LoopStats, LoopWaker, RigStatus, ServerMsg,
+    bring_up, spawn_loop, Feed, FleetHello, LoopStats, LoopWaker, RigStatus, ServerMsg,
     StreamDaemonConfig, StreamFrame, StreamStats,
 };
 use ps3_units::SimDuration;
@@ -93,18 +91,16 @@ pub fn shard_name(rig: u16, generation: u32) -> String {
     format!("rig-{rig:03}-g{generation}.ps3a")
 }
 
-/// Per-rig state shared with subscriber sessions.
+/// Per-rig state: the feed subscriber sessions read (ring, liveness,
+/// gap count) and the supervisor's counters.
 pub(crate) struct RigShared {
-    pub(crate) ring: Arc<BroadcastRing>,
-    pub(crate) alive: AtomicBool,
+    pub(crate) feed: Arc<Feed>,
     pub(crate) restarts: AtomicU32,
     pub(crate) shards: AtomicU32,
-    pub(crate) gap_events: AtomicU64,
     pub(crate) writer_dropped: AtomicU64,
 }
 
 pub(crate) struct FleetShared {
-    pub(crate) stream: StreamDaemonConfig,
     pub(crate) rigs: Vec<RigShared>,
     /// Pre-encoded `Hello` without the fleet suffix (legacy clients).
     pub(crate) hello_legacy: Vec<u8>,
@@ -161,11 +157,9 @@ impl Fleet {
 
         let rig_shared: Vec<RigShared> = (0..rig_count)
             .map(|_| RigShared {
-                ring: Arc::new(BroadcastRing::new(config.stream.ring_capacity)),
-                alive: AtomicBool::new(true),
+                feed: Arc::new(Feed::new(config.stream.ring_capacity)),
                 restarts: AtomicU32::new(0),
                 shards: AtomicU32::new(1),
-                gap_events: AtomicU64::new(0),
                 writer_dropped: AtomicU64::new(0),
             })
             .collect();
@@ -174,7 +168,6 @@ impl Fleet {
         // 0's sensor configuration, which only exists after the rigs
         // are built — and wrapped in an Arc exactly once at the end.
         let mut shared = FleetShared {
-            stream: config.stream.clone(),
             rigs: rig_shared,
             hello_legacy: Vec::new(),
             hello_fleet: Vec::new(),
@@ -254,6 +247,7 @@ impl Fleet {
         for rig in rigs.iter_mut() {
             if (rig.crashed)() || !rig.sensor.is_alive() {
                 self.shared.rigs[usize::from(rig.id)]
+                    .feed
                     .alive
                     .store(false, Ordering::SeqCst);
                 continue;
@@ -298,7 +292,7 @@ impl Fleet {
             *rig = fresh;
             rig.writer_dropped_acc = writer_dropped_acc;
 
-            rs.alive.store(true, Ordering::SeqCst);
+            rs.feed.alive.store(true, Ordering::SeqCst);
             rs.restarts.fetch_add(1, Ordering::SeqCst);
             rs.shards.fetch_add(1, Ordering::SeqCst);
             restarted += 1;
@@ -337,7 +331,7 @@ impl Fleet {
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         for rig in &self.shared.rigs {
-            rig.ring.close();
+            rig.feed.ring.close();
         }
         self.shared.waker.wake();
         if let Some(handle) = self.event_loop.take() {
@@ -399,15 +393,15 @@ fn build_rig(
     // is the ring's only producer (the ring is single-producer).
     let tap_alive = Arc::new(AtomicBool::new(true));
     {
-        let ring = Arc::clone(&shared.rigs[usize::from(id)].ring);
+        let feed = Arc::clone(&shared.rigs[usize::from(id)].feed);
         let alive = Arc::clone(&tap_alive);
         let waker = Arc::clone(&shared.waker);
         sensor.add_chunk_sink(move |frames| {
-            if !alive.load(Ordering::SeqCst) || ring.is_closed() {
+            if !alive.load(Ordering::SeqCst) || feed.ring.is_closed() {
                 return false;
             }
             for record in frames {
-                ring.publish(&StreamFrame::from(record));
+                feed.ring.publish(&StreamFrame::from(record));
             }
             waker.wake();
             true
@@ -444,11 +438,11 @@ pub(crate) fn snapshot(shared: &FleetShared) -> Vec<RigStatus> {
         .enumerate()
         .map(|(id, rig)| RigStatus {
             id: id as u16,
-            alive: rig.alive.load(Ordering::SeqCst),
+            alive: rig.feed.alive.load(Ordering::SeqCst),
             restarts: rig.restarts.load(Ordering::SeqCst),
             shards: rig.shards.load(Ordering::SeqCst),
-            frames_published: rig.ring.head(),
-            gap_events: rig.gap_events.load(Ordering::SeqCst),
+            frames_published: rig.feed.ring.head(),
+            gap_events: rig.feed.gap_events.load(Ordering::SeqCst),
             writer_dropped: rig.writer_dropped.load(Ordering::SeqCst),
         })
         .collect()
@@ -457,5 +451,5 @@ pub(crate) fn snapshot(shared: &FleetShared) -> Vec<RigStatus> {
 pub(crate) fn aggregate_stats(shared: &FleetShared) -> StreamStats {
     shared
         .stats
-        .snapshot(shared.rigs.iter().map(|r| r.ring.head()).sum())
+        .snapshot(shared.rigs.iter().map(|r| r.feed.ring.head()).sum())
 }

@@ -5,15 +5,19 @@
 //!
 //! Design invariant: **a subscriber can never slow down acquisition.**
 //! The acquisition tap only publishes into the ring (lock-free, never
-//! blocks on consumers) and nudges the loop's waker. The loop drains
-//! each subscriber's ring cursor into a bounded per-connection write
-//! queue; a subscriber that falls behind is lapped by the ring
-//! (drop-oldest, reported as [`ServerMsg::Gap`]); one that keeps
-//! falling behind — or stalls entirely so its socket accepts nothing
-//! for the write timeout — is evicted. The earlier implementation
-//! spent two OS threads per subscriber on exactly these semantics;
-//! the event loop preserves them (same eviction reasons, same gap
-//! accounting) at C10k subscriber counts.
+//! blocks on consumers) and nudges the loop's waker. Each subscriber
+//! is a one-ring [`Session`] with untagged `Batch`/`Gap` framing (a
+//! `RigSelector` in its `Subscribe` is ignored), pumped by the loop
+//! into a bounded per-connection write queue; a subscriber that falls
+//! behind is lapped by the ring (drop-oldest, reported as
+//! [`ServerMsg::Gap`]); one that keeps falling behind — or stalls
+//! entirely so its socket accepts nothing for the write timeout — is
+//! evicted. The earlier implementation spent two OS threads per
+//! subscriber on exactly these semantics; the event loop preserves
+//! them (same eviction reasons, same gap accounting) at C10k
+//! subscriber counts.
+//!
+//! [`BroadcastRing`]: crate::BroadcastRing
 
 #![cfg_attr(
     not(test),
@@ -36,17 +40,12 @@ use std::time::{Duration, Instant};
 
 use ps3_archive::Archive;
 use ps3_core::SharedPowerSensor;
-use ps3_firmware::{FRAME_INTERVAL, SENSOR_SLOTS};
+use ps3_firmware::FRAME_INTERVAL;
 use ps3_units::SimTime;
 
-use crate::downsample::Downsampler;
-use crate::event_loop::{
-    bring_up, spawn_loop, Control, Handler, LoopStats, LoopWaker, OutQueue, Pump,
-};
-use crate::proto::{
-    ClientMsg, EvictReason, RigSelector, ServerMsg, StreamFrame, StreamStats, MAX_BATCH_FRAMES,
-};
-use crate::ring::{BroadcastRing, ReadOutcome};
+use crate::event_loop::{bring_up, spawn_loop, Control, Handler, LoopStats, LoopWaker, OutQueue};
+use crate::proto::{ClientMsg, RigSelector, ServerMsg, StreamFrame, StreamStats};
+use crate::session::{Feed, Session};
 
 /// Tuning knobs for [`StreamDaemon::start`].
 #[derive(Debug, Clone)]
@@ -100,9 +99,8 @@ pub struct StreamDaemon {
 }
 
 struct DaemonShared {
-    ring: Arc<BroadcastRing>,
+    feed: Arc<Feed>,
     source: FrameSource,
-    config: StreamDaemonConfig,
     /// Pre-encoded `Hello`, identical for every subscriber.
     hello: Vec<u8>,
     shutdown: Arc<AtomicBool>,
@@ -112,7 +110,7 @@ struct DaemonShared {
 
 impl DaemonShared {
     fn stats_snapshot(&self) -> StreamStats {
-        self.stats.snapshot(self.ring.head())
+        self.stats.snapshot(self.feed.ring.head())
     }
 }
 
@@ -141,17 +139,17 @@ impl StreamDaemon {
         // it must only do the (non-blocking) ring publishes plus one
         // coalesced waker nudge per read chunk.
         {
-            let ring = Arc::clone(&shared.ring);
+            let feed = Arc::clone(&shared.feed);
             let shutdown = Arc::clone(&shared.shutdown);
             let waker = Arc::clone(&shared.waker);
             sensor.add_chunk_sink(move |frames| {
                 if shutdown.load(Ordering::SeqCst) {
-                    ring.close();
+                    feed.ring.close();
                     waker.wake();
                     return false;
                 }
                 for record in frames {
-                    ring.publish(&StreamFrame::from(record));
+                    feed.ring.publish(&StreamFrame::from(record));
                 }
                 waker.wake();
                 true
@@ -264,7 +262,7 @@ impl StreamDaemon {
     /// daemon thread. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.ring.close();
+        self.shared.feed.ring.close();
         self.shared.waker.wake();
         if let Some(handle) = self.event_loop.take() {
             let _ = handle.join();
@@ -301,9 +299,8 @@ fn launch<A: ToSocketAddrs>(
     let parts = bring_up(addr)?;
     let local_addr = parts.local_addr();
     let shared = Arc::new(DaemonShared {
-        ring: Arc::new(BroadcastRing::new(config.ring_capacity)),
+        feed: Arc::new(Feed::new(config.ring_capacity)),
         source,
-        config: config.clone(),
         hello,
         shutdown: Arc::new(AtomicBool::new(false)),
         stats: Arc::new(LoopStats::default()),
@@ -323,26 +320,13 @@ fn launch<A: ToSocketAddrs>(
     Ok((shared, local_addr, event_loop))
 }
 
-/// Per-subscriber streaming state: the ring cursor, the downsampler,
-/// and the batch being assembled — what the dedicated sender thread
-/// used to keep on its stack.
-struct SubSession {
-    slot_mask: u8,
-    downsampler: Downsampler,
-    cursor: u64,
-    my_gaps: u64,
-    batch: Vec<StreamFrame>,
-}
-
-/// The plain daemon's event-loop personality: one ring, one cursor
-/// per subscriber.
+/// The plain daemon's event-loop personality: every subscriber gets a
+/// one-ring session over the daemon's feed, with untagged framing.
 struct DaemonHandler {
     shared: Arc<DaemonShared>,
 }
 
 impl Handler for DaemonHandler {
-    type Session = SubSession;
-
     fn begin(
         &self,
         pair_mask: u8,
@@ -350,71 +334,15 @@ impl Handler for DaemonHandler {
         // A plain single-rig daemon serves the same stream whatever
         // rig the client asked for; routing lives in `ps3-fleet`.
         _rig: Option<RigSelector>,
-    ) -> io::Result<(Vec<u8>, SubSession)> {
-        // Expand the pair mask to a slot mask (pair p = slots 2p, 2p+1).
-        let mut slot_mask = 0u8;
-        for pair in 0..SENSOR_SLOTS / 2 {
-            if pair_mask & (1 << pair) != 0 {
-                slot_mask |= 0b11 << (2 * pair);
-            }
-        }
+    ) -> io::Result<(Vec<u8>, Session)> {
+        let feed = Arc::clone(&self.shared.feed);
         Ok((
             self.shared.hello.clone(),
-            SubSession {
-                slot_mask,
-                downsampler: Downsampler::new(divisor),
-                // Subscribers start at the live edge, not the history.
-                cursor: self.shared.ring.head(),
-                my_gaps: 0,
-                batch: Vec::with_capacity(MAX_BATCH_FRAMES),
-            },
+            Session::new(vec![(0, feed)], false, pair_mask, divisor),
         ))
     }
 
-    fn pump(&self, s: &mut SubSession, out: &mut OutQueue) -> Pump {
-        let shared = &self.shared;
-        while !out.is_full() {
-            match shared.ring.next(s.cursor, Duration::ZERO) {
-                ReadOutcome::Frame(frame) => {
-                    s.cursor += 1;
-                    let mut masked = frame;
-                    masked.present &= s.slot_mask;
-                    if let Some(frame) = s.downsampler.push(&masked) {
-                        s.batch.push(frame);
-                    }
-                    // Flush when full, or when the ring is drained (so
-                    // the last frames of a burst are not held back —
-                    // and so the batch is provably empty by the time
-                    // `Closed` arrives).
-                    let drained = s.cursor >= shared.ring.head();
-                    if s.batch.len() >= MAX_BATCH_FRAMES || (drained && !s.batch.is_empty()) {
-                        out.push(&ServerMsg::Batch {
-                            frames: std::mem::take(&mut s.batch),
-                        });
-                    }
-                }
-                ReadOutcome::Lapped { resume_at, dropped } => {
-                    s.cursor = resume_at;
-                    s.downsampler.reset();
-                    s.batch.clear();
-                    s.my_gaps += 1;
-                    shared.stats.gap_events.fetch_add(1, Ordering::SeqCst);
-                    out.push(&ServerMsg::Gap { dropped });
-                    if s.my_gaps > shared.config.max_gap_events {
-                        return Pump::Evict(EvictReason::TooManyGaps {
-                            gaps: s.my_gaps,
-                            limit: shared.config.max_gap_events,
-                        });
-                    }
-                }
-                ReadOutcome::TimedOut => return Pump::Idle,
-                ReadOutcome::Closed => return Pump::Closed,
-            }
-        }
-        Pump::Idle
-    }
-
-    fn control(&self, _s: &mut SubSession, msg: ClientMsg, out: &mut OutQueue) -> Control {
+    fn control(&self, msg: ClientMsg, out: &mut OutQueue) -> Control {
         match msg {
             ClientMsg::InjectMarker { label } => {
                 // Markers only make sense against a live sensor; in
@@ -498,11 +426,11 @@ fn replay_pump(
                     }
                 }
             }
-            shared.ring.publish(&StreamFrame::from(&frame));
+            shared.feed.ring.publish(&StreamFrame::from(&frame));
             shared.waker.wake();
         }
     }
-    shared.ring.close();
+    shared.feed.ring.close();
     shared.waker.wake();
 }
 

@@ -17,22 +17,25 @@
 //!   the listener and the publish [`LoopWaker`].
 //! * [`spawn_loop`] — runs the reactor on its own named thread.
 //! * [`Handler`] — what differs between a plain daemon and a fleet
-//!   coordinator: how a `Subscribe` opens a session, how a session
-//!   drains its ring(s) into the connection's [`OutQueue`], and how
-//!   control messages are answered. The reactor owns everything else:
-//!   non-blocking accept, per-connection handshake state machines,
-//!   incremental control-frame parsing, batched non-blocking sends,
-//!   stall detection and eviction.
+//!   coordinator: which rings a `Subscribe` selects and with which
+//!   `Hello`, and how control messages are answered. Every streaming
+//!   connection is pumped by the one [`Session::pump`]; the reactor
+//!   owns the rest: non-blocking accept, per-connection handshake
+//!   state machines, incremental control-frame parsing, batched
+//!   non-blocking sends, stall detection and eviction.
 //!
 //! # Eviction equivalence
 //!
 //! The thread-per-subscriber implementation pinned down precise
 //! semantics (and the sim invariants assert them). They carry over:
 //!
-//! * A connection's ring cursor only advances while its [`OutQueue`]
-//!   is below its bound, so a slow subscriber is lapped by the ring
-//!   exactly as before — same `Gap { dropped }` raw-frame accounting,
-//!   same `TooManyGaps` eviction once `max_gap_events` is exceeded.
+//! * A connection is only pumped while its [`OutQueue`] is below its
+//!   bound, and each pass reads a ring only until `QUEUE_CAP`
+//!   downsampled frames wait in the session's ready queue for it, so a
+//!   cursor runs at most that far past the `OutQueue`. A slow
+//!   subscriber is then lapped by the ring as before: same
+//!   `Gap { dropped }` raw-frame accounting, same `TooManyGaps`
+//!   eviction once `max_gap_events` is exceeded.
 //! * A connection whose socket accepts no bytes for `write_timeout`
 //!   while output is pending is evicted `StalledWrite` — the same
 //!   stall the per-subscriber blocking write timeout detected.
@@ -67,6 +70,7 @@ use crate::daemon::StreamDaemonConfig;
 use crate::log;
 use crate::net::set_send_buffer;
 use crate::proto::{ClientMsg, EvictReason, RigSelector, ServerMsg, StreamStats, MAX_MSG_LEN};
+use crate::session::{Pump, Session};
 use crate::signal::Signal;
 
 const LISTENER: Token = Token(0);
@@ -89,15 +93,12 @@ const DEFAULT_OUT_LIMIT: usize = 256 * 1024;
 
 /// What a daemon flavour plugs into the shared reactor.
 ///
-/// Implemented by the plain stream daemon (one ring, one cursor per
-/// session) and the fleet coordinator (k-way merge over per-rig
-/// rings). Handlers run on the loop thread and must never block.
+/// Implemented by the plain stream daemon (its one ring for every
+/// subscriber) and the fleet coordinator (the rings of the selected
+/// rigs). Handlers run on the loop thread and must never block.
 pub trait Handler: Send + 'static {
-    /// Per-connection streaming state (cursors, downsamplers, batch).
-    type Session: Send;
-
-    /// Validates a `Subscribe` and opens a session. Returns the
-    /// encoded `Hello` to send and the session state.
+    /// Validates a `Subscribe` and opens a [`Session`] over the rings it
+    /// selects. Returns the encoded `Hello` to send and the session.
     ///
     /// # Errors
     ///
@@ -108,26 +109,10 @@ pub trait Handler: Send + 'static {
         pair_mask: u8,
         divisor: u32,
         rig: Option<RigSelector>,
-    ) -> io::Result<(Vec<u8>, Self::Session)>;
-
-    /// Drains the session's ring cursor(s) into `out`. Must stop when
-    /// [`OutQueue::is_full`] and never block; called on every loop
-    /// wakeup.
-    fn pump(&self, session: &mut Self::Session, out: &mut OutQueue) -> Pump;
+    ) -> io::Result<(Vec<u8>, Session)>;
 
     /// Handles one decoded control message.
-    fn control(&self, session: &mut Self::Session, msg: ClientMsg, out: &mut OutQueue) -> Control;
-}
-
-/// Outcome of one [`Handler::pump`] call.
-#[derive(Debug)]
-pub enum Pump {
-    /// Sources drained (or output full); nothing to decide.
-    Idle,
-    /// Evict this subscriber for cause.
-    Evict(EvictReason),
-    /// Every source ring closed: end the subscription as a shutdown.
-    Closed,
+    fn control(&self, msg: ClientMsg, out: &mut OutQueue) -> Control;
 }
 
 /// Outcome of one [`Handler::control`] call.
@@ -453,20 +438,20 @@ impl OutQueue {
 }
 
 /// Per-connection state machine.
-enum State<S> {
+enum State {
     /// Waiting for the `Subscribe`; dropped at `deadline`.
     Handshake { deadline: Instant },
     /// Serving frames.
-    Streaming { session: S },
+    Streaming { session: Session },
     /// Evicted or shut down: flush what is queued, then close. The
     /// session is gone (`active` already decremented).
     Draining { deadline: Instant },
 }
 
-struct Conn<S> {
+struct Conn {
     stream: TcpStream,
     client_id: u64,
-    state: State<S>,
+    state: State,
     /// Unparsed inbound bytes (partial control frames).
     inbuf: Vec<u8>,
     out: OutQueue,
@@ -498,7 +483,7 @@ struct Reactor<H: Handler> {
     shutdown: Arc<AtomicBool>,
     stats: Arc<LoopStats>,
     component: &'static str,
-    conns: Vec<Option<Conn<H::Session>>>,
+    conns: Vec<Option<Conn>>,
     free_slots: Vec<usize>,
     next_client: u64,
 }
@@ -674,17 +659,15 @@ impl<H: Handler> Reactor<H> {
                     conn.state = State::Streaming { session };
                     self.stats.subscriber_up();
                 }
-                State::Streaming { session } => {
-                    match self.handler.control(session, msg, &mut conn.out) {
-                        Control::Continue => {}
-                        Control::Disconnect => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::ConnectionAborted,
-                                "client ended the session",
-                            ));
-                        }
+                State::Streaming { .. } => match self.handler.control(msg, &mut conn.out) {
+                    Control::Continue => {}
+                    Control::Disconnect => {
+                        return Err(io::Error::new(
+                            io::ErrorKind::ConnectionAborted,
+                            "client ended the session",
+                        ));
                     }
-                }
+                },
                 State::Draining { .. } => return Ok(()),
             }
         }
@@ -700,7 +683,7 @@ impl<H: Handler> Reactor<H> {
                 };
                 match &mut conn.state {
                     State::Streaming { session } if !conn.out.is_full() => {
-                        match self.handler.pump(session, &mut conn.out) {
+                        match session.pump(&mut conn.out, &self.stats, self.config.max_gap_events) {
                             Pump::Idle => None,
                             Pump::Evict(reason) => Some(End::Evicted(reason)),
                             Pump::Closed => Some(End::Shutdown),

@@ -13,14 +13,17 @@
 //!        │ drop-oldest on lap (never blocks acquisition)
 //!        ▼
 //!  event-loop thread (epoll/poll readiness over every socket)
-//!        ├── conn state machine ── Downsampler ÷1    ──▶ 20 kHz client
-//!        ├── conn state machine ── Downsampler ÷20   ──▶ 1 kHz client
-//!        └── conn state machine ── Downsampler ÷2000 ──▶ 10 Hz client
+//!        ├── conn state machine ── Session ÷1    ──▶ 20 kHz client
+//!        ├── conn state machine ── Session ÷20   ──▶ 1 kHz client
+//!        └── conn state machine ── Session ÷2000 ──▶ 10 Hz client
 //! ```
 //!
 //! * [`StreamDaemon`] taps a [`ps3_core::SharedPowerSensor`] and
 //!   serves subscribers; a slow subscriber gets [`ServerMsg::Gap`]
 //!   messages, a persistently slow or stalled one is evicted.
+//! * [`Session`] is the one subscriber pump: a cursor, [`Downsampler`]
+//!   and ready queue per [`Feed`], merged on timestamps. The daemon
+//!   gives it one ring; `ps3-fleet` gives it the selected rigs' rings.
 //! * [`StreamClient`] subscribes and converts raw codes with the sensor
 //!   configuration from the daemon's `Hello`.
 //! * The wire format ([`proto`]) reuses the device's native 2-byte
@@ -41,16 +44,18 @@ pub mod log;
 pub mod net;
 pub mod proto;
 mod ring;
+mod session;
 mod signal;
 
 pub use client::{FrameCallback, RigCounts, RigFrameCallback, StreamClient, StreamClientConfig};
 pub use daemon::{StreamDaemon, StreamDaemonConfig};
 pub use downsample::Downsampler;
 pub use event_loop::{
-    bring_up, spawn_loop, Control, Handler, LoopParts, LoopStats, LoopWaker, OutQueue, Pump,
+    bring_up, spawn_loop, Control, Handler, LoopParts, LoopStats, LoopWaker, OutQueue,
 };
 pub use net::{bind_error, bind_reusable, resolve_bind};
 pub use proto::{
     ClientMsg, EvictReason, FleetHello, RigSelector, RigStatus, ServerMsg, StreamFrame, StreamStats,
 };
 pub use ring::{BroadcastRing, ReadOutcome};
+pub use session::{Feed, Pump, Session};

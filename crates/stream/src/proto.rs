@@ -24,6 +24,13 @@
 //!   `Subscribe` (no suffix) gets a plain `Hello` and untagged
 //!   `Batch`/`Gap` messages for the coordinator's default rig 0, so
 //!   pre-fleet clients keep working against a coordinator.
+//!
+//! # Strict decoding
+//!
+//! A server message body must carry every field its tag defines. A
+//! truncated `Stats`, `Evicted`, `Gap`, `RigGap`, `Batch` or `RigBatch`
+//! is refused, never zero-filled or read as another message. The only
+//! optional parts are the two negotiation suffixes above.
 
 use std::io::{self, Read, Write};
 
@@ -594,9 +601,6 @@ impl ServerMsg {
                 put_u64(&mut body, stats.active_subscribers);
                 put_u64(&mut body, stats.evicted);
                 put_u64(&mut body, stats.gap_events);
-                // Cumulative-counter suffix (added with the event-loop
-                // daemon); older decoders ignore trailing bytes, and
-                // this decoder reads it as zeros when absent.
                 put_u64(&mut body, stats.accepted);
                 put_u64(&mut body, stats.active_peak);
                 put_u64(&mut body, stats.bytes_sent);
@@ -719,38 +723,24 @@ impl ServerMsg {
                 let (active_subscribers, payload) = get_u64(payload)?;
                 let (evicted, payload) = get_u64(payload)?;
                 let (gap_events, payload) = get_u64(payload)?;
-                // Optional suffix from event-loop daemons; a pre-suffix
-                // peer's message simply reads as zeros.
-                let mut suffix = [0u64; 5];
-                let mut payload = payload;
-                for slot in &mut suffix {
-                    if payload.len() < 8 {
-                        break;
-                    }
-                    let (v, rest) = get_u64(payload)?;
-                    *slot = v;
-                    payload = rest;
-                }
+                let (accepted, payload) = get_u64(payload)?;
+                let (active_peak, payload) = get_u64(payload)?;
+                let (bytes_sent, payload) = get_u64(payload)?;
+                let (evicted_gaps, payload) = get_u64(payload)?;
+                let (evicted_stalled, _) = get_u64(payload)?;
                 Ok(Self::Stats(StreamStats {
                     frames_published,
                     active_subscribers,
                     evicted,
                     gap_events,
-                    accepted: suffix[0],
-                    active_peak: suffix[1],
-                    bytes_sent: suffix[2],
-                    evicted_gaps: suffix[3],
-                    evicted_stalled: suffix[4],
+                    accepted,
+                    active_peak,
+                    bytes_sent,
+                    evicted_gaps,
+                    evicted_stalled,
                 }))
             }
             tag::EVICTED => {
-                // A payload-less Evicted (the pre-reason wire form) is
-                // read as a shutdown notice.
-                if payload.is_empty() {
-                    return Ok(Self::Evicted {
-                        reason: EvictReason::Shutdown,
-                    });
-                }
                 let (code, payload) = split(payload, 1)?;
                 let (gaps, payload) = get_u64(payload)?;
                 let (limit, _) = get_u64(payload)?;
@@ -1071,18 +1061,12 @@ mod tests {
             roundtrip_server(&ServerMsg::Stats(stats)),
             ServerMsg::Stats(stats)
         );
-        // A pre-suffix Stats payload (4 counters only) still decodes:
-        // the cumulative counters read as zero.
-        let mut legacy = vec![b'T'];
+        // A Stats cut after its 4th counter is refused, not zero-filled.
+        let mut cut = vec![tag::STATS];
         for v in [7u64, 1, 0, 0] {
-            legacy.extend_from_slice(&v.to_le_bytes());
+            cut.extend_from_slice(&v.to_le_bytes());
         }
-        let ServerMsg::Stats(decoded) = ServerMsg::decode(&legacy).unwrap() else {
-            panic!("wrong message kind");
-        };
-        assert_eq!(decoded.frames_published, 7);
-        assert_eq!(decoded.accepted, 0);
-        assert_eq!(decoded.active_peak, 0);
+        assert!(ServerMsg::decode(&cut).is_err());
         assert_eq!(
             roundtrip_server(&ServerMsg::Gap { dropped: 4096 }),
             ServerMsg::Gap { dropped: 4096 }
@@ -1100,13 +1084,45 @@ mod tests {
                 ServerMsg::Evicted { reason }
             );
         }
-        // The legacy payload-less form decodes as a shutdown notice.
-        assert_eq!(
-            ServerMsg::decode(&[tag::EVICTED]).unwrap(),
+        // A payload-less Evicted is refused, not read as a shutdown.
+        assert!(ServerMsg::decode(&[tag::EVICTED]).is_err());
+    }
+
+    #[test]
+    fn every_strict_prefix_of_a_body_is_refused() {
+        let stats = StreamStats {
+            frames_published: 1,
+            active_subscribers: 2,
+            evicted: 3,
+            gap_events: 4,
+            accepted: 5,
+            active_peak: 6,
+            bytes_sent: 7,
+            evicted_gaps: 8,
+            evicted_stalled: 9,
+        };
+        let frames = vec![frame(1000, 0b0011, true), frame(1050, 0b1111_1111, false)];
+        for msg in [
+            ServerMsg::Stats(stats),
             ServerMsg::Evicted {
-                reason: EvictReason::Shutdown
+                reason: EvictReason::TooManyGaps { gaps: 3, limit: 2 },
+            },
+            ServerMsg::Gap { dropped: 9 },
+            ServerMsg::RigGap { rig: 4, dropped: 9 },
+            ServerMsg::Batch {
+                frames: frames.clone(),
+            },
+            ServerMsg::RigBatch { rig: 4, frames },
+        ] {
+            let body = &msg.encode()[4..];
+            assert!(ServerMsg::decode(body).is_ok(), "{msg:?}");
+            for len in 0..body.len() {
+                assert!(
+                    ServerMsg::decode(&body[..len]).is_err(),
+                    "{msg:?} cut to {len} bytes"
+                );
             }
-        );
+        }
     }
 
     #[test]

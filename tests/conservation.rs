@@ -3,14 +3,31 @@
 //! The archive writer: every frame offered to its queue is either
 //! written or counted as dropped, `offered == written + dropped`, and
 //! the frames written are the first ones that fit, in order.
+//!
+//! The stream session: every frame a subscriber's ring published is
+//! either delivered in a batch or counted in a gap,
+//! `received + dropped == published`, for one ring and for a merge
+//! over three, and over TCP for a daemon and a fleet subscriber on
+//! two-slot rings.
 
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::sync::atomic::Ordering;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use powersensor3::archive::{Archive, ArchiveFrame, ArchiveWriter, ArchiveWriterOptions};
+use powersensor3::core::SharedPowerSensor;
+use powersensor3::duts::LoadProgram;
 use powersensor3::firmware::{SensorConfig, SENSOR_SLOTS};
-use powersensor3::units::SimTime;
+use powersensor3::fleet::{testbed_rig_factory, Fleet, FleetConfig};
+use powersensor3::sensors::ModuleKind;
+use powersensor3::stream::event_loop::take_frame;
+use powersensor3::stream::{
+    Feed, LoopStats, OutQueue, Pump, RigSelector, ServerMsg, Session, StreamClient,
+    StreamClientConfig, StreamDaemon, StreamDaemonConfig, StreamFrame,
+};
+use powersensor3::testbed::setups;
+use powersensor3::units::{Amps, SimDuration, SimTime};
 
 const WAIT: Duration = Duration::from_secs(30);
 
@@ -117,4 +134,219 @@ fn archive_writer_offered_equals_written_plus_dropped() {
         .copied()
         .collect();
     assert_eq!(archived, kept);
+}
+
+/// What one rig's subscriber was sent: frames, gap events, frames
+/// counted as dropped, and the last frame time (frames arrive in order).
+#[derive(Debug, Default, Clone, Copy)]
+struct Tally {
+    frames: u64,
+    gaps: u64,
+    dropped: u64,
+    last_us: Option<u64>,
+}
+
+impl Tally {
+    fn batch(&mut self, frames: &[StreamFrame]) {
+        for frame in frames {
+            let t = frame.time.as_micros();
+            assert!(
+                self.last_us.is_none_or(|last| t > last),
+                "frame at {t} us out of order"
+            );
+            self.last_us = Some(t);
+        }
+        self.frames += frames.len() as u64;
+    }
+
+    fn gap(&mut self, dropped: u64) {
+        self.gaps += 1;
+        self.dropped += dropped;
+    }
+}
+
+/// Empties `out` and decodes it: `Batch`/`Gap` for an untagged session
+/// (rig 0), `RigBatch`/`RigGap` for a tagged one.
+fn drain(out: &mut OutQueue, tagged: bool, tallies: &mut [Tally]) {
+    let mut wire = Vec::new();
+    out.write_some(&mut wire).unwrap();
+    while let Some(body) = take_frame(&mut wire).unwrap() {
+        match (tagged, ServerMsg::decode(&body).unwrap()) {
+            (false, ServerMsg::Batch { frames }) => tallies[0].batch(&frames),
+            (false, ServerMsg::Gap { dropped }) => tallies[0].gap(dropped),
+            (true, ServerMsg::RigBatch { rig, frames }) => tallies[usize::from(rig)].batch(&frames),
+            (true, ServerMsg::RigGap { rig, dropped }) => tallies[usize::from(rig)].gap(dropped),
+            (_, other) => panic!("unexpected message {other:?}"),
+        }
+    }
+    assert!(wire.is_empty() && out.is_empty());
+}
+
+/// Publishes bursts of up to twice a 1024-slot ring between pumps into
+/// a 128-byte `OutQueue`, which one 512-frame batch fills, so frames
+/// wait in the ready queues across laps. Then closes the rings and
+/// pumps to `Closed`.
+fn session_conserves(rigs: u16, tagged: bool) {
+    const CAPACITY: u64 = 1024;
+    let feeds: Vec<Arc<Feed>> = (0..rigs)
+        .map(|_| Arc::new(Feed::new(CAPACITY as usize)))
+        .collect();
+    let mut session = Session::new(
+        (0..rigs).zip(feeds.iter().cloned()).collect(),
+        tagged,
+        0x0F,
+        1,
+    );
+    let stats = LoopStats::default();
+    let mut out = OutQueue::new(128);
+    let mut tallies = vec![Tally::default(); usize::from(rigs)];
+    for round in 0..100u64 {
+        for (rig, feed) in feeds.iter().enumerate() {
+            let burst = (round * 331 + rig as u64 * 97) % (2 * CAPACITY + 3);
+            for _ in 0..burst {
+                let seq = feed.ring.head();
+                feed.ring.publish(&StreamFrame {
+                    time: SimTime::from_micros(50 * seq + 10 * rig as u64),
+                    raw: [(seq % 1024) as u16; SENSOR_SLOTS],
+                    present: 0xFF,
+                    marker: false,
+                });
+            }
+        }
+        assert!(matches!(
+            session.pump(&mut out, &stats, u64::MAX),
+            Pump::Idle
+        ));
+        drain(&mut out, tagged, &mut tallies);
+    }
+    for feed in &feeds {
+        feed.ring.close();
+    }
+    let mut closed = false;
+    for _ in 0..10_000 {
+        let pump = session.pump(&mut out, &stats, u64::MAX);
+        drain(&mut out, tagged, &mut tallies);
+        match pump {
+            Pump::Idle => {}
+            Pump::Closed => {
+                closed = true;
+                break;
+            }
+            Pump::Evict(reason) => panic!("evicted: {reason}"),
+        }
+    }
+    assert!(closed, "session never reported every ring closed");
+
+    let mut gaps = 0;
+    for (tally, feed) in tallies.iter().zip(&feeds) {
+        assert!(tally.gaps > 0, "bursts past capacity must lap: {tally:?}");
+        assert_eq!(tally.frames + tally.dropped, feed.ring.head(), "{tally:?}");
+        assert_eq!(tally.gaps, feed.gap_events.load(Ordering::SeqCst));
+        gaps += tally.gaps;
+    }
+    assert_eq!(gaps, stats.gap_events.load(Ordering::SeqCst));
+}
+
+#[test]
+fn one_ring_session_delivers_or_counts_every_frame() {
+    session_conserves(1, false);
+}
+
+#[test]
+fn three_ring_merge_delivers_or_counts_every_frame() {
+    session_conserves(3, true);
+}
+
+/// A two-slot ring at divisor 1 laps the subscriber on every read
+/// chunk; an unlimited gap budget keeps it subscribed.
+fn two_slot_stream() -> StreamDaemonConfig {
+    StreamDaemonConfig {
+        ring_capacity: 2,
+        max_gap_events: u64::MAX,
+        ..StreamDaemonConfig::default()
+    }
+}
+
+#[test]
+fn daemon_subscriber_received_plus_dropped_equals_published() {
+    let mut tb = setups::accuracy_bench(
+        ModuleKind::Slot10A12V,
+        LoadProgram::Constant(Amps::new(2.0)),
+        3,
+    );
+    let sensor = SharedPowerSensor::new(tb.connect().unwrap());
+    let mut daemon = StreamDaemon::start(sensor.clone(), "127.0.0.1:0", two_slot_stream()).unwrap();
+    let client = StreamClient::connect(daemon.local_addr(), StreamClientConfig::default()).unwrap();
+    assert!(daemon.wait_stats(WAIT, |s| s.active_subscribers == 1));
+    for _ in 0..10 {
+        tb.advance_and_sync(&sensor, SimDuration::from_millis(20))
+            .unwrap();
+    }
+    let published = daemon.stats().frames_published;
+    assert_eq!(published, 4000);
+    client.wait_until(WAIT, |c| {
+        c.frames_received() + c.dropped_frames() == published
+    });
+    daemon.shutdown();
+    assert!(client.wait_until(WAIT, |c| !c.is_alive()));
+
+    assert!(
+        client.gap_events() > 0,
+        "a two-slot ring must lap: {client:?}"
+    );
+    assert_eq!(
+        client.frames_received() + client.dropped_frames(),
+        published,
+        "{client:?}"
+    );
+}
+
+#[test]
+fn fleet_subscriber_received_plus_dropped_equals_published() {
+    let dir = std::env::temp_dir().join(format!("ps3-conservation-fleet-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut fleet = Fleet::start(
+        2,
+        testbed_rig_factory(3),
+        "127.0.0.1:0",
+        FleetConfig {
+            stream: two_slot_stream(),
+            ..FleetConfig::new(&dir)
+        },
+    )
+    .unwrap();
+    let client = StreamClient::connect(
+        fleet.local_addr(),
+        StreamClientConfig {
+            rig: Some(RigSelector::One(1)),
+            ..StreamClientConfig::default()
+        },
+    )
+    .unwrap();
+    assert!(fleet.wait_stats(WAIT, |s| s.active_subscribers == 1));
+    for _ in 0..10 {
+        fleet.advance(SimDuration::from_millis(20));
+    }
+    let published = fleet.status()[1].frames_published;
+    assert_eq!(published, 4000);
+    client.wait_until(WAIT, |c| {
+        c.frames_received() + c.dropped_frames() == published
+    });
+    fleet.shutdown();
+    assert!(client.wait_until(WAIT, |c| !c.is_alive()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert!(
+        client.gap_events() > 0,
+        "a two-slot ring must lap: {client:?}"
+    );
+    assert_eq!(
+        client.frames_received() + client.dropped_frames(),
+        published,
+        "{client:?}"
+    );
+    let counts = client.rig_counts();
+    assert_eq!(counts.len(), 1, "only rig 1 is streamed: {counts:?}");
+    assert_eq!(counts[0].rig, 1);
+    assert_eq!(counts[0].frames + counts[0].dropped, published);
 }
