@@ -143,6 +143,12 @@ stage_lint() {
       | grep -v -e '^crates/stream/src/session\.rs:' -e '^crates/stream/src/ring\.rs:'; then
     echo "ReadOutcome::Lapped outside crates/stream/src/{session,ring}.rs"; exit 1
   fi
+  # One simulated rig: ps3-sim's scenarios connect a host only through
+  # Rig::connect (crates/sim/src/world.rs), so no scenario builds its
+  # rig by hand again.
+  if grep -rn 'PowerSensor::connect(' crates/sim/src | grep -v '^crates/sim/src/world\.rs:'; then
+    echo "PowerSensor::connect( in crates/sim/src outside world.rs"; exit 1
+  fi
   # One timing instrument: perfbench times the layers, repro records
   # its wall clock in BENCH_repro.json. No package may bring back a
   # `cargo bench` target or a criterion dependency.

@@ -3,6 +3,13 @@
 //! subscribers, archive writer — runs it under a [`SimPlan`], quiesces,
 //! and checks the invariant catalogue.
 //!
+//! The streaming scenarios (pipeline, device-crash, tcp-faults, c10k)
+//! each drive one [`Rig`]: connect, settle, and (all but c10k) capture.
+//! The other shared steps are written once here: the archive
+//! finish-and-verify step (pipeline, device-crash), the post-shutdown
+//! `evict-reason` check (pipeline, tcp-faults, fleet) and the seeded
+//! random frames (archive-crash, tsdb).
+//!
 //! Every fact a scenario reports (and folds into its fingerprint) is a
 //! pure function of `(seed, plan, sabotage)`. Wall-clock-dependent
 //! quantities (client counters mid-flight, queue depths) feed
@@ -18,10 +25,10 @@ use std::time::Duration;
 use ps3_analysis::Trace;
 use ps3_archive::{
     frame_total, index_path_for, stats_path_for, Archive, ArchiveError, ArchiveFrame,
-    ArchiveWriter, ArchiveWriterOptions, SegmentWriter,
+    ArchiveWriter, ArchiveWriterOptions, SegmentWriter, WriterStats,
 };
-use ps3_core::{PowerSensor, PowerSensorError, SharedPowerSensor};
-use ps3_firmware::SENSOR_SLOTS;
+use ps3_core::PowerSensorError;
+use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
 use ps3_fleet::{
     parse_shard_name, testbed_rig_factory, Fleet, FleetConfig, FleetQuery, RigFactory,
 };
@@ -33,10 +40,10 @@ use ps3_tsdb::{
 };
 use ps3_units::{SimDuration, SimTime};
 
-use crate::inject::{FaultInjector, FaultProxy};
+use crate::inject::FaultProxy;
 use crate::invariant::{Checker, Fingerprint, Violation};
 use crate::plan::{splitmix64, FaultKind, PlanOptions, SimPlan};
-use crate::world::{quiesce, sim_eeprom, spawn_device};
+use crate::world::{sim_eeprom, Rig};
 
 /// Every scenario the harness knows, in sweep order.
 pub const SCENARIOS: [&str; 8] = [
@@ -243,12 +250,7 @@ pub fn crash_time_us(seed: u64) -> u64 {
 }
 
 fn scratch_path(tag: &str, seed: u64) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::SeqCst);
-    std::env::temp_dir().join(format!(
-        "ps3-sim-{}-{tag}-{seed}-{n}.ps3a",
-        std::process::id()
-    ))
+    scratch_dir(tag, seed).with_extension("ps3a")
 }
 
 fn scratch_dir(tag: &str, seed: u64) -> PathBuf {
@@ -282,6 +284,85 @@ fn check_drained(
     }
     checker.check_gap_accounting(published, client.frames_received(), client.dropped_frames());
     true
+}
+
+/// `evict-reason` once the server has shut down: waits up to 5 s for
+/// each named client to die, then requires an evicted client to carry
+/// its reason and, with `must_die`, every client to have died.
+fn check_evict_reasons<'a>(
+    checker: &mut Checker,
+    clients: impl IntoIterator<Item = (&'a str, &'a StreamClient)>,
+    must_die: bool,
+) {
+    for (name, client) in clients {
+        let dead = client.wait_until(Duration::from_secs(5), |c| !c.is_alive());
+        if must_die {
+            checker.expect("evict-reason", dead, || {
+                format!("{name} client still alive after daemon shutdown")
+            });
+        }
+        checker.expect(
+            "evict-reason",
+            !client.is_evicted() || client.eviction_reason().is_some(),
+            || format!("{name} client evicted without a reason"),
+        );
+    }
+}
+
+/// Finishes a live capture's archive and checks it against the
+/// capture's `trace`: no queue drops (`archive-accounting`), every
+/// segment sealed and the archive equal to the trace. `sabotage` may
+/// damage the file between finish and reopen. Returns the writer's
+/// totals when it finished.
+fn finish_archive(
+    checker: &mut Checker,
+    writer: ArchiveWriter,
+    path: &Path,
+    trace: &Trace,
+    sabotage: Sabotage,
+) -> Option<WriterStats> {
+    // The queue (65536) dwarfs either run (at most 5000 frames): any
+    // drop here is an accounting bug, not backpressure.
+    let dropped = writer.dropped();
+    checker.expect("archive-accounting", dropped == 0, || {
+        format!("archive writer dropped {dropped} frames with an oversized queue")
+    });
+    let stats = match writer.finish() {
+        Ok(stats) => Some(stats),
+        Err(e) => {
+            checker.expect("archive-accounting", false, || {
+                format!("archive writer failed: {e:?}")
+            });
+            None
+        }
+    };
+    if sabotage == Sabotage::UnsealedTail {
+        // Never empty: the writer wrote the file header at spawn.
+        let len = std::fs::metadata(path).expect("stat archive").len();
+        flip_byte(path, len - 1, 0);
+    }
+    match Archive::open(path) {
+        Ok(archive) => {
+            checker.check_archive_sealed(&archive);
+            checker.check_archive_matches(&archive, trace, dropped);
+        }
+        Err(e) => checker.expect("archive-seal", false, || {
+            format!("finished archive failed to reopen: {e:?}")
+        }),
+    }
+    stats
+}
+
+/// The report of a run whose handshake the plan killed: a legal,
+/// replayable outcome, not a violation.
+fn connect_failed(
+    scenario: &'static str,
+    seed: u64,
+    plan: &SimPlan,
+    error: &PowerSensorError,
+) -> ScenarioReport {
+    let facts = vec![("connect_error".into(), format!("{error:?}"))];
+    finish_report(scenario, seed, plan, 0, facts, Checker::new())
 }
 
 pub(crate) fn finish_report(
@@ -318,26 +399,15 @@ pub(crate) fn finish_report(
 fn run_pipeline(seed: u64, plan: &SimPlan, sabotage: Sabotage) -> ScenarioReport {
     let mut checker = Checker::new();
     let mut facts: Vec<(String, String)> = Vec::new();
-    let archive_path = scratch_path("pipeline", seed);
+    let path = scratch_path("pipeline", seed);
 
-    let (device, host) = spawn_device(seed, None);
-    let injector = FaultInjector::new(host, plan);
-    let tap = injector.clone();
-
-    let ps = match PowerSensor::connect(injector) {
-        Ok(ps) => SharedPowerSensor::new(ps),
-        Err(e) => {
-            // A plan that kills the link inside the handshake is a
-            // legal outcome, not a violation; it is still replayable.
-            facts.push(("connect_error".into(), format!("{e:?}")));
-            drop(device);
-            cleanup(&archive_path);
-            return finish_report("pipeline", seed, plan, 0, facts, checker);
-        }
+    let rig = match Rig::connect(seed, None, plan) {
+        Ok(rig) => rig,
+        Err(e) => return connect_failed("pipeline", seed, plan, &e),
     };
-    ps.begin_trace();
+    let ps = &rig.ps;
 
-    let writer = ArchiveWriter::spawn(&archive_path, ps.configs(), ArchiveWriterOptions::default())
+    let writer = ArchiveWriter::spawn(&path, ps.configs(), ArchiveWriterOptions::default())
         .expect("create sim archive");
     if sabotage == Sabotage::UncountedDrop {
         let mut inner = writer.sink();
@@ -355,7 +425,7 @@ fn run_pipeline(seed: u64, plan: &SimPlan, sabotage: Sabotage) -> ScenarioReport
             inner(&kept)
         });
     } else {
-        writer.attach(&ps);
+        writer.attach(ps);
     }
 
     let mut daemon = StreamDaemon::start(ps.clone(), "127.0.0.1:0", StreamDaemonConfig::default())
@@ -379,30 +449,15 @@ fn run_pipeline(seed: u64, plan: &SimPlan, sabotage: Sabotage) -> ScenarioReport
         "subscribers failed to register within 5 s".into()
     });
 
-    device.advance(SimDuration::from_millis(STREAM_MS));
-    let quiesced = quiesce(&ps, &device, Duration::from_secs(30));
-    checker.expect("harness-quiesce", quiesced, || {
-        "pipeline failed to quiesce within 30 s".into()
-    });
-
-    let trace = ps.end_trace();
-    let state = ps.read();
-    let frames = ps.frames_received();
-    let published = daemon.stats().frames_published;
-
+    rig.settle(&mut checker, "pipeline", STREAM_MS);
     // Every sink attached while the device was parked, so the trace,
     // the daemon and the archive all saw every decoded frame.
-    checker.expect("gap-accounting", trace.len() as u64 == frames, || {
-        format!(
-            "trace holds {} samples but host decoded {frames}",
-            trace.len()
-        )
-    });
+    let capture = rig.capture(&mut checker);
+    let frames = capture.frames;
+    let published = daemon.stats().frames_published;
     checker.expect("gap-accounting", published == frames, || {
         format!("daemon published {published} of {frames} decoded frames")
     });
-    checker.check_monotonic(&trace, !plan.mutates_bytes());
-    checker.check_energy(&trace, state.total_energy);
 
     // The ring never laps (5000 frames < 8192 slots), so both clients
     // converge on exact counts; give them bounded wall time to drain.
@@ -415,59 +470,24 @@ fn run_pipeline(seed: u64, plan: &SimPlan, sabotage: Sabotage) -> ScenarioReport
     }
 
     daemon.shutdown();
-    for (name, client) in [("div1", &c1), ("div4", &c4)] {
-        let dead = client.wait_until(Duration::from_secs(5), |c| !c.is_alive());
-        checker.expect("evict-reason", dead, || {
-            format!("{name} client still alive after daemon shutdown")
-        });
-        checker.expect(
-            "evict-reason",
-            !client.is_evicted() || client.eviction_reason().is_some(),
-            || format!("{name} client evicted without a reason"),
-        );
-    }
+    check_evict_reasons(&mut checker, [("div1", &c1), ("div4", &c4)], true);
 
-    // The queue (65536) dwarfs the run (5000 frames): any drop here is
-    // an accounting bug, not backpressure.
-    let writer_dropped = writer.dropped();
-    checker.expect("archive-accounting", writer_dropped == 0, || {
-        format!("archive writer dropped {writer_dropped} frames with an oversized queue")
-    });
-    match writer.finish() {
-        Ok(stats) => {
-            facts.push(("archive_frames".into(), stats.frames.to_string()));
-            facts.push(("archive_segments".into(), stats.segments.to_string()));
-        }
-        Err(e) => checker.expect("archive-accounting", false, || {
-            format!("archive writer failed: {e:?}")
-        }),
-    }
-    if sabotage == Sabotage::UnsealedTail {
-        flip_last_byte(&archive_path);
-    }
-    match Archive::open(&archive_path) {
-        Ok(archive) => {
-            checker.check_archive_sealed(&archive);
-            checker.check_archive_matches(&archive, &trace, writer_dropped);
-        }
-        Err(e) => checker.expect("archive-seal", false, || {
-            format!("finished archive failed to reopen: {e:?}")
-        }),
+    if let Some(stats) = finish_archive(&mut checker, writer, &path, &capture.trace, sabotage) {
+        facts.push(("archive_frames".into(), stats.frames.to_string()));
+        facts.push(("archive_segments".into(), stats.segments.to_string()));
     }
 
     facts.push(("published".into(), published.to_string()));
+    facts.push(capture.energy_bits);
     facts.push((
-        "energy_bits".into(),
-        format!("{:016x}", state.total_energy.value().to_bits()),
+        "faults_applied".into(),
+        rig.tap.faults_applied().to_string(),
     ));
-    facts.push(("faults_applied".into(), tap.faults_applied().to_string()));
-    let mut fp_trace = Fingerprint::new();
-    fp_trace.update_trace(&trace);
-    facts.push(("trace_fp".into(), format!("{:016x}", fp_trace.finish())));
+    facts.push(capture.trace_fp);
 
     drop(daemon);
-    drop(device);
-    cleanup(&archive_path);
+    drop(rig);
+    cleanup(&path);
     finish_report("pipeline", seed, plan, frames, facts, checker)
 }
 
@@ -477,32 +497,20 @@ fn run_pipeline(seed: u64, plan: &SimPlan, sabotage: Sabotage) -> ScenarioReport
 fn run_device_crash(seed: u64, plan: &SimPlan) -> ScenarioReport {
     let mut checker = Checker::new();
     let mut facts: Vec<(String, String)> = Vec::new();
-    let archive_path = scratch_path("crash", seed);
+    let path = scratch_path("crash", seed);
     let crash_us = crash_time_us(seed);
 
-    let (device, host) = spawn_device(seed, Some(SimTime::from_micros(crash_us)));
-    let injector = FaultInjector::new(host, plan);
-
-    let ps = match PowerSensor::connect(injector) {
-        Ok(ps) => SharedPowerSensor::new(ps),
-        Err(e) => {
-            facts.push(("connect_error".into(), format!("{e:?}")));
-            drop(device);
-            cleanup(&archive_path);
-            return finish_report("device-crash", seed, plan, 0, facts, checker);
-        }
+    let rig = match Rig::connect(seed, Some(SimTime::from_micros(crash_us)), plan) {
+        Ok(rig) => rig,
+        Err(e) => return connect_failed("device-crash", seed, plan, &e),
     };
-    ps.begin_trace();
-    let writer = ArchiveWriter::spawn(&archive_path, ps.configs(), ArchiveWriterOptions::default())
+    let ps = &rig.ps;
+    let writer = ArchiveWriter::spawn(&path, ps.configs(), ArchiveWriterOptions::default())
         .expect("create sim archive");
-    writer.attach(&ps);
+    writer.attach(ps);
 
     // Advance well past the crash time; the device dies on the way.
-    device.advance(SimDuration::from_millis(40));
-    let quiesced = quiesce(&ps, &device, Duration::from_secs(30));
-    checker.expect("harness-quiesce", quiesced, || {
-        "device-crash failed to quiesce within 30 s".into()
-    });
+    rig.settle(&mut checker, "device-crash", 40);
     // No frame count is ever reached: the wait ends when the reader
     // exits on the dead link.
     let noticed =
@@ -521,15 +529,8 @@ fn run_device_crash(seed: u64, plan: &SimPlan) -> ScenarioReport {
         },
     );
 
-    let trace = ps.end_trace();
-    let state = ps.read();
-    let frames = ps.frames_received();
-    checker.expect("gap-accounting", trace.len() as u64 == frames, || {
-        format!(
-            "trace holds {} samples but host decoded {frames}",
-            trace.len()
-        )
-    });
+    let capture = rig.capture(&mut checker);
+    let frames = capture.frames;
     if plan.is_empty() {
         // 50 µs frames from clock zero, batches overshoot the crash by
         // less than one frame: the count is exact.
@@ -538,39 +539,15 @@ fn run_device_crash(seed: u64, plan: &SimPlan) -> ScenarioReport {
             format!("crash at {crash_us} µs: decoded {frames} frames, expected {expected}")
         });
     }
-    checker.check_monotonic(&trace, !plan.mutates_bytes());
-    checker.check_energy(&trace, state.total_energy);
 
-    let writer_dropped = writer.dropped();
-    checker.expect("archive-accounting", writer_dropped == 0, || {
-        format!("archive writer dropped {writer_dropped} frames with an oversized queue")
-    });
-    if let Err(e) = writer.finish() {
-        checker.expect("archive-accounting", false, || {
-            format!("archive writer failed: {e:?}")
-        });
-    }
-    match Archive::open(&archive_path) {
-        Ok(archive) => {
-            checker.check_archive_sealed(&archive);
-            checker.check_archive_matches(&archive, &trace, writer_dropped);
-        }
-        Err(e) => checker.expect("archive-seal", false, || {
-            format!("finished archive failed to reopen: {e:?}")
-        }),
-    }
+    finish_archive(&mut checker, writer, &path, &capture.trace, Sabotage::None);
 
     facts.push(("crash_us".into(), crash_us.to_string()));
-    facts.push((
-        "energy_bits".into(),
-        format!("{:016x}", state.total_energy.value().to_bits()),
-    ));
-    let mut fp_trace = Fingerprint::new();
-    fp_trace.update_trace(&trace);
-    facts.push(("trace_fp".into(), format!("{:016x}", fp_trace.finish())));
+    facts.push(capture.energy_bits);
+    facts.push(capture.trace_fp);
 
-    drop(device);
-    cleanup(&archive_path);
+    drop(rig);
+    cleanup(&path);
     finish_report("device-crash", seed, plan, frames, facts, checker)
 }
 
@@ -582,15 +559,12 @@ fn run_tcp_faults(seed: u64, plan: &SimPlan) -> ScenarioReport {
     let mut checker = Checker::new();
     let mut facts: Vec<(String, String)> = Vec::new();
 
-    let (device, host) = spawn_device(seed, None);
     // Clean USB: the injector carries an empty plan.
-    let injector = FaultInjector::new(host, &SimPlan::empty());
-    let ps =
-        SharedPowerSensor::new(PowerSensor::connect(injector).expect("connect over clean serial"));
-    ps.begin_trace();
+    let rig = Rig::connect(seed, None, &SimPlan::empty()).expect("connect over clean serial");
 
-    let mut daemon = StreamDaemon::start(ps.clone(), "127.0.0.1:0", StreamDaemonConfig::default())
-        .expect("start sim stream daemon");
+    let mut daemon =
+        StreamDaemon::start(rig.ps.clone(), "127.0.0.1:0", StreamDaemonConfig::default())
+            .expect("start sim stream daemon");
     let direct = StreamClient::connect(daemon.local_addr(), StreamClientConfig::default())
         .expect("connect direct client");
     let proxy = FaultProxy::start(daemon.local_addr(), plan).expect("start fault proxy");
@@ -603,30 +577,15 @@ fn run_tcp_faults(seed: u64, plan: &SimPlan) -> ScenarioReport {
         "subscribers failed to register within 5 s".into()
     });
 
-    device.advance(SimDuration::from_millis(STREAM_MS));
-    let quiesced = quiesce(&ps, &device, Duration::from_secs(30));
-    checker.expect("harness-quiesce", quiesced, || {
-        "tcp-faults failed to quiesce within 30 s".into()
-    });
-
-    let trace = ps.end_trace();
-    let state = ps.read();
-    let frames = ps.frames_received();
+    rig.settle(&mut checker, "tcp-faults", STREAM_MS);
+    // The serial link is clean here, so the capture's timestamps are
+    // strictly monotonic no matter what the TCP plan does.
+    let capture = rig.capture(&mut checker);
+    let frames = capture.frames;
     let published = daemon.stats().frames_published;
-    checker.expect(
-        "gap-accounting",
-        trace.len() as u64 == frames && published == frames,
-        || {
-            format!(
-                "trace {} / decoded {frames} / published {published} disagree on a clean link",
-                trace.len()
-            )
-        },
-    );
-    // The serial link is clean here, so strict monotonicity holds no
-    // matter what the TCP plan does.
-    checker.check_monotonic(&trace, true);
-    checker.check_energy(&trace, state.total_energy);
+    checker.expect("gap-accounting", published == frames, || {
+        format!("daemon published {published} of {frames} frames decoded on a clean link")
+    });
 
     check_drained(&mut checker, &direct, published, Duration::from_secs(10));
     // The faulted client's exact counts depend on what the plan did to
@@ -643,26 +602,18 @@ fn run_tcp_faults(seed: u64, plan: &SimPlan) -> ScenarioReport {
     }
 
     daemon.shutdown();
-    for (name, client) in [("direct", &direct), ("faulted", &faulted)] {
-        client.wait_until(Duration::from_secs(5), |c| !c.is_alive());
-        checker.expect(
-            "evict-reason",
-            !client.is_evicted() || client.eviction_reason().is_some(),
-            || format!("{name} client evicted without a reason"),
-        );
-    }
+    check_evict_reasons(
+        &mut checker,
+        [("direct", &direct), ("faulted", &faulted)],
+        false,
+    );
 
     facts.push(("published".into(), published.to_string()));
-    facts.push((
-        "energy_bits".into(),
-        format!("{:016x}", state.total_energy.value().to_bits()),
-    ));
-    let mut fp_trace = Fingerprint::new();
-    fp_trace.update_trace(&trace);
-    facts.push(("trace_fp".into(), format!("{:016x}", fp_trace.finish())));
+    facts.push(capture.energy_bits);
+    facts.push(capture.trace_fp);
 
     drop(daemon);
-    drop(device);
+    drop(rig);
     finish_report("tcp-faults", seed, plan, frames, facts, checker)
 }
 
@@ -677,14 +628,11 @@ fn run_c10k(seed: u64, plan: &SimPlan) -> ScenarioReport {
     let mut checker = Checker::new();
     let mut facts: Vec<(String, String)> = Vec::new();
 
-    let (device, host) = spawn_device(seed, None);
     // Clean USB: the injector carries an empty plan.
-    let injector = FaultInjector::new(host, &SimPlan::empty());
-    let ps =
-        SharedPowerSensor::new(PowerSensor::connect(injector).expect("connect over clean serial"));
+    let rig = Rig::connect(seed, None, &SimPlan::empty()).expect("connect over clean serial");
 
     let daemon = StreamDaemon::start(
-        ps.clone(),
+        rig.ps.clone(),
         "127.0.0.1:0",
         StreamDaemonConfig {
             // Never laps a C10K_FRAMES capture: keep-up clients are
@@ -732,11 +680,7 @@ fn run_c10k(seed: u64, plan: &SimPlan) -> ScenarioReport {
         format!("{expected_subs} subscribers failed to register within 10 s")
     });
 
-    device.advance(SimDuration::from_millis(C10K_MS));
-    let quiesced = quiesce(&ps, &device, Duration::from_secs(30));
-    checker.expect("harness-quiesce", quiesced, || {
-        "c10k failed to quiesce within 30 s".into()
-    });
+    rig.settle(&mut checker, "c10k", C10K_MS);
 
     let published = daemon.stats().frames_published;
     checker.expect("gap-accounting", published == C10K_FRAMES, || {
@@ -815,7 +759,7 @@ fn run_c10k(seed: u64, plan: &SimPlan) -> ScenarioReport {
     drop(stalled);
     drop(clients);
     drop(daemon);
-    drop(device);
+    drop(rig);
     finish_report("c10k", seed, plan, published, facts, checker)
 }
 
@@ -861,35 +805,19 @@ fn run_fleet(seed: u64, plan: &SimPlan) -> ScenarioReport {
     )
     .expect("start sim fleet");
 
-    let merged = StreamClient::connect(
-        fleet.local_addr(),
-        StreamClientConfig {
-            rig: Some(RigSelector::All),
+    let subscribe = |addr, rig| {
+        let config = StreamClientConfig {
+            rig: Some(rig),
             ..StreamClientConfig::default()
-        },
-    )
-    .expect("connect merged client");
+        };
+        StreamClient::connect(addr, config).expect("connect fleet client")
+    };
+    let merged = subscribe(fleet.local_addr(), RigSelector::All);
     let per_rig: Vec<StreamClient> = (0..8u16)
-        .map(|r| {
-            StreamClient::connect(
-                fleet.local_addr(),
-                StreamClientConfig {
-                    rig: Some(RigSelector::One(r)),
-                    ..StreamClientConfig::default()
-                },
-            )
-            .expect("connect per-rig client")
-        })
+        .map(|r| subscribe(fleet.local_addr(), RigSelector::One(r)))
         .collect();
     let proxy = FaultProxy::start(fleet.local_addr(), plan).expect("start fault proxy");
-    let faulted = StreamClient::connect(
-        proxy.addr(),
-        StreamClientConfig {
-            rig: Some(RigSelector::All),
-            ..StreamClientConfig::default()
-        },
-    )
-    .expect("connect faulted client");
+    let faulted = subscribe(proxy.addr(), RigSelector::All);
 
     // Every session's cursors are pinned once all ten are up.
     let subscribed = fleet.wait_stats(Duration::from_secs(5), |s| s.active_subscribers == 10);
@@ -1039,14 +967,8 @@ fn run_fleet(seed: u64, plan: &SimPlan) -> ScenarioReport {
     }
 
     fleet.shutdown();
-    for client in per_rig.iter().chain([&merged, &faulted]) {
-        client.wait_until(Duration::from_secs(5), |c| !c.is_alive());
-        checker.expect(
-            "evict-reason",
-            !client.is_evicted() || client.eviction_reason().is_some(),
-            || "fleet client evicted without a reason".into(),
-        );
-    }
+    let clients = per_rig.iter().chain([&merged, &faulted]);
+    check_evict_reasons(&mut checker, clients.map(|c| ("fleet", c)), false);
 
     // Shutdown sealed every shard; the query plane must now agree with
     // per-shard ground truth to the last bit.
@@ -1144,21 +1066,12 @@ fn run_archive_crash(seed: u64, plan: &SimPlan) -> ScenarioReport {
     let mut facts: Vec<(String, String)> = Vec::new();
     let path = scratch_path("archive", seed);
 
-    let eeprom = sim_eeprom();
-    let configs = std::array::from_fn::<_, SENSOR_SLOTS, _>(|slot| eeprom.read(slot).clone());
-    let mut writer = SegmentWriter::create_with(&path, configs, 100).expect("create sim archive");
+    let mut writer =
+        SegmentWriter::create_with(&path, sim_configs(), 100).expect("create sim archive");
     let mut rng = seed ^ ARCHIVE_SALT;
     for i in 0..ARCHIVE_FRAMES {
-        let mut raw = [0u16; SENSOR_SLOTS];
-        raw[0] = (splitmix64(&mut rng) % 1024) as u16;
-        raw[1] = (splitmix64(&mut rng) % 1024) as u16;
         writer
-            .push(ArchiveFrame {
-                time: SimTime::from_micros(25 + 50 * i),
-                raw,
-                present: 0b11,
-                marker: i.is_multiple_of(127).then_some('m'),
-            })
+            .push(random_frame(&mut rng, i))
             .expect("push sim frame");
     }
     writer.finish().expect("finish sim archive");
@@ -1288,8 +1201,7 @@ fn run_tsdb(seed: u64, plan: &SimPlan) -> ScenarioReport {
         tier2_nodes: 2,
     };
 
-    let eeprom = sim_eeprom();
-    let configs = std::array::from_fn::<_, SENSOR_SLOTS, _>(|slot| eeprom.read(slot).clone());
+    let configs = sim_configs();
     let adc = ps3_sensors::AdcSpec::POWERSENSOR3;
 
     // Phase A — live capture with seal-time compaction. The live trace
@@ -1309,15 +1221,7 @@ fn run_tsdb(seed: u64, plan: &SimPlan) -> ScenarioReport {
     let mut live = Trace::with_capacity(TSDB_FRAMES as usize);
     let mut rng = seed ^ TSDB_SALT;
     for i in 0..TSDB_FRAMES {
-        let mut raw = [0u16; SENSOR_SLOTS];
-        raw[0] = (splitmix64(&mut rng) % 1024) as u16;
-        raw[1] = (splitmix64(&mut rng) % 1024) as u16;
-        let frame = ArchiveFrame {
-            time: SimTime::from_micros(25 + 50 * i),
-            raw,
-            present: 0b11,
-            marker: i.is_multiple_of(127).then_some('m'),
-        };
+        let frame = random_frame(&mut rng, i);
         live.push(frame.time, frame_total(&configs, &adc, &frame));
         if let Some(label) = frame.marker {
             live.mark(frame.time, label);
@@ -1341,6 +1245,8 @@ fn run_tsdb(seed: u64, plan: &SimPlan) -> ScenarioReport {
     let naive_segments = TSDB_FRAMES as usize / TSDB_SEGMENT_FRAMES;
     let t0 = 25u64;
     let t1 = 25 + 50 * (TSDB_FRAMES - 1);
+    // The whole capture.
+    let (start, end) = (SimTime::ZERO, SimTime::from_micros(t1 + 1));
     let mut segments_live = 0usize;
     // Decode-path energy over the whole capture, before compaction.
     // Compaction regroups the same trapezoid terms by the new segment
@@ -1351,7 +1257,7 @@ fn run_tsdb(seed: u64, plan: &SimPlan) -> ScenarioReport {
     match Archive::open(&path) {
         Ok(archive) => {
             segments_live = archive.segments().len();
-            if let Ok(e) = archive.energy(SimTime::from_micros(0), SimTime::from_micros(t1 + 1)) {
+            if let Ok(e) = archive.energy(start, end) {
                 flat_energy_bits = e.value().to_bits();
             }
             checker.check_archive_matches(&archive, &live, 0);
@@ -1390,13 +1296,9 @@ fn run_tsdb(seed: u64, plan: &SimPlan) -> ScenarioReport {
                     SimTime::from_micros(hi),
                 );
             }
-            checker.check_pyramid_exact(
-                &tsdb,
-                SimTime::from_micros(0),
-                SimTime::from_micros(t1 + 1),
-            );
+            checker.check_pyramid_exact(&tsdb, start, end);
             checker.check_pyramid_exact(&tsdb, SimTime::from_micros(t0), SimTime::from_micros(t0));
-            if let Ok(e) = tsdb.energy(SimTime::from_micros(0), SimTime::from_micros(t1 + 1)) {
+            if let Ok(e) = tsdb.energy(start, end) {
                 energy_bits = e.value().to_bits();
             }
         }
@@ -1468,14 +1370,8 @@ fn run_tsdb(seed: u64, plan: &SimPlan) -> ScenarioReport {
                                 checker.expect("tsdb-sidecar", tsdb.from_sidecar(), || {
                                     "compaction left a stale pyramid sidecar".into()
                                 });
-                                checker.check_pyramid_exact(
-                                    &tsdb,
-                                    SimTime::from_micros(0),
-                                    SimTime::from_micros(t1 + 1),
-                                );
-                                if let Ok(e) = archive
-                                    .energy(SimTime::from_micros(0), SimTime::from_micros(t1 + 1))
-                                {
+                                checker.check_pyramid_exact(&tsdb, start, end);
+                                if let Ok(e) = archive.energy(start, end) {
                                     let before = f64::from_bits(flat_energy_bits);
                                     let after = e.value();
                                     let tol = 1e-9 * after.abs().max(before.abs()).max(1.0);
@@ -1526,15 +1422,7 @@ fn run_tsdb(seed: u64, plan: &SimPlan) -> ScenarioReport {
     .expect("spawn retained tsdb writer");
     let mut replay = seed ^ TSDB_SALT;
     for i in 0..TSDB_FRAMES {
-        let mut raw = [0u16; SENSOR_SLOTS];
-        raw[0] = (splitmix64(&mut replay) % 1024) as u16;
-        raw[1] = (splitmix64(&mut replay) % 1024) as u16;
-        writer.push(&[ArchiveFrame {
-            time: SimTime::from_micros(25 + 50 * i),
-            raw,
-            present: 0b11,
-            marker: i.is_multiple_of(127).then_some('m'),
-        }]);
+        writer.push(&[random_frame(&mut replay, i)]);
     }
     writer.finish().expect("finish retained tsdb writer");
 
@@ -1567,11 +1455,7 @@ fn run_tsdb(seed: u64, plan: &SimPlan) -> ScenarioReport {
             checker.expect("tsdb-sidecar", tsdb.from_sidecar(), || {
                 "retention left a stale pyramid sidecar".into()
             });
-            checker.check_pyramid_exact(
-                &tsdb,
-                SimTime::from_micros(0),
-                SimTime::from_micros(t1 + 1),
-            );
+            checker.check_pyramid_exact(&tsdb, start, end);
         }
         (a, t) => checker.expect("tsdb-retention", false, || {
             format!("retained capture failed to open: {a:?} {t:?}")
@@ -1587,6 +1471,27 @@ fn run_tsdb(seed: u64, plan: &SimPlan) -> ScenarioReport {
     cleanup(&path);
     cleanup(&retain_path);
     finish_report("tsdb", seed, plan, TSDB_FRAMES, facts, checker)
+}
+
+/// The sim board's sensor configuration ([`sim_eeprom`]).
+fn sim_configs() -> [SensorConfig; SENSOR_SLOTS] {
+    let eeprom = sim_eeprom();
+    std::array::from_fn(|slot| eeprom.read(slot).clone())
+}
+
+/// Frame `i` of a seeded random capture: both populated slots draw a
+/// raw code from `rng`, frames sit 50 µs apart from 25 µs, and every
+/// 127th carries marker `m`.
+fn random_frame(rng: &mut u64, i: u64) -> ArchiveFrame {
+    let mut raw = [0u16; SENSOR_SLOTS];
+    raw[0] = (splitmix64(rng) % 1024) as u16;
+    raw[1] = (splitmix64(rng) % 1024) as u16;
+    ArchiveFrame {
+        time: SimTime::from_micros(25 + 50 * i),
+        raw,
+        present: 0b11,
+        marker: i.is_multiple_of(127).then_some('m'),
+    }
 }
 
 /// `shorter` is an exact frame-and-marker prefix of `longer`.
@@ -1614,11 +1519,4 @@ fn flip_byte(path: &Path, offset: u64, bit: u8) {
     byte[0] ^= 1 << (bit & 7);
     file.seek(SeekFrom::Start(offset)).expect("seek");
     file.write_all(&byte).expect("write byte");
-}
-
-fn flip_last_byte(path: &Path) {
-    let len = std::fs::metadata(path).expect("stat archive").len();
-    if len > 0 {
-        flip_byte(path, len - 1, 0);
-    }
 }

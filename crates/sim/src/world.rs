@@ -1,6 +1,7 @@
 //! The simulated world: an emulated PowerSensor3 device on a virtual
-//! clock (the firmware's [`DeviceThread`]), plus the quiesce protocol
-//! that makes end-of-run state deterministic.
+//! clock (the firmware's [`DeviceThread`]), the quiesce protocol that
+//! makes end-of-run state deterministic, and the [`Rig`] every
+//! streaming scenario drives: connect, settle, capture.
 //!
 //! The device thread races nothing: it only advances toward a shared
 //! virtual-time target, and every byte it emits is a pure function of
@@ -10,10 +11,15 @@
 
 use std::time::{Duration, Instant};
 
-use ps3_core::{PowerSensor, PowerSensorError};
+use ps3_analysis::Trace;
+use ps3_core::{PowerSensor, PowerSensorError, SharedPowerSensor};
 use ps3_firmware::{Device, DeviceThread, Eeprom, SensorConfig};
 use ps3_transport::{SerialEndpoint, VirtualSerial};
-use ps3_units::SimTime;
+use ps3_units::{SimDuration, SimTime};
+
+use crate::inject::FaultInjector;
+use crate::invariant::{Checker, Fingerprint};
+use crate::plan::SimPlan;
 
 /// Nominal rail voltage of the simulated pair.
 pub const RAIL_VOLTS: f64 = 12.0;
@@ -55,7 +61,7 @@ pub fn sim_source(seed: u64) -> impl ps3_firmware::AnalogSource {
 
 /// Spawns the emulated device for `seed` in its own thread. The host
 /// side talks to it over the returned [`SerialEndpoint`] (usually
-/// through a [`FaultInjector`](crate::FaultInjector)). `crash_at`
+/// through a [`FaultInjector`]). `crash_at`
 /// schedules a firmware crash at that virtual time; when it fires the
 /// device thread exits and drops its endpoint, so the host observes
 /// `Disconnected`.
@@ -92,11 +98,104 @@ pub fn quiesce(ps: &PowerSensor, device: &DeviceThread, timeout: Duration) -> bo
         )
 }
 
+/// One simulated rig: the emulated device for a seed, a
+/// [`FaultInjector`] applying a plan to its byte stream, and the host
+/// connected through it, recording its trace from the first frame.
+pub struct Rig {
+    /// The emulated device. Declared first so it drops before the
+    /// host: the host's reader then exits on a dead link.
+    pub device: DeviceThread,
+    /// The host reader with its energy accounting.
+    pub ps: SharedPowerSensor,
+    /// A tap on the injector the host reads through.
+    pub tap: FaultInjector<SerialEndpoint>,
+    /// Timestamps strictly increase unless the plan can duplicate one.
+    strict: bool,
+}
+
+impl Rig {
+    /// Spawns `seed`'s device (crashing at `crash_at`), applies `plan`
+    /// to its byte stream and connects the host, which begins its
+    /// trace before the device streams a frame.
+    ///
+    /// # Errors
+    ///
+    /// The handshake failed: a plan that kills the link inside it is a
+    /// legal, replayable outcome.
+    pub fn connect(
+        seed: u64,
+        crash_at: Option<SimTime>,
+        plan: &SimPlan,
+    ) -> Result<Self, PowerSensorError> {
+        let (device, host) = spawn_device(seed, crash_at);
+        let injector = FaultInjector::new(host, plan);
+        let tap = injector.clone();
+        let ps = SharedPowerSensor::new(PowerSensor::connect(injector)?);
+        ps.begin_trace();
+        Ok(Self {
+            device,
+            ps,
+            tap,
+            strict: !plan.mutates_bytes(),
+        })
+    }
+
+    /// Advances the device by `ms` milliseconds of virtual time and
+    /// [`quiesce`]s, recording `harness-quiesce` for `scenario` if that
+    /// times out.
+    pub fn settle(&self, checker: &mut Checker, scenario: &str, ms: u64) {
+        self.device.advance(SimDuration::from_millis(ms));
+        let quiesced = quiesce(&self.ps, &self.device, Duration::from_secs(30));
+        checker.expect("harness-quiesce", quiesced, || {
+            format!("{scenario} failed to quiesce within 30 s")
+        });
+    }
+
+    /// Ends the trace and reads the host's totals, then checks that
+    /// the trace holds every decoded frame (`gap-accounting`), that its
+    /// timestamps are monotonic, and that it re-integrates to the
+    /// host's energy.
+    pub fn capture(&self, checker: &mut Checker) -> Capture {
+        let trace = self.ps.end_trace();
+        let energy = self.ps.read().total_energy;
+        let frames = self.ps.frames_received();
+        checker.expect("gap-accounting", trace.len() as u64 == frames, || {
+            format!(
+                "trace holds {} samples but host decoded {frames}",
+                trace.len()
+            )
+        });
+        checker.check_monotonic(&trace, self.strict);
+        checker.check_energy(&trace, energy);
+        let mut fp = Fingerprint::new();
+        fp.update_trace(&trace);
+        let energy_bits = energy.value().to_bits();
+        Capture {
+            energy_bits: ("energy_bits".into(), format!("{energy_bits:016x}")),
+            trace_fp: ("trace_fp".into(), format!("{:016x}", fp.finish())),
+            trace,
+            frames,
+        }
+    }
+}
+
+/// What a settled [`Rig`] captured, with its two report facts.
+#[derive(Debug)]
+pub struct Capture {
+    /// Every frame the host decoded, with its markers.
+    pub trace: Trace,
+    /// Frames the host decoded.
+    pub frames: u64,
+    /// The `energy_bits` fact: the host's energy, bit for bit.
+    pub energy_bits: (String, String),
+    /// The `trace_fp` fact: a digest of the whole trace.
+    pub trace_fp: (String, String),
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ps3_transport::Transport;
-    use ps3_units::SimDuration;
 
     /// The bytes `seed`'s device streams over its first 5 ms.
     fn stream_of(seed: u64) -> Vec<u8> {

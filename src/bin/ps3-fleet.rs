@@ -21,7 +21,7 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use powersensor3::cli::{flag, flag_value};
+use powersensor3::cli::{done_line, flag, flag_value, progress_line};
 use powersensor3::fleet::{testbed_rig_factory, Fleet, FleetConfig, FleetQuery};
 use powersensor3::stream::{
     bind_error, resolve_bind, RigSelector, StreamClient, StreamClientConfig,
@@ -108,35 +108,12 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
             std::thread::sleep(lag);
         }
         if ticks.is_multiple_of(200) {
-            let s = fleet.stats();
-            println!(
-                "t={:>5} s  frames={}  subscribers={} (peak {})  accepted={}  gaps={}  evicted={} (gaps {}, stalled {})  sent={} B",
-                ticks / 20,
-                s.frames_published,
-                s.active_subscribers,
-                s.active_peak,
-                s.accepted,
-                s.gap_events,
-                s.evicted,
-                s.evicted_gaps,
-                s.evicted_stalled,
-                s.bytes_sent
-            );
+            println!("{}", progress_line(ticks / 20, &fleet.stats()));
         }
     }
     let s = fleet.stats();
     print_roster(&fleet.status());
-    println!(
-        "done: {} frames served to {} accepted subscribers (peak {} concurrent), {} bytes sent, {} gap events, {} evictions ({} gap-budget, {} stalled-write)",
-        s.frames_published,
-        s.accepted,
-        s.active_peak,
-        s.bytes_sent,
-        s.gap_events,
-        s.evicted,
-        s.evicted_gaps,
-        s.evicted_stalled
-    );
+    println!("{}", done_line(&s));
     fleet.shutdown();
     Ok(ExitCode::SUCCESS)
 }

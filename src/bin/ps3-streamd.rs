@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use powersensor3::archive::{Archive, ArchiveWriter, ArchiveWriterOptions};
-use powersensor3::cli::{flag, flag_value};
+use powersensor3::cli::{done_line, flag, flag_value, progress_line};
 use powersensor3::core::SharedPowerSensor;
 use powersensor3::duts::{GpuKernel, GpuSpec, LoadProgram};
 use powersensor3::sensors::ModuleKind;
@@ -162,34 +162,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             std::thread::sleep(lag);
         }
         if ticks.is_multiple_of(200) {
-            let s = daemon.stats();
-            println!(
-                "t={:>5} s  frames={}  subscribers={} (peak {})  accepted={}  gaps={}  evicted={} (gaps {}, stalled {})  sent={} B",
-                ticks / 20,
-                s.frames_published,
-                s.active_subscribers,
-                s.active_peak,
-                s.accepted,
-                s.gap_events,
-                s.evicted,
-                s.evicted_gaps,
-                s.evicted_stalled,
-                s.bytes_sent
-            );
+            println!("{}", progress_line(ticks / 20, &daemon.stats()));
         }
     }
-    let s = daemon.stats();
-    println!(
-        "done: {} frames served to {} accepted subscribers (peak {} concurrent), {} bytes sent, {} gap events, {} evictions ({} gap-budget, {} stalled-write)",
-        s.frames_published,
-        s.accepted,
-        s.active_peak,
-        s.bytes_sent,
-        s.gap_events,
-        s.evicted,
-        s.evicted_gaps,
-        s.evicted_stalled
-    );
+    println!("{}", done_line(&daemon.stats()));
     if let Some(w) = writer {
         match w.finish() {
             Ok(ws) => println!(
@@ -247,18 +223,7 @@ fn run_replay(path: &str, addr: &str, speed: f64, secs: u64) -> ExitCode {
             );
         }
     }
-    let s = daemon.stats();
-    println!(
-        "done: {} frames served to {} accepted subscribers (peak {} concurrent), {} bytes sent, {} gap events, {} evictions ({} gap-budget, {} stalled-write)",
-        s.frames_published,
-        s.accepted,
-        s.active_peak,
-        s.bytes_sent,
-        s.gap_events,
-        s.evicted,
-        s.evicted_gaps,
-        s.evicted_stalled
-    );
+    println!("{}", done_line(&daemon.stats()));
     ExitCode::SUCCESS
 }
 

@@ -1,4 +1,5 @@
-//! Flag parsing shared by the command-line tools in `src/bin`.
+//! Flag parsing and the serving summary lines shared by the
+//! command-line tools in `src/bin`.
 //!
 //! Flags take the form `--name VALUE`. An absent flag falls back to the
 //! tool's default; a present flag must carry a well-formed value, or
@@ -6,6 +7,8 @@
 
 use std::fmt::Display;
 use std::str::FromStr;
+
+use ps3_stream::StreamStats;
 
 /// The value following `flag` in `args`, or `None` when the flag is
 /// absent.
@@ -42,6 +45,40 @@ where
                 .map_err(|e| format!("{flag}: malformed value '{value}' ({e})"))
         })
         .transpose()
+}
+
+/// The periodic progress line of a serving tool, `secs` seconds in.
+#[must_use]
+pub fn progress_line(secs: u64, s: &StreamStats) -> String {
+    format!(
+        "t={:>5} s  frames={}  subscribers={} (peak {})  accepted={}  gaps={}  evicted={} (gaps {}, stalled {})  sent={} B",
+        secs,
+        s.frames_published,
+        s.active_subscribers,
+        s.active_peak,
+        s.accepted,
+        s.gap_events,
+        s.evicted,
+        s.evicted_gaps,
+        s.evicted_stalled,
+        s.bytes_sent
+    )
+}
+
+/// The `done:` summary a serving tool prints on exit.
+#[must_use]
+pub fn done_line(s: &StreamStats) -> String {
+    format!(
+        "done: {} frames served to {} accepted subscribers (peak {} concurrent), {} bytes sent, {} gap events, {} evictions ({} gap-budget, {} stalled-write)",
+        s.frames_published,
+        s.accepted,
+        s.active_peak,
+        s.bytes_sent,
+        s.gap_events,
+        s.evicted,
+        s.evicted_gaps,
+        s.evicted_stalled
+    )
 }
 
 #[cfg(test)]
