@@ -232,14 +232,19 @@ stage_archive() {
   ./target/release/ps3-arc export-csv target/ci-arc/cap.ps3a \
     --divisor 100 --out target/ci-arc/cap.csv 2>/dev/null
   test -s target/ci-arc/cap.csv || { echo "export-csv produced nothing"; exit 1; }
-  # Queries decode only the 200-frame runs a range cuts through
-  # (frame i is at 2025 + 50 i us). On ranges inside one run (segment
-  # 0's run 1), starting and ending mid-run across three runs of one
-  # block (runs 1-3, and runs 0-2), across a block boundary (segment
-  # 0's block 0 into its 24-frame tail block), inside that tail block
-  # and across segments, the fast engine must print exactly what the
+  # Queries decode only the 50-frame runs a range cuts through
+  # (frame i is at 2025 + 50 i us, so segment 0's run j holds frames
+  # 50 j to 50 j + 49). On ranges inside one run (run 1: 5025 6525),
+  # starting and ending mid-run across three runs of one block (runs
+  # 1-3: 5025 10525, runs 0-2: 2525 8525, runs 4-6: 14025 19025), over
+  # whole runs (runs 6-13: 17025 37025), over whole runs between two
+  # mid-run edges (runs 3-11: 10025 30025), across a block boundary
+  # (segment 0's block 0 into its 24-frame tail block: 51000 53000),
+  # inside that tail block (52100 53100) and across segments (52500
+  # 60000, 40000 110000), the fast engine must print exactly what the
   # decode engine (whole-segment decodes) prints.
-  for range in "14025 19025" "17025 37025" "10025 30025" "51000 53000" \
+  for range in "5025 6525" "5025 10525" "2525 8525" "14025 19025" \
+      "17025 37025" "10025 30025" "51000 53000" \
       "52100 53100" "52500 60000" "40000 110000"; do
     set -- $range
     ./target/release/ps3-arc stats target/ci-arc/cap.ps3a --engine fast \

@@ -12,8 +12,8 @@
 //!   timestamps and Rice-coded 10-bit sample deltas, each closed by a
 //!   CRC-32 and a seal word. A segment's payload is a sequence of
 //!   independently decodable 1000-frame blocks, each split into
-//!   independently decodable 200-frame runs, so reads decode only the
-//!   runs they touch. Any prefix ending in a sealed segment is
+//!   twenty independently decodable 50-frame runs, so reads decode
+//!   only the runs they touch. Any prefix ending in a sealed segment is
 //!   a valid archive, so a crash mid-write loses at most the unsealed
 //!   tail ([`format`] has the layout).
 //! * **`.ps3x` sidecar index** — derived data mapping time ranges and

@@ -1538,7 +1538,7 @@ mod tests {
             out
         };
         let gaps = vec![50u64; runs.len() - 1];
-        let spans = vec![199 * 50u64; runs.len()];
+        let spans = vec![(SUB_FRAMES as u64 - 1) * 50; runs.len()];
         assert!(meta.runs(0, &rebuilt(&lens, &gaps, &spans)).is_ok());
         let mut zero = lens.clone();
         zero[1] = 0;

@@ -13,7 +13,7 @@
 //! the stream must fail at the same read. CI runs this file with
 //! `PROPTEST_CASES=4096`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
@@ -22,7 +22,8 @@ use ps3_archive::bits::{
 };
 use ps3_archive::format::{SEGMENT_HEADER_SIZE, SUB_FRAMES, SUMMARY_FRAMES};
 use ps3_archive::{
-    build_runs, build_segment, Archive, ArchiveFrame, SegmentHeader, SegmentMeta, SegmentWriter,
+    build_runs, build_segment, index_path_for, stats_path_for, Archive, ArchiveFrame,
+    SegmentHeader, SegmentMeta, SegmentWriter,
 };
 use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
 use ps3_units::SimTime;
@@ -34,6 +35,17 @@ fn temp_path(tag: &str) -> PathBuf {
         "ps3-archive-codec-{}-{tag}-{n}.ps3a",
         std::process::id()
     ))
+}
+
+/// Removes an archive and the sidecars its writer and reader leave.
+fn cleanup(path: &Path) {
+    for p in [
+        path.to_path_buf(),
+        index_path_for(path),
+        stats_path_for(path),
+    ] {
+        std::fs::remove_file(p).ok();
+    }
 }
 
 fn test_configs() -> [SensorConfig; SENSOR_SLOTS] {
@@ -140,8 +152,7 @@ fn dod_roundtrip(times_us: &[u64], tag: &str) {
     assert_eq!(got, times_us, "{tag}");
     assert!(archive.verify().unwrap().is_clean());
 
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(ps3_archive::index_path_for(&path)).ok();
+    cleanup(&path);
 }
 
 /// `SimTime::from_micros` multiplies by 1000 internally, so keep
@@ -187,8 +198,7 @@ fn dod_adversarial_timestamp_patterns_roundtrip() {
     assert!(archive.segments().is_empty());
     assert!(archive.verify().unwrap().is_clean());
     assert!(archive.read_all().unwrap().is_empty());
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(ps3_archive::index_path_for(&path)).ok();
+    cleanup(&path);
 }
 
 /// Things that can happen at a run boundary, as bits of an event mask.
@@ -366,8 +376,7 @@ fn archive_reads_each_block_alone() {
         decoded.extend(whole);
     }
     assert_eq!(decoded, frames);
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(ps3_archive::index_path_for(&path)).ok();
+    cleanup(&path);
 }
 
 proptest! {

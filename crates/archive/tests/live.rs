@@ -4,13 +4,24 @@
 //! bit, and the fig4-style bench capture must compress at least 4×
 //! against the raw 2-byte wire stream.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use ps3_archive::{Archive, ArchiveWriter, ArchiveWriterOptions};
+use ps3_archive::{index_path_for, stats_path_for, Archive, ArchiveWriter, ArchiveWriterOptions};
 use ps3_duts::LoadProgram;
 use ps3_sensors::ModuleKind;
 use ps3_testbed::setups::accuracy_bench;
 use ps3_units::{Amps, SimDuration, SimTime};
+
+/// Removes an archive and the sidecars its writer and reader leave.
+fn cleanup(path: &Path) {
+    for p in [
+        path.to_path_buf(),
+        index_path_for(path),
+        stats_path_for(path),
+    ] {
+        std::fs::remove_file(p).ok();
+    }
+}
 
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -95,8 +106,7 @@ fn archived_capture_equals_live_trace_byte_for_byte() {
         "{e_arc} vs {e_live}"
     );
 
-    std::fs::remove_file(&cap.path).ok();
-    std::fs::remove_file(ps3_archive::index_path_for(&cap.path)).ok();
+    cleanup(&cap.path);
 }
 
 #[test]
@@ -115,8 +125,7 @@ fn bench_capture_compresses_at_least_4x_vs_wire() {
         "compression {ratio:.2}x ({} archive bytes vs {wire_bytes} wire bytes)",
         cap.stats.bytes
     );
-    std::fs::remove_file(&cap.path).ok();
-    std::fs::remove_file(ps3_archive::index_path_for(&cap.path)).ok();
+    cleanup(&cap.path);
 }
 
 /// The background writer's counters are observable while the capture
@@ -167,6 +176,5 @@ fn live_counters_track_progress_during_capture() {
     assert_eq!(stats.segments, 4, "finish seals the 50-frame tail");
     assert_eq!(stats.dropped, 0);
 
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(ps3_archive::index_path_for(&path)).ok();
+    cleanup(&path);
 }

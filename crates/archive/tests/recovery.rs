@@ -3,11 +3,24 @@
 //! flagged, and corruption never decodes silently.
 
 use std::ops::Range;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use ps3_archive::{crc32, index_path_for, Archive, ArchiveError, ArchiveFrame, SegmentWriter};
+use ps3_archive::{
+    crc32, index_path_for, stats_path_for, Archive, ArchiveError, ArchiveFrame, SegmentWriter,
+};
 use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
 use ps3_units::SimTime;
+
+/// Removes an archive and the sidecars its writer and reader leave.
+fn cleanup(path: &Path) {
+    for p in [
+        path.to_path_buf(),
+        index_path_for(path),
+        stats_path_for(path),
+    ] {
+        std::fs::remove_file(p).ok();
+    }
+}
 
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ps3-archive-rec-{}-{tag}.ps3a", std::process::id()))
@@ -117,8 +130,7 @@ fn truncation_at_every_offset_keeps_sealed_prefix() {
         }
     }
     std::fs::remove_file(&torn).ok();
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(index_path_for(&path)).ok();
+    cleanup(&path);
 }
 
 #[test]
@@ -136,8 +148,7 @@ fn stale_index_after_crash_is_bypassed() {
     );
     assert_eq!(archive.segments().len(), 2);
     assert_eq!(archive.frames(), 60);
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(index_path_for(&path)).ok();
+    cleanup(&path);
 }
 
 #[test]
@@ -160,8 +171,7 @@ fn mid_file_corruption_stops_the_scan_without_lying() {
     assert_eq!(archive.read_all().unwrap().len(), 30);
     let report = archive.verify().unwrap();
     assert!(!report.is_clean());
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(index_path_for(&path)).ok();
+    cleanup(&path);
 }
 
 #[test]
@@ -237,8 +247,7 @@ fn flipped_summary_count_falls_back_to_the_scan() {
         );
         assert_damage_is_not_served(&path, 0..0, &format!("summary_count byte {byte}"));
     }
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(index_path_for(&path)).ok();
+    cleanup(&path);
 }
 
 #[test]
@@ -265,8 +274,7 @@ fn flipped_block_offset_is_never_served() {
         // Block 2 starts, and block 1 ends, at the damaged offset.
         assert_damage_is_not_served(&path, 1..3, &format!("offset byte {byte}"));
     }
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(index_path_for(&path)).ok();
+    cleanup(&path);
 }
 
 #[test]
@@ -303,8 +311,7 @@ fn marker_label_outside_unicode_is_refused() {
     let archive = Archive::open(&path).unwrap();
     assert!(!archive.recovery().used_index, "sidecar trusted");
     assert_eq!(archive.markers().len(), markers);
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&index_path).ok();
+    cleanup(&path);
 }
 
 #[test]
@@ -324,8 +331,7 @@ fn flipped_summary_sum_falls_back_to_the_scan() {
         );
         assert_damage_is_not_served(&path, 0..0, &format!("sum_w byte {byte}"));
     }
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(index_path_for(&path)).ok();
+    cleanup(&path);
 }
 
 #[test]
@@ -351,6 +357,5 @@ fn flipped_run_table_is_never_served() {
         assert!(!archive.verify().unwrap().is_clean(), "byte {byte}");
         assert_damage_is_not_served(&path, 2..3, &format!("run table byte {byte}"));
     }
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(index_path_for(&path)).ok();
+    cleanup(&path);
 }

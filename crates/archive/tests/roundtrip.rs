@@ -1,11 +1,13 @@
 //! Property tests: random traces → archive → read back identical, and
 //! the summary fast paths agree with full decodes.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use ps3_archive::{frame_total, Archive, ArchiveFrame, SegmentWriter};
+use ps3_archive::{
+    frame_total, index_path_for, stats_path_for, Archive, ArchiveFrame, SegmentWriter,
+};
 use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
 use ps3_sensors::AdcSpec;
 use ps3_units::SimTime;
@@ -17,6 +19,17 @@ fn temp_path(tag: &str) -> PathBuf {
         "ps3-archive-rt-{}-{tag}-{n}.ps3a",
         std::process::id()
     ))
+}
+
+/// Removes an archive and the sidecars its writer and reader leave.
+fn cleanup(path: &Path) {
+    for p in [
+        path.to_path_buf(),
+        index_path_for(path),
+        stats_path_for(path),
+    ] {
+        std::fs::remove_file(p).ok();
+    }
 }
 
 fn test_configs() -> [SensorConfig; SENSOR_SLOTS] {
@@ -120,13 +133,13 @@ proptest! {
         prop_assert_eq!(report.frames, frames.len() as u64);
 
         // Without the sidecar, the scan recovers the same data.
-        std::fs::remove_file(ps3_archive::index_path_for(&path)).unwrap();
+        std::fs::remove_file(index_path_for(&path)).unwrap();
         let rescanned = Archive::open(&path).unwrap();
         prop_assert!(!rescanned.recovery().used_index);
         prop_assert_eq!(rescanned.recovery().trailing_bytes, 0);
         prop_assert_eq!(&rescanned.read_all().unwrap(), &trace);
 
-        std::fs::remove_file(&path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -181,8 +194,7 @@ proptest! {
             "energy {} vs {}", e_fast, e_ref
         );
 
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(ps3_archive::index_path_for(&path)).ok();
+        cleanup(&path);
     }
 }
 
@@ -230,8 +242,7 @@ fn downsample_matches_manual_bucketing() {
         assert_eq!(down.markers().len(), reference.markers().len());
     }
 
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(ps3_archive::index_path_for(&path)).ok();
+    cleanup(&path);
 }
 
 #[test]
@@ -272,6 +283,5 @@ fn energy_between_markers_matches_trace() {
     // Reversed order: no 'a' at or after the first 'f'.
     assert!(archive.energy_between('f', 'a').is_err());
 
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(ps3_archive::index_path_for(&path)).ok();
+    cleanup(&path);
 }

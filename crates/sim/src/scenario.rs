@@ -125,6 +125,19 @@ pub enum Sabotage {
 }
 
 impl Sabotage {
+    /// Every mode, in the order the CLI lists them.
+    pub const ALL: [Sabotage; 3] = [
+        Sabotage::None,
+        Sabotage::UncountedDrop,
+        Sabotage::UnsealedTail,
+    ];
+
+    /// Every mode's [`Sabotage::name`], comma-separated.
+    #[must_use]
+    pub fn names() -> String {
+        Self::ALL.map(Sabotage::name).join(", ")
+    }
+
     /// Stable name for artifacts and the CLI.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -138,12 +151,7 @@ impl Sabotage {
     /// Parses [`Sabotage::name`] output.
     #[must_use]
     pub fn parse(text: &str) -> Option<Self> {
-        match text {
-            "none" => Some(Sabotage::None),
-            "uncounted-drop" => Some(Sabotage::UncountedDrop),
-            "unsealed-tail" => Some(Sabotage::UnsealedTail),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|mode| mode.name() == text)
     }
 }
 
@@ -1519,4 +1527,18 @@ fn flip_byte(path: &Path, offset: u64, bit: u8) {
     byte[0] ^= 1 << (bit & 7);
     file.seek(SeekFrom::Start(offset)).expect("seek");
     file.write_all(&byte).expect("write byte");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_sabotage_name_parses_back() {
+        for mode in Sabotage::ALL {
+            assert_eq!(Sabotage::parse(mode.name()), Some(mode));
+        }
+        assert_eq!(Sabotage::parse("bogus"), None);
+        assert_eq!(Sabotage::names(), "none, uncounted-drop, unsealed-tail");
+    }
 }

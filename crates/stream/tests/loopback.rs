@@ -11,8 +11,11 @@ use std::time::{Duration, Instant};
 
 use ps3_core::SharedPowerSensor;
 use ps3_duts::{BenchSetup, LoadProgram, RailId};
-use ps3_sensors::ModuleKind;
-use ps3_stream::{ClientMsg, StreamClient, StreamClientConfig, StreamDaemon, StreamDaemonConfig};
+use ps3_firmware::fold_pairs;
+use ps3_sensors::{AdcSpec, ModuleKind};
+use ps3_stream::{
+    ClientMsg, StreamClient, StreamClientConfig, StreamDaemon, StreamDaemonConfig, StreamFrame,
+};
 use ps3_testbed::{Testbed, TestbedBuilder};
 use ps3_units::{Amps, SimDuration};
 
@@ -24,6 +27,10 @@ fn bench_testbed() -> Testbed<BenchSetup> {
     .seed(7)
     .build()
 }
+
+/// The native-rate frame whose power is checked: inside every run,
+/// which holds at least 10 000 frames.
+const PROBE_FRAME: usize = 9_999;
 
 #[test]
 fn daemon_serves_mixed_rate_subscribers_and_evicts_stalled() {
@@ -77,14 +84,23 @@ fn daemon_serves_mixed_rate_subscribers_and_evicts_stalled() {
         daemon.stats()
     );
 
-    // The first fast client records every timestamp it sees.
+    // The first fast client records every timestamp it sees, and one
+    // fixed frame whole: which frame arrives last depends on when the
+    // eviction fires, so a check on the last frame's power would not
+    // be deterministic.
     let timestamps: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let markers = Arc::new(AtomicU64::new(0));
+    let probe: Arc<Mutex<Option<StreamFrame>>> = Arc::new(Mutex::new(None));
     {
         let timestamps = Arc::clone(&timestamps);
         let markers = Arc::clone(&markers);
+        let probe = Arc::clone(&probe);
         fast[0].set_frame_callback(move |frame| {
-            timestamps.lock().unwrap().push(frame.time.as_micros());
+            let mut timestamps = timestamps.lock().unwrap();
+            if timestamps.len() == PROBE_FRAME {
+                *probe.lock().unwrap() = Some(*frame);
+            }
+            timestamps.push(frame.time.as_micros());
             if frame.marker {
                 markers.fetch_add(1, Ordering::SeqCst);
             }
@@ -93,7 +109,10 @@ fn daemon_serves_mixed_rate_subscribers_and_evicts_stalled() {
 
     // Drive the virtual clock until the stalled subscriber has been
     // evicted (its TCP buffers fill, a daemon write times out), with a
-    // generous cap on how much data that may take.
+    // generous cap on how much data that may take. Each chunk waits
+    // until the healthy 20 kHz subscribers hold every frame emitted so
+    // far, so only the stalled one's output can back up for a whole
+    // write timeout, however slowly the host runs their readers.
     let chunk = SimDuration::from_millis(250);
     let mut chunks = 0;
     while daemon.stats().evicted == 0 && chunks < 120 {
@@ -102,6 +121,15 @@ fn daemon_serves_mixed_rate_subscribers_and_evicts_stalled() {
         if chunks == 2 {
             // A marker injected over the network, mid-stream.
             fast[1].inject_marker('n').unwrap();
+        }
+        let emitted = tb.frames_emitted();
+        for client in &fast {
+            assert!(
+                client.wait_until(Duration::from_secs(30), |c| c.frames_received() >= emitted
+                    || !c.is_alive()),
+                "20 kHz subscriber received {} of {emitted} after chunk {chunks}",
+                client.frames_received()
+            );
         }
     }
     let stats = daemon.stats();
@@ -121,8 +149,11 @@ fn daemon_serves_mixed_rate_subscribers_and_evicts_stalled() {
         assert!(
             client.wait_until(Duration::from_secs(30), |c| c.frames_received()
                 >= frames_total),
-            "20 kHz subscriber received {} of {frames_total}",
-            client.frames_received()
+            "20 kHz subscriber received {} of {frames_total} (alive {}, eviction {:?}), daemon {:?}",
+            client.frames_received(),
+            client.is_alive(),
+            client.eviction_reason(),
+            daemon.stats()
         );
         assert_eq!(client.frames_received(), frames_total);
         assert_eq!(client.gap_events(), 0, "20 kHz stream must be gap-free");
@@ -165,7 +196,15 @@ fn daemon_serves_mixed_rate_subscribers_and_evicts_stalled() {
     }
     // A single un-averaged 20 kHz frame carries the full sensor noise,
     // so its tolerance is wider than the downsampled streams'.
-    let watts = fast[2].last_watts().value();
+    let frame = probe.lock().unwrap().expect("the probe frame arrived");
+    let watts = fold_pairs(
+        fast[0].configs(),
+        &AdcSpec::POWERSENSOR3,
+        &frame.raw,
+        frame.present,
+        |_, _, _, _| {},
+    )
+    .value();
     assert!((watts - 24.0).abs() < 2.0, "native-rate power {watts}");
 
     // Stats round-trip over the wire matches the daemon's own view
@@ -301,7 +340,6 @@ fn marker_injected_by_client_reaches_host_trace() {
 fn replay_daemon_serves_archived_range_exactly() {
     use ps3_archive::{Archive, ArchiveFrame, SegmentWriter};
     use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
-    use ps3_stream::StreamFrame;
     use ps3_units::SimTime;
 
     let mut configs: [SensorConfig; SENSOR_SLOTS] =
@@ -384,6 +422,11 @@ fn replay_daemon_serves_archived_range_exactly() {
     );
 
     daemon.shutdown();
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(ps3_archive::index_path_for(&path)).ok();
+    for p in [
+        path.clone(),
+        ps3_archive::index_path_for(&path),
+        ps3_archive::stats_path_for(&path),
+    ] {
+        std::fs::remove_file(p).ok();
+    }
 }

@@ -116,6 +116,11 @@ fn replay_of_truncated_archive_serves_recovered_prefix_and_closes_cleanly() {
     assert_eq!(daemon.stats().evicted, 0);
     daemon.shutdown();
 
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(ps3_archive::index_path_for(&path)).ok();
+    for p in [
+        path.clone(),
+        ps3_archive::index_path_for(&path),
+        ps3_archive::stats_path_for(&path),
+    ] {
+        std::fs::remove_file(p).ok();
+    }
 }

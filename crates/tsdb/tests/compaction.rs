@@ -7,12 +7,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ps3_archive::format::{FILE_HEADER_SIZE, SEGMENT_HEADER_SIZE};
-use ps3_archive::{frame_total, Archive, ArchiveFrame, SegmentWriter};
+use ps3_archive::{
+    frame_total, index_path_for, stats_path_for, Archive, ArchiveFrame, SegmentWriter,
+};
 use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
 use ps3_sensors::AdcSpec;
 use ps3_tsdb::{
-    compact_archive, compact_tmp_path_for, retain_archive, retained_prefix_drop, stage_compacted,
-    CompactOptions, PyramidConfig, Retention, Tsdb, TsdbWriter, TsdbWriterOptions,
+    compact_archive, compact_tmp_path_for, pyramid_path_for, retain_archive, retained_prefix_drop,
+    stage_compacted, CompactOptions, PyramidConfig, Retention, Tsdb, TsdbWriter, TsdbWriterOptions,
 };
 use ps3_units::SimTime;
 
@@ -28,10 +30,14 @@ fn temp_path(tag: &str) -> PathBuf {
 }
 
 fn cleanup(path: &Path) {
-    for ext in ["", ".ps3x", ".ps3p", ".ps3s", ".compact-tmp"] {
-        let mut p = path.as_os_str().to_os_string();
-        p.push(ext);
-        std::fs::remove_file(PathBuf::from(p)).ok();
+    for p in [
+        path.to_path_buf(),
+        index_path_for(path),
+        pyramid_path_for(path),
+        stats_path_for(path),
+        compact_tmp_path_for(path),
+    ] {
+        std::fs::remove_file(p).ok();
     }
 }
 

@@ -14,9 +14,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use ps3_archive::{Archive, ArchiveError, ArchiveFrame, SegmentWriter};
+use ps3_archive::{
+    index_path_for, stats_path_for, Archive, ArchiveError, ArchiveFrame, SegmentWriter,
+};
 use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
-use ps3_tsdb::{PyramidConfig, Tsdb};
+use ps3_tsdb::{pyramid_path_for, PyramidConfig, Tsdb};
 use ps3_units::SimTime;
 
 const SMALL: PyramidConfig = PyramidConfig {
@@ -31,10 +33,13 @@ fn temp_path(tag: &str) -> PathBuf {
 }
 
 fn cleanup(path: &Path) {
-    for ext in ["", ".ps3x", ".ps3p", ".ps3s"] {
-        let mut p = path.as_os_str().to_os_string();
-        p.push(ext);
-        std::fs::remove_file(PathBuf::from(p)).ok();
+    for p in [
+        path.to_path_buf(),
+        index_path_for(path),
+        pyramid_path_for(path),
+        stats_path_for(path),
+    ] {
+        std::fs::remove_file(p).ok();
     }
 }
 

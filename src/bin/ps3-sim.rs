@@ -51,15 +51,14 @@ fn run(command: &str, args: &[String]) -> Result<ExitCode, String> {
     };
     let sabotage = match flag_value(args, "--sabotage")? {
         None => Sabotage::None,
-        Some(name) => Sabotage::parse(&name).ok_or_else(|| {
-            format!("unknown --sabotage '{name}' (none, uncounted-drop, unsealed-tail)")
-        })?,
+        Some(name) => Sabotage::parse(&name)
+            .ok_or_else(|| format!("unknown --sabotage '{name}' ({})", Sabotage::names()))?,
     };
 
     Ok(match command {
         "list" => {
             println!("scenarios: {}", SCENARIOS.join(", "));
-            println!("sabotage modes: none, uncounted-drop, unsealed-tail");
+            println!("sabotage modes: {}", Sabotage::names());
             ExitCode::SUCCESS
         }
         "sweep" => cmd_sweep(args, scenario.as_deref(), sabotage)?,

@@ -3,7 +3,9 @@
 //! live host produced, on a clean link and on a faulted one.
 
 use powersensor3::analysis::Trace;
-use powersensor3::archive::{frame_total, Archive, ArchiveWriter, ArchiveWriterOptions};
+use powersensor3::archive::{
+    frame_total, index_path_for, stats_path_for, Archive, ArchiveWriter, ArchiveWriterOptions,
+};
 use powersensor3::core::{decode_stream, PowerSensor};
 use powersensor3::firmware::{Device, DeviceThread, Eeprom, SensorConfig};
 use powersensor3::sim::{quiesce, spawn_device, FaultInjector, SimPlan};
@@ -117,10 +119,12 @@ struct TempArchive(PathBuf);
 
 impl Drop for TempArchive {
     fn drop(&mut self) {
-        for ext in ["", ".ps3x", ".ps3p", ".ps3s"] {
-            let mut p = self.0.as_os_str().to_os_string();
-            p.push(ext);
-            std::fs::remove_file(PathBuf::from(p)).ok();
+        for p in [
+            self.0.clone(),
+            index_path_for(&self.0),
+            stats_path_for(&self.0),
+        ] {
+            std::fs::remove_file(p).ok();
         }
     }
 }

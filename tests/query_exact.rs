@@ -22,8 +22,9 @@
 //! * a divisor below [`SUB_FRAMES`] never fits a whole run in a
 //!   bucket, so every bucket is folded frame by frame from decoded
 //!   edge runs: its mean equals a left-to-right sum from 0.0 over the
-//!   full decode bit for bit. Divisors 450 and 649 are no multiple of
-//!   a run, so their buckets take whole runs and also end mid-run;
+//!   full decode bit for bit (`SUB_FRAMES - 1` is the widest such
+//!   bucket). Divisors 199 and 649 are no multiple of a run, so their
+//!   buckets take whole runs and also end mid-run;
 //! * at every divisor, the archive's downsample equals bit for bit an
 //!   independent fold of the full decode with the walk's greedy
 //!   grouping ([`grouped_downsample`]), so a wrong whole-block or
@@ -34,10 +35,11 @@ use std::path::PathBuf;
 use powersensor3::analysis::Trace;
 use powersensor3::archive::format::{SUB_FRAMES, SUMMARY_FRAMES};
 use powersensor3::archive::{
-    build_runs, frame_total, Archive, ArchiveError, ArchiveFrame, RangeStats, SegmentWriter, Tiers,
+    build_runs, frame_total, index_path_for, stats_path_for, Archive, ArchiveError, ArchiveFrame,
+    RangeStats, SegmentWriter, Tiers,
 };
 use powersensor3::firmware::{SensorConfig, SENSOR_SLOTS};
-use powersensor3::tsdb::{PyramidConfig, Tsdb};
+use powersensor3::tsdb::{pyramid_path_for, PyramidConfig, Tsdb};
 use powersensor3::units::SimTime;
 
 const SEGMENTS: usize = 30;
@@ -46,7 +48,7 @@ const SMALL: PyramidConfig = PyramidConfig {
     tier1_blocks: 2,
     tier2_nodes: 2,
 };
-const DIVISORS: [u64; 7] = [7, 199, 450, 649, 1000, 2000, 5000];
+const DIVISORS: [u64; 8] = [7, SUB_FRAMES as u64 - 1, 199, 450, 649, 1000, 2000, 5000];
 const MARKER_PAIRS: [(char, char); 3] = [('a', 'c'), ('b', 'b'), ('d', 'a')];
 
 fn mix(mut z: u64) -> u64 {
@@ -113,10 +115,13 @@ impl Capture {
 
 impl Drop for Capture {
     fn drop(&mut self) {
-        for ext in ["", ".ps3x", ".ps3p", ".ps3s"] {
-            let mut p = self.0.as_os_str().to_os_string();
-            p.push(ext);
-            std::fs::remove_file(PathBuf::from(p)).ok();
+        for p in [
+            self.0.clone(),
+            index_path_for(&self.0),
+            pyramid_path_for(&self.0),
+            stats_path_for(&self.0),
+        ] {
+            std::fs::remove_file(p).ok();
         }
     }
 }
@@ -276,9 +281,9 @@ fn full_decode(archive: &Archive, frames: &[ArchiveFrame], s: SimTime, e: SimTim
 /// Downsample buckets as `(time, mean)`, folded from the full decode
 /// in time order with the walk's greedy grouping: a 1000-frame block
 /// wholly in `[s, e)` goes in as its sequential sum when it fits the
-/// bucket's room, otherwise each 200-frame run wholly in range goes in
-/// as its [`build_runs`] sum when it fits, and any other frame in
-/// range on its own.
+/// bucket's room, otherwise each [`SUB_FRAMES`]-frame run wholly in
+/// range goes in as its [`build_runs`] sum when it fits, and any other
+/// frame in range on its own.
 fn grouped_downsample(
     archive: &Archive,
     frames: &[ArchiveFrame],

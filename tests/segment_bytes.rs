@@ -1,5 +1,5 @@
-//! Pins the on-disk segment format (v3) byte for byte, and the refusal
-//! of the format it replaced.
+//! Pins the on-disk segment format (v4) byte for byte, and the refusal
+//! of the formats it replaced.
 //!
 //! Round-trip tests only prove that the writer and the reader agree
 //! with each other; a codec change that emits different bytes which
@@ -16,13 +16,13 @@
 //! * Rice escapes (full-scale value swings) next to ordinary codes;
 //! * markers, in the payload and in the marker table;
 //! * presence changes (slots appearing and disappearing);
-//! * a partial tail block (2 500 frames: 1 000 + 1 000 + 500) whose
-//!   last run is partial too (500 frames: 200 + 200 + 100), so every
-//!   run table holds several runs and one ends early.
+//! * a partial tail block (2 530 frames: 1 000 + 1 000 + 530) whose
+//!   last run is partial too (530 frames: ten runs of 50, then 30), so
+//!   every run table holds several runs and one ends early.
 
 use powersensor3::archive::format::{
-    encode_file_header, FILE_HEADER_SIZE, SEGMENT_HEADER_SIZE, SEGMENT_TRAILER_SIZE, SUB_FRAMES,
-    SUMMARY_FRAMES,
+    encode_file_header, FILE_HEADER_SIZE, FORMAT_VERSION, SEGMENT_HEADER_SIZE,
+    SEGMENT_TRAILER_SIZE, SUB_FRAMES, SUMMARY_FRAMES,
 };
 use powersensor3::archive::{
     build_segment, crc32, Archive, ArchiveError, ArchiveFrame, SegmentHeader, SegmentMeta,
@@ -30,12 +30,12 @@ use powersensor3::archive::{
 use powersensor3::firmware::{SensorConfig, SENSOR_SLOTS};
 use powersensor3::units::SimTime;
 
-const FRAMES: usize = 2_500;
+const FRAMES: usize = 2_530;
 
 /// Byte length of the pinned segment.
-const PINNED_LEN: usize = 4_915;
+const PINNED_LEN: usize = 5_443;
 /// CRC-32 of the pinned segment's bytes before its trailer.
-const PINNED_CRC: u32 = 0x0397_24F2;
+const PINNED_CRC: u32 = 0x8813_37D1;
 
 /// Time step (µs) before frame `i`: mostly the 20 kHz cadence, with
 /// steps that land in each delta-of-delta class.
@@ -168,25 +168,45 @@ fn segment_bytes_match_the_pinned_format() {
     assert_eq!(decoded, frames);
 }
 
-/// A version-2 file (1000-frame blocks with no run tables) is refused
-/// as not an archive, header CRC intact, rather than misread.
-#[test]
-fn a_version_2_file_is_not_an_archive() {
+/// Opens a file whose header claims `version`, header CRC intact, over
+/// a segment this crate writes.
+fn open_as_version(version: u32) -> Result<Archive, ArchiveError> {
     let mut configs: [SensorConfig; SENSOR_SLOTS] =
         core::array::from_fn(|_| SensorConfig::unpopulated());
     configs[0] = SensorConfig::new("I0", 3.3, 0.105, true);
     configs[1] = SensorConfig::new("U0", 3.3, 0.2171, true);
     let mut header = encode_file_header(&configs);
-    header[8..12].copy_from_slice(&2u32.to_le_bytes());
+    header[8..12].copy_from_slice(&version.to_le_bytes());
     let body = FILE_HEADER_SIZE - 4;
     let crc = crc32(&header[..body]);
     header[body..].copy_from_slice(&crc.to_le_bytes());
     let frames = frames();
     header.extend(build_segment(0, &frames, &watts(&frames)));
-    let path = std::env::temp_dir().join(format!("ps3-v2-{}.ps3a", std::process::id()));
+    let path = std::env::temp_dir().join(format!("ps3-v{version}-{}.ps3a", std::process::id()));
     std::fs::write(&path, &header).unwrap();
     let opened = Archive::open(&path);
     std::fs::remove_file(&path).ok();
+    opened
+}
+
+/// A version-2 file (1000-frame blocks with no run tables) is refused
+/// as not an archive, header CRC intact, rather than misread.
+#[test]
+fn a_version_2_file_is_not_an_archive() {
+    let opened = open_as_version(2);
+    assert!(
+        matches!(opened, Err(ArchiveError::NotAnArchive)),
+        "{opened:?}"
+    );
+}
+
+/// A version-3 file (200-frame runs) is refused as not an archive,
+/// header CRC intact, rather than misread with this version's runs;
+/// the same file under this version's number opens.
+#[test]
+fn a_version_3_file_is_not_an_archive() {
+    assert!(open_as_version(FORMAT_VERSION).is_ok());
+    let opened = open_as_version(3);
     assert!(
         matches!(opened, Err(ArchiveError::NotAnArchive)),
         "{opened:?}"
