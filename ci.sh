@@ -479,7 +479,31 @@ stage_perfbench() {
   CARGO_TARGET_DIR=target/perfbench python3 perfbench/selftest.py
 }
 
-STAGES=(fmt build test clippy lint bench archive sim probe tsdb fleet c10k perfbench)
+stage_ledger() {
+  echo "==> perf ledger: BENCH_perfbench.json parses and its latest entry names every benchmark metric"
+  python3 - <<'EOF'
+import json, sys
+bench = json.load(open("BENCHMARK.json"))
+entries = json.load(open("BENCH_perfbench.json"))["entries"]
+bad = [f"entry {i} has no '{key}'"
+       for i, entry in enumerate(entries)
+       for key in ("commit", "date", "host", "untraced") if key not in entry]
+latest = entries[-1] if entries else {"untraced": {}}
+for workload in ("ingest", "query"):
+    have = latest["untraced"].get(workload, {})
+    bad += [f"latest entry: untraced {workload} lacks {m['name']}"
+            for m in bench["end_to_end"] if m["name"] not in have]
+traced = latest.get("traced", {}).get("metrics", {})
+bad += [f"latest entry: traced run lacks {m['name']}"
+        for m in bench["per_layer"] if m["name"] not in traced]
+for line in bad:
+    print(line)
+print(f"BENCH_perfbench.json: {len(entries)} entries, {len(bad)} problems")
+sys.exit(1 if bad or not entries else 0)
+EOF
+}
+
+STAGES=(fmt build test clippy lint bench archive sim probe tsdb fleet c10k perfbench ledger)
 if [ $# -eq 0 ]; then
   set -- "${STAGES[@]}"
 fi

@@ -49,9 +49,9 @@
 //! configs[0] = SensorConfig::new("I0", 3.3, 0.105, true);
 //! configs[1] = SensorConfig::new("U0", 3.3, 0.2171, true);
 //!
-//! let dir = std::env::temp_dir().join("ps3-archive-doc");
+//! let dir = std::env::temp_dir().join(format!("ps3-archive-doc-{}", std::process::id()));
 //! std::fs::create_dir_all(&dir).unwrap();
-//! let path = dir.join(format!("doc-{}.ps3a", std::process::id()));
+//! let path = dir.join("doc.ps3a");
 //! let mut writer = SegmentWriter::create(&path, configs).unwrap();
 //! for i in 0..1000u64 {
 //!     let mut raw = [0u16; SENSOR_SLOTS];
@@ -72,6 +72,8 @@
 //! assert_eq!(archive.frames(), 1000);
 //! let trace = archive.read_all().unwrap();
 //! assert_eq!(trace.len(), 1000);
+//! # drop(archive);
+//! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
 #![forbid(unsafe_code)]

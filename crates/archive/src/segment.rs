@@ -93,6 +93,10 @@ const CHAR_BITS: u8 = 21;
 /// The largest raw sample code: the ADC is 10-bit.
 const MAX_RAW: u16 = 0x3FF;
 
+/// Bins of [`choose_rice_params`]'s per-slot delta histogram: zigzagged
+/// deltas of two codes up to [`MAX_RAW`] span `0..=2046`.
+const DELTA_BINS: usize = 2048;
+
 /// The latest timestamp a [`SimTime`] can hold, µs: a decoded time past
 /// it is corrupt data.
 const MAX_TIME_US: u64 = u64::MAX / 1000;
@@ -805,33 +809,56 @@ pub fn build_segment(seq: u32, frames: &[ArchiveFrame], watts: &[f64]) -> Vec<u8
     out
 }
 
-/// Picks the Rice parameter per slot by exact cost minimisation over
-/// the segment's zigzagged value deltas (ties go to the smaller `k`).
-/// The first value of each run is stored raw, so only in-run deltas
-/// count.
+/// Picks each slot's Rice parameter `k` in `0..=10` by exact cost
+/// minimisation over the segment's in-run zigzagged value deltas (the
+/// first value of each run is stored raw, so it does not count); ties
+/// go to the smaller `k`.
+///
+/// The deltas are not kept: each slot counts how often each value
+/// occurs in [`DELTA_BINS`] bins, which hold every delta two 10-bit
+/// codes can make, and each `k` is priced once per bin that holds a
+/// value, weighted by its count. A delta past the bins can only come
+/// from a raw code above [`MAX_RAW`]; those few are priced one by one.
+/// The sums are exact integers, so the choice equals pricing every
+/// delta on its own.
 fn choose_rice_params(frames: &[ArchiveFrame]) -> u32 {
-    let mut deltas: [Vec<u32>; SENSOR_SLOTS] = core::array::from_fn(|_| Vec::new());
-    for block in frames.chunks(SUB_FRAMES) {
+    let mut counts = vec![[0u32; DELTA_BINS]; SENSOR_SLOTS];
+    let mut outliers: [Vec<u32>; SENSOR_SLOTS] = Default::default();
+    for run in frames.chunks(SUB_FRAMES) {
         let mut prev: [Option<u16>; SENSOR_SLOTS] = [None; SENSOR_SLOTS];
-        for frame in block {
+        for frame in run {
             for slot in 0..SENSOR_SLOTS {
                 if frame.present & (1 << slot) == 0 {
                     continue;
                 }
                 let v = frame.raw[slot];
                 if let Some(p) = prev[slot] {
-                    deltas[slot].push(zigzag64(i64::from(v) - i64::from(p)) as u32);
+                    let d = zigzag64(i64::from(v) - i64::from(p)) as u32;
+                    match counts[slot].get_mut(d as usize) {
+                        Some(n) => *n += 1,
+                        None => outliers[slot].push(d),
+                    }
                 }
                 prev[slot] = Some(v);
             }
         }
     }
     let mut packed = 0u32;
-    for (slot, ds) in deltas.iter().enumerate() {
+    let mut tally: Vec<(u32, u64)> = Vec::new();
+    for (slot, (bins, outliers)) in counts.iter().zip(&outliers).enumerate() {
+        tally.clear();
+        tally.extend(
+            (0u32..)
+                .zip(bins)
+                .filter(|&(_, &n)| n > 0)
+                .map(|(d, &n)| (d, u64::from(n))),
+        );
+        tally.extend(outliers.iter().map(|&d| (d, 1)));
         let best = (0..=10u8)
             .min_by_key(|&k| {
-                ds.iter()
-                    .map(|&d| u64::from(BitWriter::rice_cost(d, k)))
+                tally
+                    .iter()
+                    .map(|&(d, n)| n * u64::from(BitWriter::rice_cost(d, k)))
                     .sum::<u64>()
             })
             .unwrap_or(0);
@@ -1553,5 +1580,158 @@ mod tests {
         let mut far = gaps.clone();
         far[3] = u64::MAX;
         assert!(meta.runs(0, &rebuilt(&lens, &far, &spans)).is_err());
+    }
+
+    /// The exhaustive chooser the histogram replaced, kept as its
+    /// oracle: every in-run delta is collected and priced at every `k`.
+    fn choose_rice_params_exhaustive(frames: &[ArchiveFrame]) -> u32 {
+        let mut deltas: [Vec<u32>; SENSOR_SLOTS] = core::array::from_fn(|_| Vec::new());
+        for run in frames.chunks(SUB_FRAMES) {
+            let mut prev: [Option<u16>; SENSOR_SLOTS] = [None; SENSOR_SLOTS];
+            for frame in run {
+                for slot in 0..SENSOR_SLOTS {
+                    if frame.present & (1 << slot) == 0 {
+                        continue;
+                    }
+                    let v = frame.raw[slot];
+                    if let Some(p) = prev[slot] {
+                        deltas[slot].push(zigzag64(i64::from(v) - i64::from(p)) as u32);
+                    }
+                    prev[slot] = Some(v);
+                }
+            }
+        }
+        let mut packed = 0u32;
+        for (slot, ds) in deltas.iter().enumerate() {
+            let best = (0..=10u8)
+                .min_by_key(|&k| {
+                    ds.iter()
+                        .map(|&d| u64::from(BitWriter::rice_cost(d, k)))
+                        .sum::<u64>()
+                })
+                .unwrap_or(0);
+            packed |= u32::from(best) << (4 * slot);
+        }
+        packed
+    }
+
+    /// A xorshift64 stream, so generated frames follow from one seed.
+    struct Xorshift(u64);
+
+    impl Xorshift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        /// `true` with probability `1 / n`; never when `n == 0`.
+        fn one_in(&mut self, n: u64) -> bool {
+            n > 0 && self.next().is_multiple_of(n)
+        }
+    }
+
+    /// `n` frames whose slot codes walk by steps of up to `2^scale`,
+    /// whose presence mask is redrawn with probability `1 / churn`, and
+    /// whose codes jump above [`MAX_RAW`] with probability `1 / wild`
+    /// (neither when 0).
+    fn generated_frames(
+        n: usize,
+        seed: u64,
+        scale: u32,
+        churn: u64,
+        wild: u64,
+    ) -> Vec<ArchiveFrame> {
+        let mut rng = Xorshift(seed | 1);
+        let mut raw = [512u16; SENSOR_SLOTS];
+        let mut present = (rng.next() & 0xFF) as u8;
+        (0..n as u64)
+            .map(|i| {
+                if rng.one_in(churn) {
+                    present = (rng.next() & 0xFF) as u8;
+                }
+                for v in &mut raw {
+                    let step = (rng.next() % (2 << scale)) as i64 - (1 << scale);
+                    *v = (i64::from(*v) + step).clamp(0, i64::from(MAX_RAW)) as u16;
+                }
+                let mut codes = raw;
+                for v in &mut codes {
+                    if rng.one_in(wild) {
+                        *v = MAX_RAW + 1 + (rng.next() % u64::from(u16::MAX - MAX_RAW)) as u16;
+                    }
+                }
+                ArchiveFrame {
+                    time: SimTime::from_micros(25 + i * 50),
+                    raw: codes,
+                    present,
+                    marker: None,
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// The histogram picks the oracle's `k` for every slot: across
+        /// step sizes from flat to full-range, changing presence masks,
+        /// tails of one frame (and one-frame segments), and raw codes
+        /// above [`MAX_RAW`], whose deltas take the outlier path.
+        #[test]
+        fn histogram_rice_params_equal_the_exhaustive_oracle(
+            runs in 1usize..=12,
+            tail in 0usize..SUB_FRAMES,
+            one_frame_tail: bool,
+            seed: u64,
+            scale in 0u32..=10,
+            churn in 0u64..=8,
+            wild in 0u64..=64,
+        ) {
+            let tail = if one_frame_tail { 0 } else { tail };
+            let frames = generated_frames((runs - 1) * SUB_FRAMES + 1 + tail, seed, scale, churn, wild);
+            proptest::prop_assert_eq!(
+                choose_rice_params(&frames),
+                choose_rice_params_exhaustive(&frames)
+            );
+        }
+    }
+
+    /// Slot 0's in-run deltas are all −2 (zigzag 3), which costs 3 bits
+    /// at both `k` = 1 and `k` = 2; slot 1's are all −1 (zigzag 1),
+    /// 2 bits at both `k` = 0 and `k` = 1. Each tie goes to the smaller
+    /// `k`, as the oracle's does.
+    #[test]
+    fn rice_param_ties_go_to_the_smaller_k() {
+        let frames: Vec<ArchiveFrame> = (0..3 * SUB_FRAMES as u64)
+            .map(|i| {
+                let mut raw = [0u16; SENSOR_SLOTS];
+                raw[0] = 1000 - 2 * (i % SUB_FRAMES as u64) as u16;
+                raw[1] = 500 - (i % SUB_FRAMES as u64) as u16;
+                ArchiveFrame {
+                    time: SimTime::from_micros(25 + i * 50),
+                    raw,
+                    present: 0b11,
+                    marker: None,
+                }
+            })
+            .collect();
+        let packed = choose_rice_params(&frames);
+        assert_eq!(packed, 0x01);
+        assert_eq!(packed, choose_rice_params_exhaustive(&frames));
+    }
+
+    /// A code above [`MAX_RAW`] makes a delta past the histogram; it is
+    /// priced on its own and moves `k` as the oracle's pricing does.
+    /// Deltas of ±3000 (zigzag 5999 and 6000) escape at every `k` up to
+    /// 8 and cost 16 bits at `k` = 10.
+    #[test]
+    fn deltas_past_the_histogram_are_priced_exactly() {
+        let mut frames = steady_frames(2 * SUB_FRAMES as u64);
+        let calm = choose_rice_params(&frames);
+        for f in frames.iter_mut().skip(1).step_by(2) {
+            f.raw[1] += 3000;
+        }
+        let wild = choose_rice_params(&frames);
+        assert_eq!((calm >> 4 & 0xF, wild >> 4 & 0xF), (0, 10));
+        assert_eq!(wild, choose_rice_params_exhaustive(&frames));
     }
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ps3_fleet::{testbed_rig_factory, Fleet, FleetConfig, FleetQuery, RigFactory};
-use ps3_stream::{RigSelector, StreamClient, StreamClientConfig};
+use ps3_stream::{RigSelector, StreamClient, StreamClientConfig, StreamFrame};
 use ps3_units::{SimDuration, SimTime};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -37,27 +37,33 @@ fn merged_and_per_rig_subscriptions_flow() {
     .expect("start fleet");
     let addr = fleet.local_addr();
 
-    let merged = StreamClient::connect(addr, fleet_sub(RigSelector::All)).expect("merged sub");
-    let hello = merged.fleet().expect("fleet hello");
-    assert_eq!(hello.rigs, 4);
-    let one = StreamClient::connect(addr, fleet_sub(RigSelector::One(2))).expect("rig-2 sub");
-    let legacy = StreamClient::connect(addr, StreamClientConfig::default()).expect("legacy sub");
-    assert!(legacy.fleet().is_none(), "legacy hello has no fleet suffix");
-
     // Merged subscriptions see non-decreasing timestamps per rig, and
     // (absent restarts) near-sorted globally; check per-rig order.
     let order_ok = Arc::new(AtomicBool::new(true));
-    {
+    let in_order = {
         let order_ok = Arc::clone(&order_ok);
         let mut last = std::collections::BTreeMap::new();
-        merged.set_rig_frame_callback(move |rig, frame| {
+        move |rig, frame: &StreamFrame| {
             if let Some(prev) = last.insert(rig, frame.time) {
                 if frame.time < prev {
                     order_ok.store(false, Ordering::SeqCst);
                 }
             }
-        });
-    }
+        }
+    };
+    let merged = StreamClient::connect(
+        addr,
+        StreamClientConfig {
+            on_rig_frame: Some(Box::new(in_order)),
+            ..fleet_sub(RigSelector::All)
+        },
+    )
+    .expect("merged sub");
+    let hello = merged.fleet().expect("fleet hello");
+    assert_eq!(hello.rigs, 4);
+    let one = StreamClient::connect(addr, fleet_sub(RigSelector::One(2))).expect("rig-2 sub");
+    let legacy = StreamClient::connect(addr, StreamClientConfig::default()).expect("legacy sub");
+    assert!(legacy.fleet().is_none(), "legacy hello has no fleet suffix");
 
     for _ in 0..12 {
         fleet.advance(SimDuration::from_millis(5));

@@ -34,8 +34,8 @@ use crate::proto::{
 };
 use crate::signal::Signal;
 
-/// Subscription parameters for [`StreamClient::connect`].
-#[derive(Debug, Clone)]
+/// Subscription parameters for [`StreamClient::connect`], and the
+/// observers that see its frames.
 pub struct StreamClientConfig {
     /// Bit `p` selects sensor pair `p`. Default: all four pairs.
     pub pair_mask: u8,
@@ -46,6 +46,14 @@ pub struct StreamClientConfig {
     /// plain legacy subscription — a coordinator serves it from rig 0,
     /// a plain daemon ignores the distinction entirely.
     pub rig: Option<RigSelector>,
+    /// Called with every delivered frame, on the reader thread. It is
+    /// in place before the reader starts, so it sees every frame
+    /// [`StreamClient::frames_received`] counts.
+    pub on_frame: Option<FrameCallback>,
+    /// Called with every rig-tagged frame of a merged stream
+    /// ([`ServerMsg::RigBatch`]), on the reader thread, from the first
+    /// frame on. Plain batches do not reach it.
+    pub on_rig_frame: Option<RigFrameCallback>,
 }
 
 impl Default for StreamClientConfig {
@@ -54,7 +62,21 @@ impl Default for StreamClientConfig {
             pair_mask: 0x0F,
             divisor: 1,
             rig: None,
+            on_frame: None,
+            on_rig_frame: None,
         }
+    }
+}
+
+impl core::fmt::Debug for StreamClientConfig {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("StreamClientConfig")
+            .field("pair_mask", &self.pair_mask)
+            .field("divisor", &self.divisor)
+            .field("rig", &self.rig)
+            .field("on_frame", &self.on_frame.is_some())
+            .field("on_rig_frame", &self.on_rig_frame.is_some())
+            .finish()
     }
 }
 
@@ -82,8 +104,6 @@ struct ClientShared {
     alive: AtomicBool,
     /// Total power of the latest frame.
     last_watts: Mutex<Watts>,
-    callback: Mutex<Option<FrameCallback>>,
-    rig_callback: Mutex<Option<RigFrameCallback>>,
     /// Per-rig counters, keyed by rig id (rig-tagged messages only).
     rig_counts: Mutex<BTreeMap<u16, RigCounts>>,
     stats_reply: Mutex<Option<StreamStats>>,
@@ -125,8 +145,6 @@ impl StreamClient {
             eviction: Mutex::new(None),
             alive: AtomicBool::new(true),
             last_watts: Mutex::new(Watts::zero()),
-            callback: Mutex::new(None),
-            rig_callback: Mutex::new(None),
             rig_counts: Mutex::new(BTreeMap::new()),
             stats_reply: Mutex::new(None),
             fleet_reply: Mutex::new(None),
@@ -137,10 +155,14 @@ impl StreamClient {
         let reader = {
             let shared = Arc::clone(&shared);
             let configs = configs.clone();
+            let mut sinks = Sinks {
+                frame: config.on_frame,
+                rig: config.on_rig_frame,
+            };
             std::thread::Builder::new()
                 .name("ps3-stream-client".into())
                 .spawn(move || {
-                    reader_loop(stream, &shared, &configs);
+                    reader_loop(stream, &shared, &configs, &mut sinks);
                     shared.alive.store(false, Ordering::SeqCst);
                     shared.changed.notify();
                 })
@@ -154,22 +176,6 @@ impl StreamClient {
             configs,
             fleet,
         })
-    }
-
-    /// Registers an observer called with every delivered frame, on the
-    /// reader thread. Replaces any previous callback.
-    pub fn set_frame_callback<F: FnMut(&StreamFrame) + Send + 'static>(&self, callback: F) {
-        *self.shared.callback.lock() = Some(Box::new(callback));
-    }
-
-    /// Registers a rig-tagged observer for merged-stream frames
-    /// ([`ServerMsg::RigBatch`]), on the reader thread. Plain batches
-    /// do not reach it. Replaces any previous rig callback.
-    pub fn set_rig_frame_callback<F: FnMut(u16, &StreamFrame) + Send + 'static>(
-        &self,
-        callback: F,
-    ) {
-        *self.shared.rig_callback.lock() = Some(Box::new(callback));
     }
 
     /// Sensor configuration announced by the daemon.
@@ -373,20 +379,27 @@ fn handshake<A: ToSocketAddrs>(
     Ok((stream, configs, fleet))
 }
 
+/// The subscription's frame observers, owned by its reader thread.
+struct Sinks {
+    frame: Option<FrameCallback>,
+    rig: Option<RigFrameCallback>,
+}
+
 /// Reads server messages until the stream ends or the daemon closes
 /// the subscription.
 fn reader_loop(
     mut stream: TcpStream,
     shared: &ClientShared,
     configs: &[SensorConfig; SENSOR_SLOTS],
+    sinks: &mut Sinks,
 ) {
     while let Ok(msg) = read_msg_body(&mut stream).and_then(|b| ServerMsg::decode(&b)) {
         match msg {
             ServerMsg::Batch { frames } => {
-                deliver(shared, configs, None, &frames);
+                deliver(shared, configs, sinks, None, &frames);
             }
             ServerMsg::RigBatch { rig, frames } => {
-                deliver(shared, configs, Some(rig), &frames);
+                deliver(shared, configs, sinks, Some(rig), &frames);
             }
             ServerMsg::Gap { dropped } => {
                 shared.gap_events.fetch_add(1, Ordering::SeqCst);
@@ -422,19 +435,16 @@ fn reader_loop(
 fn deliver(
     shared: &ClientShared,
     configs: &[SensorConfig; SENSOR_SLOTS],
+    sinks: &mut Sinks,
     rig: Option<u16>,
     frames: &[StreamFrame],
 ) {
-    {
-        let mut callback = shared.callback.lock();
-        let mut rig_callback = shared.rig_callback.lock();
-        for frame in frames {
-            if let Some(cb) = callback.as_mut() {
-                cb(frame);
-            }
-            if let (Some(rig), Some(cb)) = (rig, rig_callback.as_mut()) {
-                cb(rig, frame);
-            }
+    for frame in frames {
+        if let Some(cb) = sinks.frame.as_mut() {
+            cb(frame);
+        }
+        if let (Some(rig), Some(cb)) = (rig, sinks.rig.as_mut()) {
+            cb(rig, frame);
         }
     }
     if let Some(frame) = frames.last() {

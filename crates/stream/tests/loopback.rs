@@ -14,7 +14,8 @@ use ps3_duts::{BenchSetup, LoadProgram, RailId};
 use ps3_firmware::fold_pairs;
 use ps3_sensors::{AdcSpec, ModuleKind};
 use ps3_stream::{
-    ClientMsg, StreamClient, StreamClientConfig, StreamDaemon, StreamDaemonConfig, StreamFrame,
+    ClientMsg, FrameCallback, StreamClient, StreamClientConfig, StreamDaemon, StreamDaemonConfig,
+    StreamFrame,
 };
 use ps3_testbed::{Testbed, TestbedBuilder};
 use ps3_units::{Amps, SimDuration};
@@ -49,6 +50,29 @@ fn daemon_serves_mixed_rate_subscribers_and_evicts_stalled() {
     .unwrap();
     let addr = daemon.local_addr();
 
+    // The first fast client records every timestamp it sees, and one
+    // fixed frame whole: which frame arrives last depends on when the
+    // eviction fires, so a check on the last frame's power would not
+    // be deterministic.
+    let timestamps: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    let markers = Arc::new(AtomicU64::new(0));
+    let probe: Arc<Mutex<Option<StreamFrame>>> = Arc::new(Mutex::new(None));
+    let mut recorder: Option<FrameCallback> = {
+        let timestamps = Arc::clone(&timestamps);
+        let markers = Arc::clone(&markers);
+        let probe = Arc::clone(&probe);
+        Some(Box::new(move |frame| {
+            let mut timestamps = timestamps.lock().unwrap();
+            if timestamps.len() == PROBE_FRAME {
+                *probe.lock().unwrap() = Some(*frame);
+            }
+            timestamps.push(frame.time.as_micros());
+            if frame.marker {
+                markers.fetch_add(1, Ordering::SeqCst);
+            }
+        }))
+    };
+
     // Seven healthy subscribers at three rates…
     let at = |divisor: u32| StreamClientConfig {
         pair_mask: 0x0F,
@@ -56,7 +80,13 @@ fn daemon_serves_mixed_rate_subscribers_and_evicts_stalled() {
         ..StreamClientConfig::default()
     };
     let fast: Vec<StreamClient> = (0..3)
-        .map(|_| StreamClient::connect(addr, at(1)).unwrap())
+        .map(|_| {
+            let config = StreamClientConfig {
+                on_frame: recorder.take(),
+                ..at(1)
+            };
+            StreamClient::connect(addr, config).unwrap()
+        })
         .collect();
     let khz: Vec<StreamClient> = (0..2)
         .map(|_| StreamClient::connect(addr, at(20)).unwrap())
@@ -83,29 +113,6 @@ fn daemon_serves_mixed_rate_subscribers_and_evicts_stalled() {
         "all 8 subscribers should be accepted, stats: {:?}",
         daemon.stats()
     );
-
-    // The first fast client records every timestamp it sees, and one
-    // fixed frame whole: which frame arrives last depends on when the
-    // eviction fires, so a check on the last frame's power would not
-    // be deterministic.
-    let timestamps: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let markers = Arc::new(AtomicU64::new(0));
-    let probe: Arc<Mutex<Option<StreamFrame>>> = Arc::new(Mutex::new(None));
-    {
-        let timestamps = Arc::clone(&timestamps);
-        let markers = Arc::clone(&markers);
-        let probe = Arc::clone(&probe);
-        fast[0].set_frame_callback(move |frame| {
-            let mut timestamps = timestamps.lock().unwrap();
-            if timestamps.len() == PROBE_FRAME {
-                *probe.lock().unwrap() = Some(*frame);
-            }
-            timestamps.push(frame.time.as_micros());
-            if frame.marker {
-                markers.fetch_add(1, Ordering::SeqCst);
-            }
-        });
-    }
 
     // Drive the virtual clock until the stalled subscriber has been
     // evicted (its TCP buffers fill, a daemon write times out), with a
@@ -383,20 +390,20 @@ fn replay_daemon_serves_archived_range_exactly() {
     assert!(daemon.is_replay());
     assert!(daemon.sensor().is_none());
 
+    let received: Arc<Mutex<Vec<StreamFrame>>> = Arc::new(Mutex::new(Vec::new()));
     let client = StreamClient::connect(
         daemon.local_addr(),
         StreamClientConfig {
             pair_mask: 0x0F,
             divisor: 1,
+            on_frame: Some(Box::new({
+                let received = Arc::clone(&received);
+                move |frame| received.lock().unwrap().push(*frame)
+            })),
             ..StreamClientConfig::default()
         },
     )
     .unwrap();
-    let received: Arc<Mutex<Vec<StreamFrame>>> = Arc::new(Mutex::new(Vec::new()));
-    {
-        let received = Arc::clone(&received);
-        client.set_frame_callback(move |frame| received.lock().unwrap().push(*frame));
-    }
     // InjectMarker is accepted but ignored in replay mode.
     client.inject_marker('x').unwrap();
 

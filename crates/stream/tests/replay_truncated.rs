@@ -77,20 +77,20 @@ fn replay_of_truncated_archive_serves_recovered_prefix_and_closes_cleanly() {
         StreamDaemonConfig::default(),
     )
     .unwrap();
+    let received: Arc<Mutex<Vec<StreamFrame>>> = Arc::new(Mutex::new(Vec::new()));
     let client = StreamClient::connect(
         daemon.local_addr(),
         StreamClientConfig {
             pair_mask: 0x0F,
             divisor: 1,
+            on_frame: Some(Box::new({
+                let received = Arc::clone(&received);
+                move |frame| received.lock().unwrap().push(*frame)
+            })),
             ..StreamClientConfig::default()
         },
     )
     .unwrap();
-    let received: Arc<Mutex<Vec<StreamFrame>>> = Arc::new(Mutex::new(Vec::new()));
-    {
-        let received = Arc::clone(&received);
-        client.set_frame_callback(move |frame| received.lock().unwrap().push(*frame));
-    }
 
     // The replay ends by closing the ring; the client sees a clean
     // end-of-stream.

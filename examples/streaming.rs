@@ -17,7 +17,9 @@ use std::time::Duration;
 use powersensor3::core::SharedPowerSensor;
 use powersensor3::duts::{BenchSetup, LoadProgram, RailId};
 use powersensor3::sensors::ModuleKind;
-use powersensor3::stream::{StreamClient, StreamClientConfig, StreamDaemon, StreamDaemonConfig};
+use powersensor3::stream::{
+    FrameCallback, StreamClient, StreamClientConfig, StreamDaemon, StreamDaemonConfig,
+};
 use powersensor3::testbed::TestbedBuilder;
 use powersensor3::units::{Amps, SimDuration};
 
@@ -37,32 +39,32 @@ fn main() {
         .expect("start daemon");
     println!("daemon listening on {}", daemon.local_addr());
 
-    // 3. Three subscribers at three rates.
-    let subscribe = |divisor| {
+    // 3. Three subscribers at three rates. The native-rate client
+    //    watches for the marker.
+    let marker_at = Arc::new(AtomicU64::new(0));
+    let watch: FrameCallback = {
+        let marker_at = Arc::clone(&marker_at);
+        Box::new(move |frame| {
+            if frame.marker {
+                marker_at.store(frame.time.as_micros(), Ordering::SeqCst);
+            }
+        })
+    };
+    let subscribe = |divisor, on_frame| {
         StreamClient::connect(
             daemon.local_addr(),
             StreamClientConfig {
                 pair_mask: 0x0F,
                 divisor,
+                on_frame,
                 ..StreamClientConfig::default()
             },
         )
         .expect("subscribe")
     };
-    let native = subscribe(1); // 20 kHz
-    let khz = subscribe(20); // 1 kHz
-    let slow = subscribe(2000); // 10 Hz
-
-    // The native-rate client watches for the marker.
-    let marker_at = Arc::new(AtomicU64::new(0));
-    {
-        let marker_at = Arc::clone(&marker_at);
-        native.set_frame_callback(move |frame| {
-            if frame.marker {
-                marker_at.store(frame.time.as_micros(), Ordering::SeqCst);
-            }
-        });
-    }
+    let native = subscribe(1, Some(watch)); // 20 kHz
+    let khz = subscribe(20, None); // 1 kHz
+    let slow = subscribe(2000, None); // 10 Hz
 
     // 4. Run half a simulated second; inject a marker part-way, over
     //    the network, from the 1 kHz client.

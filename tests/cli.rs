@@ -62,7 +62,7 @@ fn run_rejects_a_malformed_duration() {
 
 #[test]
 fn dump_then_parse_round_trips() {
-    let dir = std::env::temp_dir().join("ps3sim_cli_test");
+    let dir = std::env::temp_dir().join(format!("ps3sim_cli_test_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("dump.txt");
     let path_s = path.to_str().unwrap();
@@ -73,7 +73,7 @@ fn dump_then_parse_round_trips() {
     assert!(out.contains("samples over"), "{out}");
     assert!(out.contains("marker 's'"), "{out}");
     assert!(out.contains("between 's' and 'e'"), "{out}");
-    std::fs::remove_file(path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -117,7 +117,7 @@ fn arc_no_args_prints_usage_and_fails() {
 
 #[test]
 fn arc_record_cat_matches_live_dump_and_queries_work() {
-    let dir = std::env::temp_dir().join("ps3arc_cli_test");
+    let dir = std::env::temp_dir().join(format!("ps3arc_cli_test_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let arc = dir.join("capture.ps3a");
     let dump = dir.join("capture-dump.txt");
@@ -178,9 +178,7 @@ fn arc_record_cat_matches_live_dump_and_queries_work() {
     assert!(ok, "info must still open a torn archive");
     assert!(info.contains("unsealed trailing bytes ignored"), "{info}");
 
-    for f in [&arc, &dump, &torn, &dir.join("capture.ps3x")] {
-        std::fs::remove_file(f).ok();
-    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

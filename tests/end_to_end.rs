@@ -131,7 +131,7 @@ fn pstest_rows_scale_linearly_with_interval() {
 
 #[test]
 fn dump_file_round_trips_through_filesystem() {
-    let dir = std::env::temp_dir().join("ps3_dump_test");
+    let dir = std::env::temp_dir().join(format!("ps3_dump_test_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("dump.txt");
     {
@@ -153,7 +153,7 @@ fn dump_file_round_trips_through_filesystem() {
     assert!(text
         .lines()
         .any(|l| l.starts_with("M ") && l.ends_with('s')));
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
