@@ -23,6 +23,9 @@ stage_test() {
   # optimised build hoists float work ahead of an `Option` tag check,
   # so the debug run above passes whatever the storage.
   cargo test -q --release -p ps3-duts --test float_hygiene
+  # The lock-order check compiles out of release builds: there
+  # parking_lot's Mutex is the bare std one, size for size.
+  cargo test -q --release -p parking_lot --test layout
 }
 
 stage_clippy() {
@@ -30,13 +33,13 @@ stage_clippy() {
   cargo clippy --workspace --all-targets -q -- -D warnings
 }
 
-# Runs clippy over crates/lint/compiler-fixtures with
+# Runs clippy over ci/compiler-fixtures with
 # CLIPPY_CONF_DIR=<conf dir> and reconciles what it refused in
 # <module files...> against their `//~ lint` markers (`//~^` points one
 # line up): each marker must be refused by exactly that lint, and every
 # refused line must carry a marker.
 check_plants() {  # <label> <clippy.toml dir> <module files...>
-  local label=$1 conf=$2 plants=crates/lint/compiler-fixtures
+  local label=$1 conf=$2 plants=ci/compiler-fixtures
   shift 2
   CLIPPY_CONF_DIR="$PWD/$conf" cargo clippy -q --keep-going --all-targets \
     --manifest-path "$plants/Cargo.toml" --target-dir "target/ci-plants/$label" \
@@ -72,40 +75,22 @@ EOF
 }
 
 stage_lint() {
-  echo "==> lint-smoke: ps3-lint audit + planted violations for ps3-lint and clippy"
+  echo "==> lint-smoke: greps + planted violations for clippy"
   # rustc and clippy enforce the unsafe, wall-clock, panic-path and
-  # blocking-I/O conventions (stage_clippy). ps3-lint keeps the two rules
-  # no lint expresses: the workspace must be clean under them. Every rule
-  # of both kinds must demonstrably fire on its planted violations, so a
-  # rule can't silently rot. Findings land in target/ci-lint/ for
+  # blocking-I/O conventions (stage_clippy); compat/parking_lot checks
+  # lock order at run time in every debug test run (stage_test). What
+  # neither expresses is grepped for below. Every clippy convention
+  # must demonstrably fire on its planted violations, so a rule can't
+  # silently rot. The clippy reports land in target/ci-lint/ for
   # artifact upload.
   rm -rf target/ci-lint && mkdir -p target/ci-lint
-  if ! ./target/release/ps3-lint check --json >target/ci-lint/findings.json; then
-    echo "ps3-lint found violations:"
-    ./target/release/ps3-lint check || true
-    exit 1
-  fi
-  ./target/release/ps3-lint list-rules >target/ci-lint/rules.txt
-  rules=(atomics lock-order)
-  for rule in "${rules[@]}"; do
-    grep -q "^$rule " target/ci-lint/rules.txt \
-      || { echo "rule catalog lost \`$rule\`"; exit 1; }
-  done
-  ./target/release/ps3-lint check --fixtures --json >target/ci-lint/fixtures.json \
-    || { echo "planted-violation fixtures did not reconcile:"
-         ./target/release/ps3-lint check --fixtures || true; exit 1; }
-  grep -q '"missing":0,"unexpected":0' target/ci-lint/fixtures.json \
-    || { echo "fixture report not clean"; cat target/ci-lint/fixtures.json; exit 1; }
-  matched=$(grep -o '"matched":[0-9]*' target/ci-lint/fixtures.json | cut -d: -f2)
-  test "$matched" -ge "${#rules[@]}" \
-    || { echo "only $matched fixture expectations matched (< 1 per rule)"; exit 1; }
   # The compiler-enforced conventions, under the real clippy.toml files:
-  # clippy over crates/lint/compiler-fixtures (a package outside the
-  # workspace) must refuse each `//~ <lint>` line with that lint and
-  # nothing else, so the `#[expect]`-ed and `#[cfg(test)]` lines pass.
-  # The package carries a copy of the root lint levels, which must match.
+  # clippy over ci/compiler-fixtures (a package outside the workspace)
+  # must refuse each `//~ <lint>` line with that lint and nothing else,
+  # so the `#[expect]`-ed and `#[cfg(test)]` lines pass. The package
+  # carries a copy of the root lint levels, which must match.
   lints_table() { awk '/^\[/ { on = ($0 ~ /^\[workspace\.lints\./) } on && NF && !/^#/' "$1"; }
-  diff <(lints_table Cargo.toml) <(lints_table crates/lint/compiler-fixtures/Cargo.toml) \
+  diff <(lints_table Cargo.toml) <(lints_table ci/compiler-fixtures/Cargo.toml) \
     || { echo "compiler-fixtures: [workspace.lints] differs from the root's"; exit 1; }
   check_plants root . src/determinism.rs src/panic_path.rs src/unsafety.rs src/unsafe_opt_out.rs \
     || { echo "clippy under ./clippy.toml did not refuse exactly the planted lines"; exit 1; }
@@ -113,6 +98,27 @@ stage_lint() {
     check_plants "${conf#crates/}" "$conf" src/blocking_io.rs \
       || { echo "clippy under $conf/clippy.toml did not refuse exactly the planted lines"; exit 1; }
   done
+  # Every atomic is SeqCst: no weak ordering, spelled out or imported,
+  # outside `//` comments.
+  weak='Relaxed|Acquire|Release|AcqRel'
+  if grep -rnwE --include='*.rs' "$weak" crates/*/src compat/*/src src \
+      | sed 's://.*$::' | grep -wE "$weak"; then
+    echo "weak atomic ordering in crates/*/src, compat/*/src or src (use SeqCst)"; exit 1
+  fi
+  # One lock type: parking_lot, whose Mutex checks lock order. Only
+  # compat/parking_lot itself and the OS layer compat/mio use std's.
+  # Each file is read whole (`-z`), so a `use std::sync::{...}` list
+  # that rustfmt wrapped over several lines is caught too.
+  locks='std::sync::(Mutex|Condvar|RwLock)\b|std::sync::\{[^}]*\b(Mutex|Condvar|RwLock)\b'
+  std_locks=0
+  for f in $(grep -rl --include='*.rs' 'std::sync' crates/*/src compat/*/src src \
+      | grep -v -e '^compat/parking_lot/' -e '^compat/mio/'); do
+    if grep -qzE "$locks" <(sed 's://.*$::' "$f"); then
+      echo "$f: std::sync lock outside compat/parking_lot and compat/mio (use parking_lot)"
+      std_locks=1
+    fi
+  done
+  test "$std_locks" -eq 0 || exit 1
   # The sim harness waits on counters, never on the clock: its only
   # sleeps are the stalls inject.rs injects as faults. An `#[expect]` on
   # a new sleep would satisfy clippy, so grep as well.
@@ -178,10 +184,9 @@ stage_lint() {
   done
   test "$unused" -eq 0 || exit 1
   # `unsafe` lives only in compat/mio, the readiness layer over the OS.
-  # crates/lint is exempt: its rule tests hold such code in strings.
   if grep -rnE --include='*.rs' \
       '(^|[^A-Za-z0-9_])unsafe([[:space:]]*\{|[[:space:]]+(fn|impl|extern|trait)([^A-Za-z0-9_]|$))' \
-      crates/*/src compat/*/src src | grep -v -e '^compat/mio/' -e '^crates/lint/'; then
+      crates/*/src compat/*/src src | grep -v '^compat/mio/'; then
     echo "unsafe outside compat/mio"; exit 1
   fi
 }

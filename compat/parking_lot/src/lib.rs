@@ -14,24 +14,54 @@
 //! Fairness, inline-ness and micro-contention behaviour of the real
 //! crate are *not* reproduced; none of the workspace code depends on
 //! them.
+//!
+//! # Lock order (debug builds only)
+//!
+//! Under `debug_assertions` every [`Mutex`] also checks lock order at
+//! run time, after Linux lockdep. Its class is the `#[track_caller]`
+//! site of its [`Mutex::new`] (or `Default`) call. Before
+//! [`Mutex::lock`] blocks, each held-A-then-B class order it creates
+//! goes into one process-wide graph. An order that closes a cycle, or
+//! a lock taken while the thread holds another of its class, panics
+//! and names both construction sites, even if the run would never have
+//! deadlocked. [`Mutex::try_lock`] cannot deadlock, so it adds no
+//! order, but its guard counts as held. A [`Condvar`] wait keeps its
+//! lock on the held list, so re-taking it records nothing. The check
+//! sees only the orders that tests and runs execute.
+//!
+//! Release builds compile the check out: `Mutex` and [`MutexGuard`]
+//! then have exactly the fields and size of the plain `std` wrapper,
+//! so the measurement path does not pay for it.
 
 #![forbid(unsafe_code)]
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+#[cfg(debug_assertions)]
+use std::panic::Location;
 use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
 use std::time::Duration;
+
+#[cfg(debug_assertions)]
+mod order;
 
 /// A mutual-exclusion primitive (non-poisoning `lock()` like
 /// `parking_lot::Mutex`).
 pub struct Mutex<T: ?Sized> {
+    /// The lock-order class: where this mutex was made.
+    #[cfg(debug_assertions)]
+    class: &'static Location<'static>,
     inner: StdMutex<T>,
 }
 
 impl<T> Mutex<T> {
-    /// Creates a new mutex.
+    /// Creates a new mutex, of the lock-order class of the caller's
+    /// source location in debug builds.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub const fn new(value: T) -> Self {
         Self {
+            #[cfg(debug_assertions)]
+            class: Location::caller(),
             inner: StdMutex::new(value),
         }
     }
@@ -47,23 +77,45 @@ impl<T> Mutex<T> {
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the mutex, blocking until it is available.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, before blocking, if taking this lock behind the
+    /// ones the thread holds closes a lock-order cycle, or if the
+    /// thread already holds a lock of its class.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let guard = match self.inner.lock() {
+        #[cfg(debug_assertions)]
+        let held = order::acquire(self.addr(), self.class);
+        let inner = match self.inner.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
-        MutexGuard { inner: Some(guard) }
+        MutexGuard {
+            inner: Some(inner),
+            #[cfg(debug_assertions)]
+            _held: held,
+        }
     }
 
     /// Attempts to acquire the mutex without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                inner: Some(p.into_inner()),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
+        let inner = match self.inner.try_lock() {
+            Ok(g) => g,
+            Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(std::sync::TryLockError::WouldBlock) => return None,
+        };
+        Some(MutexGuard {
+            inner: Some(inner),
+            #[cfg(debug_assertions)]
+            _held: order::Held::push(self.addr(), self.class),
+        })
+    }
+
+    /// This mutex's address, which tells it apart from others of its
+    /// class on a thread's held list.
+    #[cfg(debug_assertions)]
+    fn addr(&self) -> usize {
+        std::ptr::from_ref(self).cast::<()>().addr()
     }
 
     /// Returns a mutable reference to the underlying data (no locking
@@ -77,6 +129,7 @@ impl<T: ?Sized> Mutex<T> {
 }
 
 impl<T: Default> Default for Mutex<T> {
+    #[cfg_attr(debug_assertions, track_caller)]
     fn default() -> Self {
         Self::new(T::default())
     }
@@ -97,6 +150,9 @@ impl<T: fmt::Debug + ?Sized> fmt::Debug for Mutex<T> {
 /// underlying std guard out and back while blocking.
 pub struct MutexGuard<'a, T: ?Sized> {
     inner: Option<StdMutexGuard<'a, T>>,
+    /// This guard's entry in its thread's held list.
+    #[cfg(debug_assertions)]
+    _held: order::Held,
 }
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {

@@ -1,6 +1,8 @@
 //! Offline stand-in for the `rayon` crate: the one thing the workspace
-//! uses, an order-preserving parallel map, on `std` alone (crates.io is
-//! unavailable in the build environment).
+//! uses, an order-preserving parallel map, on `std` threads (crates.io
+//! is unavailable in the build environment). Its locks are the
+//! workspace's one lock type, `parking_lot`, so they join its
+//! lock-order check.
 //!
 //! Each [`par_map`] call runs inside [`std::thread::scope`]. Every lane,
 //! the caller included, takes the next item from the call's queue and
@@ -22,8 +24,9 @@
 use std::any::Any;
 use std::iter::Enumerate;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 use std::thread::Scope;
+
+use parking_lot::Mutex;
 
 /// The process-wide lane budget.
 struct Budget {
@@ -54,7 +57,7 @@ struct Lent(&'static Mutex<Budget>);
 
 impl Lent {
     fn borrow(budget: &'static Mutex<Budget>) -> Option<Self> {
-        let mut b = budget.lock().expect("lane budget poisoned");
+        let mut b = budget.lock();
         (b.helpers + 1 < b.lanes()).then(|| {
             b.helpers += 1;
             Self(budget)
@@ -64,9 +67,7 @@ impl Lent {
 
 impl Drop for Lent {
     fn drop(&mut self) {
-        if let Ok(mut b) = self.0.lock() {
-            b.helpers -= 1;
-        }
+        self.0.lock().helpers -= 1;
     }
 }
 
@@ -86,13 +87,13 @@ struct State<T, R> {
 /// Sets the process-wide lane budget (0 = available parallelism);
 /// helpers already running stay until their call's queue is empty.
 pub fn configure_global(lanes: usize) {
-    GLOBAL.lock().expect("lane budget poisoned").lanes = lanes;
+    GLOBAL.lock().lanes = lanes;
 }
 
 /// Lanes [`par_map`] may use, the caller's included.
 #[must_use]
 pub fn current_num_threads() -> usize {
-    GLOBAL.lock().expect("lane budget poisoned").lanes()
+    GLOBAL.lock().lanes()
 }
 
 /// Deterministic parallel map: applies `f` to every item and returns
@@ -125,7 +126,7 @@ where
     });
     let call = Call { budget, state, f };
     std::thread::scope(|scope| lane(scope, &call));
-    let state = call.state.into_inner().expect("par_map state poisoned");
+    let state = call.state.into_inner();
     if let Some(payload) = state.panic {
         resume_unwind(payload);
     }
@@ -143,7 +144,7 @@ where
 {
     loop {
         let (next, more) = {
-            let mut state = call.state.lock().expect("par_map state poisoned");
+            let mut state = call.state.lock();
             (state.items.next(), state.items.len() > 0)
         };
         let Some((index, item)) = next else {
@@ -158,7 +159,7 @@ where
             });
         }
         let result = catch_unwind(AssertUnwindSafe(|| (call.f)(item)));
-        let mut state = call.state.lock().expect("par_map state poisoned");
+        let mut state = call.state.lock();
         match result {
             Ok(r) => state.slots[index] = Some(r),
             Err(payload) => {
@@ -194,9 +195,9 @@ mod tests {
         let order = Mutex::new(Vec::new());
         map_on(budget(1), (0..8).collect(), |i| {
             assert_eq!(std::thread::current().id(), caller);
-            order.lock().unwrap().push(i);
+            order.lock().push(i);
         });
-        assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
+        assert_eq!(*order.lock(), (0..8).collect::<Vec<_>>());
     }
 
     #[test]
@@ -240,7 +241,7 @@ mod tests {
             assert_eq!(done.load(SeqCst), 16 + 4 * 8, "lanes {lanes}");
             let peak = peak.load(SeqCst);
             assert!((1..=lanes).contains(&peak), "lanes {lanes}: peak {peak}");
-            assert_eq!(b.lock().unwrap().helpers, 0, "lanes {lanes}");
+            assert_eq!(b.lock().helpers, 0, "lanes {lanes}");
         }
     }
 

@@ -473,34 +473,22 @@ impl ArchiveWriter {
             }
             for frame in batch.drain(..) {
                 if let Err(e) = writer.push(frame) {
-                    // ORDERING: Relaxed — advisory fail-fast flag;
-                    // producers only use it to stop enqueueing, the
-                    // authoritative error is returned via join.
-                    shared.failed.store(true, Ordering::Relaxed);
+                    shared.failed.store(true, Ordering::SeqCst);
                     return Err(e);
                 }
             }
-            // ORDERING: Relaxed — live progress counters for
-            // monitoring only; no other memory is published through
-            // them.
             shared
                 .frames_written
-                .store(writer.frames(), Ordering::Relaxed);
-            // ORDERING: Relaxed — live progress counter, same
-            // as frames_written above.
+                .store(writer.frames(), Ordering::SeqCst);
             shared
                 .segments_sealed
-                .store(writer.segments(), Ordering::Relaxed);
+                .store(writer.segments(), Ordering::SeqCst);
         }
-        // ORDERING: Relaxed — final read after the queue is closed
-        // and drained; the close handshake under the state lock
-        // already ordered every producer's fetch_add before this.
-        let dropped = shared.dropped.load(Ordering::Relaxed);
+        let dropped = shared.dropped.load(Ordering::SeqCst);
         match writer.finish_with_dropped(dropped) {
             Ok(stats) => Ok(stats),
             Err(e) => {
-                // ORDERING: Relaxed — same advisory flag as above.
-                shared.failed.store(true, Ordering::Relaxed);
+                shared.failed.store(true, Ordering::SeqCst);
                 Err(e)
             }
         }
@@ -515,9 +503,7 @@ impl ArchiveWriter {
     }
 
     fn enqueue(shared: &WriterShared, frames: &[ArchiveFrame]) -> bool {
-        // ORDERING: Relaxed — advisory: a stale read here only means
-        // one extra chunk is queued and discarded by the worker.
-        if shared.failed.load(Ordering::Relaxed) {
+        if shared.failed.load(Ordering::SeqCst) {
             return false;
         }
         let mut st = shared.state.lock();
@@ -528,11 +514,9 @@ impl ArchiveWriter {
             .len()
             .min(shared.capacity.saturating_sub(st.queue.len()));
         if fit < frames.len() {
-            // ORDERING: Relaxed — monotonic drop counter; the final
-            // value is read only after the close handshake.
             shared
                 .dropped
-                .fetch_add((frames.len() - fit) as u64, Ordering::Relaxed);
+                .fetch_add((frames.len() - fit) as u64, Ordering::SeqCst);
         }
         if fit > 0 {
             st.queue.extend_from_slice(&frames[..fit]);
@@ -559,24 +543,20 @@ impl ArchiveWriter {
     /// final [`WriterStats`].
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        // ORDERING: Relaxed — live monitoring read of a monotonic
-        // counter; exactness is only guaranteed after finish().
-        self.shared.dropped.load(Ordering::Relaxed)
+        self.shared.dropped.load(Ordering::SeqCst)
     }
 
     /// Frames the worker has accepted into the archive so far (sealed
     /// or pending in the current segment). Live and lock-free.
     #[must_use]
     pub fn frames_written(&self) -> u64 {
-        // ORDERING: Relaxed — live monitoring read, same as dropped().
-        self.shared.frames_written.load(Ordering::Relaxed)
+        self.shared.frames_written.load(Ordering::SeqCst)
     }
 
     /// Segments sealed on disk so far. Live and lock-free.
     #[must_use]
     pub fn segments_sealed(&self) -> u64 {
-        // ORDERING: Relaxed — live monitoring read, same as dropped().
-        self.shared.segments_sealed.load(Ordering::Relaxed)
+        self.shared.segments_sealed.load(Ordering::SeqCst)
     }
 
     /// Closes the queue, drains it, seals the tail segment, and

@@ -49,7 +49,9 @@ pub struct ArchiveResult {
 }
 
 impl ArchiveResult {
-    /// Archive bytes per stored sample frame.
+    /// Archive bytes per stored sample frame, over the whole file,
+    /// header included. `archive.csv`'s per-segment `bytes_per_sample`
+    /// column leaves the file header out, so it reads lower.
     #[must_use]
     pub fn bytes_per_sample(&self) -> f64 {
         if self.frames == 0 {
@@ -176,7 +178,7 @@ pub fn render(r: &ArchiveResult) -> String {
     );
     let _ = writeln!(
         out,
-        "  {:.3} bytes/sample vs {:.1} on the wire ({:.2}x compression)",
+        "  {:.3} bytes/sample (whole file, header included) vs {:.1} on the wire ({:.2}x compression)",
         r.bytes_per_sample(),
         if r.frames == 0 {
             0.0

@@ -3,10 +3,11 @@
 //! side moves, then parks until the target moves, host command bytes
 //! arrive, or the handle is dropped. Nothing sleeps or polls.
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use parking_lot::{Condvar, Mutex};
 use ps3_transport::{ReadWaker, SerialEndpoint};
 use ps3_units::{SimDuration, SimTime};
 
@@ -42,14 +43,6 @@ struct Shared {
     progress: Mutex<Progress>,
     /// Notified whenever the device publishes progress.
     moved: Condvar,
-}
-
-impl Shared {
-    /// No update under this lock can leave it half-written, so the
-    /// progress behind a poisoned lock is still consistent.
-    fn lock(&self) -> MutexGuard<'_, Progress> {
-        self.progress.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 /// A [`Device`] running in its own thread, advancing toward a
@@ -100,26 +93,26 @@ impl DeviceThread {
     /// Moves the virtual-time target forward by `d` and returns at once;
     /// the device catches up in the background.
     pub fn advance(&self, d: SimDuration) {
-        self.shared.lock().target += d;
+        self.shared.progress.lock().target += d;
         self.waker.wake();
     }
 
     /// The device clock as of its last published chunk.
     #[must_use]
     pub fn clock(&self) -> SimTime {
-        self.shared.lock().clock
+        self.shared.progress.lock().clock
     }
 
     /// Frames the device has emitted, as of its last published chunk.
     #[must_use]
     pub fn frames_emitted(&self) -> u64 {
-        self.shared.lock().frames
+        self.shared.progress.lock().frames
     }
 
     /// `true` once a scheduled crash has fired and the thread has left.
     #[must_use]
     pub fn is_crashed(&self) -> bool {
-        self.shared.lock().crashed
+        self.shared.progress.lock().crashed
     }
 
     /// Blocks until the device has caught up with every `advance` made
@@ -128,21 +121,21 @@ impl DeviceThread {
     /// non-blocking check.
     #[must_use]
     pub fn wait_parked(&self, deadline: Instant) -> bool {
-        let progress = self.shared.lock();
+        let mut progress = self.shared.progress.lock();
         let target = progress.target;
-        let left = deadline.saturating_duration_since(Instant::now());
-        let (progress, _) = self
-            .shared
-            .moved
-            .wait_timeout_while(progress, left, |p| p.clock < target && !p.crashed)
-            .unwrap_or_else(PoisonError::into_inner);
+        while progress.clock < target && !progress.crashed {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || self.shared.moved.wait_for(&mut progress, left).timed_out() {
+                break;
+            }
+        }
         progress.clock >= target || progress.crashed
     }
 }
 
 impl Drop for DeviceThread {
     fn drop(&mut self) {
-        self.shared.lock().stop = true;
+        self.shared.progress.lock().stop = true;
         self.waker.wake();
         if let Some(join) = self.join.take() {
             let _ = join.join();
@@ -156,7 +149,7 @@ fn drive<S: AnalogSource>(mut device: Device<S>, end: &SerialEndpoint, shared: &
     let chunk = advance_chunk(device.frame_interval());
     loop {
         let target = {
-            let progress = shared.lock();
+            let progress = shared.progress.lock();
             if progress.stop {
                 return;
             }
@@ -166,7 +159,7 @@ fn drive<S: AnalogSource>(mut device: Device<S>, end: &SerialEndpoint, shared: &
             device.run_until(end, (device.clock() + chunk).min(target));
             let crashed = device.is_crashed();
             {
-                let mut progress = shared.lock();
+                let mut progress = shared.progress.lock();
                 progress.clock = device.clock();
                 progress.frames = device.frames_emitted();
                 progress.crashed = crashed;
