@@ -508,7 +508,52 @@ sys.exit(1 if bad or not entries else 0)
 EOF
 }
 
-STAGES=(fmt build test clippy lint bench archive sim probe tsdb fleet c10k perfbench ledger)
+# Regenerates every golden output into <dir> and prints one sha256sum
+# line per output, paths relative to <dir>: the CSVs of
+# `repro --smoke --jobs 1` (not BENCH_repro.json, which holds wall-clock
+# figures) and the report of `ps3-sim run` for every scenario of
+# `ps3-sim list` at seeds 1-8.
+golden_outputs() {  # <dir>
+  local dir=$1 scenario seed
+  rm -rf "$dir" && mkdir -p "$dir/repro" "$dir/sim"
+  PS3_RESULTS_DIR="$dir/repro" ./target/release/repro --smoke --jobs 1 >/dev/null
+  rm "$dir/repro/BENCH_repro.json"
+  for scenario in $(./target/release/ps3-sim list | sed -n 's/^scenarios: //p' | tr -d ,); do
+    for seed in 1 2 3 4 5 6 7 8; do
+      ./target/release/ps3-sim run --scenario "$scenario" --seed "$seed" \
+        >"$dir/sim/$scenario-$seed.txt" \
+        || { echo "ps3-sim run --scenario $scenario --seed $seed failed" >&2; exit 1; }
+    done
+  done
+  (cd "$dir" && sha256sum repro/*.csv sim/*.txt)
+}
+
+stage_golden() {
+  echo "==> golden outputs: every smoke CSV and sim report matches ci/golden.sha256"
+  # A change that moves an output on purpose re-blesses (./ci.sh bless)
+  # and names each moved digest in CHANGES.md. On failure the
+  # regenerated outputs stay in target/ci-golden for artifact upload.
+  golden_outputs target/ci-golden >target/ci-golden.sha256
+  awk 'NR == FNR { want[$2] = $1; next } { have[$2] = $1 }
+    END {
+      for (f in want) if (!(f in have)) { print "missing:   " f; bad = 1 }
+        else if (want[f] != have[f]) { print "differs:   " f; bad = 1 }
+      for (f in have) if (!(f in want)) { print "unblessed: " f; bad = 1 }
+      exit bad
+    }' ci/golden.sha256 target/ci-golden.sha256 \
+    || { echo "outputs differ from ci/golden.sha256 (./ci.sh bless to accept them)"; exit 1; }
+  echo "ci/golden.sha256: $(wc -l <ci/golden.sha256) outputs match"
+}
+
+# Not in STAGES: only an explicit `./ci.sh bless` rewrites the manifest.
+stage_bless() {
+  echo "==> bless: rewrite ci/golden.sha256 from freshly generated outputs"
+  golden_outputs target/ci-golden >target/ci-golden.sha256
+  mv target/ci-golden.sha256 ci/golden.sha256
+  echo "ci/golden.sha256: $(wc -l <ci/golden.sha256) outputs blessed"
+}
+
+STAGES=(fmt build test clippy lint bench archive sim probe tsdb fleet c10k perfbench ledger golden)
 if [ $# -eq 0 ]; then
   set -- "${STAGES[@]}"
 fi
