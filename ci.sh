@@ -540,7 +540,7 @@ stage_golden() {
         else if (want[f] != have[f]) { print "differs:   " f; bad = 1 }
       for (f in have) if (!(f in want)) { print "unblessed: " f; bad = 1 }
       exit bad
-    }' ci/golden.sha256 target/ci-golden.sha256 \
+    }' ci/golden.sha256 target/ci-golden.sha256 | sort \
     || { echo "outputs differ from ci/golden.sha256 (./ci.sh bless to accept them)"; exit 1; }
   echo "ci/golden.sha256: $(wc -l <ci/golden.sha256) outputs match"
 }

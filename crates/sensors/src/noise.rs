@@ -1,4 +1,12 @@
 //! Seeded gaussian noise source.
+//!
+//! Normals come from the Marsaglia polar method: draw a point uniformly
+//! in the square (−1, 1)², keep it only inside the unit disc (a
+//! π/4 ≈ 78.5 % acceptance rate), and scale both coordinates by
+//! `sqrt(−2 ln s / s)` with `s` its squared radius. Each accepted point
+//! yields two independent normals, the second cached for the next call.
+//! Against Box–Muller it trades the `sin_cos` for a rejection loop that
+//! costs ≈ 1.27 uniform pairs per accepted pair.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,17 +50,21 @@ impl GaussianNoise {
         self.sigma
     }
 
-    /// Draws one sample ~ N(0, sigma²) via the Box–Muller transform.
+    /// Draws one sample ~ N(0, sigma²) via the Marsaglia polar method.
     pub fn sample(&mut self) -> f64 {
         if let Some(z) = self.cached.take() {
             return z * self.sigma;
         }
-        let u1: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = self.rng.gen();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let (s, c) = (core::f64::consts::TAU * u2).sin_cos();
-        self.cached = Some(r * s);
-        r * c * self.sigma
+        loop {
+            let x: f64 = self.rng.gen_range(-1.0..1.0);
+            let y: f64 = self.rng.gen_range(-1.0..1.0);
+            let s = x * x + y * y;
+            if s > 0.0 && s < 1.0 {
+                let f = (-2.0 * s.ln() / s).sqrt();
+                self.cached = Some(y * f);
+                return x * f * self.sigma;
+            }
+        }
     }
 
     /// Draws a uniform sample in `[lo, hi)` from the same stream
