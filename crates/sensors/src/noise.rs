@@ -5,8 +5,8 @@
 //! π/4 ≈ 78.5 % acceptance rate), and scale both coordinates by
 //! `sqrt(−2 ln s / s)` with `s` its squared radius. Each accepted point
 //! yields two independent normals, the second cached for the next call.
-//! Against Box–Muller it trades the `sin_cos` for a rejection loop that
-//! costs ≈ 1.27 uniform pairs per accepted pair.
+//! No trigonometry is needed: the rejection loop costs ≈ 1.27 uniform
+//! pairs per accepted pair, and a pair costs one `ln` and one `sqrt`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
