@@ -370,6 +370,10 @@ stage_tsdb() {
   grep -q '"pyramid":{"fresh":true' target/ci-tsdb/info.json \
     || { echo "info --json lacks a fresh pyramid sidecar"
          cat target/ci-tsdb/info.json; exit 1; }
+  # Compaction carries the writer's Finished record into the new log.
+  grep -q '"writer":{' target/ci-tsdb/info.json \
+    || { echo "info --json lost the writer's Finished record over compaction"
+         cat target/ci-tsdb/info.json; exit 1; }
   ./target/release/ps3-arc retain target/ci-tsdb/cap.ps3a --retain 150000us \
     >target/ci-tsdb/retain.txt
   grep -q '2 -> 1 segments' target/ci-tsdb/retain.txt \
@@ -510,13 +514,16 @@ EOF
 
 # Regenerates every golden output into <dir> and prints one sha256sum
 # line per output, paths relative to <dir>: the CSVs of
-# `repro --smoke --jobs 1` (not BENCH_repro.json, which holds wall-clock
-# figures) and the report of `ps3-sim run` for every scenario of
-# `ps3-sim list` at seeds 1-8.
+# `repro --smoke --jobs 1`, plus those of the experiments it runs only
+# by name that read the sensor chain (noise, capping, related), but not
+# BENCH_repro.json, which holds wall-clock figures; and the report of
+# `ps3-sim run` for every scenario of `ps3-sim list` at seeds 1-8.
 golden_outputs() {  # <dir>
   local dir=$1 scenario seed
   rm -rf "$dir" && mkdir -p "$dir/repro" "$dir/sim"
   PS3_RESULTS_DIR="$dir/repro" ./target/release/repro --smoke --jobs 1 >/dev/null
+  PS3_RESULTS_DIR="$dir/repro" ./target/release/repro --smoke --jobs 1 \
+    noise capping related >/dev/null
   rm "$dir/repro/BENCH_repro.json"
   for scenario in $(./target/release/ps3-sim list | sed -n 's/^scenarios: //p' | tr -d ,); do
     for seed in 1 2 3 4 5 6 7 8; do

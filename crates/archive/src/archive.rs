@@ -1,10 +1,12 @@
 //! The archive reader: open, exact reads, and verification.
 //!
-//! [`Archive::open`] trusts the `.ps3x` sidecar index only when its
-//! CRC checks out *and* it describes exactly the bytes on disk;
-//! otherwise it falls back to a sequential scan that keeps every
-//! CRC-valid sealed segment and ignores a torn tail — so a capture
-//! killed mid-write still opens, minus at most its unsealed frames.
+//! [`Archive::open`] seats the sealed segments in one walk from the
+//! file header: first through the `.ps3x` log's records, each checked
+//! against the segment header and tables on disk, then, from the end
+//! of the last record that matched, by a sequential scan that keeps
+//! every CRC-valid sealed segment and ignores a torn tail — so a
+//! capture killed mid-write still opens, minus at most its unsealed
+//! frames, and a stale or damaged log costs only a longer scan.
 //!
 //! [`Archive::read_range`] re-derives physical units from the stored
 //! raw codes with the stored sensor configuration, using the same
@@ -31,17 +33,24 @@ use crate::format::{
     decode_file_header, read_u32, ArchiveError, FILE_HEADER_SIZE, SEAL_MAGIC, SEGMENT_HEADER_SIZE,
     SEGMENT_TRAILER_SIZE,
 };
-use crate::index::{index_path_for, ArchiveIndex};
+use crate::index::{index_path_for, ArchiveIndex, IndexSegment};
 use crate::segment::{build_summaries, ArchiveFrame, SegmentHeader, SegmentMeta};
 
 /// How an archive was opened and what, if anything, was left behind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// `true` when the sidecar index was valid and used; `false` when
-    /// the archive was sequentially scanned.
+    /// `true` when the sidecar log was read and the segments its
+    /// records describe reach the end of the file; `false` when some
+    /// of the archive had to be scanned.
     pub used_index: bool,
     /// Bytes of unsealed (torn) tail after the last valid segment.
     pub trailing_bytes: u64,
+    /// `Some(dropped)` when the log ends in the writer's `Finished`
+    /// record and every one of its segment records matched the file:
+    /// the capture finished cleanly, and its queue dropped `dropped`
+    /// frames. `None` for a capture that crashed, is still being
+    /// written, or whose log is stale or damaged.
+    pub dropped: Option<u64>,
 }
 
 /// Result of a full [`Archive::verify`] pass.
@@ -107,6 +116,12 @@ fn read_at_into(
 impl Archive {
     /// Opens an archive, recovering past any torn tail.
     ///
+    /// The sealed segments are seated in one walk from the file
+    /// header: through the `.ps3x` log's records while each matches
+    /// the file (`Archive::indexed`), then by `Archive::scan` from
+    /// the end of the last that did. A missing or unreadable log walks
+    /// no records.
+    ///
     /// # Errors
     ///
     /// [`ArchiveError::NotAnArchive`] / [`ArchiveError::Corrupt`] when
@@ -122,24 +137,27 @@ impl Archive {
             .read_to_end(&mut header)?;
         let configs = decode_file_header(&header)?;
 
-        let (segments, recovery) = match Self::try_index(&path, &file, file_len) {
-            Some(segments) => (
-                segments,
-                RecoveryReport {
-                    used_index: true,
-                    trailing_bytes: 0,
-                },
-            ),
-            None => {
-                let (segments, sealed_len) = Self::scan(&file, file_len)?;
-                (
-                    segments,
-                    RecoveryReport {
-                        used_index: false,
-                        trailing_bytes: file_len - sealed_len,
-                    },
-                )
-            }
+        let index = std::fs::read(index_path_for(&path))
+            .ok()
+            .and_then(|bytes| ArchiveIndex::decode(&bytes).ok());
+        let records = index.as_ref().map_or(&[][..], |index| &index.segments[..]);
+        let mut segments = Vec::with_capacity(records.len());
+        let mut offset = FILE_HEADER_SIZE as u64;
+        for rec in records {
+            let Some(meta) = Self::indexed(&file, file_len, offset, rec) else {
+                break;
+            };
+            offset += meta.header.disk_size();
+            segments.push(meta);
+        }
+        let used_index = index.is_some() && offset == file_len;
+        let every_record = segments.len() == records.len();
+        let recovery = RecoveryReport {
+            used_index,
+            trailing_bytes: file_len - Self::scan(&file, file_len, offset, &mut segments)?,
+            dropped: index
+                .and_then(|index| index.finished)
+                .filter(|_| used_index && every_record),
         };
         let mut markers: Vec<(u64, char)> = Vec::new();
         for seg in &segments {
@@ -158,48 +176,44 @@ impl Archive {
         })
     }
 
-    /// Loads segment metadata through the sidecar index. Any
-    /// inconsistency — missing or damaged sidecar, stale `data_len`,
-    /// index records that disagree with the file, segment tables whose
-    /// CRC or block layout fails [`SegmentMeta::parse`]'s checks —
-    /// returns `None` and the caller falls back to the CRC-checked
-    /// scan. The payloads are not read: their run tables carry their
-    /// own CRCs, checked on every decode.
-    fn try_index(path: &Path, file: &File, file_len: u64) -> Option<Vec<SegmentMeta>> {
-        let bytes = std::fs::read(index_path_for(path)).ok()?;
-        let index = ArchiveIndex::decode(&bytes).ok()?;
-        if index.data_len != file_len {
+    /// The segment at `offset` when log record `rec` describes it: the
+    /// record's offset, sequence number, frame count and time bounds
+    /// equal the segment header's, the segment fits in the file, and
+    /// its tables pass [`SegmentMeta::parse`]'s CRC and block-layout
+    /// checks. The payload is not read: its run tables carry their own
+    /// CRCs, checked on every decode.
+    fn indexed(file: &File, file_len: u64, offset: u64, rec: &IndexSegment) -> Option<SegmentMeta> {
+        if rec.offset != offset {
             return None;
         }
-        let mut segments = Vec::with_capacity(index.segments.len());
-        for rec in &index.segments {
-            let hdr = read_at(file, rec.offset, SEGMENT_HEADER_SIZE).ok()?;
-            let header = SegmentHeader::parse(&hdr, rec.offset).ok()?;
-            if header.seq != rec.seq
-                || header.frame_count != rec.frame_count
-                || header.start_us != rec.start_us
-                || header.end_us != rec.end_us
-                || rec.offset + header.disk_size() > file_len
-            {
-                return None;
-            }
-            let tables = read_at(
-                file,
-                rec.offset + SEGMENT_HEADER_SIZE as u64,
-                header.tables_len(),
-            )
-            .ok()?;
-            segments.push(SegmentMeta::parse(rec.offset, header, &tables).ok()?);
+        let hdr = read_at(file, offset, SEGMENT_HEADER_SIZE).ok()?;
+        let header = SegmentHeader::parse(&hdr, offset).ok()?;
+        if header.seq != rec.seq
+            || header.frame_count != rec.frame_count
+            || header.start_us != rec.start_us
+            || header.end_us != rec.end_us
+            || offset + header.disk_size() > file_len
+        {
+            return None;
         }
-        Some(segments)
+        let tables = read_at(
+            file,
+            offset + SEGMENT_HEADER_SIZE as u64,
+            header.tables_len(),
+        )
+        .ok()?;
+        SegmentMeta::parse(offset, header, &tables).ok()
     }
 
-    /// Sequentially scans the archive, keeping every CRC-valid sealed
-    /// segment and stopping at the first sign of damage. Returns the
-    /// metadata plus the length of the valid sealed prefix.
-    fn scan(file: &File, file_len: u64) -> Result<(Vec<SegmentMeta>, u64), ArchiveError> {
-        let mut segments = Vec::new();
-        let mut offset = FILE_HEADER_SIZE as u64;
+    /// Sequentially scans the archive from `offset`, appending every
+    /// CRC-valid sealed segment to `segments` and stopping at the first
+    /// sign of damage. Returns the end of the valid sealed prefix.
+    fn scan(
+        file: &File,
+        file_len: u64,
+        mut offset: u64,
+        segments: &mut Vec<SegmentMeta>,
+    ) -> Result<u64, ArchiveError> {
         while offset + (SEGMENT_HEADER_SIZE + SEGMENT_TRAILER_SIZE) as u64 <= file_len {
             let hdr = read_at(file, offset, SEGMENT_HEADER_SIZE)?;
             let Ok(header) = SegmentHeader::parse(&hdr, offset) else {
@@ -222,7 +236,7 @@ impl Archive {
             segments.push(meta);
             offset += size;
         }
-        Ok((segments, offset))
+        Ok(offset)
     }
 
     /// The sensor configuration the archive was recorded with.
@@ -344,16 +358,17 @@ impl Archive {
         &self.markers
     }
 
-    /// How the archive was opened (index fast path vs. recovery scan)
-    /// and how many torn-tail bytes were skipped.
+    /// How the archive was opened (how far the log's records carried
+    /// the walk), how many torn-tail bytes were skipped, and whether
+    /// the capture's writer finished.
     #[must_use]
     pub fn recovery(&self) -> RecoveryReport {
         self.recovery
     }
 
     /// Byte length of the sealed prefix: the file header plus every
-    /// sealed segment. Derived data keyed to the archive (the `.ps3x`
-    /// index, the `.ps3p` pyramid) records this to detect staleness.
+    /// sealed segment. The `.ps3p` pyramid, derived data keyed to the
+    /// archive, records this to detect staleness.
     #[must_use]
     pub fn sealed_len(&self) -> u64 {
         self.segments

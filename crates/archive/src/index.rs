@@ -1,24 +1,35 @@
-//! The `.ps3x` sidecar index: time ranges and marker labels mapped to
-//! segment offsets, so `Archive::open` can seek straight to the data
-//! it needs without scanning the archive file.
+//! The `.ps3x` sidecar: an append-only log of the capture's seals, so
+//! `Archive::open` can seat every segment without scanning the archive
+//! file, and a record of whether the capture's writer finished.
 //!
-//! The index is pure derived data. It records `data_len`, the length
-//! of the sealed prefix of the `.ps3a` file it describes; on open it
-//! is trusted only when its CRC checks out *and* `data_len` is
-//! consistent with the archive on disk. Otherwise — stale after a
-//! crash, deleted, damaged — the reader falls back to a sequential
-//! scan of the archive and rebuilds it. The writer rewrites the whole
-//! sidecar after each sealed segment, *after* flushing the segment
-//! itself, so the index never describes data that might not survive a
-//! crash.
+//! ```text
+//! magic "PS3XLOG1"
+//! segment record:  'S' · offset · seq · frame_count · start_us · end_us · CRC-32
+//! segment record:  …                                         (one per seal)
+//! finished record: 'F' · dropped · 24 zero bytes · CRC-32    (written by finish)
+//! ```
+//!
+//! The writer appends one segment record per seal, *after* the segment
+//! itself is durable, and a `Finished` record once `finish` has synced
+//! the archive; no byte already written is rewritten. Each record
+//! carries its own CRC, so a torn append costs only that record:
+//! [`ArchiveIndex::decode`] returns the longest prefix of whole,
+//! CRC-valid records. The log is pure derived data. `Archive::open`
+//! checks every record against the segment header and tables on disk,
+//! stops at the first that disagrees, and CRC-scans the archive from
+//! there, so a stale, torn, damaged or missing log costs only a longer
+//! scan. Compaction and retention write a fresh log for the archive
+//! they rename into place.
 
 use std::path::{Path, PathBuf};
 
 use crate::crc::crc32;
-use crate::format::{parse_markers, read_u32, read_u64, ArchiveError, MARKER_WIRE_SIZE};
+use crate::format::{read_u32, read_u64, ArchiveError};
 
-/// Sidecar magic, first 8 bytes.
-pub const INDEX_MAGIC: [u8; 8] = *b"PS3XIDX1";
+/// Sidecar magic, first 8 bytes. Logs under any other magic (the
+/// rewritten whole-file index of format `PS3XIDX1` included) are
+/// ignored and the archive is scanned.
+pub const INDEX_MAGIC: [u8; 8] = *b"PS3XLOG1";
 
 /// The sidecar path for an archive: `capture.ps3a` → `capture.ps3x`;
 /// any other name gets `.ps3x` appended.
@@ -33,11 +44,12 @@ pub fn index_path_for(archive: &Path) -> PathBuf {
     }
 }
 
-const INDEX_HEADER_SIZE: usize = 8 + 8 + 4 + 4;
-const SEGMENT_RECORD_SIZE: usize = 8 + 4 + 4 + 8 + 8;
+const SEGMENT_KIND: u8 = b'S';
+const FINISHED_KIND: u8 = b'F';
+const RECORD_SIZE: usize = 1 + 8 + 4 + 4 + 8 + 8 + 4;
 
 /// One segment's entry in the index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexSegment {
     /// Byte offset of the segment header in the `.ps3a` file.
     pub offset: u64,
@@ -51,99 +63,101 @@ pub struct IndexSegment {
     pub end_us: u64,
 }
 
-/// The in-memory form of the sidecar index.
-#[derive(Debug, Clone, Default, PartialEq)]
+impl IndexSegment {
+    /// The log record for this segment, as the writer appends it.
+    pub(crate) fn record(&self) -> [u8; RECORD_SIZE] {
+        self.record_of(SEGMENT_KIND)
+    }
+
+    fn record_of(&self, kind: u8) -> [u8; RECORD_SIZE] {
+        let mut rec = [0u8; RECORD_SIZE];
+        rec[0] = kind;
+        rec[1..9].copy_from_slice(&self.offset.to_le_bytes());
+        rec[9..13].copy_from_slice(&self.seq.to_le_bytes());
+        rec[13..17].copy_from_slice(&self.frame_count.to_le_bytes());
+        rec[17..25].copy_from_slice(&self.start_us.to_le_bytes());
+        rec[25..33].copy_from_slice(&self.end_us.to_le_bytes());
+        let crc = crc32(&rec[..RECORD_SIZE - 4]);
+        rec[RECORD_SIZE - 4..].copy_from_slice(&crc.to_le_bytes());
+        rec
+    }
+}
+
+/// The log record closing a finished capture: a segment-sized record
+/// holding the frames the writer's queue dropped where a segment
+/// record holds its offset.
+pub(crate) fn finished_record(dropped: u64) -> [u8; RECORD_SIZE] {
+    let fields = IndexSegment {
+        offset: dropped,
+        ..IndexSegment::default()
+    };
+    fields.record_of(FINISHED_KIND)
+}
+
+/// The in-memory form of the sidecar log.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ArchiveIndex {
-    /// Length of the sealed `.ps3a` prefix this index describes.
-    pub data_len: u64,
     /// Per-segment records, in file order.
     pub segments: Vec<IndexSegment>,
-    /// Every marker in the archive: `(time µs, label)`, in time order.
-    pub markers: Vec<(u64, char)>,
+    /// `Some(dropped)` once the capture's writer finished: the frames
+    /// its queue dropped. `None` while it runs, and after a crash.
+    pub finished: Option<u64>,
 }
 
 impl ArchiveIndex {
-    /// Serialises the index to its sidecar byte form.
+    /// Serialises the whole log: what the writer's appends would have
+    /// produced for these records.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            INDEX_HEADER_SIZE
-                + self.segments.len() * SEGMENT_RECORD_SIZE
-                + self.markers.len() * MARKER_WIRE_SIZE
-                + 4,
-        );
+        let mut out =
+            Vec::with_capacity(INDEX_MAGIC.len() + (self.segments.len() + 1) * RECORD_SIZE);
         out.extend_from_slice(&INDEX_MAGIC);
-        out.extend_from_slice(&self.data_len.to_le_bytes());
-        out.extend_from_slice(&(self.segments.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.markers.len() as u32).to_le_bytes());
         for seg in &self.segments {
-            out.extend_from_slice(&seg.offset.to_le_bytes());
-            out.extend_from_slice(&seg.seq.to_le_bytes());
-            out.extend_from_slice(&seg.frame_count.to_le_bytes());
-            out.extend_from_slice(&seg.start_us.to_le_bytes());
-            out.extend_from_slice(&seg.end_us.to_le_bytes());
+            out.extend_from_slice(&seg.record());
         }
-        for &(time_us, label) in &self.markers {
-            out.extend_from_slice(&time_us.to_le_bytes());
-            out.extend_from_slice(&(label as u32).to_le_bytes());
+        if let Some(dropped) = self.finished {
+            out.extend_from_slice(&finished_record(dropped));
         }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
         out
     }
 
-    /// Decodes a sidecar file.
+    /// Decodes a sidecar log: its longest prefix of whole, CRC-valid
+    /// records, ending at the first torn, damaged or unknown record or
+    /// at the `Finished` record.
     ///
     /// # Errors
     ///
-    /// [`ArchiveError::Corrupt`] on wrong magic, truncation, CRC
-    /// mismatch or a marker label that is no `char`. Callers treat any
-    /// error as "no usable index" and rebuild from the archive.
+    /// [`ArchiveError::Corrupt`] when the magic is missing or wrong.
+    /// Callers treat that as "no usable index" and scan the archive.
     pub fn decode(bytes: &[u8]) -> Result<Self, ArchiveError> {
-        let corrupt = |what: &str| ArchiveError::Corrupt {
-            offset: 0,
-            what: format!("index {what}"),
-        };
-        if bytes.len() < INDEX_HEADER_SIZE + 4 {
-            return Err(corrupt("truncated"));
-        }
-        if bytes[..8] != INDEX_MAGIC {
-            return Err(corrupt("magic mismatch"));
-        }
-        let body_len = bytes.len() - 4;
-        let stored = read_u32(bytes, body_len);
-        if crc32(&bytes[..body_len]) != stored {
-            return Err(corrupt("CRC mismatch"));
-        }
-        let data_len = read_u64(bytes, 8);
-        let seg_count = read_u32(bytes, 16) as usize;
-        let marker_count = read_u32(bytes, 20) as usize;
-        let need = INDEX_HEADER_SIZE
-            + seg_count * SEGMENT_RECORD_SIZE
-            + marker_count * MARKER_WIRE_SIZE
-            + 4;
-        if bytes.len() != need {
-            return Err(corrupt("length inconsistent with counts"));
-        }
-        let mut segments = Vec::with_capacity(seg_count);
-        let mut at = INDEX_HEADER_SIZE;
-        for _ in 0..seg_count {
-            segments.push(IndexSegment {
-                offset: read_u64(bytes, at),
-                seq: read_u32(bytes, at + 8),
-                frame_count: read_u32(bytes, at + 12),
-                start_us: read_u64(bytes, at + 16),
-                end_us: read_u64(bytes, at + 24),
+        if bytes.get(..INDEX_MAGIC.len()) != Some(&INDEX_MAGIC[..]) {
+            return Err(ArchiveError::Corrupt {
+                offset: 0,
+                what: "index magic mismatch".into(),
             });
-            at += SEGMENT_RECORD_SIZE;
         }
-        let markers = parse_markers(&bytes[at..], marker_count)
-            .ok_or_else(|| corrupt("marker label is not a Unicode scalar value"))?;
-        Ok(Self {
-            data_len,
-            segments,
-            markers,
-        })
+        let mut index = Self::default();
+        for rec in bytes[INDEX_MAGIC.len()..].chunks_exact(RECORD_SIZE) {
+            if crc32(&rec[..RECORD_SIZE - 4]) != read_u32(rec, RECORD_SIZE - 4) {
+                break;
+            }
+            let offset = read_u64(rec, 1);
+            match rec[0] {
+                SEGMENT_KIND => index.segments.push(IndexSegment {
+                    offset,
+                    seq: read_u32(rec, 9),
+                    frame_count: read_u32(rec, 13),
+                    start_us: read_u64(rec, 17),
+                    end_us: read_u64(rec, 25),
+                }),
+                FINISHED_KIND => {
+                    index.finished = Some(offset);
+                    break;
+                }
+                _ => break,
+            }
+        }
+        Ok(index)
     }
 }
 
@@ -153,7 +167,6 @@ mod tests {
 
     fn sample() -> ArchiveIndex {
         ArchiveIndex {
-            data_len: 123_456,
             segments: vec![
                 IndexSegment {
                     offset: 224,
@@ -170,7 +183,15 @@ mod tests {
                     end_us: 1_074_975,
                 },
             ],
-            markers: vec![(500_025, 'k'), (1_000_125, 'é')],
+            finished: Some(7),
+        }
+    }
+
+    /// The first `n` records of `idx`, as a prefix of its log decodes.
+    fn prefix(idx: &ArchiveIndex, n: usize) -> ArchiveIndex {
+        ArchiveIndex {
+            segments: idx.segments[..n.min(idx.segments.len())].to_vec(),
+            finished: idx.finished.filter(|_| n > idx.segments.len()),
         }
     }
 
@@ -186,15 +207,24 @@ mod tests {
         assert_eq!(ArchiveIndex::decode(&idx.encode()).unwrap(), idx);
     }
 
+    /// A flip in the magic refuses the log; one in a record refuses
+    /// that record and everything after it.
     #[test]
     fn any_single_bit_flip_is_rejected() {
         let bytes = sample().encode();
         for byte in 0..bytes.len() {
             let mut dam = bytes.clone();
             dam[byte] ^= 1;
-            assert!(
-                ArchiveIndex::decode(&dam).is_err(),
-                "flip at byte {byte} accepted"
+            let decoded = ArchiveIndex::decode(&dam);
+            if byte < INDEX_MAGIC.len() {
+                assert!(decoded.is_err(), "flip at byte {byte} accepted");
+                continue;
+            }
+            let record = (byte - INDEX_MAGIC.len()) / RECORD_SIZE;
+            assert_eq!(
+                decoded.unwrap(),
+                prefix(&sample(), record),
+                "flip at byte {byte}"
             );
         }
     }
@@ -211,11 +241,30 @@ mod tests {
         );
     }
 
+    /// A cut refuses the record it tears; the whole records before it
+    /// survive.
     #[test]
     fn truncation_is_rejected() {
         let bytes = sample().encode();
         for len in 0..bytes.len() {
-            assert!(ArchiveIndex::decode(&bytes[..len]).is_err(), "len {len}");
+            let decoded = ArchiveIndex::decode(&bytes[..len]);
+            if len < INDEX_MAGIC.len() {
+                assert!(decoded.is_err(), "len {len}");
+                continue;
+            }
+            let whole = (len - INDEX_MAGIC.len()) / RECORD_SIZE;
+            assert_eq!(decoded.unwrap(), prefix(&sample(), whole), "len {len}");
         }
+    }
+
+    #[test]
+    fn appended_records_extend_the_encoded_log() {
+        let idx = sample();
+        let mut log = ArchiveIndex::default().encode();
+        for seg in &idx.segments {
+            log.extend_from_slice(&seg.record());
+        }
+        log.extend_from_slice(&finished_record(7));
+        assert_eq!(log, idx.encode());
     }
 }

@@ -16,9 +16,12 @@
 //!   only the runs they touch. Any prefix ending in a sealed segment is
 //!   a valid archive, so a crash mid-write loses at most the unsealed
 //!   tail ([`format`] has the layout).
-//! * **`.ps3x` sidecar index** — derived data mapping time ranges and
-//!   markers to segment offsets; rebuilt by scan whenever it is
-//!   missing, stale, or damaged.
+//! * **`.ps3x` sidecar log** — the capture's only sidecar: one CRC'd
+//!   record per sealed segment, appended at seal time, then a
+//!   `Finished` record with the writer's drop count. Derived data:
+//!   open trusts its records only as far as they match the segments on
+//!   disk and CRC-scans the archive from there (`index.rs` has the
+//!   layout).
 //! * **Summary blocks** — per ~50 ms of frames, pre-aggregated
 //!   count/sum/min/max/energy, so [`Archive::stats`],
 //!   [`Archive::energy`], [`Archive::energy_between`] and coarse
@@ -98,5 +101,5 @@ pub use segment::{
     ArchiveFrame, Run, RunTable, SegmentHeader, SegmentMeta, SummaryBlock,
 };
 pub use writer::{
-    stats_path_for, ArchiveWriter, ArchiveWriterOptions, Maintenance, SegmentWriter, WriterStats,
+    sync_parent_dir, ArchiveWriter, ArchiveWriterOptions, Maintenance, SegmentWriter, WriterStats,
 };

@@ -3,9 +3,10 @@
 //! [`PowerSensor`](ps3_core::PowerSensor) frame sink.
 //!
 //! Crash-safety discipline (see the crate docs): a segment is built in
-//! memory, appended in one write, and flushed *before* the sidecar
-//! index is rewritten to cover it. A crash at any point leaves a file
-//! whose sealed prefix is a complete, valid archive.
+//! memory, appended in one write, and flushed *before* its record is
+//! appended to the `.ps3x` log. A crash at any point leaves a file
+//! whose sealed prefix is a complete, valid archive, and a log whose
+//! whole records describe only sealed segments.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write as _};
@@ -21,7 +22,7 @@ use ps3_firmware::{PairTable, SensorConfig, SENSOR_SLOTS};
 use ps3_sensors::AdcSpec;
 
 use crate::format::{encode_file_header, ArchiveError, DEFAULT_SEGMENT_FRAMES, FILE_HEADER_SIZE};
-use crate::index::{index_path_for, ArchiveIndex, IndexSegment};
+use crate::index::{finished_record, index_path_for, ArchiveIndex, IndexSegment};
 use crate::segment::{build_segment, ArchiveFrame};
 
 /// Counters reported when a writer finishes.
@@ -38,57 +39,26 @@ pub struct WriterStats {
     pub dropped: u64,
 }
 
-impl WriterStats {
-    /// Sidecar text form: `key=value` lines.
-    #[must_use]
-    pub fn encode_text(&self) -> String {
-        format!(
-            "frames={}\nsegments={}\nbytes={}\ndropped={}\n",
-            self.frames, self.segments, self.bytes, self.dropped
-        )
-    }
-
-    /// Parses [`WriterStats::encode_text`] output; `None` on any
-    /// malformed or missing field.
-    #[must_use]
-    pub fn decode_text(text: &str) -> Option<Self> {
-        let mut stats = Self::default();
-        let mut seen = 0u8;
-        for line in text.lines() {
-            let (key, value) = line.split_once('=')?;
-            let value: u64 = value.trim().parse().ok()?;
-            match key {
-                "frames" => (stats.frames, seen) = (value, seen | 1),
-                "segments" => (stats.segments, seen) = (value, seen | 2),
-                "bytes" => (stats.bytes, seen) = (value, seen | 4),
-                "dropped" => (stats.dropped, seen) = (value, seen | 8),
-                _ => {} // forward compatibility: ignore unknown keys
-            }
-        }
-        (seen == 0b1111).then_some(stats)
-    }
-
-    /// Loads the stats sidecar written when the archive's writer
-    /// finished. `None` when absent (the capture crashed before
-    /// finishing, or predates stats sidecars) or unparsable.
-    #[must_use]
-    pub fn load_for(archive: &Path) -> Option<Self> {
-        let text = std::fs::read_to_string(stats_path_for(archive)).ok()?;
-        Self::decode_text(&text)
-    }
+/// Fsyncs the directory holding `path`, so that a file just created
+/// there, or renamed over `path`, is still there after a power loss.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    let dir = path
+        .parent()
+        .filter(|dir| !dir.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    File::open(dir)?.sync_all()
 }
 
-/// Sidecar path holding a finished writer's [`WriterStats`]
-/// (`trace.ps3a` → `trace.ps3s`), mirroring [`index_path_for`].
-#[must_use]
-pub fn stats_path_for(archive: &Path) -> PathBuf {
-    if archive.extension().is_some_and(|e| e == "ps3a") {
-        archive.with_extension("ps3s")
-    } else {
-        let mut name = archive.as_os_str().to_os_string();
-        name.push(".ps3s");
-        PathBuf::from(name)
-    }
+/// Writes `index` as a fresh log at `path`, returning the handle
+/// positioned for the next append.
+fn create_log(path: &Path, index: &ArchiveIndex) -> std::io::Result<File> {
+    let mut log = File::create(path)?;
+    log.write_all(&index.encode())?;
+    Ok(log)
 }
 
 /// A per-seal maintenance hook (see [`SegmentWriter::set_maintenance`]).
@@ -99,7 +69,8 @@ pub struct SegmentWriter {
     path: PathBuf,
     file: File,
     index_path: PathBuf,
-    stats_path: PathBuf,
+    /// Append handle on the `.ps3x` log.
+    log: File,
     /// Each frame's total power at push, bit-identical to
     /// [`frame_total`](crate::segment::frame_total).
     table: PairTable,
@@ -154,24 +125,21 @@ impl SegmentWriter {
     ) -> Result<Self, ArchiveError> {
         assert!(segment_frames > 0, "segments hold at least one frame");
         let path = path.as_ref();
+        // The log is emptied before the archive is touched, so no
+        // record of an earlier capture at this path outlives it.
+        let index_path = index_path_for(path);
+        let log = create_log(&index_path, &ArchiveIndex::default())?;
         let mut file = File::create(path)?;
         file.write_all(&encode_file_header(&configs))?;
         file.sync_data()?;
-        // A finished capture leaves a stats sidecar; scrub any stale
-        // one now so its presence always means *this* capture finished.
-        let stats_path = stats_path_for(path);
-        let _ = std::fs::remove_file(&stats_path);
-        let writer = Self {
+        sync_parent_dir(path)?;
+        Ok(Self {
             path: path.to_path_buf(),
             file,
-            index_path: index_path_for(path),
-            stats_path,
+            index_path,
+            log,
             table: PairTable::new(&configs, &AdcSpec::POWERSENSOR3),
-            index: ArchiveIndex {
-                data_len: FILE_HEADER_SIZE as u64,
-                segments: Vec::new(),
-                markers: Vec::new(),
-            },
+            index: ArchiveIndex::default(),
             pending: Vec::with_capacity(segment_frames),
             pending_watts: Vec::with_capacity(segment_frames),
             segment_frames,
@@ -181,17 +149,15 @@ impl SegmentWriter {
                 ..WriterStats::default()
             },
             maintenance: None,
-        };
-        writer.rewrite_index();
-        Ok(writer)
+        })
     }
 
     /// Installs a maintenance hook that runs after *every* sealed
-    /// segment (index already rewritten), on the sealing thread. The
-    /// hook layer (e.g. `ps3-tsdb`) uses it for pyramid upkeep,
-    /// compaction, and retention; running per seal — not per drained
-    /// batch — keeps the on-disk evolution a pure function of the
-    /// frame sequence, independent of queue batching.
+    /// segment (its index record already appended), on the sealing
+    /// thread. The hook layer (e.g. `ps3-tsdb`) uses it for pyramid
+    /// upkeep, compaction, and retention; running per seal — not per
+    /// drained batch — keeps the on-disk evolution a pure function of
+    /// the frame sequence, independent of queue batching.
     pub fn set_maintenance(&mut self, hook: Maintenance) {
         self.maintenance = Some(hook);
     }
@@ -202,7 +168,7 @@ impl SegmentWriter {
         &self.path
     }
 
-    /// The in-memory sidecar index covering everything sealed so far.
+    /// The in-memory index: a record for every segment sealed so far.
     #[must_use]
     pub fn index(&self) -> &ArchiveIndex {
         &self.index
@@ -211,17 +177,19 @@ impl SegmentWriter {
     /// Replaces the sealed portion of the archive with the complete,
     /// already-built archive file at `staged` — the adopt half of the
     /// compactor's write-new-then-atomic-rename protocol. The staged
-    /// file is flushed, atomically renamed over the live path, and the
-    /// writer re-seats its append handle, sequence counter, and index
-    /// on the new layout. Pending unsealed frames are untouched and
-    /// seal on top of the adopted file. A crash before the rename
+    /// file is flushed, atomically renamed over the live path (and the
+    /// rename made durable), and the writer re-seats its append
+    /// handle, sequence counter and index on the new layout, writing
+    /// `index` as a fresh log. Pending unsealed frames are untouched
+    /// and seal on top of the adopted file. A crash before the rename
     /// leaves the original archive intact; a crash after it leaves the
-    /// rewritten one — both valid.
+    /// rewritten one — both valid, and a log still describing the old
+    /// layout is refused at its first record.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors; on error the original file is
-    /// still in place (rename either happened or did not).
+    /// Propagates filesystem errors; an error before the rename leaves
+    /// the original file in place.
     pub fn adopt_rewritten(
         &mut self,
         staged: &Path,
@@ -229,13 +197,13 @@ impl SegmentWriter {
     ) -> Result<(), ArchiveError> {
         OpenOptions::new().write(true).open(staged)?.sync_all()?;
         std::fs::rename(staged, &self.path)?;
+        sync_parent_dir(&self.path)?;
         let mut file = OpenOptions::new().write(true).open(&self.path)?;
-        file.seek(SeekFrom::End(0))?;
+        self.stats.bytes = file.seek(SeekFrom::End(0))?;
         self.file = file;
         self.next_seq = index.segments.last().map_or(0, |s| s.seq + 1);
-        self.stats.bytes = index.data_len;
+        self.log = create_log(&self.index_path, &index)?;
         self.index = index;
-        self.rewrite_index();
         Ok(())
     }
 
@@ -278,9 +246,8 @@ impl SegmentWriter {
 
     /// [`SegmentWriter::finish`] with an externally tracked drop count
     /// folded into the stats (the background writer's queue drops).
-    /// On success, writes the stats sidecar (best effort — the sidecar
-    /// is advisory metadata, never worth failing a durable archive
-    /// over).
+    /// Once the archive is synced, appends the `Finished { dropped }`
+    /// record to the log (best effort, like every log append).
     ///
     /// # Errors
     ///
@@ -291,7 +258,7 @@ impl SegmentWriter {
         }
         self.file.sync_all()?;
         self.stats.dropped = dropped;
-        let _ = std::fs::write(&self.stats_path, self.stats.encode_text());
+        self.append_log(&finished_record(dropped));
         Ok(self.stats)
     }
 
@@ -299,30 +266,23 @@ impl SegmentWriter {
         let bytes = build_segment(self.next_seq, &self.pending, &self.pending_watts);
         self.file.write_all(&bytes)?;
         self.file.sync_data()?;
-        let first = self.pending[0].time.as_micros();
-        let last = self.pending[self.pending.len() - 1].time.as_micros();
-        self.index.segments.push(IndexSegment {
-            offset: self.index.data_len,
+        let record = IndexSegment {
+            offset: self.stats.bytes,
             seq: self.next_seq,
             frame_count: self.pending.len() as u32,
-            start_us: first,
-            end_us: last,
-        });
-        self.index.markers.extend(
-            self.pending
-                .iter()
-                .filter_map(|f| f.marker.map(|label| (f.time.as_micros(), label))),
-        );
-        self.index.data_len += bytes.len() as u64;
+            start_us: self.pending[0].time.as_micros(),
+            end_us: self.pending[self.pending.len() - 1].time.as_micros(),
+        };
+        self.index.segments.push(record);
         self.stats.frames += self.pending.len() as u64;
         self.stats.segments += 1;
-        self.stats.bytes = self.index.data_len;
+        self.stats.bytes += bytes.len() as u64;
         self.next_seq += 1;
         self.pending.clear();
         self.pending_watts.clear();
-        // The index is derived data: written only after the segment is
-        // durable, and a torn index write just forces a rescan on open.
-        self.rewrite_index();
+        // The log is derived data: appended to only after the segment
+        // is durable, and a torn append just lengthens the open's scan.
+        self.append_log(&record.record());
         // The maintenance hook sees every seal exactly once, so any
         // policy it implements is deterministic in the frame sequence.
         if let Some(mut hook) = self.maintenance.take() {
@@ -333,8 +293,8 @@ impl SegmentWriter {
         Ok(())
     }
 
-    fn rewrite_index(&self) {
-        let _ = std::fs::write(&self.index_path, self.index.encode());
+    fn append_log(&mut self, record: &[u8]) {
+        let _ = self.log.write_all(record);
     }
 }
 
@@ -595,38 +555,5 @@ impl std::fmt::Debug for ArchiveWriter {
         f.debug_struct("ArchiveWriter")
             .field("dropped", &self.dropped())
             .finish_non_exhaustive()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn writer_stats_sidecar_roundtrips() {
-        let stats = WriterStats {
-            frames: 12_345,
-            segments: 13,
-            bytes: 987_654,
-            dropped: 7,
-        };
-        assert_eq!(WriterStats::decode_text(&stats.encode_text()), Some(stats));
-        // Unknown keys are tolerated; missing required keys are not.
-        let extended = format!("{}future=1\n", stats.encode_text());
-        assert_eq!(WriterStats::decode_text(&extended), Some(stats));
-        assert_eq!(WriterStats::decode_text("frames=1\nsegments=2\n"), None);
-        assert_eq!(WriterStats::decode_text("frames=x\n"), None);
-    }
-
-    #[test]
-    fn stats_path_mirrors_index_naming() {
-        assert_eq!(
-            stats_path_for(Path::new("/x/trace.ps3a")),
-            PathBuf::from("/x/trace.ps3s")
-        );
-        assert_eq!(
-            stats_path_for(Path::new("/x/trace")),
-            PathBuf::from("/x/trace.ps3s")
-        );
     }
 }

@@ -22,8 +22,8 @@ use ps3_archive::bits::{
 };
 use ps3_archive::format::{SEGMENT_HEADER_SIZE, SUB_FRAMES, SUMMARY_FRAMES};
 use ps3_archive::{
-    build_runs, build_segment, index_path_for, stats_path_for, Archive, ArchiveFrame,
-    SegmentHeader, SegmentMeta, SegmentWriter,
+    build_runs, build_segment, index_path_for, Archive, ArchiveFrame, SegmentHeader, SegmentMeta,
+    SegmentWriter,
 };
 use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
 use ps3_units::SimTime;
@@ -39,11 +39,7 @@ fn temp_path(tag: &str) -> PathBuf {
 
 /// Removes an archive and the sidecars its writer and reader leave.
 fn cleanup(path: &Path) {
-    for p in [
-        path.to_path_buf(),
-        index_path_for(path),
-        stats_path_for(path),
-    ] {
+    for p in [path.to_path_buf(), index_path_for(path)] {
         std::fs::remove_file(p).ok();
     }
 }

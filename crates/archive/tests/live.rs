@@ -6,7 +6,7 @@
 
 use std::path::{Path, PathBuf};
 
-use ps3_archive::{index_path_for, stats_path_for, Archive, ArchiveWriter, ArchiveWriterOptions};
+use ps3_archive::{index_path_for, Archive, ArchiveWriter, ArchiveWriterOptions};
 use ps3_duts::LoadProgram;
 use ps3_sensors::ModuleKind;
 use ps3_testbed::setups::accuracy_bench;
@@ -14,11 +14,7 @@ use ps3_units::{Amps, SimDuration, SimTime};
 
 /// Removes an archive and the sidecars its writer and reader leave.
 fn cleanup(path: &Path) {
-    for p in [
-        path.to_path_buf(),
-        index_path_for(path),
-        stats_path_for(path),
-    ] {
+    for p in [path.to_path_buf(), index_path_for(path)] {
         std::fs::remove_file(p).ok();
     }
 }

@@ -6,18 +6,14 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use ps3_archive::{
-    crc32, index_path_for, stats_path_for, Archive, ArchiveError, ArchiveFrame, SegmentWriter,
+    crc32, index_path_for, Archive, ArchiveError, ArchiveFrame, ArchiveIndex, SegmentWriter,
 };
 use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
 use ps3_units::SimTime;
 
 /// Removes an archive and the sidecars its writer and reader leave.
 fn cleanup(path: &Path) {
-    for p in [
-        path.to_path_buf(),
-        index_path_for(path),
-        stats_path_for(path),
-    ] {
+    for p in [path.to_path_buf(), index_path_for(path)] {
         std::fs::remove_file(p).ok();
     }
 }
@@ -147,6 +143,19 @@ fn stale_index_after_crash_is_bypassed() {
         "stale index must not be trusted"
     );
     assert_eq!(archive.segments().len(), 2);
+    assert_eq!(archive.frames(), 60);
+    // Cut exactly at the end of segment 1: the log's first two records
+    // reach the end of the file, but the capture they finish is gone.
+    let sealed = archive.sealed_len() as usize;
+    drop(archive);
+    std::fs::write(&path, &bytes[..sealed]).unwrap();
+    let archive = Archive::open(&path).unwrap();
+    assert!(archive.recovery().used_index);
+    assert_eq!(
+        archive.recovery().dropped,
+        None,
+        "lost segment 2 yet finished"
+    );
     assert_eq!(archive.frames(), 60);
     cleanup(&path);
 }
@@ -303,14 +312,120 @@ fn marker_label_outside_unicode_is_refused() {
     let planted = plant(planted, at, meta.offset as usize..end);
     std::fs::write(&path, planted).unwrap();
     assert_damage_is_not_served(&path, 0..0, "segment marker label");
-    // The sidecar's first marker record, over an intact archive. Its
-    // marker records (segment 0's, times three) end at its CRC.
+    // A log record whose CRC is valid but whose fields disagree with
+    // segment 1 (its last frame 50 µs later), over an intact archive:
+    // the walk stops there and scans the rest, markers included.
     std::fs::write(&path, &bytes).unwrap();
-    let (end, markers) = (index.len() - 4, 3 * meta.markers.len());
-    std::fs::write(&index_path, plant(index, end - markers * ENTRY, 0..end)).unwrap();
+    let mut log = ArchiveIndex::decode(&index).unwrap();
+    log.segments[1].end_us += 50;
+    std::fs::write(&index_path, log.encode()).unwrap();
     let archive = Archive::open(&path).unwrap();
     assert!(!archive.recovery().used_index, "sidecar trusted");
-    assert_eq!(archive.markers().len(), markers);
+    assert_eq!(archive.recovery().dropped, None);
+    assert_eq!(archive.segments().len(), 3);
+    assert_eq!(archive.markers().len(), 3 * meta.markers.len());
+    cleanup(&path);
+}
+
+/// Each segment's place, size and identity, for comparing opens.
+fn layout(archive: &Archive) -> Vec<(u64, u64, u32, u32)> {
+    archive
+        .segments()
+        .iter()
+        .map(|m| {
+            let h = &m.header;
+            (m.offset, h.disk_size(), h.seq, h.frame_count)
+        })
+        .collect()
+}
+
+#[test]
+fn damaged_index_costs_only_a_longer_scan() {
+    let path = temp_path("index-damage");
+    let index_path = index_path_for(&path);
+    write_archive(&path, 90, 30);
+    let log = std::fs::read(&index_path).unwrap();
+    let intact = Archive::open(&path).unwrap();
+    assert!(intact.recovery().used_index);
+    assert_eq!(intact.recovery().dropped, Some(0));
+    let (segments, markers) = (layout(&intact), intact.markers().to_vec());
+    let trace = intact.read_all().unwrap();
+    drop(intact);
+    assert_eq!(segments.len(), 3);
+    // Every cut and every flipped byte of the log: open serves exactly
+    // what it serves with the intact log, reports the writer finished
+    // only when the whole log is intact, and says it used the index
+    // only when the log's surviving records cover all three segments.
+    let check = |damaged: &[u8], what: &str| {
+        std::fs::write(&index_path, damaged).unwrap();
+        let archive = Archive::open(&path).unwrap();
+        let recovery = archive.recovery();
+        let records = ArchiveIndex::decode(damaged).map_or(0, |i| i.segments.len());
+        assert_eq!(layout(&archive), segments, "{what}");
+        assert_eq!(archive.markers(), &markers[..], "{what}");
+        assert_eq!(archive.read_all().unwrap(), trace, "{what}");
+        assert_eq!(recovery.trailing_bytes, 0, "{what}");
+        assert_eq!(recovery.used_index, records == 3, "{what}");
+        assert_eq!(recovery.dropped, (damaged == log).then_some(0), "{what}");
+    };
+    for len in 0..=log.len() {
+        check(&log[..len], &format!("log cut at byte {len}"));
+    }
+    for byte in 0..log.len() {
+        let mut damaged = log.clone();
+        damaged[byte] ^= 0xFF;
+        check(&damaged, &format!("log byte {byte} flipped"));
+    }
+    cleanup(&path);
+}
+
+#[test]
+fn index_of_an_earlier_capture_is_never_adopted() {
+    let path = temp_path("earlier-capture");
+    let index_path = index_path_for(&path);
+    write_archive(&path, 90, 30);
+    let earlier = std::fs::read(&index_path).unwrap();
+    assert_eq!(ArchiveIndex::decode(&earlier).unwrap().finished, Some(0));
+
+    // A new capture at the same path that dies before its first seal:
+    // creating it emptied the log, so nothing of the earlier capture
+    // (its segments, its `Finished` record) is left to adopt.
+    let mut writer = SegmentWriter::create_with(&path, test_configs(), 45).unwrap();
+    for i in 0..10 {
+        let mut raw = [0u16; SENSOR_SLOTS];
+        raw[0] = 600 + i as u16;
+        writer
+            .push(ArchiveFrame {
+                time: SimTime::from_micros(25 + i * 50),
+                raw,
+                present: 0b11,
+                marker: None,
+            })
+            .unwrap();
+    }
+    drop(writer);
+    let log = ArchiveIndex::decode(&std::fs::read(&index_path).unwrap()).unwrap();
+    assert_eq!(log, ArchiveIndex::default());
+    let archive = Archive::open(&path).unwrap();
+    assert!(archive.segments().is_empty());
+    assert_eq!(archive.recovery().dropped, None);
+
+    // The earlier log planted beside a finished new capture with
+    // another segment layout: its first record already disagrees, so
+    // the whole file is scanned and the writer is not reported
+    // finished.
+    write_archive(&path, 90, 45);
+    let scanned = {
+        std::fs::remove_file(&index_path).unwrap();
+        let archive = Archive::open(&path).unwrap();
+        (layout(&archive), archive.read_all().unwrap())
+    };
+    std::fs::write(&index_path, &earlier).unwrap();
+    let archive = Archive::open(&path).unwrap();
+    assert!(!archive.recovery().used_index);
+    assert_eq!(archive.recovery().dropped, None);
+    assert_eq!(layout(&archive), scanned.0);
+    assert_eq!(archive.read_all().unwrap(), scanned.1);
     cleanup(&path);
 }
 

@@ -5,9 +5,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use ps3_archive::{
-    frame_total, index_path_for, stats_path_for, Archive, ArchiveFrame, SegmentWriter,
-};
+use ps3_archive::{frame_total, index_path_for, Archive, ArchiveFrame, SegmentWriter};
 use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
 use ps3_sensors::AdcSpec;
 use ps3_units::SimTime;
@@ -23,11 +21,7 @@ fn temp_path(tag: &str) -> PathBuf {
 
 /// Removes an archive and the sidecars its writer and reader leave.
 fn cleanup(path: &Path) {
-    for p in [
-        path.to_path_buf(),
-        index_path_for(path),
-        stats_path_for(path),
-    ] {
+    for p in [path.to_path_buf(), index_path_for(path)] {
         std::fs::remove_file(p).ok();
     }
 }

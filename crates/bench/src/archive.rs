@@ -150,7 +150,6 @@ pub fn run(samples: usize, seed: u64) -> ArchiveResult {
     drop(archive);
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(ps3_archive::index_path_for(&path)).ok();
-    std::fs::remove_file(ps3_archive::stats_path_for(&path)).ok();
 
     ArchiveResult {
         frames: stats.frames,

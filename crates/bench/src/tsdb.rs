@@ -211,7 +211,6 @@ fn run_point(frames: u64, seed: u64) -> TsdbPoint {
     drop(tsdb);
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(ps3_archive::index_path_for(&path)).ok();
-    std::fs::remove_file(ps3_archive::stats_path_for(&path)).ok();
     std::fs::remove_file(ps3_tsdb::pyramid_path_for(&path)).ok();
     point
 }

@@ -24,8 +24,8 @@ use std::time::Duration;
 
 use ps3_analysis::Trace;
 use ps3_archive::{
-    frame_total, index_path_for, stats_path_for, Archive, ArchiveError, ArchiveFrame,
-    ArchiveWriter, ArchiveWriterOptions, SegmentWriter, WriterStats,
+    frame_total, index_path_for, Archive, ArchiveError, ArchiveFrame, ArchiveWriter,
+    ArchiveWriterOptions, SegmentWriter, WriterStats,
 };
 use ps3_core::PowerSensorError;
 use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
@@ -270,7 +270,6 @@ fn scratch_dir(tag: &str, seed: u64) -> PathBuf {
 fn cleanup(path: &Path) {
     let _ = std::fs::remove_file(path);
     let _ = std::fs::remove_file(index_path_for(path));
-    let _ = std::fs::remove_file(stats_path_for(path));
     let _ = std::fs::remove_file(pyramid_path_for(path));
     let _ = std::fs::remove_file(compact_tmp_path_for(path));
 }

@@ -429,11 +429,7 @@ fn replay_daemon_serves_archived_range_exactly() {
     );
 
     daemon.shutdown();
-    for p in [
-        path.clone(),
-        ps3_archive::index_path_for(&path),
-        ps3_archive::stats_path_for(&path),
-    ] {
+    for p in [path.clone(), ps3_archive::index_path_for(&path)] {
         std::fs::remove_file(p).ok();
     }
 }

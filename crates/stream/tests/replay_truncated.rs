@@ -116,11 +116,7 @@ fn replay_of_truncated_archive_serves_recovered_prefix_and_closes_cleanly() {
     assert_eq!(daemon.stats().evicted, 0);
     daemon.shutdown();
 
-    for p in [
-        path.clone(),
-        ps3_archive::index_path_for(&path),
-        ps3_archive::stats_path_for(&path),
-    ] {
+    for p in [path.clone(), ps3_archive::index_path_for(&path)] {
         std::fs::remove_file(p).ok();
     }
 }

@@ -2,12 +2,15 @@
 //!
 //! Both operations follow the same crash-safe protocol: build a
 //! complete replacement archive in a `.compact-tmp` staging file,
-//! `fsync` it, then atomically rename it over the original. A crash at
-//! any byte of the staging write leaves the original archive untouched
-//! and readable; a stale staging file from a previous crash is simply
-//! overwritten on the next attempt. Sidecars (`.ps3x` index, `.ps3p`
-//! pyramid) are rewritten best-effort after the rename — both are
-//! advisory and rebuilt by scan when stale.
+//! `fsync` it, atomically rename it over the original, and fsync the
+//! directory so the rename survives a power loss. A crash at any byte
+//! of the staging write leaves the original archive untouched and
+//! readable; a stale staging file from a previous crash is simply
+//! overwritten on the next attempt. After the rename a fresh `.ps3x`
+//! log (carrying over the source log's `Finished` record) and `.ps3p`
+//! pyramid are written best-effort — both are derived data: a log
+//! still describing the old layout is refused at its first record, and
+//! a stale pyramid is rebuilt.
 //!
 //! Compaction ([`stage_compacted`]) merges sealed small segments into
 //! large ones: frames are decoded, re-chunked at the target size, and
@@ -38,7 +41,8 @@ use std::path::{Path, PathBuf};
 
 use ps3_archive::format::{encode_file_header, FILE_HEADER_SIZE};
 use ps3_archive::{
-    build_segment, frame_total, index_path_for, Archive, ArchiveError, ArchiveIndex, IndexSegment,
+    build_segment, frame_total, index_path_for, sync_parent_dir, Archive, ArchiveError,
+    ArchiveIndex, IndexSegment,
 };
 
 use crate::pyramid::{Pyramid, PyramidConfig};
@@ -89,8 +93,8 @@ pub fn compact_tmp_path_for(path: &Path) -> PathBuf {
 
 /// Builds the compacted replacement for `archive` at `tmp` — every
 /// frame decoded, re-chunked at `target_frames`, and re-encoded — and
-/// returns the index describing it. The staging file is fsynced; the
-/// caller owns the rename.
+/// returns the index describing it, `archive`'s `Finished` record
+/// included. The staging file is fsynced; the caller owns the rename.
 ///
 /// # Errors
 ///
@@ -117,9 +121,8 @@ pub fn stage_compacted(
 
     let mut bytes = encode_file_header(archive.configs());
     let mut index = ArchiveIndex {
-        data_len: 0,
         segments: Vec::new(),
-        markers: Vec::new(),
+        finished: archive.recovery().dropped,
     };
     for (seq, (chunk, watts_chunk)) in frames
         .chunks(target_frames)
@@ -139,13 +142,7 @@ pub fn stage_compacted(
             start_us: chunk[0].time.as_micros(),
             end_us: chunk[chunk.len() - 1].time.as_micros(),
         });
-        for frame in chunk {
-            if let Some(label) = frame.marker {
-                index.markers.push((frame.time.as_micros(), label));
-            }
-        }
     }
-    index.data_len = bytes.len() as u64;
 
     let mut file = File::create(tmp)?;
     file.write_all(&bytes)?;
@@ -153,8 +150,9 @@ pub fn stage_compacted(
     Ok(index)
 }
 
-/// Offline compaction of the archive at `path`: stage, rename, rewrite
-/// the `.ps3x` index and `.ps3p` pyramid sidecars (best effort).
+/// Offline compaction of the archive at `path`: stage, rename, then
+/// write the `.ps3x` log and `.ps3p` pyramid sidecars afresh (best
+/// effort).
 ///
 /// # Errors
 ///
@@ -174,6 +172,7 @@ pub fn compact_archive(
     let index = stage_compacted(&archive, options.target_frames, &tmp)?;
     drop(archive);
     std::fs::rename(&tmp, path)?;
+    sync_parent_dir(path)?;
     let _ = std::fs::write(index_path_for(path), index.encode());
     let archive = Archive::open(path)?;
     let _ = Pyramid::build(&archive, options.config).save_for(path);
@@ -278,8 +277,8 @@ pub fn retained_prefix_drop(archive: &Archive, retention: Retention) -> usize {
 /// Builds the replacement archive at `tmp` with the oldest `drop`
 /// segments removed — surviving segment bytes are copied verbatim
 /// (same encoding, same sequence numbers, same CRCs) — and returns the
-/// index describing it. The staging file is fsynced; the caller owns
-/// the rename.
+/// index describing it, `archive`'s `Finished` record included. The
+/// staging file is fsynced; the caller owns the rename.
 ///
 /// # Errors
 ///
@@ -303,9 +302,8 @@ pub fn stage_retained(
     src.read_exact(&mut bytes)?;
 
     let mut index = ArchiveIndex {
-        data_len: 0,
         segments: Vec::new(),
-        markers: Vec::new(),
+        finished: archive.recovery().dropped,
     };
     for meta in &segments[drop..] {
         let offset = bytes.len() as u64;
@@ -324,9 +322,7 @@ pub fn stage_retained(
             start_us: meta.header.start_us,
             end_us: meta.header.end_us,
         });
-        index.markers.extend_from_slice(&meta.markers);
     }
-    index.data_len = bytes.len() as u64;
 
     let mut file = File::create(tmp)?;
     file.write_all(&bytes)?;
@@ -335,8 +331,8 @@ pub fn stage_retained(
 }
 
 /// Offline retention sweep of the archive at `path`: drop expired
-/// segments (if any), rename, rewrite sidecars (best effort). A no-op
-/// report when nothing has expired.
+/// segments (if any), rename, write fresh sidecars (best effort). A
+/// no-op report when nothing has expired.
 ///
 /// # Errors
 ///
@@ -362,6 +358,7 @@ pub fn retain_archive(
     let index = stage_retained(&archive, drop_count, &tmp)?;
     drop(archive);
     std::fs::rename(&tmp, path)?;
+    sync_parent_dir(path)?;
     let _ = std::fs::write(index_path_for(path), index.encode());
     let archive = Archive::open(path)?;
     let _ = Pyramid::build(&archive, config).save_for(path);

@@ -108,7 +108,7 @@ fn maintain(
             let tmp = compact_tmp_path_for(&path);
             let index = stage_retained(&archive, drop_count, &tmp)?;
             drop(archive);
-            let data_len = index.data_len;
+            let data_len = std::fs::metadata(&tmp)?.len();
             writer.adopt_rewritten(&tmp, index)?;
             pyramid.segments.drain(..drop_count);
             pyramid.data_len = data_len;

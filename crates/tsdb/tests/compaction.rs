@@ -7,9 +7,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ps3_archive::format::{FILE_HEADER_SIZE, SEGMENT_HEADER_SIZE};
-use ps3_archive::{
-    frame_total, index_path_for, stats_path_for, Archive, ArchiveFrame, SegmentWriter,
-};
+use ps3_archive::{frame_total, index_path_for, Archive, ArchiveFrame, SegmentWriter};
 use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
 use ps3_sensors::AdcSpec;
 use ps3_tsdb::{
@@ -34,7 +32,6 @@ fn cleanup(path: &Path) {
         path.to_path_buf(),
         index_path_for(path),
         pyramid_path_for(path),
-        stats_path_for(path),
         compact_tmp_path_for(path),
     ] {
         std::fs::remove_file(p).ok();

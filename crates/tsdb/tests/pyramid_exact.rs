@@ -14,9 +14,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use ps3_archive::{
-    index_path_for, stats_path_for, Archive, ArchiveError, ArchiveFrame, SegmentWriter,
-};
+use ps3_archive::{index_path_for, Archive, ArchiveError, ArchiveFrame, SegmentWriter};
 use ps3_firmware::{SensorConfig, SENSOR_SLOTS};
 use ps3_tsdb::{pyramid_path_for, PyramidConfig, Tsdb};
 use ps3_units::SimTime;
@@ -37,7 +35,6 @@ fn cleanup(path: &Path) {
         path.to_path_buf(),
         index_path_for(path),
         pyramid_path_for(path),
-        stats_path_for(path),
     ] {
         std::fs::remove_file(p).ok();
     }

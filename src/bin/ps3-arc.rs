@@ -28,7 +28,7 @@
 use std::process::ExitCode;
 
 use powersensor3::analysis::DumpWriter;
-use powersensor3::archive::{Archive, ArchiveWriter, ArchiveWriterOptions, WriterStats};
+use powersensor3::archive::{Archive, ArchiveWriter, ArchiveWriterOptions};
 use powersensor3::cli::{flag, flag_value};
 use powersensor3::duts::LoadProgram;
 use powersensor3::firmware::{fold_pairs, SENSOR_SLOTS};
@@ -197,9 +197,6 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_info(args: &[String]) -> Result<ExitCode, String> {
     let archive = open(args)?;
     let recovery = archive.recovery();
-    // The stats sidecar is written only when the capture's writer
-    // finished cleanly; its absence flags a crashed capture.
-    let writer = WriterStats::load_for(archive.path());
 
     if args.iter().any(|a| a == "--json") {
         let segments = archive
@@ -231,11 +228,8 @@ fn cmd_info(args: &[String]) -> Result<ExitCode, String> {
             }
             None => "null".to_owned(),
         };
-        let writer_json = writer.map_or("null".to_owned(), |w| {
-            format!(
-                r#"{{"frames":{},"segments":{},"bytes":{},"dropped":{}}}"#,
-                w.frames, w.segments, w.bytes, w.dropped
-            )
+        let writer_json = recovery.dropped.map_or("null".to_owned(), |dropped| {
+            format!(r#"{{"dropped":{dropped}}}"#)
         });
         println!(
             r#"{{"path":{:?},"frames":{},"used_index":{},"unsealed_trailing_bytes":{},"markers":{},"segments":[{segments}],"pyramid":{pyramid_json},"writer":{writer_json}}}"#,
@@ -277,12 +271,11 @@ fn cmd_info(args: &[String]) -> Result<ExitCode, String> {
         .map(|p| format!("{p} ({})", archive.configs()[2 * p].name))
         .collect();
     println!("  enabled pairs: {}", enabled.join(", "));
-    match writer {
-        Some(w) => println!(
-            "  writer: finished cleanly, {} frames dropped at the queue",
-            w.dropped
+    match recovery.dropped {
+        Some(dropped) => println!("  writer: finished cleanly, {dropped} frames dropped at the queue"),
+        None => println!(
+            "  writer: not finished (no Finished record in the index: the capture crashed, is still being written, or its index is stale)"
         ),
-        None => println!("  writer: drop counter not recorded (no stats sidecar — capture crashed or predates it)"),
     }
     println!("  segments:");
     for meta in archive.segments() {

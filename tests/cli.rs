@@ -182,6 +182,46 @@ fn arc_record_cat_matches_live_dump_and_queries_work() {
 }
 
 #[test]
+fn arc_info_reports_whether_the_writer_finished() {
+    use powersensor3::archive::{index_path_for, ArchiveIndex};
+    let dir = std::env::temp_dir().join(format!("ps3arc_cli_writer_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let arc = dir.join("capture.ps3a");
+    let arc_s = arc.to_str().unwrap();
+    let (out, err, ok) = ps3arc(&["record", "--out", arc_s, "--frames", "2000"]);
+    assert!(ok, "record failed: {out} {err}");
+
+    let (info, _, ok) = ps3arc(&["info", arc_s]);
+    assert!(ok);
+    assert!(
+        info.contains("writer: finished cleanly, 0 frames dropped"),
+        "{info}"
+    );
+    let (json, _, ok) = ps3arc(&["info", arc_s, "--json"]);
+    assert!(ok);
+    assert!(json.contains(r#""writer":{"dropped":0}"#), "{json}");
+
+    // A copy whose log has lost its `Finished` record, as a crash
+    // between the last seal and `finish` leaves it.
+    let copy = dir.join("copy.ps3a");
+    std::fs::copy(&arc, &copy).unwrap();
+    let mut log = ArchiveIndex::decode(&std::fs::read(index_path_for(&arc)).unwrap()).unwrap();
+    assert_eq!(log.finished, Some(0));
+    log.finished = None;
+    std::fs::write(index_path_for(&copy), log.encode()).unwrap();
+    let copy_s = copy.to_str().unwrap();
+    let (info, _, ok) = ps3arc(&["info", copy_s]);
+    assert!(ok);
+    assert!(info.contains("via sidecar index"), "{info}");
+    assert!(info.contains("writer: not finished"), "{info}");
+    let (json, _, ok) = ps3arc(&["info", copy_s, "--json"]);
+    assert!(ok);
+    assert!(json.contains(r#""writer":null"#), "{json}");
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn arc_stats_engines_print_identical_answers() {
     let dir = std::env::temp_dir().join(format!("ps3arc_cli_engines_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -24,8 +24,8 @@ use std::time::{Duration, Instant};
 
 use powersensor3::analysis::Trace;
 use powersensor3::archive::{
-    frame_total, index_path_for, stats_path_for, Archive, ArchiveFrame, ArchiveWriter,
-    ArchiveWriterOptions, SegmentWriter,
+    frame_total, index_path_for, Archive, ArchiveFrame, ArchiveWriter, ArchiveWriterOptions,
+    SegmentWriter,
 };
 use powersensor3::core::SharedPowerSensor;
 use powersensor3::duts::LoadProgram;
@@ -71,11 +71,7 @@ struct Scratch(PathBuf);
 
 impl Drop for Scratch {
     fn drop(&mut self) {
-        for path in [
-            self.0.clone(),
-            index_path_for(&self.0),
-            stats_path_for(&self.0),
-        ] {
+        for path in [self.0.clone(), index_path_for(&self.0)] {
             std::fs::remove_file(path).ok();
         }
     }

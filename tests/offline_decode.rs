@@ -4,7 +4,7 @@
 
 use powersensor3::analysis::Trace;
 use powersensor3::archive::{
-    frame_total, index_path_for, stats_path_for, Archive, ArchiveWriter, ArchiveWriterOptions,
+    frame_total, index_path_for, Archive, ArchiveWriter, ArchiveWriterOptions,
 };
 use powersensor3::core::{decode_stream, PowerSensor};
 use powersensor3::firmware::{Device, DeviceThread, Eeprom, SensorConfig};
@@ -119,11 +119,7 @@ struct TempArchive(PathBuf);
 
 impl Drop for TempArchive {
     fn drop(&mut self) {
-        for p in [
-            self.0.clone(),
-            index_path_for(&self.0),
-            stats_path_for(&self.0),
-        ] {
+        for p in [self.0.clone(), index_path_for(&self.0)] {
             std::fs::remove_file(p).ok();
         }
     }

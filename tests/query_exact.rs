@@ -35,8 +35,8 @@ use std::path::PathBuf;
 use powersensor3::analysis::Trace;
 use powersensor3::archive::format::{SUB_FRAMES, SUMMARY_FRAMES};
 use powersensor3::archive::{
-    build_runs, frame_total, index_path_for, stats_path_for, Archive, ArchiveError, ArchiveFrame,
-    RangeStats, SegmentWriter, Tiers,
+    build_runs, frame_total, index_path_for, Archive, ArchiveError, ArchiveFrame, RangeStats,
+    SegmentWriter, Tiers,
 };
 use powersensor3::firmware::{SensorConfig, SENSOR_SLOTS};
 use powersensor3::tsdb::{pyramid_path_for, PyramidConfig, Tsdb};
@@ -119,7 +119,6 @@ impl Drop for Capture {
             self.0.clone(),
             index_path_for(&self.0),
             pyramid_path_for(&self.0),
-            stats_path_for(&self.0),
         ] {
             std::fs::remove_file(p).ok();
         }
